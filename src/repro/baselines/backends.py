@@ -42,6 +42,13 @@ class ModelBackend:
 
     Subclasses override the padding/conversion/sparsity behaviour; every
     shared cost helper lives here so backends stay commensurate.
+
+    Pricing contract: the engine prices one attention block and one dense
+    FFN block per run and replays them for every later layer (see
+    :func:`repro.runtime.engine.run_transformer`).  A backend's pricing of
+    a layer may therefore depend on per-run state only through first-use
+    charges paid in layer 0, like :class:`~repro.baselines.PITBackend`'s
+    once-per-batch detector passes.
     """
 
     name = "PyTorch"

@@ -86,6 +86,8 @@ class TileDB:
         self.max_tiles = max_tiles
         profiles = profile_matmul_tiles(spec, dtype, tensor_core=tensor_core)
         self._entries = [self._to_entry(p) for p in profiles[: max(1, max_tiles)]]
+        #: ``best_dense_tile`` results per ``(m, k, n)``; see there.
+        self._best_dense: dict = {}
         if not self._entries:
             raise RuntimeError(
                 f"offline profiling produced no feasible tiles for "
@@ -162,16 +164,25 @@ class TileDB:
         """The dense tile minimizing full-dense latency for this shape.
 
         Used both for the dense-fallback candidate of Algorithm 1 and by the
-        dense baselines.
+        dense baselines.  Memoized per ``(m, k, n)`` on the instance: the
+        pricing hot path asks for the same few shapes on every batch.  The
+        keys are bounded by the distinct token counts a process serves
+        (at most ``max_batch_tokens``) times the model dimensions.  The
+        memo needs no lock: a racing thread that misses recomputes the same
+        pure scan and stores the same entry.
         """
-        best, best_cost = None, float("inf")
-        for entry in self._entries:
-            tiles_m = math.ceil(m / entry.tile.tm)
-            tiles_n = math.ceil(n / entry.tile.tn)
-            waves = math.ceil(tiles_m * tiles_n / self.spec.num_sms)
-            cost = waves * entry.tile_cost_us(k)
-            if cost < best_cost:
-                best, best_cost = entry, cost
+        key = (m, k, n)
+        best = self._best_dense.get(key)
+        if best is None:
+            best_cost = float("inf")
+            for entry in self._entries:
+                tiles_m = math.ceil(m / entry.tile.tm)
+                tiles_n = math.ceil(n / entry.tile.tn)
+                waves = math.ceil(tiles_m * tiles_n / self.spec.num_sms)
+                cost = waves * entry.tile_cost_us(k)
+                if cost < best_cost:
+                    best, best_cost = entry, cost
+            self._best_dense[key] = best
         return best
 
     def __len__(self) -> int:

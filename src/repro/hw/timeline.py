@@ -12,9 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecReport:
-    """Result of one simulated kernel (or fused op) execution."""
+    """Result of one simulated kernel (or fused op) execution.
+
+    Frozen: the engine replays one priced layer's reports for every
+    structurally identical layer, so a report may sit in a timeline many
+    times.  Derive an edited copy with :func:`dataclasses.replace`.
+    """
 
     op: str
     latency_us: float

@@ -22,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,7 +270,7 @@ class TestTrainingWarmStart:
         kernel-search code — every resolution flows through the Planner."""
         import repro.runtime.training as training
 
-        src = open(training.__file__).read()
+        src = Path(training.__file__).read_text()
         for needle in ("tiles()", "kernel_selection", "SparseMatmulKernel",
                        "shared_tiledb", "from ..core.tiledb",
                        "dense_matmul_time_us"):
