@@ -27,7 +27,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_concurrent_serving.py
 
 from __future__ import annotations
 
-import json
 import statistics
 import threading
 import time
@@ -44,6 +43,8 @@ from repro.runtime import (
     serve_workloads,
 )
 from repro.sparsity import granular_mask
+
+from e2e_common import append_trajectory
 
 OUT_PATH = Path("BENCH_serving.json")
 
@@ -182,19 +183,6 @@ def make_engine(**kwargs):
     return ServingEngine(V100, **defaults)
 
 
-def append_trajectory(record: dict) -> None:
-    runs = []
-    if OUT_PATH.exists():
-        try:
-            runs = json.loads(OUT_PATH.read_text())
-        except (ValueError, OSError):
-            runs = []
-        if not isinstance(runs, list):
-            runs = []
-    runs.append(record)
-    OUT_PATH.write_text(json.dumps(runs, indent=2))
-
-
 def main():
     failures = []
 
@@ -274,6 +262,7 @@ def main():
     )
 
     append_trajectory(
+        OUT_PATH,
         {
             "bench": "concurrent_serving",
             "timestamp": time.time(),

@@ -28,7 +28,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_fault_tolerance.py
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -43,6 +42,8 @@ from repro.runtime import (
     replay_trace,
     serve_workloads,
 )
+
+from e2e_common import append_trajectory
 
 OUT_PATH = Path("BENCH_serving.json")
 
@@ -118,19 +119,6 @@ def goodput(report):
     if report.makespan_us <= 0:
         return 0.0
     return served / (report.makespan_us / 1e6)
-
-
-def append_trajectory(record: dict) -> None:
-    runs = []
-    if OUT_PATH.exists():
-        try:
-            runs = json.loads(OUT_PATH.read_text())
-        except (ValueError, OSError):
-            runs = []
-        if not isinstance(runs, list):
-            runs = []
-    runs.append(record)
-    OUT_PATH.write_text(json.dumps(runs, indent=2))
 
 
 def main():
@@ -228,6 +216,7 @@ def main():
     )
 
     append_trajectory(
+        OUT_PATH,
         {
             "bench": "fault_tolerance",
             "timestamp": time.time(),

@@ -34,7 +34,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_heterogeneous_replicas.py
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -42,6 +41,8 @@ from repro.core import PlanCache
 from repro.hw import A100, V100
 from repro.models import bert_workload
 from repro.runtime import ServingEngine, format_table
+
+from e2e_common import append_trajectory
 
 OUT_PATH = Path("BENCH_serving.json")
 
@@ -124,20 +125,6 @@ def canonical(report) -> dict:
             for s in report.replica_stats
         ],
     }
-
-
-def append_trajectory(record: dict) -> None:
-    """Append one run record to the BENCH_serving.json trajectory."""
-    runs = []
-    if OUT_PATH.exists():
-        try:
-            runs = json.loads(OUT_PATH.read_text())
-        except (ValueError, OSError):
-            runs = []
-        if not isinstance(runs, list):
-            runs = []
-    runs.append(record)
-    OUT_PATH.write_text(json.dumps(runs, indent=2))
 
 
 def main():
@@ -258,6 +245,7 @@ def main():
     )
 
     append_trajectory(
+        OUT_PATH,
         {
             "bench": "heterogeneous_replicas",
             "timestamp": time.time(),

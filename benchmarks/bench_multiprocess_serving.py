@@ -29,7 +29,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_multiprocess_serving.py
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import time
 from pathlib import Path
@@ -49,6 +48,8 @@ from repro.runtime import (
     decision_trace,
     serve_cluster,
 )
+
+from e2e_common import append_trajectory
 
 OUT_PATH = Path("BENCH_serving.json")
 
@@ -151,19 +152,6 @@ def distinct_signatures(trace):
     return len({r.batch_signature(quantum) for r in requests})
 
 
-def append_trajectory(record: dict) -> None:
-    runs = []
-    if OUT_PATH.exists():
-        try:
-            runs = json.loads(OUT_PATH.read_text())
-        except (ValueError, OSError):
-            runs = []
-        if not isinstance(runs, list):
-            runs = []
-    runs.append(record)
-    OUT_PATH.write_text(json.dumps(runs, indent=2))
-
-
 def main():
     failures = []
     cores = os.cpu_count() or 1
@@ -256,6 +244,7 @@ def main():
     )
 
     append_trajectory(
+        OUT_PATH,
         {
             "bench": "multiprocess_serving",
             "timestamp": time.time(),

@@ -30,13 +30,14 @@ Run:  PYTHONPATH=src python benchmarks/bench_training_warmstart.py
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from repro.core import PlanCache, TileDB
 from repro.hw import V100
 from repro.runtime import format_table, sparse_training_run, sparse_training_step
+
+from e2e_common import append_trajectory
 
 DUMP_PATH = "BENCH_training_plans.json"
 OUT_PATH = Path("BENCH_training.json")
@@ -134,15 +135,7 @@ def main():
             )
 
     # --- Cumulative trajectory (CI artifact) ------------------------------
-    history = []
-    if OUT_PATH.exists():
-        try:
-            history = json.loads(OUT_PATH.read_text())
-        except (ValueError, OSError):
-            history = []  # a corrupt trajectory never blocks the gate
-    if not isinstance(history, list):
-        history = [history]
-    history.append({
+    runs = append_trajectory(OUT_PATH, {
         "sparsities": list(SPARSITIES),
         "block": list(BLOCK),
         "nm_pattern": list(NM_PATTERN),
@@ -152,8 +145,7 @@ def main():
         "selection_speedup": speedup,
         "dump_entries": saved["entries"],
     })
-    OUT_PATH.write_text(json.dumps(history, indent=2) + "\n")
-    print(f"appended run {len(history)} to {OUT_PATH}")
+    print(f"appended run {runs} to {OUT_PATH}")
 
     print(
         f"OK: zero cold searches after reload, {speedup:.1f}x selection cut, "

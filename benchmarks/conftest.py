@@ -8,7 +8,15 @@ reproduction target; wall-clock numbers measure the harness itself.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The script-run gates import ``e2e_common`` as a top-level module (a
+# script's own directory is on ``sys.path``); collecting them under pytest
+# needs the same.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 def paper_note(figure: str, claim: str) -> str:

@@ -1,8 +1,33 @@
-"""Shared helpers for the end-to-end figure benchmarks (Figures 8-14, 19)."""
+"""Shared helpers for the end-to-end figure benchmarks (Figures 8-14, 19)
+and the trajectory writer of the script-run gates."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from repro.runtime import run_lineup
+
+
+def append_trajectory(path, record: dict) -> int:
+    """Append one run record to the JSON-list trajectory at ``path``.
+
+    Returns the number of runs the file now holds.  An unreadable file
+    starts a fresh list and a lone non-list record is kept as its first
+    entry: a corrupt trajectory never blocks a gate.
+    """
+    path = Path(path)
+    runs = []
+    if path.exists():
+        try:
+            runs = json.loads(path.read_text())
+        except (ValueError, OSError):
+            runs = []
+    if not isinstance(runs, list):
+        runs = [runs]
+    runs.append(record)
+    path.write_text(json.dumps(runs, indent=2) + "\n")
+    return len(runs)
 
 
 def cell(report) -> str:

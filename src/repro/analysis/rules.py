@@ -257,7 +257,9 @@ def check_async_hygiene(corpus):
 _DETERMINISM_ROOT_CLASSES = frozenset(
     {"SchedulingPolicy", "ContinuousScheduler", "VirtualClock"}
 )
-_DETERMINISM_ROOT_FUNCS = frozenset({"decision_trace", "replay_trace"})
+_DETERMINISM_ROOT_FUNCS = frozenset(
+    {"decision_trace", "replay_trace", "serve_virtual"}
+)
 
 _WALL_CLOCK_CALLS = frozenset(
     {

@@ -5,7 +5,7 @@ its own engine (backend, profiled TileDB, planner), connected to the
 admission host by a length-prefixed socket transport.  The host keeps the
 policy — admission, batching, placement, retries — and ships only the
 execution across the boundary, so the decision trace of a virtual-time
-replay stays bit-identical to the simulated scheduler's.
+replay stays bit-identical to ``engine.run(policy="continuous")``'s.
 
 Layers:
 

@@ -17,11 +17,12 @@ heartbeat monitor records the failure with the
 respawns the worker, which re-enters placement through the breaker's
 quarantine -> half-open -> healthy ladder.
 
-Virtual-time replay (:func:`cluster_replay_trace`) drives the same
-pipeline synchronously: every dispatch is a blocking round trip, so plan
-deltas land before the next decision and the decision trace — including
-timings under ``charge_selection=False`` — is bit-identical to the
-simulated :class:`~repro.runtime.scheduler.ContinuousScheduler`.
+Virtual-time replay (:func:`cluster_replay_trace`) runs this front end
+through the one simulated driver,
+:func:`~repro.runtime.frontend.serve_virtual`: every dispatch is a
+blocking round trip, so plan deltas land before the next decision and the
+decision trace — including timings under ``charge_selection=False`` —
+equals ``engine.run(policy="continuous")``'s on the same trace.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 
 from ...analysis.runtime_checks import make_lock
 from ...hw.costmodel import transport_adjusted_finish_us
-from ..frontend import AsyncServingFrontend, VirtualClock
+from ..frontend import AsyncServingFrontend, VirtualClock, serve_virtual
 from ..resilience import InjectedFault
 from ..serving import ServingReport
 from .codec import (
@@ -94,6 +95,9 @@ class ClusterFrontend(AsyncServingFrontend):
     4-tuple dispatch items, retry scheduling, accounting, the report —
     is inherited unchanged.
     """
+
+    #: A lost worker process fails its dispatch like an injected crash.
+    _inline_faults = (InjectedFault, WorkerLostError)
 
     def __init__(self, engine, *, cluster: Optional[ClusterConfig] = None,
                  **kwargs):
@@ -194,7 +198,7 @@ class ClusterFrontend(AsyncServingFrontend):
             return
         self.start_workers()
         await super().start()
-        if self.inline_execution:
+        if self._inline:
             return
         self._loop = asyncio.get_running_loop()
         for replica in self.policy.replicas:
@@ -215,34 +219,19 @@ class ClusterFrontend(AsyncServingFrontend):
     # Dispatch path
     # ------------------------------------------------------------------
     def _route(self, item) -> None:
-        batch, placement, batch_id, attempt = item
-        self._assign_plan_keys(batch, placement, batch_id, attempt)
-        if self.inline_execution:
-            try:
-                self._account(item, *self._execute(item))
-            except (InjectedFault, WorkerLostError) as exc:
-                if self.engine.resilience is not None:
-                    self._on_failure(item, exc)
-                else:
-                    self._fail(item, exc)
-            return
-        estimate = self.engine.estimate_exec_us(
-            batch.signature, placement.workload, placement.replica.device
+        self._assign_plan_keys(*item)
+        super()._route(item)
+
+    def _reserved_finish_us(self, placement, estimate_us: float) -> float:
+        # The threaded front end's reservation plus the transport's
+        # per-dispatch overhead (zero by default, which reduces it exactly
+        # to the base class's).
+        return transport_adjusted_finish_us(
+            placement.start_us,
+            placement.replica.free_at_us,
+            estimate_us,
+            self.cluster.transport_overhead_us,
         )
-        if estimate != float("inf"):
-            # The threaded frontend's queue-burst reservation, plus the
-            # transport's per-dispatch overhead (zero by default, in which
-            # case this is bit-identical to the base class).
-            placement.replica.free_at_us = max(
-                placement.replica.free_at_us,
-                transport_adjusted_finish_us(
-                    placement.start_us,
-                    placement.replica.free_at_us,
-                    estimate,
-                    self.cluster.transport_overhead_us,
-                ),
-            )
-        self._queues[placement.replica.replica_id].put_nowait(item)
 
     def _assign_plan_keys(
         self, batch, placement, batch_id: int, attempt: int
@@ -419,37 +408,24 @@ def cluster_replay_trace(
     """Serve a trace through the cluster frontend in virtual time.
 
     The process-pool analogue of
-    :func:`~repro.runtime.frontend.replay_trace`: same virtual clock, same
-    admission pipeline, but every execution is a real round trip into a
-    worker process.  Dispatches are synchronous in virtual time, so each
-    batch's plan delta reaches the whole fleet before the next decision —
-    which is why the decision trace (timings included under
-    ``charge_selection=False``) is bit-identical to the simulated
-    scheduler's on the same trace.
+    :func:`~repro.runtime.frontend.replay_trace`: same driver
+    (:func:`~repro.runtime.frontend.serve_virtual`), same admission
+    pipeline, but every execution is a real round trip into a worker
+    process.  Dispatches are synchronous in virtual time, so each batch's
+    plan delta reaches the whole fleet before the next decision — which is
+    why the decision trace (timings included under
+    ``charge_selection=False``) equals ``engine.run(policy="continuous")``'s
+    on the same trace.
     """
-    if requests is None:
-        requests, engine._queue = engine._queue, []
-    clock = VirtualClock()
     frontend = ClusterFrontend(
         engine,
         cluster=cluster,
         max_queue_depth=max_queue_depth,
-        overload="shed",
-        clock=clock,
-        inline_execution=True,
+        clock=VirtualClock(),
     )
     frontend.start_workers()
     try:
-        ordered = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-        for request in ordered:
-            clock.call_at(request.arrival_us, frontend.ingest, request)
-        last_event_us = 0.0
-        while clock.pending():
-            last_event_us = max(last_event_us, clock.fire_next())
-        frontend.finish(last_event_us)
-        while clock.pending():
-            clock.fire_next()
-        return frontend.report()
+        return serve_virtual(frontend, requests)
     finally:
         frontend.shutdown_workers()
 

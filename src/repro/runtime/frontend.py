@@ -1,39 +1,38 @@
-"""Real-concurrency serving: an asyncio front end over the scheduling core.
+"""The serving front end over the scheduling core, on a real or virtual clock.
 
-Everything before this module serves on a simulated clock inside one
-thread.  This is the live path: an asyncio **admission loop** accepts
-streaming :meth:`AsyncServingFrontend.submit` calls (each resolved by a
-future), applies **backpressure / load-shedding** when the in-flight depth
-exceeds the SLO-feasible bound, and **replica workers** pull closed batches
-from per-replica queues and execute them concurrently (each worker on its
-own model-backend instance, all sharing the engine's one sharded
+An asyncio **admission loop** accepts streaming
+:meth:`AsyncServingFrontend.submit` calls (each resolved by a future),
+applies **backpressure / load-shedding** when the in-flight depth exceeds
+the SLO-feasible bound, and **replica workers** pull closed batches from
+per-replica queues and execute them concurrently (each worker on its own
+model-backend instance, all sharing the engine's one sharded
 :class:`~repro.core.selection.PlanCache`).
 
 The front end makes *no scheduling decisions of its own*: every admission,
-closure and placement goes through the same
-:class:`~repro.runtime.scheduler.SchedulingPolicy` object the simulated
-:class:`~repro.runtime.scheduler.ContinuousScheduler` drives.  The only
-difference between the two paths is the driver — an event heap on a
-simulated clock there, an asyncio loop on a real (or virtual) clock here.
+closure and placement goes through one
+:class:`~repro.runtime.scheduler.SchedulingPolicy`, and every failure
+through :func:`~repro.runtime.resilience.resolve_failure`.
 
-**Deterministic replay.**  :func:`replay_trace` drives the front end's
-admission pipeline under a :class:`VirtualClock` with inline execution:
-timers fire in deterministic order, every dispatch executes synchronously
-(so replica ``free_at`` bookkeeping is exact when the next decision reads
-it), and the resulting batch compositions and placements reproduce the
-simulated scheduler's decision-for-decision —
-:func:`decision_trace` extracts the comparable decision sequence from
-either report.  Construct both engines with ``charge_selection=False`` to
-also make the simulated timeline (start/exec times) bit-reproducible:
-measured selection wall time is then reported but kept off the simulated
-schedule.
+**The simulated driver.**  :func:`serve_virtual` is the one loop that
+serves in simulated time: it runs a front end on a :class:`VirtualClock`,
+where arrivals, window deadlines and backoff'd retries are timers that
+fire in deterministic order and every dispatch executes inline (so
+replica ``free_at`` bookkeeping is exact when the next decision reads
+it).  ``engine.run(policy="continuous")``
+(:class:`~repro.runtime.scheduler.ContinuousScheduler`),
+:func:`replay_trace` and the process pool's
+:func:`~repro.runtime.cluster.cluster_replay_trace` all serve through it;
+:func:`decision_trace` extracts the comparable decision sequence of a
+report.  Construct the engine with ``charge_selection=False`` to make the
+simulated timeline (start/exec times) bit-reproducible: measured selection
+wall time is then reported but kept off the simulated schedule.
 
 Two clocks, restated for the live path: *execution* time remains the
 analytical device model's simulated latency (a worker "executing" a batch
 computes its report; it does not sleep), while *selection* remains real
 measured wall time — under real concurrency the cold Algorithm 1 searches
-now genuinely overlap with other replicas' work, which is what the
-contention benchmark measures.
+genuinely overlap with other replicas' work, which is what the contention
+benchmark measures.
 """
 
 from __future__ import annotations
@@ -56,13 +55,13 @@ class VirtualClock:
     """A deterministic microsecond clock driven explicitly by its owner.
 
     Timers are a heap of ``(when_us, priority, seq, callback, args)``; ties
-    fire in priority order, then scheduling order.  Priorities mirror the
-    simulated event heap's kinds (arrival=0 < deadline=1 < retry=2), so an
-    arrival at time ``t`` beats a window deadline at the same ``t`` and
-    both beat a backoff'd retry — regardless of when each timer was
-    scheduled.  :meth:`fire_next` advances ``now`` to the timer's due time
-    *before* invoking the callback, so code reading :meth:`now_us` inside a
-    callback observes exactly the event time.
+    fire in priority order, then scheduling order.  The front end schedules
+    arrivals at priority 0, window deadlines at 1 and backoff'd retries at
+    2: an arrival exactly on a deadline still rides the batch it was aimed
+    at, and both beat a retry due at the same time.  :meth:`fire_next`
+    advances ``now`` to the timer's due time *before* invoking the
+    callback, so code reading :meth:`now_us` inside a callback observes
+    exactly the event time.
     """
 
     def __init__(self, start_us: float = 0.0):
@@ -87,6 +86,13 @@ class VirtualClock:
         when_us, _, _, callback, args = heapq.heappop(self._timers)
         self._now_us = max(self._now_us, when_us)
         callback(*args)
+        return self._now_us
+
+    def run_until_idle(self) -> float:
+        """Fire timers (including ones they schedule) until none is left;
+        returns the time of the last one."""
+        while self._timers:
+            self.fire_next()
         return self._now_us
 
 
@@ -144,17 +150,21 @@ class AsyncServingFrontend:
     backpressure by making :meth:`submit` await capacity.  ``None`` means
     unbounded.
 
-    ``inline_execution=True`` (the deterministic-replay mode used by
-    :func:`replay_trace`) executes each batch synchronously at dispatch
-    instead of handing it to a worker: decisions then interleave with
-    execution accounting exactly as in the simulated single-threaded loop,
-    which is what makes replica ``free_at`` state — and therefore every
-    placement — bit-identical.  The default (worker) mode runs each
-    replica's batches through ``asyncio.to_thread`` on a per-worker model
-    backend, so batches on different replicas genuinely execute
-    concurrently and all plan traffic converges on the shared sharded
-    :class:`~repro.core.selection.PlanCache`.
+    On a :class:`VirtualClock` (the simulated driver, :func:`serve_virtual`)
+    each batch executes synchronously at dispatch instead of going to a
+    worker: decisions then interleave with execution accounting in one
+    deterministic order, which is what makes replica ``free_at`` state —
+    and therefore every placement — reproducible.  On the default real
+    clock each replica's batches run through ``asyncio.to_thread`` on a
+    per-worker model backend, so batches on different replicas genuinely
+    execute concurrently and all plan traffic converges on the shared
+    sharded :class:`~repro.core.selection.PlanCache`.
     """
+
+    #: Exceptions an inline (virtual-clock) execution routes to failure
+    #: handling; anything else is a bug in the analytical model and
+    #: propagates.
+    _inline_faults = (InjectedFault,)
 
     def __init__(
         self,
@@ -163,7 +173,6 @@ class AsyncServingFrontend:
         max_queue_depth: Optional[int] = None,
         overload: str = "shed",
         clock=None,
-        inline_execution: bool = False,
     ):
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1 (or None)")
@@ -171,23 +180,18 @@ class AsyncServingFrontend:
             raise ValueError(
                 f"overload must be shed|block, got {overload!r}"
             )
-        if inline_execution and overload == "block":
+        self.clock = clock if clock is not None else RealClock()
+        self._inline = isinstance(self.clock, VirtualClock)
+        if self._inline and overload == "block":
             raise ValueError(
-                "overload='block' needs workers to drain capacity; "
-                "inline execution cannot await — use overload='shed'"
+                "overload='block' needs workers to drain capacity; a "
+                "virtual-clock front end executes inline and cannot await "
+                "— use overload='shed'"
             )
         self.engine = engine
         self.max_queue_depth = max_queue_depth
         self.overload = overload
-        self.clock = clock if clock is not None else RealClock()
-        self.inline_execution = inline_execution
-        self.policy = SchedulingPolicy(
-            engine,
-            replicas=engine.replicas,
-            batch_window_us=engine.batch_window_us,
-            overlap_selection=engine.overlap_selection,
-            placement=engine.placement,
-        )
+        self.policy = SchedulingPolicy(engine)
         self._report = ServingReport(policy="live")
         self._request_ids = itertools.count()
         self._batch_ids = itertools.count()
@@ -205,12 +209,12 @@ class AsyncServingFrontend:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spin up the replica workers (no-op in inline-execution mode)."""
+        """Spin up the replica workers (none on a virtual clock)."""
         if self._started:
             return
         self._started = True
         self._completion = asyncio.Event()
-        if self.inline_execution:
+        if self._inline:
             return
         for replica in self.policy.replicas:
             queue: asyncio.Queue = asyncio.Queue()
@@ -286,26 +290,39 @@ class AsyncServingFrontend:
             ):
                 self._completion.clear()
                 await self._completion.wait()
+        request_id = next(self._request_ids)
+        future = asyncio.get_running_loop().create_future()
+        self._futures[request_id] = future
         if self._closing:
-            return self._refuse(workload, "shutdown: front end is stopping")
+            self._resolve(
+                self._refusal(
+                    request_id,
+                    workload.total_tokens,
+                    self.clock.now_us(),
+                    "shutdown: front end is stopping",
+                )
+            )
+            return future
         now = arrival_us if arrival_us is not None else self.clock.now_us()
-        request = InferenceRequest(
-            request_id=next(self._request_ids),
-            workload=workload,
-            arrival_us=now,
-            deadline_us=deadline_us,
+        self.ingest(
+            InferenceRequest(
+                request_id=request_id,
+                workload=workload,
+                arrival_us=now,
+                deadline_us=deadline_us,
+            )
         )
-        return self.ingest(request)
+        return future
 
-    def _refuse(self, workload, reason: str):
-        """Resolve a never-admitted workload with a shed-style report."""
-        now = self.clock.now_us()
-        refused = RequestReport(
-            request_id=next(self._request_ids),
+    @staticmethod
+    def _refusal(request_id, tokens, now_us: float, reason: str):
+        """A shed-style report for a request that was never admitted."""
+        return RequestReport(
+            request_id=request_id,
             batch_id=-1,
-            tokens=workload.total_tokens,
-            arrival_us=now,
-            start_us=now,
+            tokens=tokens,
+            arrival_us=now_us,
+            start_us=now_us,
             queue_us=0.0,
             exec_us=0.0,
             selection_us=0.0,
@@ -313,48 +330,33 @@ class AsyncServingFrontend:
             error=reason,
             shed=True,
         )
-        self._report.requests.append(refused)
-        future = _new_future()
-        future.set_result(refused)
-        return future
 
-    def ingest(self, request: InferenceRequest):
-        """Synchronous admission core (also the virtual-replay entry).
+    def ingest(self, request: InferenceRequest) -> None:
+        """Synchronous admission core (each virtual-time arrival fires it).
 
-        Applies the shed bound, registers the request's future, and runs
-        the shared policy's admission — dispatching any batches the arrival
-        closes.  Returns the request's future (resolved already if shed).
+        Applies the shed bound, then runs the shared policy's admission —
+        dispatching any batches the arrival closes.  A shed request is
+        reported (and its future, if any, resolved) at once.
         """
-        future = _new_future()
-        now = request.arrival_us
         if (
             self.max_queue_depth is not None
             and self.overload == "shed"
             and self._inflight >= self.max_queue_depth
         ):
-            shed = RequestReport(
-                request_id=request.request_id,
-                batch_id=-1,
-                tokens=request.tokens,
-                arrival_us=now,
-                start_us=now,
-                queue_us=0.0,
-                exec_us=0.0,
-                selection_us=0.0,
-                ok=False,
-                error=(
+            self._resolve(
+                self._refusal(
+                    request.request_id,
+                    request.tokens,
+                    request.arrival_us,
                     f"shed: {self._inflight} requests in flight >= "
-                    f"max_queue_depth={self.max_queue_depth}"
-                ),
-                shed=True,
+                    f"max_queue_depth={self.max_queue_depth}",
+                )
             )
-            self._report.requests.append(shed)
-            future.set_result(shed)
-            return future
-        self._futures[request.request_id] = future
+            return
         self._inflight += 1
-        self.policy.admit(request, now, self._dispatch, self._schedule_deadline)
-        return future
+        self.policy.admit(
+            request, request.arrival_us, self._dispatch, self._schedule_deadline
+        )
 
     def _schedule_deadline(self, deadline_us, signature, token) -> None:
         self.clock.call_at(
@@ -381,28 +383,34 @@ class AsyncServingFrontend:
 
     def _route(self, item) -> None:
         """Send one placed attempt to execution (inline or its worker)."""
-        batch, placement, batch_id, attempt = item
-        if self.inline_execution:
+        batch, placement, _, _ = item
+        if self._inline:
             try:
-                self._account(item, *self._execute(item))
-            except InjectedFault as exc:
-                self._on_failure(item, exc)
-        else:
-            # Reserve the replica up to the cost model's predicted finish:
-            # under a burst, several batches dispatch before any completes,
-            # and without a reservation they would all read the same stale
-            # free_at and pile onto one replica.  _account replaces the
-            # prediction with the actual finish (max-assigned, so an early
-            # completion never rolls back a later reservation).
-            estimate = self.engine.estimate_exec_us(
-                batch.signature, placement.workload, placement.replica.device
+                result = self._execute(item)
+            except self._inline_faults as exc:
+                self._on_error(item, exc)
+            else:
+                self._account(item, *result)
+            return
+        # Reserve the replica up to the cost model's predicted finish:
+        # under a burst, several batches dispatch before any completes,
+        # and without a reservation they would all read the same stale
+        # free_at and pile onto one replica.  _account replaces the
+        # prediction with the actual finish (max-assigned, so an early
+        # completion never rolls back a later reservation).
+        estimate = self.engine.estimate_exec_us(
+            batch.signature, placement.workload, placement.replica.device
+        )
+        if estimate != float("inf"):
+            placement.replica.free_at_us = max(
+                placement.replica.free_at_us,
+                self._reserved_finish_us(placement, estimate),
             )
-            if estimate != float("inf"):
-                placement.replica.free_at_us = max(
-                    placement.replica.free_at_us,
-                    placement.start_us + estimate,
-                )
-            self._queues[placement.replica.replica_id].put_nowait(item)
+        self._queues[placement.replica.replica_id].put_nowait(item)
+
+    def _reserved_finish_us(self, placement, estimate_us: float) -> float:
+        """Where a worker dispatch's reservation moves ``free_at``."""
+        return placement.start_us + estimate_us
 
     def _execute(self, item) -> tuple:
         """Run one placed batch through the engine (worker-thread safe)."""
@@ -420,6 +428,19 @@ class AsyncServingFrontend:
             attempt=attempt,
         )
 
+    def _resolve(self, request_report) -> None:
+        """Report one terminal outcome and resolve its submitter's future."""
+        self._report.requests.append(request_report)
+        future = self._futures.pop(request_report.request_id, None)
+        if future is not None and not future.done():
+            future.set_result(request_report)
+
+    def _release(self, count: int) -> None:
+        """``count`` admitted requests reached a terminal outcome."""
+        self._inflight -= count
+        if count and self._completion is not None:
+            self._completion.set()
+
     def _account(self, item, batch_report, request_reports) -> None:
         """Fold one executed batch into policy state, report and futures.
 
@@ -431,14 +452,17 @@ class AsyncServingFrontend:
         batch_report.overlap_saved_us = placement.saved_us
         self.policy.account(placement, batch_report, signature=batch.signature)
         self._report.batches.append(batch_report)
-        self._report.requests.extend(request_reports)
         for request_report in request_reports:
-            future = self._futures.pop(request_report.request_id, None)
-            if future is not None and not future.done():
-                future.set_result(request_report)
-        self._inflight -= len(batch.requests)
-        if self._completion is not None:
-            self._completion.set()
+            self._resolve(request_report)
+        self._release(len(batch.requests))
+
+    def _on_error(self, item, exc: BaseException) -> None:
+        """Route a failed attempt: retry under a resilience config, else
+        fail its batch terminally."""
+        if self.engine.resilience is not None:
+            self._on_failure(item, exc)
+        else:
+            self._fail(item, exc)
 
     def _fail(self, item, exc: BaseException) -> None:
         """Report a terminal worker failure on every request of the batch.
@@ -450,34 +474,29 @@ class AsyncServingFrontend:
         """
         batch, placement, batch_id, _ = item
         for request in batch.requests:
-            request_report = RequestReport(
-                request_id=request.request_id,
-                batch_id=batch_id,
-                tokens=request.tokens,
-                arrival_us=request.arrival_us,
-                start_us=placement.start_us,
-                queue_us=placement.start_us - request.arrival_us,
-                exec_us=0.0,
-                selection_us=0.0,
-                ok=False,
-                error=f"worker failure: {exc!r}",
+            self._resolve(
+                RequestReport(
+                    request_id=request.request_id,
+                    batch_id=batch_id,
+                    tokens=request.tokens,
+                    arrival_us=request.arrival_us,
+                    start_us=placement.start_us,
+                    queue_us=placement.start_us - request.arrival_us,
+                    exec_us=0.0,
+                    selection_us=0.0,
+                    ok=False,
+                    error=f"worker failure: {exc!r}",
+                )
             )
-            self._report.requests.append(request_report)
-            future = self._futures.pop(request.request_id, None)
-            if future is not None and not future.done():
-                future.set_result(request_report)
-        self._inflight -= len(batch.requests)
-        if self._completion is not None:
-            self._completion.set()
+        self._release(len(batch.requests))
 
     def _on_failure(self, item, exc: BaseException) -> None:
         """Resolve a failed attempt: report, retry or give up.
 
-        Shares :func:`~repro.runtime.resilience.resolve_failure` with the
-        simulated scheduler, so the split into terminal reports and a
-        backoff'd retry — and the retry's due time — is identical across
-        both drivers.  The retry timer carries priority 2, mirroring the
-        simulated event heap's retry kind.
+        :func:`~repro.runtime.resilience.resolve_failure` splits the batch
+        into terminal reports and a backoff'd retry; the retry is a
+        priority-2 timer, so it fires after any arrival or window deadline
+        due at the same time.
         """
         batch, placement, batch_id, attempt = item
         outcome = resolve_failure(
@@ -491,14 +510,9 @@ class AsyncServingFrontend:
         )
         self.policy.account_failure(placement, outcome.detect_us)
         terminal = outcome.failed_reports + outcome.expired_reports
-        self._report.requests.extend(terminal)
         for request_report in terminal:
-            future = self._futures.pop(request_report.request_id, None)
-            if future is not None and not future.done():
-                future.set_result(request_report)
-        self._inflight -= len(terminal)
-        if terminal and self._completion is not None:
-            self._completion.set()
+            self._resolve(request_report)
+        self._release(len(terminal))
         if outcome.retry_requests:
             self._report.retries += 1
             retry = _OpenBatch(
@@ -542,10 +556,7 @@ class AsyncServingFrontend:
                 )
                 self._account(item, batch_report, request_reports)
             except Exception as exc:
-                if self.engine.resilience is not None:
-                    self._on_failure(item, exc)
-                else:
-                    self._fail(item, exc)
+                self._on_error(item, exc)
             finally:
                 queue.task_done()
 
@@ -574,64 +585,55 @@ class AsyncServingFrontend:
         return report
 
 
-def _new_future():
-    """A future usable with or without a running asyncio loop.
+# ----------------------------------------------------------------------
+# The simulated driver: deterministic virtual-time serving
+# ----------------------------------------------------------------------
+def serve_virtual(frontend: AsyncServingFrontend,
+                  requests=None) -> ServingReport:
+    """Serve an arrival-stamped trace through ``frontend`` in virtual time.
 
-    The virtual-replay driver runs without a loop; plain
-    :class:`concurrent.futures.Future`-style results are enough there, and
-    ``asyncio.Future`` without a loop would raise.
+    The one simulated serving loop.  ``frontend`` runs on a
+    :class:`VirtualClock`, so each arrival becomes a timer that fires
+    :meth:`~AsyncServingFrontend.ingest` at its arrival time, every
+    dispatch executes inline, and window deadlines and retries fire in
+    deterministic order.  ``requests`` defaults to the engine's queued
+    submissions (like ``engine.run()``, the queue is consumed).
     """
-    try:
-        return asyncio.get_running_loop().create_future()
-    except RuntimeError:
-        import concurrent.futures
+    if requests is None:
+        engine = frontend.engine
+        requests, engine._queue = engine._queue, []
+    clock = frontend.clock
+    for request in sorted(requests, key=lambda r: (r.arrival_us, r.request_id)):
+        clock.call_at(request.arrival_us, frontend.ingest, request)
+    # With no window, batches whose budget never overflowed are still open
+    # when the stream ends; they close at the last event (there is nothing
+    # left to wait for).  Their dispatches may fail and schedule backoff'd
+    # retries, so the clock runs again until those chains land (each is
+    # statically bounded by max_retries).
+    frontend.finish(clock.run_until_idle())
+    clock.run_until_idle()
+    return frontend.report()
 
-        return concurrent.futures.Future()
 
-
-# ----------------------------------------------------------------------
-# Deterministic replay + equivalence
-# ----------------------------------------------------------------------
 def replay_trace(
     engine,
     requests=None,
     *,
     max_queue_depth: Optional[int] = None,
 ) -> ServingReport:
-    """Serve a trace through the live front end in virtual time.
+    """Serve a trace through the front end's pipeline in virtual time.
 
-    The deterministic-replay equivalence harness: arrivals become virtual
-    timers, the front end's own admission/shed/dispatch pipeline runs them
-    through the shared :class:`~repro.runtime.scheduler.SchedulingPolicy`,
-    and execution is inline so accounting interleaves with decisions
-    exactly as in the simulated loop.  ``requests`` defaults to the
-    engine's queued submissions (like ``engine.run()``, the queue is
-    consumed).  The returned report's batch compositions and placements
-    match ``engine.run(policy="continuous")`` on the same trace
-    decision-for-decision — compare with :func:`decision_trace`.
+    :func:`serve_virtual` over a fresh :class:`AsyncServingFrontend` on a
+    :class:`VirtualClock`: the front end's own admission/shed/dispatch
+    pipeline runs every arrival through the shared
+    :class:`~repro.runtime.scheduler.SchedulingPolicy`.  ``requests``
+    defaults to the engine's queued submissions.  Compare reports with
+    :func:`decision_trace`.
     """
-    if requests is None:
-        requests, engine._queue = engine._queue, []
-    clock = VirtualClock()
     frontend = AsyncServingFrontend(
-        engine,
-        max_queue_depth=max_queue_depth,
-        overload="shed",
-        clock=clock,
-        inline_execution=True,
+        engine, max_queue_depth=max_queue_depth, clock=VirtualClock()
     )
-    ordered = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-    for request in ordered:
-        clock.call_at(request.arrival_us, frontend.ingest, request)
-    last_event_us = 0.0
-    while clock.pending():
-        last_event_us = max(last_event_us, clock.fire_next())
-    frontend.finish(last_event_us)
-    # Flush-time dispatches may fail and schedule backoff'd retries; keep
-    # firing until the chains land (statically bounded by max_retries).
-    while clock.pending():
-        clock.fire_next()
-    return frontend.report()
+    return serve_virtual(frontend, requests)
 
 
 def decision_trace(report: ServingReport, *, include_timing: bool = False) -> list:

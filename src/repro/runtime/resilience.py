@@ -1,13 +1,13 @@
 """Fault-tolerant serving: deterministic fault injection, replica health,
 bounded retry/failover, deadlines, and degraded-mode planning.
 
-The ROADMAP's multiprocess/multi-host direction makes worker failure a
-normal event rather than an anomaly, and the PR-6 ``SchedulingPolicy`` /
-driver split plus ``VirtualClock`` replay make fault handling
-*deterministically testable*: the same injected fault schedule produces the
-same decisions in the simulated :class:`~repro.runtime.scheduler.
-ContinuousScheduler` and the live :class:`~repro.runtime.frontend.
-AsyncServingFrontend`.  Four pieces live here:
+Worker processes make failure a normal event rather than an anomaly, and
+the clock-agnostic ``SchedulingPolicy`` plus ``VirtualClock`` serving make
+fault handling *deterministically testable*: the same injected fault
+schedule produces the same decisions whether the
+:class:`~repro.runtime.frontend.AsyncServingFrontend` runs in virtual time
+(``engine.run(policy="continuous")``, replay) or live, in one process or
+across worker processes.  Four pieces live here:
 
 * :class:`FaultInjector` — a seeded, clock-driven fault source.  Every
   decision is a **pure function of (seed, fault coordinates)**: each query
@@ -15,10 +15,10 @@ AsyncServingFrontend`.  Four pieces live here:
   ``np.random.SeedSequence(seed, spawn_key=(stream, batch_id, attempt,
   replica_id))`` instead of consuming a shared draw stream, so the outcome
   is independent of call order, thread interleaving and
-  ``PYTHONHASHSEED`` — the property that keeps two drivers (and two runs)
-  bit-identical under one seed.  Replica death/recovery is a *schedule*
-  (``outages``), evaluated as a pure function of the clock, so neither
-  driver needs outage events.
+  ``PYTHONHASHSEED`` — the property that keeps two processes (and two
+  runs) bit-identical under one seed.  Replica death/recovery is a
+  *schedule* (``outages``), evaluated as a pure function of the clock, so
+  no clock needs outage events.
 
 * :class:`HealthTracker` — a per-replica circuit breaker
   (``healthy → suspect → quarantined → half-open``).  Placement asks it for
@@ -36,11 +36,10 @@ AsyncServingFrontend`.  Four pieces live here:
   SLO — such requests report ``deadline_exceeded``, distinct from ``shed``
   and from a plain failure.
 
-* :func:`resolve_failure` — the one shared failure-handling decision both
-  drivers call: detect at ``start + failure_detect_us``, trip the breaker,
-  split the batch's requests into expired (deadline) and retryable, and
-  name the backoff'd retry time and the replica to avoid.  Keeping the
-  decision in one place is what keeps the drivers' decision traces equal.
+* :func:`resolve_failure` — the one failure-handling decision the front
+  end calls, on any clock: detect at ``start + failure_detect_us``, trip
+  the breaker, split the batch's requests into expired (deadline) and
+  retryable, and name the backoff'd retry time and the replica to avoid.
 """
 
 from __future__ import annotations
@@ -125,7 +124,7 @@ class FaultInjector:
 
     Decisions are coordinate-addressed, never stream-drawn: querying the
     same (stream, batch, attempt, replica) twice — or from two different
-    drivers, in any order — returns the same answer.
+    processes, in any order — returns the same answer.
     """
 
     def __init__(self, spec: FaultSpec):
@@ -141,7 +140,7 @@ class FaultInjector:
     def replica_down(self, replica_id: int, now_us: float) -> bool:
         """Whether ``replica_id`` is inside an outage window at ``now_us``.
 
-        A pure function of the clock: both drivers observe death and
+        A pure function of the clock: every run observes death and
         recovery at identical simulated times without any outage events.
         """
         for rid, down_us, up_us in self.spec.outages:
@@ -269,8 +268,8 @@ class HealthTracker:
     """Per-replica health with circuit breaking, driven by the serving clock.
 
     The tracker never looks at a clock itself — every observation carries
-    its simulated timestamp, so both drivers (event heap and asyncio loop)
-    evolve identical state from identical decision sequences.  State
+    its simulated timestamp, so identical decision sequences evolve
+    identical state on any clock.  State
     transitions are recorded on a timeline for ``ServingReport.describe()``.
     """
 
@@ -402,8 +401,7 @@ def resolve_failure(config: ResilienceConfig, health: HealthTracker,
     terminally (retry budget spent) or splits it: requests whose deadline
     the backoff'd retry time would already miss report ``deadline_exceeded``
     now, the rest retry at ``detect + backoff`` on a replica other than the
-    one that failed.  Both drivers route failures through here, which is
-    what keeps their decision traces equal under one injection seed.
+    one that failed.
     """
     replica_id = placement.replica.replica_id
     detect_us = placement.start_us + config.failure_detect_us

@@ -53,44 +53,35 @@ Execution time stays the analytical device model's simulated latency and
 selection overhead stays measured wall time, exactly as in
 :mod:`~repro.runtime.serving`.
 
-**Two drivers, one policy.**  All admission, closure and placement
-decisions live in :class:`SchedulingPolicy`, a clock-agnostic core that
-never looks at a clock or an event queue: drivers feed it arrivals and
-deadline firings and it answers with batch closures and placements.
-:class:`ContinuousScheduler` drives the policy from a simulated-clock
-event heap; :class:`~repro.runtime.frontend.AsyncServingFrontend` drives
-the *same* policy object from an asyncio loop under a real (or virtual)
-clock.  Both paths therefore make identical decisions on identical
-arrival sequences — the equivalence the deterministic-replay harness
-(:func:`~repro.runtime.frontend.replay_trace`) proves decision-for-
-decision.
+**One policy, one simulated driver.**  All admission, closure and
+placement decisions live in :class:`SchedulingPolicy`, a clock-agnostic
+core that never looks at a clock or an event queue: a driver feeds it
+arrivals and deadline firings and it answers with batch closures and
+placements.  The only simulated driver is the virtual-time loop
+:func:`~repro.runtime.frontend.serve_virtual`, which runs the live
+:class:`~repro.runtime.frontend.AsyncServingFrontend` on a
+:class:`~repro.runtime.frontend.VirtualClock` with inline execution;
+:class:`ContinuousScheduler` (``engine.run(policy="continuous")``) and
+:func:`~repro.runtime.frontend.replay_trace` both serve through it, and
+the live front end drives the *same* policy from an asyncio loop under a
+real clock.  ``tests/fixtures/decision_goldens.json`` pins the loop's
+decision traces.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..hw.costmodel import health_adjusted_finish_us, predicted_finish_us
-from .resilience import HealthTracker, InjectedFault, resolve_failure
+from .resilience import HealthTracker
 from .serving import (
     ReplicaStats,
     ServingReport,
     SpeculativeSelection,
     merge_workloads,
 )
-
-#: Event kinds, ordered so that an arrival at time ``t`` is processed before
-#: a window deadline at the same ``t`` — a request arriving exactly on the
-#: deadline still rides the batch it was aimed at — and both before a
-#: backoff'd retry at the same ``t`` (retries are always scheduled after the
-#: deadline of any batch open at that time, so kind order equals scheduling
-#: order; the virtual clock mirrors this with timer priorities).
-_ARRIVE = 0
-_DEADLINE = 1
-_RETRY = 2
 
 
 @dataclass
@@ -137,7 +128,7 @@ class Placement:
 
 
 class SchedulingPolicy:
-    """The admission/close/placement core shared by both serving drivers.
+    """The admission/close/placement core behind every serving path.
 
     Holds every piece of scheduler state that decisions depend on — open
     batches per signature, the monotone batch tokens, and the replica
@@ -150,57 +141,34 @@ class SchedulingPolicy:
     * :meth:`flush` at end of stream;
     * :meth:`place` / :meth:`account` around executing a closed batch.
 
-    Because the policy is deterministic in its inputs, any two drivers that
-    feed it the same arrival/deadline sequence obtain the same batch
-    compositions and the same placements — the property the deterministic-
-    replay equivalence harness gates on.
+    Because the policy is deterministic in its inputs, any driver that
+    feeds it the same arrival/deadline sequence obtains the same batch
+    compositions and the same placements.
     """
 
-    def __init__(
-        self,
-        engine,
-        *,
-        replicas: int = 1,
-        batch_window_us: Optional[float] = 2000.0,
-        overlap_selection: bool = True,
-        placement: str = "cost-aware",
-    ):
-        self.validate(replicas, batch_window_us, placement)
+    def __init__(self, engine):
+        #: The engine owns every setting the policy reads (replica lineup,
+        #: batching window, overlap, placement, resilience) and validates
+        #: them once, at construction.
         self.engine = engine
-        self.num_replicas = replicas
-        self.batch_window_us = batch_window_us
-        self.overlap_selection = overlap_selection
-        self.placement = placement
         self.replicas = [
             _Replica(i, device=engine.device_for_replica(i))
-            for i in range(replicas)
+            for i in range(engine.replicas)
         ]
         self._open: dict = {}
         self._tokens = itertools.count()
-        #: Fault-tolerance policy and per-replica breaker state (None when
-        #: the engine runs without a resilience config — every placement
-        #: decision is then bit-identical to the legacy path).
-        self.resilience = getattr(engine, "resilience", None)
+        #: Per-replica breaker state (None when the engine runs without a
+        #: resilience config — every placement decision is then
+        #: bit-identical to the legacy path).
         self.health = (
             HealthTracker(
-                replicas,
-                self.resilience,
-                injector=getattr(engine, "fault_injector", None),
+                engine.replicas,
+                engine.resilience,
+                injector=engine.fault_injector,
             )
-            if self.resilience is not None
+            if engine.resilience is not None
             else None
         )
-
-    @staticmethod
-    def validate(replicas, batch_window_us, placement) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if batch_window_us is not None and batch_window_us < 0:
-            raise ValueError("batch_window_us must be >= 0 (or None)")
-        if placement not in ("cost-aware", "least-loaded"):
-            raise ValueError(
-                f"placement must be cost-aware|least-loaded, got {placement!r}"
-            )
 
     # ------------------------------------------------------------------
     # Admission and closure
@@ -210,7 +178,7 @@ class SchedulingPolicy:
         request,
         now: float,
         dispatch: Callable,
-        schedule_deadline: Optional[Callable] = None,
+        schedule_deadline: Callable,
     ) -> None:
         """Place one arrival into (or around) its signature's open batch.
 
@@ -235,7 +203,7 @@ class SchedulingPolicy:
             batch = _OpenBatch(
                 signature=signature, opened_us=now, token=next(self._tokens)
             )
-            if self.overlap_selection:
+            if self.engine.overlap_selection:
                 # Issue the Algorithm 1 search now, from the first admitted
                 # request's signature: a cold search runs while the batch
                 # collects partners instead of serializing at close time.
@@ -252,10 +220,9 @@ class SchedulingPolicy:
                     request.workload, issued_us=now, device=target.device
                 )
             self._open[signature] = batch
-            if self.batch_window_us is not None and schedule_deadline is not None:
-                schedule_deadline(
-                    now + self.batch_window_us, signature, batch.token
-                )
+            window_us = self.engine.batch_window_us
+            if window_us is not None:
+                schedule_deadline(now + window_us, signature, batch.token)
         batch.requests.append(request)
         if self._saturated(batch.requests):
             # Full: no future arrival can join, so waiting only adds delay.
@@ -280,10 +247,6 @@ class SchedulingPolicy:
         batches = sorted(self._open.values(), key=lambda b: b.opened_us)
         self._open.clear()
         return batches
-
-    def open_batches(self) -> int:
-        """Number of batches currently admitting arrivals."""
-        return len(self._open)
 
     def _saturated(self, requests) -> bool:
         """True when no conceivable arrival could still join the batch.
@@ -351,7 +314,7 @@ class SchedulingPolicy:
         to it.
         """
         replicas = self._placeable_replicas(close_us, exclude)
-        if self.placement == "least-loaded" or len(
+        if self.engine.placement == "least-loaded" or len(
             {r.device.spec for r in replicas}
         ) == 1:
             # Least-loaded, or a single device class: with one class the
@@ -427,11 +390,7 @@ class SchedulingPolicy:
         start = ready_us
         saved_us = 0.0
         spec = batch.speculation
-        if (
-            spec is not None
-            and spec.cold
-            and getattr(self.engine, "charge_selection", True)
-        ):
+        if spec is not None and spec.cold and self.engine.charge_selection:
             # The cold search was issued at batch open and ran off-device;
             # compute waits only for whatever tail outlives the open window
             # and the replica's prior batch.  Without overlap the batch
@@ -483,7 +442,7 @@ class SchedulingPolicy:
             estimate is not None
             and 0.0 < estimate < float("inf")
             and batch_report.compute_us
-            > self.resilience.straggler_threshold * estimate
+            > self.engine.resilience.straggler_threshold * estimate
         ):
             self.health.on_straggler(replica.replica_id, finish_us)
         else:
@@ -519,168 +478,24 @@ class SchedulingPolicy:
 
 
 class ContinuousScheduler:
-    """Event-driven continuous batching across N device replicas.
+    """``engine.run(policy="continuous")``: the simulated serving run.
 
-    Drives a fresh :class:`SchedulingPolicy` through a simulated-clock
-    event heap.  The policy owns batching (admission + closure) and
-    placement; planning and execution stay on the engine
-    (:meth:`ServingEngine.execute_batch`), so every replica resolves
-    kernel plans through the engine's one
-    :class:`~repro.core.selection.PlanCache`.  Replica ``i`` executes on
-    ``engine.device_for_replica(i)`` — a heterogeneous lineup
-    (``ServingEngine(replica_specs=[...])``) places batches cost-aware by
-    predicted finish time; ``placement="least-loaded"`` forces the legacy
-    earliest-free policy.
-
-    ``batch_window_us=None`` disables the deadline entirely: batches close
-    only on budget overflow or end of stream (maximum co-batching, worst
-    queueing delay — the drain policy's admission behaviour with continuous
-    placement).
+    Serves an arrival-stamped trace through the virtual-time loop
+    :func:`~repro.runtime.frontend.serve_virtual` — the same loop, front
+    end and :class:`SchedulingPolicy` as
+    :func:`~repro.runtime.frontend.replay_trace` — and labels the report
+    ``"continuous"``.  Every setting (replicas, batching window, overlap,
+    placement, resilience) comes from the engine.
     """
 
-    def __init__(
-        self,
-        engine,
-        *,
-        replicas: int = 1,
-        batch_window_us: Optional[float] = 2000.0,
-        overlap_selection: bool = True,
-        placement: str = "cost-aware",
-    ):
-        SchedulingPolicy.validate(replicas, batch_window_us, placement)
+    def __init__(self, engine):
         self.engine = engine
-        self.num_replicas = replicas
-        self.batch_window_us = batch_window_us
-        self.overlap_selection = overlap_selection
-        self.placement = placement
 
-    # ------------------------------------------------------------------
-    # The event loop
-    # ------------------------------------------------------------------
     def run(self, requests) -> ServingReport:
         """Serve ``requests`` (arrival-stamped) and return the report."""
-        report = ServingReport(policy="continuous")
-        policy = SchedulingPolicy(
-            self.engine,
-            replicas=self.num_replicas,
-            batch_window_us=self.batch_window_us,
-            overlap_selection=self.overlap_selection,
-            placement=self.placement,
-        )
-        seq = itertools.count()
-        # Batch ids are assigned at first dispatch from an explicit counter
-        # (not `len(report.batches)`): a failed attempt appends no batch
-        # report, yet its id must stay claimed so retried batches keep the
-        # same ids the live front end's dispatch-time counter assigns.
-        batch_ids = itertools.count()
-        events: list = []
-        for r in sorted(requests, key=lambda r: (r.arrival_us, r.request_id)):
-            heapq.heappush(events, (r.arrival_us, _ARRIVE, next(seq), r))
+        # Deferred import: the front end builds on this module's policy.
+        from .frontend import replay_trace
 
-        def dispatch(batch, close_us):
-            placement = policy.place(batch, close_us)
-            self._attempt(
-                policy, batch, placement, next(batch_ids), report, 0,
-                schedule_retry,
-            )
-
-        def schedule_deadline(deadline_us, signature, token):
-            heapq.heappush(
-                events, (deadline_us, _DEADLINE, next(seq), (signature, token))
-            )
-
-        def schedule_retry(retry_at_us, payload):
-            heapq.heappush(events, (retry_at_us, _RETRY, next(seq), payload))
-
-        last_event_us = 0.0
-
-        def drain_events():
-            nonlocal last_event_us
-            while events:
-                now, kind, _, payload = heapq.heappop(events)
-                last_event_us = max(last_event_us, now)
-                if kind == _ARRIVE:
-                    policy.admit(payload, now, dispatch, schedule_deadline)
-                elif kind == _DEADLINE:
-                    batch = policy.close_due(*payload)
-                    if batch is not None:
-                        dispatch(batch, now)
-                else:
-                    batch, batch_id, attempt, exclude = payload
-                    placement = policy.place(batch, now, exclude=exclude)
-                    if placement.replica.replica_id not in exclude:
-                        report.failovers += 1
-                    self._attempt(
-                        policy, batch, placement, batch_id, report, attempt,
-                        schedule_retry,
-                    )
-
-        drain_events()
-        # With no window, batches whose budget never overflowed are still
-        # open when the stream ends; close them at the last event (there is
-        # nothing left to wait for).
-        for batch in policy.flush():
-            dispatch(batch, last_event_us)
-        # Flush-time dispatches can fail and schedule retries past the last
-        # arrival; drain again until the chains settle (each is statically
-        # bounded by max_retries).
-        drain_events()
-
-        report.requests.sort(key=lambda r: r.request_id)
-        first_start = min((b.start_us for b in report.batches), default=0.0)
-        last_end = max(
-            (b.start_us + b.exec_us for b in report.batches), default=0.0
-        )
-        report.makespan_us = last_end - first_start
-        report.replica_stats.extend(policy.replica_stats(report.makespan_us))
-        report.plan_cache_stats = self.engine.plan_cache.stats()
-        if policy.health is not None:
-            report.health_timeline = policy.health.timeline()
+        report = replay_trace(self.engine, requests)
+        report.policy = "continuous"
         return report
-
-    def _attempt(self, policy: SchedulingPolicy, batch: _OpenBatch,
-                 placement: Placement, batch_id: int, report: ServingReport,
-                 attempt: int, schedule_retry: Callable) -> None:
-        """Execute one placed attempt of a batch; route failures to retry.
-
-        Injected faults are the only failures the simulated path handles —
-        execution here is the analytical model, so any other exception is a
-        bug and propagates (the live path, whose workers genuinely crash,
-        additionally routes real exceptions through the same logic).
-        """
-        try:
-            batch_report, request_reports = self.engine.execute_batch(
-                batch.requests,
-                batch_id=batch_id,
-                start_us=placement.start_us,
-                replica_id=placement.replica.replica_id,
-                speculation=batch.speculation,
-                device=placement.replica.device,
-                workload=placement.workload,
-                attempt=attempt,
-            )
-        except InjectedFault as exc:
-            outcome = resolve_failure(
-                self.engine.resilience, policy.health, batch.requests,
-                placement, batch_id, attempt, exc,
-            )
-            policy.account_failure(placement, outcome.detect_us)
-            report.requests.extend(outcome.failed_reports)
-            report.requests.extend(outcome.expired_reports)
-            if outcome.retry_requests:
-                report.retries += 1
-                retry = _OpenBatch(
-                    signature=batch.signature,
-                    opened_us=batch.opened_us,
-                    token=batch.token,
-                    requests=outcome.retry_requests,
-                )
-                schedule_retry(
-                    outcome.retry_at_us,
-                    (retry, batch_id, attempt + 1, (outcome.failed_replica,)),
-                )
-            return
-        batch_report.overlap_saved_us = placement.saved_us
-        policy.account(placement, batch_report, signature=batch.signature)
-        report.batches.append(batch_report)
-        report.requests.extend(request_reports)

@@ -368,7 +368,7 @@ class ServingReport:
     def shed_requests(self) -> int:
         """Requests the live front end refused at admission (reported,
         never silently dropped)."""
-        return sum(1 for r in self.requests if getattr(r, "shed", False))
+        return sum(1 for r in self.requests if r.shed)
 
     @property
     def completed_tokens(self) -> int:
@@ -384,15 +384,13 @@ class ServingReport:
     def deadline_exceeded(self) -> int:
         """Requests retries could not complete within their SLO (distinct
         from shed and from plain execution failures)."""
-        return sum(
-            1 for r in self.requests if getattr(r, "deadline_exceeded", False)
-        )
+        return sum(1 for r in self.requests if r.deadline_exceeded)
 
     @property
     def degraded_plans(self) -> int:
         """Plan resolves that fell back to the conservative dense default
         because Algorithm 1's search failed, summed over batches."""
-        return sum(getattr(b, "degraded_plans", 0) for b in self.batches)
+        return sum(b.degraded_plans for b in self.batches)
 
     @property
     def throughput_tokens_per_s(self) -> float:
@@ -1183,7 +1181,7 @@ class ServingEngine:
         if injector is not None:
             # Injected execution faults raise *before* planning so the plan
             # cache evolves identically whether or not the attempt fails —
-            # a prerequisite for decision-trace equality across drivers.
+            # a prerequisite for decision-trace equality across processes.
             injector.exec_fault(replica_id, batch_id, attempt, start_us)
             slowdown = injector.slowdown(replica_id, batch_id, attempt)
         plans, residual_us, hits, misses = self._select_plans(workload, device)
@@ -1254,25 +1252,18 @@ class ServingEngine:
 
         ``policy="drain"`` is the PR-1 compatibility path: batch the whole
         queue FCFS up front and execute serially on one replica.
-        ``policy="continuous"`` delegates batching and placement to the
-        event-driven :class:`~repro.runtime.scheduler.ContinuousScheduler`
-        (open batches admit arrivals until a budget or the batching window
-        closes them; closed batches place across ``self.replicas`` replicas
-        — cost-aware by predicted finish time, or least-loaded with
-        ``placement="least-loaded"``).
+        ``policy="continuous"`` serves through
+        :class:`~repro.runtime.scheduler.ContinuousScheduler`, the
+        virtual-time continuous-batching loop (open batches admit arrivals
+        until a budget or the batching window closes them; closed batches
+        place across ``self.replicas`` replicas — cost-aware by predicted
+        finish time, or least-loaded with ``placement="least-loaded"``).
         """
         if policy == "continuous":
             from .scheduler import ContinuousScheduler
 
             requests, self._queue = self._queue, []
-            scheduler = ContinuousScheduler(
-                self,
-                replicas=self.replicas,
-                batch_window_us=self.batch_window_us,
-                overlap_selection=self.overlap_selection,
-                placement=self.placement,
-            )
-            return scheduler.run(requests)
+            return ContinuousScheduler(self).run(requests)
         if policy != "drain":
             raise ValueError(
                 f"policy must be drain|continuous, got {policy!r}"

@@ -10,8 +10,9 @@ Five properties carry the cluster subsystem:
   ``PYTHONHASHSEED`` values, and forked children get fresh shared
   registries instead of aliasing the parent's.
 * **Decision equivalence** — ``cluster_replay_trace`` over real worker
-  processes reproduces the simulated scheduler's decision trace,
-  timings included, over seeds and heterogeneous lineups.
+  processes reproduces the golden decision traces
+  (``tests/fixtures/decision_goldens.json``), timings included, over
+  seeds, heterogeneous lineups and injected faults.
 * **Single-flight plan sync** — N workers pay the cold-search bill of
   one process; deltas keep every replica warm.
 * **Crash resilience** — a SIGKILL'd worker routes through
@@ -35,9 +36,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import decision_goldens
 from repro.core.selection import PlanCache
 from repro.core.tiledb import TileDB
-from repro.hw import A100, V100
+from repro.hw import V100
 from repro.hw.costmodel import predicted_finish_us, transport_adjusted_finish_us
 from repro.models import bert_workload, switch_workload
 from repro.models.workloads import longformer_workload, opt_inference_workload
@@ -378,58 +380,28 @@ class TestCrossProcessDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Decision equivalence: worker processes vs the simulated scheduler
+# Decision equivalence: every driver against the golden decision traces
 # ----------------------------------------------------------------------
-LINEUPS = {
-    "homogeneous": None,
-    "heterogeneous": [A100, V100],
-}
+def assert_drivers_match_golden(case):
+    """The process pool and both in-process drivers reproduce the golden."""
+    golden = decision_goldens.load()[case]
+    for driver in ("cluster", "run", "replay"):
+        observed = decision_goldens.serve(case, driver)
+        assert observed == decision_goldens.comparable(golden, driver), (
+            f"{driver} diverged on {case}"
+        )
+    return golden
 
 
 class TestClusterReplayEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("lineup", sorted(LINEUPS), ids=str)
+    @pytest.mark.parametrize("lineup", ["heterogeneous", "homogeneous"])
     def test_decision_identical_to_simulated_scheduler(self, seed, lineup):
-        kwargs = {}
-        if LINEUPS[lineup] is not None:
-            kwargs["replica_specs"] = LINEUPS[lineup]
-        sim = make_engine(**kwargs)
-        mixed_trace(sim, n=6, interarrival_us=300.0 + 100.0 * seed)
-        sim_report = sim.run(policy="continuous")
-
-        clu = make_engine(**kwargs)
-        mixed_trace(clu, n=6, interarrival_us=300.0 + 100.0 * seed)
-        clu_report = cluster_replay_trace(clu)
-
-        assert decision_trace(clu_report, include_timing=True) == (
-            decision_trace(sim_report, include_timing=True)
-        )
-        assert clu_report.makespan_us == sim_report.makespan_us
+        assert_drivers_match_golden(f"cluster-{lineup}-{seed}")
 
     def test_decision_identical_under_fault_injection(self):
-        resilience = ResilienceConfig(
-            fault=FaultSpec(
-                1234,
-                crash_prob=0.05,
-                transient_prob=0.15,
-                outages=((1, 3000.0, 60000.0),),
-            ),
-            max_retries=3,
-        )
-        sim = make_engine(resilience=resilience)
-        mixed_trace(sim, n=8)
-        sim_report = sim.run(policy="continuous")
-
-        clu = make_engine(resilience=resilience)
-        mixed_trace(clu, n=8)
-        clu_report = cluster_replay_trace(clu)
-
-        assert decision_trace(clu_report, include_timing=True) == (
-            decision_trace(sim_report, include_timing=True)
-        )
-        assert clu_report.retries == sim_report.retries
-        assert clu_report.failovers == sim_report.failovers
-        assert sim_report.retries > 0, "seed 1234 should exercise retries"
+        golden = assert_drivers_match_golden("cluster-faulted")
+        assert golden["retries"] > 0, "seed 1234 should exercise retries"
 
     def test_cold_searches_bounded_by_single_process_count(self):
         sim = make_engine(replicas=1)

@@ -2,11 +2,11 @@
 
 Three properties carry the real-concurrency refactor:
 
-* **Equivalence** — the front end drives the same
-  :class:`~repro.runtime.scheduler.SchedulingPolicy` as the simulated
-  :class:`ContinuousScheduler`, so a seeded trace replayed in virtual time
-  reproduces the simulated run's batch compositions and placements
-  decision-for-decision.
+* **Equivalence** — ``engine.run(policy="continuous")`` and
+  :func:`replay_trace` both serve through the front end in virtual time,
+  and each reproduces the golden decision trace
+  (``tests/fixtures/decision_goldens.json``) recorded from the event-heap
+  scheduler that preceded them, timings included.
 * **Backpressure** — over the queue-depth bound, shed requests are
   reported (never silently dropped) and block mode bounds in-flight depth
   without losing requests.
@@ -19,12 +19,12 @@ import asyncio
 
 import pytest
 
-from repro.hw import A100, V100
-from repro.models import bert_workload, longformer_workload, switch_workload
-from repro.models.workloads import opt_inference_workload
+import decision_goldens
+from decision_goldens import mixed_trace
+from repro.hw import V100
+from repro.models import bert_workload, longformer_workload
 from repro.runtime import (
     AsyncServingFrontend,
-    ContinuousScheduler,
     ServingEngine,
     VirtualClock,
     decision_trace,
@@ -48,86 +48,55 @@ def make_engine(**kwargs):
     return ServingEngine(V100, **defaults)
 
 
-def mixed_trace(engine, n=16, interarrival_us=400.0, seed_base=0):
-    """A seeded mixed-kind trace: proj, ffn-act, attention and moe plans."""
-    workloads = []
-    for i in range(n):
-        seed = seed_base + i
-        if i % 5 == 0:
-            workloads.append(
-                opt_inference_workload("125m", batch_size=2, seed=seed)
-            )
-        elif i % 5 == 3:
-            workloads.append(switch_workload(8, batch_size=2, seed=seed))
-        else:
-            workloads.append(bert_workload("mnli", 2, seed=seed))
-    return engine.submit_many(workloads, interarrival_us=interarrival_us)
+GOLDENS = decision_goldens.load()
 
 
-def simulated_and_replayed(engine_kwargs, trace_kwargs):
-    sim_engine = make_engine(**engine_kwargs)
-    mixed_trace(sim_engine, **trace_kwargs)
-    simulated = sim_engine.run(policy="continuous")
-
-    live_engine = make_engine(**engine_kwargs)
-    requests = mixed_trace(live_engine, **trace_kwargs)
-    replayed = replay_trace(live_engine, requests)
-    return simulated, replayed
+def assert_drivers_match_golden(case):
+    """``engine.run`` and ``replay_trace`` each reproduce the golden."""
+    for driver in ("run", "replay"):
+        observed = decision_goldens.serve(case, driver)
+        assert observed == GOLDENS[case], f"{driver} diverged on {case}"
 
 
 class TestReplayEquivalence:
     def test_homogeneous_trace_is_decision_identical(self):
-        simulated, replayed = simulated_and_replayed({}, {})
-        assert decision_trace(replayed, include_timing=True) == decision_trace(
-            simulated, include_timing=True
-        )
-        assert replayed.policy == "live"
+        assert_drivers_match_golden("homogeneous")
+        engine = decision_goldens.build("homogeneous")
+        assert replay_trace(engine).policy == "live"
+        engine = decision_goldens.build("homogeneous")
+        assert engine.run(policy="continuous").policy == "continuous"
 
     def test_equivalence_includes_plan_cache_traffic(self):
-        """Zero extra cold searches: the replay's plan-cache misses equal
-        the simulated run's exactly (the batch-level hit/miss counts are
-        already compared by decision_trace)."""
-        simulated, replayed = simulated_and_replayed({}, {})
-        assert (
-            replayed.plan_cache_stats["misses"]
-            == simulated.plan_cache_stats["misses"]
-        )
-        assert (
-            replayed.plan_cache_stats["hits"]
-            == simulated.plan_cache_stats["hits"]
-        )
+        """Zero extra cold searches: each driver's engine-wide plan-cache
+        hits and misses equal the golden's exactly (the batch-level counts
+        are compared with the decisions)."""
+        golden = GOLDENS["homogeneous"]["plan_cache"]
+        for driver in ("run", "replay"):
+            observed = decision_goldens.serve("homogeneous", driver)
+            assert observed["plan_cache"] == golden
 
     def test_heterogeneous_cost_aware_with_overlap(self):
         """Mixed device classes with speculative selection on: placements
         come from cost-aware pricing and speculation resolves against the
         predicted class — both reproduced decision-for-decision."""
-        kwargs = dict(
-            replica_specs=[V100, A100, V100],
-            replicas=1,
-            overlap_selection=True,
-        )
-        simulated, replayed = simulated_and_replayed(kwargs, {})
-        assert decision_trace(replayed, include_timing=True) == decision_trace(
-            simulated, include_timing=True
-        )
+        assert_drivers_match_golden("heterogeneous-speculative")
 
     @pytest.mark.parametrize("seed_base", [0, 100, 1000])
     def test_seeded_traces_property(self, seed_base):
         """The equivalence is a property over traces, not one example."""
-        trace_kwargs = dict(n=12, interarrival_us=700.0, seed_base=seed_base)
-        simulated, replayed = simulated_and_replayed({}, trace_kwargs)
-        assert decision_trace(replayed) == decision_trace(simulated)
+        assert_drivers_match_golden(f"seeded-{seed_base}")
 
     def test_compositions_match_under_default_accounting(self):
         """With charge_selection=True (the legacy accounting), measured
         selection wall time perturbs the simulated timeline run-to-run, but
         admission decisions depend only on arrivals/budgets/windows — batch
-        compositions still match."""
-        kwargs = dict(charge_selection=True, replicas=1)
-        simulated, replayed = simulated_and_replayed(kwargs, {})
-        sim_batches = [tuple(b["requests"]) for b in decision_trace(simulated)]
-        live_batches = [tuple(b["requests"]) for b in decision_trace(replayed)]
-        assert live_batches == sim_batches
+        compositions still match the golden's."""
+        golden = [b["requests"] for b in GOLDENS["homogeneous"]["decisions"]]
+        for driver in ("run", "replay"):
+            engine = make_engine(charge_selection=True, replicas=1)
+            mixed_trace(engine)
+            report = decision_goldens.DRIVERS[driver](engine)
+            assert [b["requests"] for b in decision_trace(report)] == golden
 
     def test_replay_consumes_engine_queue_like_run(self):
         engine = make_engine()
@@ -137,16 +106,27 @@ class TestReplayEquivalence:
         assert engine.pending() == 0
 
     def test_replica_stats_match_simulated(self):
-        simulated, replayed = simulated_and_replayed({}, {})
-        sim_stats = [
-            (r.replica_id, r.device, r.batches, r.tokens)
-            for r in simulated.replica_stats
+        """Per-replica batch and token counts agree with the golden
+        placements."""
+        golden = GOLDENS["homogeneous"]["decisions"]
+        expected = [
+            (
+                replica,
+                V100.name,
+                sum(1 for b in golden if b["replica"] == replica),
+                sum(b["tokens"] for b in golden if b["replica"] == replica),
+            )
+            for replica in range(3)
         ]
-        live_stats = [
-            (r.replica_id, r.device, r.batches, r.tokens)
-            for r in replayed.replica_stats
-        ]
-        assert live_stats == sim_stats
+        for driver in ("run", "replay"):
+            report = decision_goldens.DRIVERS[driver](
+                decision_goldens.build("homogeneous")
+            )
+            stats = [
+                (r.replica_id, r.device, r.batches, r.tokens)
+                for r in report.replica_stats
+            ]
+            assert stats == expected
 
 
 class TestVirtualClock:
@@ -243,7 +223,7 @@ class TestBackpressure:
                 engine,
                 max_queue_depth=1,
                 overload="block",
-                inline_execution=True,
+                clock=VirtualClock(),
             )
 
 

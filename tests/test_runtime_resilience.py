@@ -11,12 +11,14 @@ Four properties carry the resilience layer:
 * **Circuit breaking** — repeated failures quarantine a replica, a
   half-open probe re-admits it, and placement prices suspect replicas
   worse without abandoning a degraded fleet.
-* **Equivalence** — the simulated scheduler and the virtual-clock replay
-  make identical decisions under identical injection seeds.
+* **Equivalence** — ``engine.run(policy="continuous")`` and the
+  virtual-clock replay each reproduce the golden decision trace of their
+  injection seed (``tests/fixtures/decision_goldens.json``).
 """
 
 import pytest
 
+import decision_goldens
 from repro.core import KernelChoice
 from repro.hw import V100
 from repro.models import bert_workload, switch_workload
@@ -391,34 +393,12 @@ class TestDegradedPlanning:
 class TestChaosEquivalence:
     @pytest.mark.parametrize("seed", [1234, 777])
     def test_sim_and_replay_decide_identically_under_faults(self, seed):
-        resilience = ResilienceConfig(
-            fault=FaultSpec(
-                seed,
-                crash_prob=0.05,
-                transient_prob=0.15,
-                straggler_prob=0.1,
-                outages=((1, 3000.0, 60000.0),),
-            ),
-            max_retries=3,
-            default_deadline_us=200000.0,
-        )
-        sim_engine = make_engine(resilience=resilience)
-        mixed_trace(sim_engine)
-        simulated = sim_engine.run(policy="continuous")
-
-        live_engine = make_engine(resilience=resilience)
-        requests = mixed_trace(live_engine)
-        replayed = replay_trace(live_engine, requests)
-
-        assert decision_trace(simulated, include_timing=True) == (
-            decision_trace(replayed, include_timing=True)
-        )
-        assert simulated.retries == replayed.retries
-        assert simulated.failovers == replayed.failovers
-        assert simulated.health_timeline == replayed.health_timeline
-        assert sorted(r.request_id for r in simulated.requests) == (
-            sorted(r.request_id for r in replayed.requests)
-        )
+        """Decisions, retries, failovers, health transitions and the set of
+        reported requests all equal the golden of the injection seed."""
+        golden = decision_goldens.load()[f"chaos-{seed}"]
+        for driver in ("run", "replay"):
+            observed = decision_goldens.serve(f"chaos-{seed}", driver)
+            assert observed == golden, f"{driver} diverged under seed {seed}"
 
     def test_same_seed_replays_are_bit_identical(self):
         traces = []

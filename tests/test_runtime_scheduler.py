@@ -5,7 +5,7 @@ import pytest
 from repro.core import PlanCache
 from repro.hw import V100
 from repro.models import bert_workload, longformer_workload
-from repro.runtime import ContinuousScheduler, ServingEngine
+from repro.runtime import ServingEngine
 
 
 def make_engine(**kwargs):
@@ -488,17 +488,19 @@ class TestCostAwarePlacement:
 
 
 class TestSchedulerValidation:
+    """The engine is the one validation point for scheduler settings."""
+
     def test_replica_count_validated(self):
-        with pytest.raises(ValueError):
-            make_engine(replicas=0)
-        with pytest.raises(ValueError):
-            ContinuousScheduler(make_engine(), replicas=0)
+        with pytest.raises(ValueError, match="replicas"):
+            ServingEngine(V100, replicas=0)
 
     def test_window_validated(self):
-        with pytest.raises(ValueError):
-            make_engine(batch_window_us=-1.0)
-        with pytest.raises(ValueError):
-            ContinuousScheduler(make_engine(), batch_window_us=-5.0)
+        with pytest.raises(ValueError, match="batch_window_us"):
+            ServingEngine(V100, batch_window_us=-5.0)
+
+    def test_placement_validated(self):
+        with pytest.raises(ValueError, match="placement"):
+            ServingEngine(V100, placement="nearest")
 
     def test_empty_queue_runs_clean(self):
         report = make_engine().run(policy="continuous")
