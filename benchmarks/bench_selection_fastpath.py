@@ -6,10 +6,12 @@ re-scanning the raw mask per candidate micro-tile shape.  This benchmark
 times a *cold* ``kernel_selection`` on Figure-18-style masks (fine-grained
 95-99% sparse, 4k x 4k) two ways:
 
-* ``fastpath=False`` — the legacy loop: one naive padded cover scan per
-  distinct micro-tile shape per sample, per-sample Python iteration;
-* ``fastpath=True`` — the pyramid: one base grid per mask, coarser grids
-  derived by pooled reductions, samples stacked and evaluated batched.
+* the pre-pyramid loop (``tests/selection_oracle.py``): one naive padded
+  cover scan per distinct micro-tile shape per sample, per-sample Python
+  iteration;
+* ``kernel_selection`` — the pyramid: one base grid per mask, coarser
+  grids derived by pooled reductions, samples stacked and evaluated
+  batched.
 
 Gates:
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 import statistics
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,10 @@ import numpy as np
 from repro.core import TileDB, kernel_selection
 from repro.hw import V100
 from repro.runtime import format_table
+
+# The pre-pyramid loop lives with the tests that pin the fast path to it.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from selection_oracle import oracle_kernel_selection  # noqa: E402
 
 SIZE = 4096
 REPEATS = 3
@@ -65,9 +72,7 @@ def run_case(tiledb, sparsity: float, num_samples: int):
         # survives a kernel_selection call), and the medians average over
         # pattern draws the way Algorithm 1 averages over samples.
         masks = fine_grained_masks(sparsity, num_samples, seed=rep)
-        naive_choice = kernel_selection(
-            masks, SIZE, SIZE, SIZE, tiledb, fastpath=False
-        )
+        naive_choice = oracle_kernel_selection(masks, SIZE, SIZE, SIZE, tiledb)
         fast_choice = kernel_selection(masks, SIZE, SIZE, SIZE, tiledb)
         naive_us.append(naive_choice.search_time_us)
         fast_us.append(fast_choice.search_time_us)

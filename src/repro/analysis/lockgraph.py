@@ -3,10 +3,9 @@
 Locks are recognized in two shapes, matching the repo's two idioms:
 
 * **registry locks** — module-level names ending in ``_LOCK``
-  (``_SHARED_PLAN_CACHES_LOCK``, ``_INSTANCE_CACHE_LOCK``).  Their *order
-  class* is the normalized name (``shared_plan_caches``,
-  ``instance_cache``), the same string the runtime debug-lock factory
-  tags them with.
+  (``_INSTANCE_CACHE_LOCK``, the TileDB registry's).  Their *order class*
+  is the normalized name (``instance_cache``), the same string the runtime
+  debug-lock factory tags them with.
 * **shard locks** — ``<shard>.lock`` attributes, where ``<shard>`` is a
   variable the analyzer can see holding a :class:`_PlanCacheShard`
   (assigned from ``._shard_for(...)``, iterated out of ``._shard_list``,
@@ -38,7 +37,7 @@ SHARD_STATE_ATTRS = frozenset(
 
 
 def normalize_lock_name(name: str) -> str:
-    """``_SHARED_PLAN_CACHES_LOCK`` -> ``shared_plan_caches``.
+    """``_INSTANCE_CACHE_LOCK`` -> ``instance_cache``.
 
     The same class string :func:`repro.analysis.runtime_checks.make_lock`
     callers pass explicitly, so static and dynamic graphs share a node

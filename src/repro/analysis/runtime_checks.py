@@ -176,22 +176,19 @@ def debug_locks_installed():
     """Force debug locks on for a block (tests).
 
     Sets the environment variable (so shard locks created inside the block
-    are :class:`DebugLock`), swaps the core registry locks for audited
-    ones, resets the observed-edge record, and restores everything after.
+    are :class:`DebugLock`), swaps the TileDB registry lock for an audited
+    one, resets the observed-edge record, and restores everything after.
     """
-    from ..core import selection, tiledb
+    from ..core import tiledb
 
     previous_env = os.environ.get(ENV_VAR)
     os.environ[ENV_VAR] = "1"
-    previous_plan_lock = selection._SHARED_PLAN_CACHES_LOCK
     previous_tile_lock = tiledb._INSTANCE_CACHE_LOCK
-    selection._SHARED_PLAN_CACHES_LOCK = DebugLock("shared_plan_caches")
     tiledb._INSTANCE_CACHE_LOCK = DebugLock("instance_cache")
     reset_observed()
     try:
         yield
     finally:
-        selection._SHARED_PLAN_CACHES_LOCK = previous_plan_lock
         tiledb._INSTANCE_CACHE_LOCK = previous_tile_lock
         if previous_env is None:
             os.environ.pop(ENV_VAR, None)

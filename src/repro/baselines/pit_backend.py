@@ -25,7 +25,7 @@ from ..core.cover import CoverCache
 from ..core.detector import index_construction_time_us
 from ..core.kernels import kernel_from_choice
 from ..core.plan import Planner, PlanSpec, ResolvedPlan
-from ..core.selection import PermutedChoice, PlanCache
+from ..core.selection import PermutedChoice
 from ..hw.costmodel import elementwise_time_us
 from ..hw.memtracker import MemoryTracker
 from ..hw.spec import dtype_bytes
@@ -50,18 +50,15 @@ class PITBackend(ModelBackend):
 
     def __init__(self, spec, dtype: str = "float32", *, plan_cache=None):
         super().__init__(spec, dtype)
-        #: Cached activation-sparsity workloads keyed by (tokens, d_ff, pct).
-        #: When a shared :class:`~repro.core.selection.PlanCache` is supplied
-        #: (the serving engine constructs one backend per batch), the memo
-        #: lives in a :class:`~repro.core.plan.Planner` over that cache
-        #: instead — keyed by ``ffn-act`` :class:`PlanSpec`\\ s, so it
-        #: survives across backend instances *and* process restarts via
-        #: ``PlanCache.save``/``load``.
-        self.plan_cache = plan_cache
-        self.planner = (
-            Planner(self.tiledb, plan_cache) if plan_cache is not None else None
-        )
-        self._act_cache: dict = {}
+        #: Resolves the training path's weight-sparse plans and memoizes the
+        #: activation-cover workloads (``ffn-act`` :class:`PlanSpec`\\ s).
+        #: Over a shared :class:`~repro.core.selection.PlanCache` (the
+        #: serving engine constructs one backend per batch) both survive
+        #: across backend instances *and* process restarts via
+        #: ``PlanCache.save``/``load``; without one, the planner owns a
+        #: private cache that memoizes within this backend's lifetime.
+        self.planner = Planner(self.tiledb, plan_cache)
+        self.plan_cache = self.planner.cache
         #: Sparse-structure kinds already detected this run: the token mask
         #: and the attention mask are each detected *once per batch* and the
         #: index is shared by every layer (the structures do not change
@@ -130,19 +127,6 @@ class PITBackend(ModelBackend):
     # ------------------------------------------------------------------
     # Training path: weight-sparse / nm-sparse plans through the Planner
     # ------------------------------------------------------------------
-    def _training_planner(self) -> Planner:
-        """The planner the training path resolves against.
-
-        Training always plans (that is the point of the unification); when
-        no shared :class:`PlanCache` was supplied, a private one memoizes
-        within this backend's lifetime so repeated pruning steps still
-        warm-start.
-        """
-        if self.planner is None:
-            self.plan_cache = PlanCache()
-            self.planner = Planner(self.tiledb, self.plan_cache)
-        return self.planner
-
     def weight_sparse_plan(
         self,
         mask_samples,
@@ -162,13 +146,12 @@ class PITBackend(ModelBackend):
         The full Algorithm 1 search runs only on a miss — drifting masks
         with the same quantized signature replay the cached plan.
         """
-        planner = self._training_planner()
         kind = "nm-sparse" if pattern else "weight-sparse"
-        spec = planner.make_spec(
+        spec = self.planner.make_spec(
             kind, mask_samples, m, k, n,
             sparse_operand="B", pattern=pattern, permutation=permutation,
         )
-        return planner.resolve(
+        return self.planner.resolve(
             spec, lambda: [np.asarray(s, dtype=bool) for s in mask_samples]
         )
 
@@ -221,30 +204,24 @@ class PITBackend(ModelBackend):
         """(covered_fraction, num_microtiles) of a (1, 32)-micro-tile cover
         over a ReLU activation mask.  Sampled once per configuration — the
         cover fraction concentrates tightly for i.i.d.-ish masks."""
-        key = (min(tokens, 2048), d_ff, round(sparsity, 4))
+        sample_rows = min(tokens, 2048)
 
         def compute():
-            sample_rows = key[0]
             mask = relu_activation_mask(sample_rows, d_ff, sparsity, seed=seed)
             grid = CoverCache(mask).grid((1, self.MICRO_W))
             covered = float(grid.sum()) / max(1, grid.size)
             micro_per_row = float(grid.sum()) / max(1, sample_rows)
             return (covered, micro_per_row)
 
-        if self.planner is not None:
-            spec = PlanSpec(
-                kind="ffn-act",
-                m=key[0],
-                k=d_ff,
-                n=self.MICRO_W,
-                signature=("cover", key[2]),
-                tiledb_key=self.tiledb.cache_key,
-            )
-            covered, micro_per_row = self.planner.memo(spec, compute)
-            return covered, int(micro_per_row * tokens)
-        if key not in self._act_cache:
-            self._act_cache[key] = compute()
-        covered, micro_per_row = self._act_cache[key]
+        spec = PlanSpec(
+            kind="ffn-act",
+            m=sample_rows,
+            k=d_ff,
+            n=self.MICRO_W,
+            signature=("cover", round(sparsity, 4)),
+            tiledb_key=self.tiledb.cache_key,
+        )
+        covered, micro_per_row = self.planner.memo(spec, compute)
         return covered, int(micro_per_row * tokens)
 
     def ffn(

@@ -183,17 +183,17 @@ class CoverCache:
     search cheap (the paper reports 30-100us searches) by deriving every
     coarser grid from a finer one instead of re-scanning the raw mask, and
     per-grid row/column counts are computed once and shared across all rules
-    that reuse a micro-tile shape.  ``pyramid=False`` falls back to naive
-    per-shape :func:`cover_grid` scans — the pre-pyramid behaviour, kept as
-    the benchmark baseline and correctness oracle.
+    that reuse a micro-tile shape.
     """
 
-    def __init__(self, mask: np.ndarray, *, pyramid: bool = True):
+    def __init__(self, mask: np.ndarray):
         self.mask = np.asarray(mask, dtype=bool)
+        if self.mask.ndim != 2:
+            raise ValueError(
+                f"CoverCache expects a 2-D mask, got shape {self.mask.shape}"
+            )
         self.nnz = int(np.count_nonzero(self.mask))
-        self._pyr = None
-        if pyramid and self.mask.ndim == 2:
-            self._pyr = _CoverPyramid(self.mask[np.newaxis])
+        self._pyr = _CoverPyramid(self.mask[np.newaxis])
         self._grids: dict = {}
         self._stats: dict = {}
 
@@ -209,19 +209,14 @@ class CoverCache:
         key = (tuple(microtile_shape), transposed)
         got = self._grids.get(key)
         if got is None:
-            if self._pyr is not None:
-                if transposed:
-                    # cover_grid(mask.T, (a, b)) == cover_grid(mask, (b, a)).T:
-                    # serve the other orientation as a view instead of
-                    # materializing a second grid.
-                    got = self._pyr.grid(
-                        (microtile_shape[1], microtile_shape[0])
-                    )[0].T
-                else:
-                    got = self._pyr.grid(tuple(microtile_shape))[0]
+            if transposed:
+                # cover_grid(mask.T, (a, b)) == cover_grid(mask, (b, a)).T:
+                # serve the other orientation as a view instead of
+                # materializing a second grid.
+                mh, mw = microtile_shape
+                got = self._pyr.grid((mw, mh))[0].T
             else:
-                mask = self.mask.T if transposed else self.mask
-                got = cover_grid(mask, microtile_shape)
+                got = self._pyr.grid(tuple(microtile_shape))[0]
             self._grids[key] = got
         return got
 

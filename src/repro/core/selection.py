@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import threading
 import time
@@ -29,7 +30,7 @@ import numpy as np
 from ..analysis.runtime_checks import make_lock
 from ..hw.costmodel import TileConfig, sparse_matmul_time_us
 from ..hw.spec import GPUSpec, dtype_bytes
-from .cover import CoverCache, SampleStack, batched_matmul_workload, matmul_workload
+from .cover import SampleStack, batched_matmul_workload, dense_matmul_workload
 from .detector import index_construction_time_us
 from .microtile import MicroTile
 from .rules import matmul_rules
@@ -127,242 +128,17 @@ def _rule_workload_shape(rule, transposed: bool) -> tuple:
     return ((rule.tile.tn if transposed else rule.tile.tm), 1)
 
 
-def _eval_rules_fast(rules, stack: SampleStack, dense_extent: int,
-                     sparse_operand: str, tiledb: TileDB, profile_rules):
-    """Vectorized candidate evaluation over a stacked sample batch.
+def _eval_rules(rules, stack: SampleStack, dense_extent: int,
+                sparse_operand: str, tiledb: TileDB, profile_rules) -> list:
+    """Score every rule on every stacked sample: Algorithm 1's one evaluator.
 
     All samples share one cover pyramid; each rule's workload is computed
     across the whole stack in one pooled-counts pass, and only the O(1)
-    cost-model arithmetic runs per sample.
-    """
-    spec, dtype = tiledb.spec, tiledb.dtype
-    transposed = sparse_operand == "B"
-    need = []
-    for rule in rules:
-        need.append(_rule_workload_shape(rule, transposed))
-        need.append(rule.microtile.shape)
-    stack.prime(need, transposed=transposed)
-
-    sample_shape = stack.sample_shape
-    num_samples = stack.num_samples
-    best, best_cost, best_cov = None, float("inf"), 0.0
-    for rule in rules:
-        t0 = time.perf_counter() if profile_rules is not None else 0.0
-        wls = batched_matmul_workload(
-            stack, rule.tile, rule.pit_axis, dense_extent,
-            sparse_operand=sparse_operand,
-        )
-        cover_counts = stack.num_microtiles(
-            rule.microtile.shape, transposed=transposed
-        )
-        cover_cells = stack.grid_cells(
-            rule.microtile.shape, transposed=transposed
-        )
-        contig = max(rule.microtile.shape) * dtype_bytes(dtype)
-        cost = 0.0
-        cov = 0.0
-        for s in range(num_samples):
-            wl = wls[s]
-            detector = index_construction_time_us(
-                sample_shape, dtype, spec, wl.num_microtiles
-            )
-            cost += sparse_matmul_time_us(
-                wl.total_k_steps,
-                wl.num_output_tiles,
-                rule.tile,
-                dtype,
-                spec,
-                tensor_core=tiledb.tensor_core,
-                sread_contig_bytes=contig,
-                detector_us=detector,
-            )
-            cov += 1.0 - float(cover_counts[s]) / max(1, cover_cells)
-        cost /= num_samples
-        cov /= num_samples
-        if profile_rules is not None:
-            profile_rules.append({
-                "tile": rule.tile.describe(),
-                "pit_axis": rule.pit_axis,
-                "microtile": str(rule.microtile),
-                "eval_us": (time.perf_counter() - t0) * 1e6,
-                "mean_cost_us": cost,
-            })
-        if cost < best_cost:
-            best, best_cost, best_cov = rule, cost, cov
-    return best, best_cost, best_cov
-
-
-def _eval_rules_legacy(rules, samples, dense_extent: int, sparse_operand: str,
-                       tiledb: TileDB, profile_rules):
-    """The pre-pyramid evaluation loop: one naive cover scan per distinct
-    micro-tile shape per sample, per-sample Python iteration per rule.
-
-    Kept verbatim as the ``fastpath=False`` baseline so the selection
-    benchmark can attribute the pyramid/batching speedup, and as a second
-    implementation the equivalence tests pin the fast path against.
-    """
-    spec, dtype = tiledb.spec, tiledb.dtype
-    caches = [CoverCache(s, pyramid=False) for s in samples]
-    best, best_cost, best_cov = None, float("inf"), 0.0
-    for rule in rules:
-        t0 = time.perf_counter() if profile_rules is not None else 0.0
-        cost = 0.0
-        cov = 0.0
-        for cache in caches:
-            sample = cache.mask
-            wl = matmul_workload(
-                cache, rule.tile, rule.pit_axis, dense_extent,
-                sparse_operand=sparse_operand,
-            )
-            detector = index_construction_time_us(
-                sample.shape, dtype, spec, wl.num_microtiles
-            )
-            contig = max(rule.microtile.shape) * dtype_bytes(dtype)
-            cost += sparse_matmul_time_us(
-                wl.total_k_steps,
-                wl.num_output_tiles,
-                rule.tile,
-                dtype,
-                spec,
-                tensor_core=tiledb.tensor_core,
-                sread_contig_bytes=contig,
-                detector_us=detector,
-            )
-            grid = cache.grid(
-                rule.microtile.shape, transposed=(sparse_operand == "B")
-            )
-            cov += 1.0 - float(grid.sum()) / max(1, grid.size)
-        cost /= len(samples)
-        cov /= len(samples)
-        if profile_rules is not None:
-            profile_rules.append({
-                "tile": rule.tile.describe(),
-                "pit_axis": rule.pit_axis,
-                "microtile": str(rule.microtile),
-                "eval_us": (time.perf_counter() - t0) * 1e6,
-                "mean_cost_us": cost,
-            })
-        if cost < best_cost:
-            best, best_cost, best_cov = rule, cost, cov
-    return best, best_cost, best_cov
-
-
-def kernel_selection(
-    sparsity_samples,
-    m: int,
-    k: int,
-    n: int,
-    tiledb: TileDB,
-    *,
-    sparse_operand: str = "A",
-    include_dense_fallback: bool = True,
-    fastpath: bool = True,
-    profile: Optional[dict] = None,
-) -> KernelChoice:
-    """Algorithm 1: pick the best (tile, PIT-axis, micro-tile) for an op.
-
-    ``sparsity_samples`` is a list of boolean masks of the sparse operand
-    (A: [m, k], B: [k, n]); the paper samples these from recent invocations
-    of the dynamic operator.
-
-    ``fastpath=True`` (default) evaluates candidates through the cover-grid
-    pyramid with all samples stacked into one batched pass; the result is
-    identical to the legacy per-sample loop (``fastpath=False``) — same
-    winning tile/axis/micro-tile, cost equal to float tolerance — only the
-    search time changes.  Pass a dict as ``profile`` to receive per-rule
-    evaluation timings (``profile["rules"]``), so benchmarks can attribute
-    where a cold search spends its time.
-    """
-    samples = [np.asarray(s, dtype=bool) for s in sparsity_samples]
-    if not samples:
-        raise ValueError("kernel selection needs at least one sparsity sample")
-    expected = (m, k) if sparse_operand == "A" else (k, n)
-    for s in samples:
-        if s.shape != expected:
-            raise ValueError(
-                f"sample shape {s.shape} != sparse operand shape {expected}"
-            )
-    dense_extent = n if sparse_operand == "A" else m
-
-    start = time.perf_counter()
-    spec = tiledb.spec
-    dtype = tiledb.dtype
-    profile_rules = [] if profile is not None else None
-
-    # foreach T in GetTilesFromTileDB x foreach A in GetPITAxis
-    rules = matmul_rules(tiledb.tiles(), sparse_operand=sparse_operand)
-    if fastpath:
-        best, best_cost, best_cov = _eval_rules_fast(
-            rules, SampleStack(samples), dense_extent, sparse_operand,
-            tiledb, profile_rules,
-        )
-    else:
-        best, best_cost, best_cov = _eval_rules_legacy(
-            rules, samples, dense_extent, sparse_operand, tiledb,
-            profile_rules,
-        )
-
-    if best is None and not include_dense_fallback:
-        raise ValueError(
-            f"no feasible PIT rule for sparse operand {sparse_operand!r} "
-            f"(the tile database yielded no candidates) and the dense "
-            f"fallback is disabled"
-        )
-
-    if best is None:
-        choice_axis, choice_micro, choice_tile = None, None, None
-    else:
-        choice_axis = best.pit_axis
-        choice_micro = best.microtile
-        choice_tile = best.tile
-
-    if include_dense_fallback:
-        # The dense candidate is priced with the same wave-quantized formula
-        # as the sparse candidates so that rounding differences cannot flip
-        # the comparison; a dense-ish input must fall back (Section 3.2).
-        from .cover import dense_matmul_workload
-
-        dense_entry = tiledb.best_dense_tile(m, k, n)
-        dwl = dense_matmul_workload(m, k, n, dense_entry.tile)
-        dense_cost = sparse_matmul_time_us(
-            dwl.total_k_steps,
-            dwl.num_output_tiles,
-            dense_entry.tile,
-            dtype,
-            spec,
-            tensor_core=tiledb.tensor_core,
-        )
-        if dense_cost <= best_cost:
-            choice_axis, choice_micro = None, None
-            choice_tile, best_cost, best_cov = dense_entry.tile, dense_cost, 0.0
-
-    elapsed_us = (time.perf_counter() - start) * 1e6
-    if profile is not None:
-        profile.update({
-            "fastpath": fastpath,
-            "num_rules": len(rules),
-            "num_samples": len(samples),
-            "rules": profile_rules,
-            "total_us": elapsed_us,
-        })
-    return KernelChoice(
-        tile=choice_tile,
-        pit_axis=choice_axis,
-        microtile=choice_micro,
-        est_cost_us=best_cost,
-        covered_sparsity=best_cov,
-        search_time_us=elapsed_us,
-    )
-
-
-def _eval_rules_per_sample(rules, stack: SampleStack, dense_extent: int,
-                           sparse_operand: str, tiledb: TileDB, profile_rules):
-    """Per-sample candidate costs over a stacked batch (no averaging).
-
-    The nm-sparse search stacks *permutation candidates x samples* into one
-    :class:`SampleStack` (the enumerate-all-candidates-in-one-tensor idiom),
-    so it needs every stacked entry's cost individually — averaging happens
-    per candidate, outside.  Returns ``[(rule, costs[S], covs[S]), ...]``.
+    cost-model arithmetic runs per sample.  Returns
+    ``[(rule, costs[S], covs[S]), ...]`` — one estimated cost and one
+    covered sparsity per stacked sample.  :func:`kernel_selection` averages
+    them per rule; the nm-sparse search stacks *permutation candidates x
+    samples* and averages per (rule, candidate).
     """
     spec, dtype = tiledb.spec, tiledb.dtype
     transposed = sparse_operand == "B"
@@ -388,14 +164,14 @@ def _eval_rules_per_sample(rules, stack: SampleStack, dense_extent: int,
             rule.microtile.shape, transposed=transposed
         )
         contig = max(rule.microtile.shape) * dtype_bytes(dtype)
-        costs = np.empty(num_samples)
-        covs = np.empty(num_samples)
+        costs = []
+        covs = []
         for s in range(num_samples):
             wl = wls[s]
             detector = index_construction_time_us(
                 sample_shape, dtype, spec, wl.num_microtiles
             )
-            costs[s] = sparse_matmul_time_us(
+            costs.append(sparse_matmul_time_us(
                 wl.total_k_steps,
                 wl.num_output_tiles,
                 rule.tile,
@@ -404,18 +180,146 @@ def _eval_rules_per_sample(rules, stack: SampleStack, dense_extent: int,
                 tensor_core=tiledb.tensor_core,
                 sread_contig_bytes=contig,
                 detector_us=detector,
-            )
-            covs[s] = 1.0 - float(cover_counts[s]) / max(1, cover_cells)
+            ))
+            covs.append(1.0 - float(cover_counts[s]) / max(1, cover_cells))
         if profile_rules is not None:
             profile_rules.append({
                 "tile": rule.tile.describe(),
                 "pit_axis": rule.pit_axis,
                 "microtile": str(rule.microtile),
                 "eval_us": (time.perf_counter() - t0) * 1e6,
-                "mean_cost_us": float(costs.mean()),
+                "mean_cost_us": _mean_in_sample_order(costs),
             })
         out.append((rule, costs, covs))
     return out
+
+
+def _mean_in_sample_order(values) -> float:
+    """Mean of per-sample values, summed first to last.
+
+    numpy's pairwise summation regroups the additions from eight values on,
+    which would move a cost's last bits (and, on a near-tie, the winner)
+    with the sample count.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def _dense_candidate(m: int, k: int, n: int, tiledb: TileDB) -> tuple:
+    """The dense fallback's ``(tile, cost)``.
+
+    Priced with the same wave-quantized formula as the sparse candidates so
+    that rounding differences cannot flip the comparison; a dense-ish input
+    must fall back (Section 3.2).
+    """
+    tile = tiledb.best_dense_tile(m, k, n).tile
+    wl = dense_matmul_workload(m, k, n, tile)
+    cost = sparse_matmul_time_us(
+        wl.total_k_steps,
+        wl.num_output_tiles,
+        tile,
+        tiledb.dtype,
+        tiledb.spec,
+        tensor_core=tiledb.tensor_core,
+    )
+    return tile, cost
+
+
+def _settle(best, best_cost: float, best_cov: float, m: int, k: int, n: int,
+            tiledb: TileDB, include_dense_fallback: bool, sparse_operand: str,
+            start: float) -> KernelChoice:
+    """The winning rule against the dense candidate, timed from ``start``.
+
+    ``best`` is ``None`` when the tile database yielded no rule; the dense
+    candidate then wins, or the search fails if the fallback is disabled.
+    """
+    if include_dense_fallback:
+        tile, cost = _dense_candidate(m, k, n, tiledb)
+        if cost <= best_cost:
+            return KernelChoice(
+                tile=tile,
+                pit_axis=None,
+                microtile=None,
+                est_cost_us=cost,
+                covered_sparsity=0.0,
+                search_time_us=(time.perf_counter() - start) * 1e6,
+            )
+    elif best is None:
+        raise ValueError(
+            f"no feasible PIT rule for sparse operand {sparse_operand!r} "
+            f"(the tile database yielded no candidates) and the dense "
+            f"fallback is disabled"
+        )
+    return KernelChoice(
+        tile=best.tile,
+        pit_axis=best.pit_axis,
+        microtile=best.microtile,
+        est_cost_us=best_cost,
+        covered_sparsity=best_cov,
+        search_time_us=(time.perf_counter() - start) * 1e6,
+    )
+
+
+def kernel_selection(
+    sparsity_samples,
+    m: int,
+    k: int,
+    n: int,
+    tiledb: TileDB,
+    *,
+    sparse_operand: str = "A",
+    include_dense_fallback: bool = True,
+    profile: Optional[dict] = None,
+) -> KernelChoice:
+    """Algorithm 1: pick the best (tile, PIT-axis, micro-tile) for an op.
+
+    ``sparsity_samples`` is a list of boolean masks of the sparse operand
+    (A: [m, k], B: [k, n]); the paper samples these from recent invocations
+    of the dynamic operator.  Every candidate is evaluated through the
+    cover-grid pyramid with all samples stacked into one batched pass, and
+    its cost is the mean over the samples.  Pass a dict as ``profile`` to
+    receive per-rule evaluation timings (``profile["rules"]``), so
+    benchmarks can attribute where a cold search spends its time.
+    """
+    samples = [np.asarray(s, dtype=bool) for s in sparsity_samples]
+    if not samples:
+        raise ValueError("kernel selection needs at least one sparsity sample")
+    expected = (m, k) if sparse_operand == "A" else (k, n)
+    for s in samples:
+        if s.shape != expected:
+            raise ValueError(
+                f"sample shape {s.shape} != sparse operand shape {expected}"
+            )
+    dense_extent = n if sparse_operand == "A" else m
+
+    start = time.perf_counter()
+    profile_rules = [] if profile is not None else None
+
+    # foreach T in GetTilesFromTileDB x foreach A in GetPITAxis
+    rules = matmul_rules(tiledb.tiles(), sparse_operand=sparse_operand)
+    best, best_cost, best_cov = None, float("inf"), 0.0
+    for rule, costs, covs in _eval_rules(
+        rules, SampleStack(samples), dense_extent, sparse_operand, tiledb,
+        profile_rules,
+    ):
+        cost = _mean_in_sample_order(costs)
+        if cost < best_cost:
+            best, best_cost, best_cov = rule, cost, _mean_in_sample_order(covs)
+
+    choice = _settle(
+        best, best_cost, best_cov, m, k, n, tiledb, include_dense_fallback,
+        sparse_operand, start,
+    )
+    if profile is not None:
+        profile.update({
+            "num_rules": len(rules),
+            "num_samples": len(samples),
+            "rules": profile_rules,
+            "total_us": choice.search_time_us,
+        })
+    return choice
 
 
 def nm_permutation_candidates(samples, policy, k: int) -> list:
@@ -509,14 +413,15 @@ def nm_kernel_selection(
             stacked.append(nm_prune_mask(permuted, nn, mm, axis=0))
 
     rules = matmul_rules(tiledb.tiles(), sparse_operand="B")
-    per_rule = _eval_rules_per_sample(
+    per_rule = _eval_rules(
         rules, SampleStack(stacked), m, "B", tiledb, profile_rules
     )
     num_samples = len(samples)
     best_rule, best_perm_idx, best_cost, best_cov = None, 0, float("inf"), 0.0
     for rule, costs, covs in per_rule:
-        cand_costs = costs.reshape(len(candidates), num_samples).mean(axis=1)
-        cand_covs = covs.reshape(len(candidates), num_samples).mean(axis=1)
+        shape = (len(candidates), num_samples)
+        cand_costs = np.reshape(costs, shape).mean(axis=1)
+        cand_covs = np.reshape(covs, shape).mean(axis=1)
         idx = int(np.argmin(cand_costs))
         if cand_costs[idx] < best_cost:
             best_rule = rule
@@ -524,55 +429,22 @@ def nm_kernel_selection(
             best_cost = float(cand_costs[idx])
             best_cov = float(cand_covs[idx])
 
-    if best_rule is None and not include_dense_fallback:
-        raise ValueError(
-            "no feasible PIT rule for the nm-sparse operand and the dense "
-            "fallback is disabled"
-        )
-
-    choice_axis = best_rule.pit_axis if best_rule is not None else None
-    choice_micro = best_rule.microtile if best_rule is not None else None
-    choice_tile = best_rule.tile if best_rule is not None else None
-    winning_perm = candidates[best_perm_idx]
-
-    if include_dense_fallback:
-        from .cover import dense_matmul_workload
-
-        dense_entry = tiledb.best_dense_tile(m, k, n)
-        dwl = dense_matmul_workload(m, k, n, dense_entry.tile)
-        dense_cost = sparse_matmul_time_us(
-            dwl.total_k_steps,
-            dwl.num_output_tiles,
-            dense_entry.tile,
-            tiledb.dtype,
-            tiledb.spec,
-            tensor_core=tiledb.tensor_core,
-        )
-        if dense_cost <= best_cost:
-            choice_axis, choice_micro = None, None
-            choice_tile, best_cost, best_cov = dense_entry.tile, dense_cost, 0.0
-            winning_perm = None  # a dense kernel has no channel order
-
-    elapsed_us = (time.perf_counter() - start) * 1e6
+    choice = _settle(
+        best_rule, best_cost, best_cov, m, k, n, tiledb,
+        include_dense_fallback, "B", start,
+    )
     if profile is not None:
         profile.update({
             "num_rules": len(rules),
             "num_samples": num_samples,
             "num_candidates": len(candidates),
             "rules": profile_rules,
-            "total_us": elapsed_us,
+            "total_us": choice.search_time_us,
         })
+    # A dense kernel has no channel order; None is the identity candidate.
+    winning = None if choice.is_dense_fallback else candidates[best_perm_idx]
     return PermutedChoice(
-        choice=KernelChoice(
-            tile=choice_tile,
-            pit_axis=choice_axis,
-            microtile=choice_micro,
-            est_cost_us=best_cost,
-            covered_sparsity=best_cov,
-            search_time_us=elapsed_us,
-        ),
-        permutation=winning_perm if winning_perm is not None else (),
-        pattern=(nn, mm),
+        choice=choice, permutation=winning or (), pattern=(nn, mm)
     )
 
 
@@ -620,34 +492,6 @@ def sparsity_signature(sparsity_samples, *, quantum: float = SIGNATURE_QUANTUM):
     )
 
 
-#: Process-wide shared plan caches by name — see :meth:`PlanCache.shared`.
-_SHARED_PLAN_CACHES: dict = {}
-_SHARED_PLAN_CACHES_LOCK = make_lock("shared_plan_caches", reentrant=False)
-_SHARED_PLAN_CACHES_PID = os.getpid()
-
-
-def _reset_shared_after_fork() -> None:
-    """Drop the registry when the pid changes (i.e. after a fork).
-
-    A forked worker process inherits the parent's module-level registry by
-    memory copy, so without this guard ``PlanCache.shared()`` in the child
-    would silently alias the *parent's* cache objects — sharing stats and
-    LRU state that the cluster layer expects to be per-process and synced
-    explicitly over the transport.  Runs lock-free on purpose — the
-    inherited lock is unusable in the child (see the pragma below).
-    """
-    global _SHARED_PLAN_CACHES_PID, _SHARED_PLAN_CACHES
-    global _SHARED_PLAN_CACHES_LOCK
-    if os.getpid() == _SHARED_PLAN_CACHES_PID:
-        return
-    _SHARED_PLAN_CACHES_PID = os.getpid()
-    # pit: allow[lock-discipline] - post-fork reset runs before the child
-    # spawns any thread, and the inherited lock may be held forever by a
-    # parent thread that does not exist in the child; rebuilding both the
-    # registry and its lock is the only safe order here.
-    _SHARED_PLAN_CACHES = {}
-    _SHARED_PLAN_CACHES_LOCK = make_lock("shared_plan_caches", reentrant=False)
-
 #: Default shard count for new caches.  Eight shards keep bookkeeping
 #: contention negligible for the replica counts the serving stack runs
 #: (lineups of 2-8) without fragmenting the LRU into uselessly small slices.
@@ -681,7 +525,8 @@ class PlanCacheLoadError(ValueError):
     """A plan-cache dump could not be parsed or decoded.
 
     Raised by :meth:`PlanCache.load` for *corruption* — truncated or
-    invalid JSON, missing header fields, undecodable entries — as distinct
+    invalid JSON, missing header fields, a ``capacity``, ``quantum`` or
+    ``shards`` of the wrong type or range, undecodable entries — as distinct
     from the plain :class:`ValueError` it raises for a well-formed dump
     that is merely incompatible (unknown format version, foreign TileDB
     identity).  Subclasses ``ValueError`` so existing callers that guard
@@ -695,9 +540,9 @@ class PlanCache:
     The deployed PIT keeps its online search at 30-100us by reusing cover
     grids and pre-profiled tiles; a serving process goes one step further and
     reuses the whole Algorithm 1 *outcome* across requests whose dynamic
-    patterns are statistically alike.  Entries are
-    ``(m, k, n, sparse_operand, signature, tiledb_key) -> KernelChoice``
-    (arbitrary plan objects are accepted — the PIT backend memoizes its
+    patterns are statistically alike.  Entries map a
+    :meth:`PlanSpec.cache_key <repro.core.plan.PlanSpec.cache_key>` to its
+    plan (arbitrary plan objects are accepted — the PIT backend memoizes its
     activation-cover workloads here too, so one cache serves one process).
 
     Keys are routed to one of ``shards`` lock domains by their
@@ -722,10 +567,23 @@ class PlanCache:
         quantum: float = SIGNATURE_QUANTUM,
         shards: int = DEFAULT_PLAN_CACHE_SHARDS,
     ):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+        # bool is an Integral, but a dump header saying `true` is corrupt.
+        for name, value in (("capacity", capacity), ("shards", shards)):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < 1
+            ):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if (
+            isinstance(quantum, bool)
+            or not isinstance(quantum, numbers.Real)
+            or not math.isfinite(quantum)
+            or quantum <= 0
+        ):
+            raise ValueError(
+                f"quantum must be a finite number > 0, got {quantum!r}"
+            )
         self.capacity = capacity
         self.quantum = quantum
         self.shards = shards
@@ -778,25 +636,20 @@ class PlanCache:
     def _shard_token(key):
         """The (plan kind, signature) portion of a cache key.
 
-        Recognizes the three key layouts this process produces — PlanSpec
-        keys ``("plan", kind, m, k, n, operand, signature, fallback, db)``
-        (optionally wrapped in a ``("memo", ...)`` namespace), the extended
-        11-tuple that nm-sparse specs emit (same prefix, then ``pattern``
-        and ``permutation`` before the db key), and the legacy 6-tuple
-        ``(m, k, n, operand, (signature, fallback), db)`` — and falls back
-        to the whole key for ad-hoc entries.  A spec and its memos
-        co-shard, and so do a legacy key and its PlanSpec equivalent for
-        one traffic class, which is what makes "different traffic never
-        contends" hold.
+        Recognizes the two key layouts :meth:`PlanSpec.cache_key
+        <repro.core.plan.PlanSpec.cache_key>` produces — the 9-tuple
+        ``("plan", kind, m, k, n, operand, signature, fallback, db)`` and
+        the 11-tuple nm-sparse specs emit (same prefix, then ``pattern``
+        and ``permutation`` before the db key), either optionally wrapped
+        in a ``("memo", ...)`` namespace — and falls back to the whole key
+        for ad-hoc entries.  A spec and its memos co-shard, which is what
+        makes "different traffic never contends" hold.
         """
         body = key
         if isinstance(body, tuple) and body and body[0] == "memo":
             body = body[1:]
-        if isinstance(body, tuple):
-            if len(body) in (9, 11) and body[0] == "plan":
-                return (body[1], body[6])
-            if len(body) == 6 and isinstance(body[4], tuple):
-                return (None, body[4])
+        if isinstance(body, tuple) and len(body) in (9, 11) and body[0] == "plan":
+            return (body[1], body[6])
         return key
 
     def _shard_for(self, key) -> _PlanCacheShard:
@@ -805,63 +658,6 @@ class PlanCache:
         token = self._shard_token(key)
         index = zlib.crc32(repr(token).encode("utf-8")) % self.shards
         return self._shard_list[index]
-
-    # -- registry ---------------------------------------------------------
-
-    @classmethod
-    def shared(
-        cls,
-        name: str = "default",
-        *,
-        capacity: int = 256,
-        quantum: float = SIGNATURE_QUANTUM,
-        shards: int = DEFAULT_PLAN_CACHE_SHARDS,
-    ) -> "PlanCache":
-        """The process-wide cache registered under ``name``.
-
-        The serving stack builds engines, compilers and backends per stream
-        (and the replica scheduler builds none of its own — it deliberately
-        rides its engine's cache); this is the analogue of
-        :meth:`~repro.core.tiledb.TileDB.shared` for plan memos, so separate
-        engines in one process can warm each other.  ``capacity``,
-        ``quantum`` and ``shards`` apply on first construction; a later call
-        with different values for the same name raises rather than silently
-        handing back a cache with other parameters.  Registry access is
-        serialized — concurrent first calls from the front end's workers
-        observe exactly one instance.  Fork-aware: a forked child gets a
-        fresh registry instead of aliasing its parent's caches.
-        """
-        _reset_shared_after_fork()
-        with _SHARED_PLAN_CACHES_LOCK:
-            cache = _SHARED_PLAN_CACHES.get(name)
-            if cache is None:
-                cache = cls(capacity, quantum=quantum, shards=shards)
-                _SHARED_PLAN_CACHES[name] = cache
-                return cache
-            if (
-                cache.capacity != capacity
-                or cache.quantum != quantum
-                or cache.shards != shards
-            ):
-                raise ValueError(
-                    f"shared plan cache {name!r} exists with capacity="
-                    f"{cache.capacity}, quantum={cache.quantum}, "
-                    f"shards={cache.shards}; requested capacity={capacity}, "
-                    f"quantum={quantum}, shards={shards}"
-                )
-            return cache
-
-    @staticmethod
-    def clear_shared() -> None:
-        """Drop the shared instances (tests that vary cache parameters)."""
-        _reset_shared_after_fork()
-        with _SHARED_PLAN_CACHES_LOCK:
-            _SHARED_PLAN_CACHES.clear()
-
-    def make_key(
-        self, m: int, k: int, n: int, sparse_operand: str, signature, tiledb_key
-    ):
-        return (m, k, n, sparse_operand, signature, tiledb_key)
 
     # -- lookups ----------------------------------------------------------
 
@@ -1009,7 +805,6 @@ class PlanCache:
         ``{"entries": saved, "skipped": skipped, "aged_out": aged_out}``.
         """
         import json
-        import os
 
         from .plan import encode_value
 
@@ -1160,7 +955,12 @@ class PlanCache:
                 f"plan-cache dump {path} is missing required header "
                 f"field {exc}"
             ) from exc
-        cache = cls(capacity, quantum=quantum, shards=shards)
+        try:
+            cache = cls(capacity, quantum=quantum, shards=shards)
+        except ValueError as exc:
+            raise PlanCacheLoadError(
+                f"plan-cache dump {path} cannot be revived: {exc}"
+            ) from exc
         # Entries were dumped oldest-first, so inserting in file order
         # rebuilds the global recency order exactly.
         for position, entry in enumerate(raw_entries):
@@ -1197,49 +997,3 @@ class PlanCache:
         for shard in self._shard_list:
             with shard.lock:
                 shard.entries.clear()
-
-
-def cached_kernel_selection(
-    sparsity_samples,
-    m: int,
-    k: int,
-    n: int,
-    tiledb: TileDB,
-    *,
-    sparse_operand: str = "A",
-    include_dense_fallback: bool = True,
-    cache: PlanCache,
-) -> KernelChoice:
-    """Algorithm 1 with plan memoization.
-
-    Computes the quantized signature of the samples and returns the cached
-    :class:`KernelChoice` when an equivalent problem was already selected for
-    (same shape, operand, signature and tile database); otherwise runs the
-    full search and stores the result.  A cache hit costs one dict lookup —
-    the amortization the serving engine's steady state rests on.
-    """
-    signature = sparsity_signature(sparsity_samples, quantum=cache.quantum)
-    # The fallback flag is part of the plan's identity: the same samples can
-    # legitimately yield a dense plan with the fallback and a PIT plan (or a
-    # ValueError) without it.
-    key = cache.make_key(
-        m,
-        k,
-        n,
-        sparse_operand,
-        (signature, include_dense_fallback),
-        getattr(tiledb, "cache_key", id(tiledb)),
-    )
-    choice, _ = cache.get_or_compute(
-        key,
-        lambda: kernel_selection(
-            sparsity_samples,
-            m,
-            k,
-            n,
-            tiledb,
-            sparse_operand=sparse_operand,
-            include_dense_fallback=include_dense_fallback,
-        ),
-    )
-    return choice

@@ -53,10 +53,11 @@ _INSTANCE_CACHE_PID = os.getpid()
 def _reset_shared_after_fork() -> None:
     """Drop the registry when the pid changes (i.e. after a fork).
 
-    Same contract as ``selection._reset_shared_after_fork``: a forked
-    worker must profile and own its *own* tile databases rather than
-    silently aliasing the parent's, and the inherited lock may be held by
-    a parent thread that does not exist in the child.
+    A forked worker inherits the module-level registry by memory copy; it
+    must profile and own its *own* tile databases rather than silently
+    aliasing the parent's, and the inherited lock may be held by a parent
+    thread that does not exist in the child.  Runs lock-free on purpose
+    (see the pragma below).
     """
     global _INSTANCE_CACHE_PID, _INSTANCE_CACHE, _INSTANCE_CACHE_LOCK
     if os.getpid() == _INSTANCE_CACHE_PID:

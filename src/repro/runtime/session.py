@@ -137,11 +137,12 @@ def run_lineup(
     fp32) are reported as unsupported rather than raised, matching how the
     paper's figures simply omit them.
 
-    ``plan_cache`` (a :class:`~repro.core.selection.PlanCache`, e.g.
-    ``PlanCache.shared()``) is threaded to every backend whose constructor
-    accepts one, so repeated lineups — and the serving engines running in
-    the same process — reuse each other's Algorithm 1 outcomes.  An explicit
-    ``backend_kwargs`` entry wins over the threaded cache.
+    ``plan_cache`` (a :class:`~repro.core.selection.PlanCache`) is threaded
+    to every backend whose constructor accepts one, so repeated lineups —
+    and the serving engines handed the same cache — reuse each other's
+    Algorithm 1 outcomes; without it, each PIT backend plans over a private
+    cache.  An explicit ``backend_kwargs`` entry wins over the threaded
+    cache.
     """
     backend_kwargs = backend_kwargs or {}
     reports = []

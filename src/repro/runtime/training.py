@@ -186,11 +186,7 @@ def sparse_training_step(
     m = batch_tokens
 
     if backend == "pit":
-        pit = PITBackend(
-            spec, dtype,
-            plan_cache=plan_cache if plan_cache is not None else PlanCache(),
-        )
-        pricer = pit
+        pricer = PITBackend(spec, dtype, plan_cache=plan_cache)
     else:
         pricer = ModelBackend(spec, dtype)
 

@@ -40,7 +40,8 @@ from repro.analysis.runtime_checks import (
     reset_observed,
     verify_against_static,
 )
-from repro.core import PlanCache
+from repro.core import PlanCache, TileDB
+from repro.hw import V100
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -176,9 +177,7 @@ class TestLiveRepo:
     def test_static_lock_graph_shape(self):
         corpus = load_corpus([str(SRC)], root=str(REPO_ROOT))
         graph = static_lock_order(corpus)
-        assert {"shard", "shared_plan_caches", "instance_cache"} <= set(
-            graph["nodes"]
-        )
+        assert {"shard", "instance_cache"} <= set(graph["nodes"])
         # The serving stack's strongest concurrency claim: no code path
         # holds one lock while taking another, so ordering deadlocks are
         # impossible by construction.
@@ -249,7 +248,7 @@ class TestDebugLock:
 
 class TestStaticDynamicAgreement:
     def test_threaded_workload_observes_no_unpredicted_edge(self):
-        """Hammer the sharded cache and the shared registry under debug
+        """Hammer the sharded cache and the TileDB registry under debug
         locks; every observed acquisition-order edge must be predicted by
         the static graph (which predicts none at all)."""
         corpus = load_corpus([str(SRC)], root=str(REPO_ROOT))
@@ -271,7 +270,7 @@ class TestStaticDynamicAgreement:
                     cache.put(key, "v2")
                     len(cache)
                     cache.stats()
-                    PlanCache.shared("lock-order-audited")
+                    TileDB.shared(V100, "float32")
 
             threads = [
                 threading.Thread(target=worker, args=(i,)) for i in range(6)
@@ -281,7 +280,6 @@ class TestStaticDynamicAgreement:
             for t in threads:
                 t.join(timeout=60.0)
             assert not any(t.is_alive() for t in threads)
-            PlanCache.clear_shared()
             violations = verify_against_static(static_edges)
         assert violations == []
 

@@ -294,6 +294,40 @@ class TestPlanCachePersistence:
         with pytest.raises(PlanCacheLoadError, match="JSON object"):
             PlanCache.load(path)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("quantum", 0),
+            ("quantum", -0.05),
+            ("quantum", "x"),
+            ("quantum", float("nan")),
+            ("capacity", "256"),
+            ("capacity", 0),
+            ("shards", 0),
+            ("shards", 2.5),
+        ],
+    )
+    def test_load_raises_load_error_on_bad_header_value(
+        self, tiledb, tmp_path, field, value
+    ):
+        """A header that parses but cannot configure a cache fails at load,
+        naming the field — not later, in the engine's quantizer or at the
+        first cold resolve."""
+        path = tmp_path / "plans.json"
+        PlanCache().save(path, tiledb_key=tiledb.cache_key)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(PlanCacheLoadError, match=field):
+            PlanCache.load(path)
+
+    @pytest.mark.parametrize(
+        "quantum", [0, -0.05, float("nan"), float("inf"), "x", True]
+    )
+    def test_quantum_must_be_a_finite_positive_number(self, quantum):
+        with pytest.raises(ValueError, match="quantum"):
+            PlanCache(quantum=quantum)
+
     def test_incompatible_but_wellformed_dumps_stay_plain_valueerror(
         self, tiledb, tmp_path
     ):

@@ -8,11 +8,11 @@ from repro.core import (
     PagedAttentionPolicy,
     PITCompiler,
     PlanCache,
+    Planner,
     SeqLenPolicy,
     SparseMatmulKernel,
     TileDB,
     batch_matmul_multi_axis_rules,
-    cached_kernel_selection,
     kernel_from_choice,
     kernel_selection,
     matmul_axes_for_operand,
@@ -20,6 +20,7 @@ from repro.core import (
     sparsity_signature,
 )
 from repro.hw import V100, TileConfig
+from selection_oracle import oracle_kernel_selection
 
 
 def granular_mask(shape, granularity, sparsity, seed=0):
@@ -134,18 +135,17 @@ class TestKernelSelection:
 
 
 class TestFastpathEquivalence:
-    """The pyramid/batched fast path must agree with the legacy per-sample
-    loop: same winning rule, cost and covered sparsity equal to float
-    tolerance — only the search time may differ."""
+    """The pyramid/batched fast path must agree with the pre-pyramid
+    per-sample loop (``tests/selection_oracle.py``) bit for bit: same
+    winning rule, cost and covered sparsity — only the search time may
+    differ."""
 
     def _assert_equivalent(self, fast, slow):
         assert fast.tile == slow.tile
         assert fast.pit_axis == slow.pit_axis
         assert fast.microtile == slow.microtile
-        assert fast.est_cost_us == pytest.approx(slow.est_cost_us, rel=1e-9)
-        assert fast.covered_sparsity == pytest.approx(
-            slow.covered_sparsity, rel=1e-9, abs=1e-12
-        )
+        assert fast.est_cost_us == slow.est_cost_us
+        assert fast.covered_sparsity == slow.covered_sparsity
 
     @pytest.mark.parametrize(
         "granularity,sparsity",
@@ -157,7 +157,7 @@ class TestFastpathEquivalence:
             for s in range(3)
         ]
         fast = kernel_selection(masks, 256, 512, 384, tiledb)
-        slow = kernel_selection(masks, 256, 512, 384, tiledb, fastpath=False)
+        slow = oracle_kernel_selection(masks, 256, 512, 384, tiledb)
         self._assert_equivalent(fast, slow)
 
     def test_sparse_b(self, tiledb):
@@ -166,15 +166,15 @@ class TestFastpathEquivalence:
         fast = kernel_selection(
             masks, 128, 512, 256, tiledb, sparse_operand="B"
         )
-        slow = kernel_selection(
-            masks, 128, 512, 256, tiledb, sparse_operand="B", fastpath=False
+        slow = oracle_kernel_selection(
+            masks, 128, 512, 256, tiledb, sparse_operand="B"
         )
         self._assert_equivalent(fast, slow)
 
     def test_dense_fallback_agrees(self, tiledb):
         mask = np.ones((256, 256), dtype=bool)
         fast = kernel_selection([mask], 256, 256, 256, tiledb)
-        slow = kernel_selection([mask], 256, 256, 256, tiledb, fastpath=False)
+        slow = oracle_kernel_selection([mask], 256, 256, 256, tiledb)
         assert fast.is_dense_fallback and slow.is_dense_fallback
         assert fast.tile == slow.tile
 
@@ -182,7 +182,6 @@ class TestFastpathEquivalence:
         mask = granular_mask((256, 256), (8, 1), 0.95)
         profile = {}
         kernel_selection([mask], 256, 256, 256, tiledb, profile=profile)
-        assert profile["fastpath"] is True
         assert profile["num_samples"] == 1
         assert profile["num_rules"] == len(profile["rules"]) == 2 * len(tiledb)
         assert all(r["eval_us"] >= 0 for r in profile["rules"])
@@ -245,41 +244,47 @@ class TestSelectionNoCandidates:
         assert choice.est_cost_us < float("inf")
 
 
+def planned(planner, masks, m, k, n, **spec_kwargs):
+    """The plan ``planner`` resolves for ``masks`` of an ``[m,k,n]`` proj."""
+    spec = planner.make_spec("proj", masks, m, k, n, **spec_kwargs)
+    return planner.resolve(spec, lambda: masks).choice
+
+
 class TestPlanCache:
     def test_hit_on_statistically_alike_masks(self, tiledb):
         """Two different masks with the same quantized signature share a
         plan: the second lookup must not re-run Algorithm 1."""
         cache = PlanCache()
+        planner = Planner(tiledb, cache)
         m1 = granular_mask((512, 512), (8, 1), 0.95, seed=0)
         m2 = granular_mask((512, 512), (8, 1), 0.95, seed=7)
         assert not np.array_equal(m1, m2)
         assert sparsity_signature([m1]) == sparsity_signature([m2])
-        c1 = cached_kernel_selection([m1], 512, 512, 512, tiledb, cache=cache)
-        c2 = cached_kernel_selection([m2], 512, 512, 512, tiledb, cache=cache)
+        c1 = planned(planner, [m1], 512, 512, 512)
+        c2 = planned(planner, [m2], 512, 512, 512)
         assert c1 is c2
         assert cache.hits == 1 and cache.misses == 1
 
     def test_miss_on_sparsity_drift(self, tiledb):
         """Density drifting past the quantization threshold is a new plan."""
         cache = PlanCache()
+        planner = Planner(tiledb, cache)
         sparse = granular_mask((512, 512), (8, 1), 0.95, seed=0)
         denser = granular_mask((512, 512), (8, 1), 0.60, seed=0)
         assert sparsity_signature([sparse]) != sparsity_signature([denser])
-        cached_kernel_selection([sparse], 512, 512, 512, tiledb, cache=cache)
-        cached_kernel_selection([denser], 512, 512, 512, tiledb, cache=cache)
+        planned(planner, [sparse], 512, 512, 512)
+        planned(planner, [denser], 512, 512, 512)
         assert cache.misses == 2 and cache.hits == 0
 
     def test_fallback_flag_is_part_of_plan_identity(self, tiledb):
         """A plan cached with the dense fallback enabled must not be served
         to a caller that disabled it (and vice versa)."""
         cache = PlanCache()
+        planner = Planner(tiledb, cache)
         mask = granular_mask((256, 256), (8, 1), 0.9)
-        with_fallback = cached_kernel_selection(
-            [mask], 256, 256, 256, tiledb, cache=cache
-        )
-        without = cached_kernel_selection(
-            [mask], 256, 256, 256, tiledb, cache=cache,
-            include_dense_fallback=False,
+        with_fallback = planned(planner, [mask], 256, 256, 256)
+        without = planned(
+            planner, [mask], 256, 256, 256, include_dense_fallback=False
         )
         assert cache.misses == 2
         assert not without.is_dense_fallback
@@ -287,43 +292,48 @@ class TestPlanCache:
 
     def test_miss_on_shape_or_operand_change(self, tiledb):
         cache = PlanCache()
+        planner = Planner(tiledb, cache)
         mask = granular_mask((256, 256), (8, 1), 0.95)
-        cached_kernel_selection([mask], 256, 256, 256, tiledb, cache=cache)
-        cached_kernel_selection([mask], 256, 256, 512, tiledb, cache=cache)
-        assert cache.misses == 2
+        planned(planner, [mask], 256, 256, 256)
+        planned(planner, [mask], 256, 256, 512)
+        planned(planner, [mask], 256, 256, 256, sparse_operand="B")
+        assert cache.misses == 3 and cache.hits == 0
 
     def test_lru_eviction_bound(self, tiledb):
         cache = PlanCache(capacity=2)
+        planner = Planner(tiledb, cache)
         masks = {
             n: granular_mask((256, 256), (8, 1), 0.95)
             for n in (128, 256, 512)
         }
         for n in (128, 256, 512):
-            cached_kernel_selection([masks[n]], 256, 256, n, tiledb, cache=cache)
+            planned(planner, [masks[n]], 256, 256, n)
         assert len(cache) == 2
         assert cache.evictions == 1
         # The oldest entry (n=128) was evicted: looking it up misses again.
         misses = cache.misses
-        cached_kernel_selection([masks[128]], 256, 256, 128, tiledb, cache=cache)
+        planned(planner, [masks[128]], 256, 256, 128)
         assert cache.misses == misses + 1
 
     def test_lru_refresh_on_hit(self, tiledb):
         cache = PlanCache(capacity=2)
+        planner = Planner(tiledb, cache)
         mask = granular_mask((256, 256), (8, 1), 0.95)
-        cached_kernel_selection([mask], 256, 256, 128, tiledb, cache=cache)
-        cached_kernel_selection([mask], 256, 256, 256, tiledb, cache=cache)
-        cached_kernel_selection([mask], 256, 256, 128, tiledb, cache=cache)  # hit
-        cached_kernel_selection([mask], 256, 256, 512, tiledb, cache=cache)
+        planned(planner, [mask], 256, 256, 128)
+        planned(planner, [mask], 256, 256, 256)
+        planned(planner, [mask], 256, 256, 128)  # hit
+        planned(planner, [mask], 256, 256, 512)
         # n=256 was least recently used, so n=128 must still be cached.
         hits = cache.hits
-        cached_kernel_selection([mask], 256, 256, 128, tiledb, cache=cache)
+        planned(planner, [mask], 256, 256, 128)
         assert cache.hits == hits + 1
 
     def test_stats_and_hit_rate(self, tiledb):
         cache = PlanCache()
+        planner = Planner(tiledb, cache)
         mask = granular_mask((256, 256), (8, 1), 0.95)
-        cached_kernel_selection([mask], 256, 256, 256, tiledb, cache=cache)
-        cached_kernel_selection([mask], 256, 256, 256, tiledb, cache=cache)
+        planned(planner, [mask], 256, 256, 256)
+        planned(planner, [mask], 256, 256, 256)
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
@@ -349,36 +359,15 @@ class TestPlanCache:
 
 
 class TestSharedPlanCache:
-    def teardown_method(self):
-        PlanCache.clear_shared()
-
-    def test_same_name_returns_same_instance(self):
-        a = PlanCache.shared("serving")
-        b = PlanCache.shared("serving")
-        assert a is b
-        assert PlanCache.shared("other") is not a
-
-    def test_parameter_mismatch_raises(self):
-        PlanCache.shared("serving", capacity=64)
-        with pytest.raises(ValueError):
-            PlanCache.shared("serving", capacity=128)
-
-    def test_clear_shared_drops_instances(self):
-        a = PlanCache.shared("serving")
-        PlanCache.clear_shared()
-        assert PlanCache.shared("serving") is not a
-
     def test_shared_cache_warms_across_engines(self, tiledb):
-        """Two callers naming the same shared cache reuse each other's
-        Algorithm 1 outcomes — the cross-engine analogue of the scheduler's
+        """Two planners handed the same cache reuse each other's Algorithm 1
+        outcomes — the cross-engine analogue of the scheduler's
         cross-replica warming."""
         mask = granular_mask((512, 512), (8, 1), 0.95, seed=0)
-        cached_kernel_selection(
-            [mask], 512, 512, 512, tiledb, cache=PlanCache.shared("warm")
-        )
-        cache = PlanCache.shared("warm")
+        cache = PlanCache()
+        planned(Planner(tiledb, cache), [mask], 512, 512, 512)
         assert cache.misses == 1
-        cached_kernel_selection([mask], 512, 512, 512, tiledb, cache=cache)
+        planned(Planner(tiledb, cache), [mask], 512, 512, 512)
         assert cache.hits == 1 and cache.misses == 1
 
 

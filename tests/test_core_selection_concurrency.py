@@ -211,38 +211,6 @@ class TestShardContention:
 
 @pytest.mark.usefixtures("lock_order_audit")
 class TestSharedRegistryThreadSafety:
-    def test_hammered_shared_registry_yields_one_instance(self):
-        PlanCache.clear_shared()
-        try:
-            barrier = threading.Barrier(16)
-            instances = []
-
-            def hammer():
-                barrier.wait()
-                for _ in range(50):
-                    instances.append(PlanCache.shared("hammered"))
-
-            threads = [threading.Thread(target=hammer) for _ in range(16)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30.0)
-            assert len(instances) == 16 * 50
-            assert len({id(c) for c in instances}) == 1
-        finally:
-            PlanCache.clear_shared()
-
-    def test_parameter_mismatch_still_raises(self):
-        PlanCache.clear_shared()
-        try:
-            PlanCache.shared("strict", capacity=8)
-            with pytest.raises(ValueError, match="capacity"):
-                PlanCache.shared("strict", capacity=16)
-            with pytest.raises(ValueError, match="shards"):
-                PlanCache.shared("strict", capacity=8, shards=1)
-        finally:
-            PlanCache.clear_shared()
-
     def test_tiledb_shared_from_threads(self):
         barrier = threading.Barrier(8)
         instances = []

@@ -37,7 +37,6 @@ import numpy as np
 import pytest
 
 import decision_goldens
-from repro.core.selection import PlanCache
 from repro.core.tiledb import TileDB
 from repro.hw import V100
 from repro.hw.costmodel import predicted_finish_us, transport_adjusted_finish_us
@@ -277,46 +276,30 @@ class TestTransportCost:
 # ----------------------------------------------------------------------
 # Fork-aware shared registries (the PR's bugfix satellite)
 # ----------------------------------------------------------------------
-def _fork_registry_child(parent_cache, parent_db, conn):
-    child_cache = PlanCache.shared("fork-regression", capacity=32)
+def _fork_registry_child(parent_db, conn):
     child_db = TileDB.shared(V100, "float32")
-    conn.send(
-        {
-            "cache_is_parent": child_cache is parent_cache,
-            "db_is_parent": child_db is parent_db,
-            "cache_empty": len(child_cache) == 0,
-        }
-    )
+    conn.send({"db_is_parent": child_db is parent_db})
     conn.close()
 
 
 class TestForkAwareRegistries:
     def test_forked_child_gets_fresh_registries(self):
         ctx = multiprocessing.get_context("fork")
-        PlanCache.clear_shared()
         TileDB.clear_shared()
-        parent_cache = PlanCache.shared("fork-regression", capacity=32)
-        parent_cache.put(("plan", "marker"), 1.0)
         parent_db = TileDB.shared(V100, "float32")
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=_fork_registry_child,
-            args=(parent_cache, parent_db, send_conn),
+            target=_fork_registry_child, args=(parent_db, send_conn)
         )
         proc.start()
         send_conn.close()
         result = recv_conn.recv()
         proc.join(30)
         assert proc.exitcode == 0
-        # The child rebuilt both registries: same lookup keys, new objects,
-        # and no inherited entries.
-        assert not result["cache_is_parent"]
+        # The child rebuilt the registry: same lookup key, new object.
         assert not result["db_is_parent"]
-        assert result["cache_empty"]
         # The parent's registry is untouched.
-        assert PlanCache.shared("fork-regression", capacity=32) is parent_cache
         assert TileDB.shared(V100, "float32") is parent_db
-        PlanCache.clear_shared()
         TileDB.clear_shared()
 
 
