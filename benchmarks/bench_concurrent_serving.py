@@ -15,9 +15,10 @@ scheduler makes.  Three gates:
    real asyncio front end (4 worker replicas pulling batches concurrently)
    must run exactly as many cold Algorithm 1 searches as the simulated
    continuous scheduler — concurrency never duplicates a search.
-3. **Equivalence**: a seeded trace replayed through the front end in
-   virtual time must reproduce the simulated scheduler's batch
-   compositions, placements and timings decision-for-decision.
+3. **Golden decisions**: the homogeneous and seeded golden cases,
+   replayed through the front end in virtual time, must reproduce
+   ``tests/fixtures/decision_goldens.json`` — batch compositions,
+   placements and timings — decision-for-decision.
 
 Each run appends a record to the cumulative ``BENCH_serving.json``
 trajectory so future PRs can regress against the history.
@@ -28,6 +29,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_concurrent_serving.py
 from __future__ import annotations
 
 import statistics
+import sys
 import threading
 import time
 from pathlib import Path
@@ -36,15 +38,13 @@ from repro.core import PlanCache, Planner, TileDB
 from repro.hw import V100
 from repro.models import bert_workload, switch_workload
 from repro.models.workloads import opt_inference_workload
-from repro.runtime import (
-    ServingEngine,
-    decision_trace,
-    replay_trace,
-    serve_workloads,
-)
+from repro.runtime import ServingEngine, serve_workloads
 from repro.sparsity import granular_mask
 
 from e2e_common import append_trajectory
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import decision_goldens  # noqa: E402
 
 OUT_PATH = Path("BENCH_serving.json")
 
@@ -60,6 +60,9 @@ CONTENTION_GATE = 2.0
 WARM_LOOKUP_GAP_S = 0.0003
 NUM_REQUESTS = 24
 REPLICAS = 4
+#: Decision-golden cases gate 3 replays: the fault-free homogeneous fleet
+#: under three arrival seeds.
+GOLDEN_CASES = ("homogeneous", "seeded-0", "seeded-100", "seeded-1000")
 
 
 class GlobalLockPlanCache:
@@ -239,26 +242,22 @@ def main():
         f"({extra_cold:+d} extra)"
     )
 
-    # --- Gate 3: virtual-time replay is decision-identical ---------------
-    eq_sim_engine = make_engine(charge_selection=False)
-    eq_sim_engine.submit_many(workloads, interarrival_us=300.0)
-    eq_simulated = eq_sim_engine.run(policy="continuous")
-
-    eq_live_engine = make_engine(charge_selection=False)
-    requests = eq_live_engine.submit_many(workloads, interarrival_us=300.0)
-    replayed = replay_trace(eq_live_engine, requests)
-    equivalent = decision_trace(replayed, include_timing=True) == (
-        decision_trace(eq_simulated, include_timing=True)
-    )
-    if not equivalent:
+    # --- Gate 3: virtual-time replay reproduces the golden decisions -----
+    goldens = decision_goldens.load()
+    diverged = [
+        name for name in GOLDEN_CASES
+        if decision_goldens.serve(name, "replay") != goldens[name]
+    ]
+    equivalent = not diverged
+    if diverged:
         failures.append(
-            "equivalence: virtual-time replay diverged from the simulated "
-            "scheduler's decision trace"
+            f"golden decisions: virtual-time replay diverged on "
+            f"{', '.join(diverged)}"
         )
     print(
-        f"equivalence gate: replay of {len(workloads)} requests -> "
+        f"golden gate: replay of {len(GOLDEN_CASES)} golden cases -> "
         f"{'decision-identical' if equivalent else 'DIVERGED'} "
-        f"({len(replayed.batches)} batches, timings included)"
+        f"(timings included)"
     )
 
     append_trajectory(

@@ -14,9 +14,10 @@ failing fleet neither loses requests nor loses determinism.  Four gates:
 3. **Chaos determinism**: two virtual-time replays under the same
    injection seed produce bit-identical decision traces (batches,
    placements, attempts, timings).
-4. **Equivalence under faults**: the simulated scheduler and the live
-   front end's virtual-time replay make identical decisions under
-   identical injection seeds — fault handling did not fork the drivers.
+4. **Golden decisions under faults**: the chaos golden cases (two
+   injection seeds on a homogeneous fleet, one on a mixed V100/A100
+   fleet), replayed through the front end in virtual time, must reproduce
+   ``tests/fixtures/decision_goldens.json`` decision-for-decision.
 
 A live (real asyncio workers) chaos pass additionally checks that every
 future resolves.  Each run appends a record to the cumulative
@@ -28,6 +29,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_fault_tolerance.py
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
@@ -45,6 +47,9 @@ from repro.runtime import (
 
 from e2e_common import append_trajectory
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import decision_goldens  # noqa: E402
+
 OUT_PATH = Path("BENCH_serving.json")
 
 NUM_REQUESTS = 30
@@ -58,6 +63,8 @@ SEED = 1234
 OUTAGE = (1, 3000.0, 1e9)
 #: Chaos goodput must stay within this fraction of fault-free goodput.
 GOODPUT_GATE = 0.70
+#: Decision-golden cases gate 4 replays.
+GOLDEN_CASES = ("chaos-1234", "chaos-777", "chaos-heterogeneous")
 
 CHAOS = ResilienceConfig(
     fault=FaultSpec(
@@ -183,20 +190,20 @@ def main():
         f"({len(chaos.batches)} batch attempts)"
     )
 
-    # --- Gate 4: simulated scheduler equals replay under faults -----------
-    sim_engine = make_engine(CHAOS)
-    sim_engine.submit_many(serving_trace(), interarrival_us=INTERARRIVAL_US)
-    simulated = sim_engine.run(policy="continuous")
-    equivalent = decision_trace(simulated, include_timing=True) == (
-        decision_trace(chaos, include_timing=True)
-    )
-    if not equivalent:
+    # --- Gate 4: replay under faults reproduces the golden decisions -----
+    goldens = decision_goldens.load()
+    diverged = [
+        name for name in GOLDEN_CASES
+        if decision_goldens.serve(name, "replay") != goldens[name]
+    ]
+    equivalent = not diverged
+    if diverged:
         failures.append(
-            "equivalence: fault handling forked the simulated scheduler "
-            "from the virtual-time replay"
+            f"golden decisions: replay under faults diverged on "
+            f"{', '.join(diverged)}"
         )
     print(
-        f"equivalence gate: simulated vs replay under faults -> "
+        f"golden gate: replay of {len(GOLDEN_CASES)} chaos golden cases -> "
         f"{'decision-identical' if equivalent else 'DIVERGED'}"
     )
 

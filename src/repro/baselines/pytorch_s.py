@@ -29,9 +29,7 @@ from ..hw.memtracker import MemoryTracker
 from ..hw.spec import dtype_bytes
 from ..hw.timeline import ExecReport
 from .backends import ModelBackend
-from .cusparse import CuSparseKernel
-from .sputnik import SputnikKernel
-from .triton_block import TritonBlockSparseKernel, triton_convert_passes
+from .triton_block import triton_convert_passes
 
 #: Host synchronization + layout rebuild of the Triton sparse-attention
 #: wrapper, paid once per layer per fresh mask.
@@ -295,17 +293,3 @@ class PyTorchSBackend(ModelBackend):
                 convert_us=convert_total,
             )
         ]
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def best_spmm_kernel(spec, dtype, mask: np.ndarray, n: int):
-        """Kernel-level selection among cuSPARSE/Sputnik/Triton: the
-        'best result among these sparse kernels' rule of Section 5.1."""
-        candidates = [
-            CuSparseKernel(spec, dtype),
-            SputnikKernel(spec, dtype),
-            TritonBlockSparseKernel(spec, dtype, block=32),
-            TritonBlockSparseKernel(spec, dtype, block=16),
-        ]
-        results = [(k, k.spmm(mask, n)) for k in candidates]
-        return min(results, key=lambda kr: kr[1].total_us)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..hw.costmodel import TileConfig, kernel_time_us, matmul_tile_time_us
+from ..hw.costmodel import TileConfig, matmul_tile_time_us
 from ..hw.memory import stream_time_us
 from ..hw.spec import dtype_bytes
 from ..core.cover import cover_grid

@@ -29,7 +29,6 @@ from ..hw.spec import GPUSpec
 from .kernels import (
     DenseMatmulKernel,
     KernelResult,
-    SparseMatmulKernel,
     kernel_from_choice,
 )
 from .plan import Planner, PlanSpec

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hw.memory import stream_time_us, tensor_bytes
-from ..hw.spec import GPUSpec, dtype_bytes
+from ..hw.spec import GPUSpec
 from .cover import cover_grid
 from .microtile import MicroTile
 

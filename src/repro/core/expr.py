@@ -21,7 +21,7 @@ PIT-axis analysis (:mod:`repro.core.pit_axis`) operates on.  The grammar:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 _REF_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*\[([^\]]*)\]\s*")

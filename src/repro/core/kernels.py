@@ -27,9 +27,8 @@ from ..hw.costmodel import (
 )
 from ..hw.spec import GPUSpec, dtype_bytes
 from ..hw.timeline import ExecReport
-from ..tensor.layout import Layout
-from .cover import MatmulWorkload, dense_matmul_workload, matmul_workload
-from .detector import build_row_index, index_construction_time_us
+from .cover import MatmulWorkload, matmul_workload
+from .detector import index_construction_time_us
 from .microtile import MicroTile, derive_microtile, matmul_microtiled_op
 from .sread_swrite import sread_cols, sread_rows, swrite_cols, swrite_rows
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from ..hw.costmodel import TileConfig
 from ..hw.spec import GPUSpec, dtype_bytes
-from ..tensor.layout import Layout, needs_transpose
+from ..tensor.layout import Layout
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,6 @@ class MicroTile:
             raise ValueError(f"micro-tiles are 2-D in this build, got {self.shape}")
         if any(s < 1 for s in self.shape):
             raise ValueError(f"micro-tile extents must be >= 1, got {self.shape}")
-
-    @property
-    def elems(self) -> int:
-        return self.shape[0] * self.shape[1]
 
     def contig_bytes(self, dtype: str, layout: Layout) -> int:
         """Contiguous run length of this micro-tile in the given layout."""
@@ -102,21 +98,6 @@ def gcd_microtile_shape(shapes) -> tuple:
         h = math.gcd(h, a)
         w = math.gcd(w, b)
     return (h, w)
-
-
-def microtile_layout_for(
-    pit_axis_position: int, current: Layout
-) -> tuple:
-    """Decide the storage layout for sparse micro-tile access.
-
-    Returns ``(layout, transposed)`` where ``layout`` keeps the operand
-    *non-contiguous on the PIT-axis* (so each micro-tile is one contiguous
-    run) and ``transposed`` says whether the producer must flip the layout —
-    done in a piggyback manner at negligible cost (Section 3.2).
-    """
-    if needs_transpose(current, pit_axis_position):
-        return current.transposed(), True
-    return current, False
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .expr import ReduceOp, TensorExpr, parse_expr
+from .expr import TensorExpr, parse_expr
 
 
 class AxisKind(Enum):

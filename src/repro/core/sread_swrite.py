@@ -8,17 +8,16 @@ difference between streaming and transaction-granular (gather) bandwidth —
 zero once a micro-tile fills a 32-byte transaction.
 
 Functionally these are gathers/scatters; this module implements them with
-numpy fancy indexing so generated kernels compute real values, and exposes
-the latency surcharge model used by the cost layer.
+numpy fancy indexing so generated kernels compute real values.  The
+latency surcharge lives in the cost layer
+(:func:`~repro.hw.memory.gather_efficiency`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..hw.memory import gather_efficiency
-from ..hw.spec import GPUSpec, dtype_bytes
-from .detector import RowIndex, SparseIndex
+from .detector import SparseIndex
 
 
 def sread_rows(data: np.ndarray, row_index: np.ndarray) -> np.ndarray:
@@ -114,16 +113,3 @@ def scatter_microtiles(
         r1, c1 = min(r0 + mh, rows), min(c0 + mw, cols)
         out[r0:r1, c0:c1] = blocks[i, : r1 - r0, : c1 - c0]
     return out
-
-
-def sread_load_efficiency(
-    microtile_contig_bytes: int, spec: GPUSpec
-) -> float:
-    """Effective load bandwidth fraction of SRead for a given micro-tile.
-
-    Micro-tiles whose contiguous run fills a transaction load at
-    ``spec.gather_efficiency`` (near streaming); narrower micro-tiles waste
-    transaction bytes proportionally.  This is the entire cost of SRead —
-    there is no separate rearrangement pass.
-    """
-    return gather_efficiency(microtile_contig_bytes, spec)

@@ -35,7 +35,7 @@ from .memory import (
     transactions_for,
 )
 from .memtracker import MemoryTracker, OutOfMemoryError
-from .profiler import TileProfile, clear_profile_cache, profile_matmul_tiles
+from .profiler import TileProfile, profile_matmul_tiles
 from .spec import A100, V100, V100_16GB, GPUSpec, dtype_bytes, get_gpu, parse_lineup
 from .timeline import ExecReport, Timeline
 from .wmma import (
@@ -59,7 +59,6 @@ __all__ = [
     "TileProfile",
     "Timeline",
     "WMMA_FP16_SHAPES",
-    "clear_profile_cache",
     "compute_efficiency",
     "dense_matmul_time_us",
     "dtype_bytes",

@@ -238,31 +238,6 @@ def health_adjusted_finish_us(
     return predicted_finish_us(close_us, free_at_us, est_exec_us) + health_penalty_us
 
 
-def transport_adjusted_finish_us(
-    close_us: float,
-    free_at_us: float,
-    est_exec_us: float,
-    transport_overhead_us: float = 0.0,
-) -> float:
-    """:func:`predicted_finish_us` plus a per-dispatch transport overhead.
-
-    The cluster frontend's reservation objective: dispatching a batch to a
-    worker *process* costs one serialize/send/receive round trip that a
-    same-process thread does not pay, so the replica's ``free_at`` horizon
-    advances by the configured overhead on top of the execution estimate.
-    A zero overhead reduces exactly to :func:`predicted_finish_us`, so
-    process-pool and threaded reservations agree bit-for-bit by default —
-    which is what keeps the cluster replay decision-identical to the
-    simulated scheduler.
-    """
-    if transport_overhead_us < 0:
-        raise ValueError("transport_overhead_us must be >= 0")
-    return (
-        predicted_finish_us(close_us, free_at_us, est_exec_us)
-        + transport_overhead_us
-    )
-
-
 def elementwise_time_us(
     num_elems: int,
     dtype: str,

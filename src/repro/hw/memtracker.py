@@ -11,7 +11,7 @@ padding buffers and format-conversion workspaces through a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .spec import GPUSpec
 

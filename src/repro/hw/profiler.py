@@ -107,8 +107,3 @@ def profile_matmul_tiles(
     profiles.sort(key=lambda p: p.time_per_k_us / flops_per_k(p))
     _CACHE[key] = profiles
     return profiles
-
-
-def clear_profile_cache() -> None:
-    """Drop all cached profiles (used by tests that vary spec parameters)."""
-    _CACHE.clear()

@@ -19,7 +19,7 @@ bytes unless a name says otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 #: Bytes per element for the precisions used in the paper's evaluation.

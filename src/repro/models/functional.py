@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tensor.ops import gelu, layernorm, masked_softmax, relu, softmax
+from ..tensor.ops import gelu, layernorm, masked_softmax, relu
 
 
 @dataclass

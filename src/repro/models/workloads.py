@@ -9,7 +9,7 @@ and prices every op against a backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class Workload:
 
     def routing_for(self, layer: int) -> Optional[RoutingResult]:
         return self.routing_by_layer.get(layer)
-
-    def is_moe_layer(self, layer: int) -> bool:
-        return layer in self.routing_by_layer
 
 
 def _route_moe_layers(config: ModelConfig, padded_tokens: int, seed: int) -> dict:

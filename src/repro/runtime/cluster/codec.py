@@ -4,10 +4,11 @@ The plan dump codec (:mod:`repro.core.plan`) already solves the hard half
 of cross-process messaging — cache keys and plan values that compare equal
 after a process boundary.  The transport needs the rest of the dispatch
 surface on the wire too: workloads (with their numpy-backed sparsity
-statistics), requests, reports, and the resilience configuration a worker
-engine must replay deterministically.  This module layers those on top of
-:func:`repro.core.plan.encode_value` without changing the dump format —
-a cache-delta entry on the wire *is* a :meth:`PlanCache.save` entry.
+statistics), requests and reports; worker configuration, resilience
+config included, crosses by fork and never rides a message.  This module
+layers those on top of :func:`repro.core.plan.encode_value` without
+changing the dump format — a cache-delta entry on the wire *is* a
+:meth:`PlanCache.save` entry.
 
 Everything here is data-only by construction: :func:`encode_wire` raises
 ``TypeError`` for anything it does not recognize, so lambdas, locks,
@@ -30,10 +31,8 @@ from ...sparsity.attention import MaskStats
 from ...sparsity.moe import RoutingResult
 from ..engine import RunReport
 from ..resilience import (
-    FaultSpec,
     InjectedFault,
     ReplicaDownFault,
-    ResilienceConfig,
     TransientExecFault,
     WorkerCrashFault,
 )
@@ -62,7 +61,7 @@ def encode_wire(obj):
     """Encode one message payload value into JSON-compatible data.
 
     Superset of the plan codec: everything :func:`encode_value` accepts
-    plus ndarrays, workloads, requests, reports and resilience configs.
+    plus ndarrays, workloads, requests and reports.
     Raises ``TypeError`` for anything else — a transport message must
     never smuggle live process state across the boundary.
     """
@@ -133,18 +132,6 @@ def encode_wire(obj):
                 "deadline_us": obj.deadline_us,
             }
         }
-    if isinstance(obj, FaultSpec):
-        fields = dataclasses.asdict(obj)
-        fields["outages"] = [list(o) for o in obj.outages]
-        return {"__faultspec__": fields}
-    if isinstance(obj, ResilienceConfig):
-        fields = {
-            f.name: getattr(obj, f.name)
-            for f in dataclasses.fields(obj)
-            if f.name != "fault"
-        }
-        fields["fault"] = encode_wire(obj.fault)
-        return {"__resilience__": fields}
     if isinstance(obj, RequestReport):
         return {"__reqreport__": dataclasses.asdict(obj)}
     if isinstance(obj, RunReport):
@@ -220,14 +207,6 @@ def decode_wire(data):
                 arrival_us=body["arrival_us"],
                 deadline_us=body["deadline_us"],
             )
-        if "__faultspec__" in data:
-            fields = dict(data["__faultspec__"])
-            fields["outages"] = tuple(tuple(o) for o in fields["outages"])
-            return FaultSpec(**fields)
-        if "__resilience__" in data:
-            fields = dict(data["__resilience__"])
-            fields["fault"] = decode_wire(fields["fault"])
-            return ResilienceConfig(**fields)
         if "__reqreport__" in data:
             return RequestReport(**data["__reqreport__"])
         if "__runreport__" in data:

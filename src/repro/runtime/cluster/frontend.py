@@ -13,8 +13,8 @@ Failure semantics are PR 8's, unchanged: a dead worker process surfaces as
 routes through :func:`~repro.runtime.resilience.resolve_failure` exactly
 like an injected :class:`WorkerCrashFault`; on an idle replica the
 heartbeat monitor records the failure with the
-:class:`~repro.runtime.resilience.HealthTracker` directly and (by default)
-respawns the worker, which re-enters placement through the breaker's
+:class:`~repro.runtime.resilience.HealthTracker` directly and respawns the
+worker, which re-enters placement through the breaker's
 quarantine -> half-open -> healthy ladder.
 
 Virtual-time replay (:func:`cluster_replay_trace`) runs this front end
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...analysis.runtime_checks import make_lock
-from ...hw.costmodel import transport_adjusted_finish_us
 from ..frontend import AsyncServingFrontend, VirtualClock, serve_virtual
 from ..resilience import InjectedFault
 from ..serving import ServingReport
@@ -49,10 +48,14 @@ from .codec import (
 from .transport import WorkerLostError
 from .worker import WorkerConfig, WorkerProcess
 
+#: How long to wait for a worker's readiness ping (engine construction
+#: profiles a tile database, which takes real time).
+READY_TIMEOUT_S = 120.0
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Transport and liveness knobs of one cluster frontend."""
+    """Liveness knobs of one cluster frontend."""
 
     #: Worker heartbeat period.  Every heartbeat literal in the tree flows
     #: from here (or a test's explicit config) — the ``transport-hygiene``
@@ -60,21 +63,6 @@ class ClusterConfig:
     heartbeat_interval_s: float = 0.05
     #: Silence on the control channel past this marks the worker lost.
     heartbeat_timeout_s: float = 1.0
-    #: Per-dispatch serialize/send/receive overhead charged into the
-    #: replica's ``free_at`` reservation
-    #: (:func:`~repro.hw.costmodel.transport_adjusted_finish_us`).  Zero —
-    #: the default — reduces reservations exactly to the threaded
-    #: frontend's, which the replay-equivalence property requires.
-    transport_overhead_us: float = 0.0
-    #: Respawn a lost worker (fresh process, full cache snapshot); the
-    #: replica then re-admits through the health tracker's half-open probe.
-    restart_workers: bool = True
-    #: Chaos-test knob: each worker sleeps this long before executing a
-    #: dispatch, widening the window to SIGKILL it mid-batch.
-    exec_delay_s: float = 0.0
-    #: How long to wait for a worker's readiness ping (engine construction
-    #: profiles a tile database, which takes real time).
-    ready_timeout_s: float = 120.0
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_s <= 0:
@@ -83,8 +71,6 @@ class ClusterConfig:
             raise ValueError(
                 "heartbeat_timeout_s must exceed heartbeat_interval_s"
             )
-        if self.transport_overhead_us < 0:
-            raise ValueError("transport_overhead_us must be >= 0")
 
 
 class ClusterFrontend(AsyncServingFrontend):
@@ -137,7 +123,7 @@ class ClusterFrontend(AsyncServingFrontend):
             self._procs[replica.replica_id] = self._spawn(replica)
             self._inflight_dispatch[replica.replica_id] = None
         for replica_id, proc in self._procs.items():
-            if not proc.ping(timeout=self.cluster.ready_timeout_s):
+            if not proc.ping(timeout=READY_TIMEOUT_S):
                 raise WorkerLostError(
                     f"worker {replica_id} failed its readiness ping"
                 )
@@ -158,9 +144,7 @@ class ClusterFrontend(AsyncServingFrontend):
         config = WorkerConfig(
             replica_id=replica.replica_id,
             spec=replica.device.spec,
-            backend=self.engine.backend_name,
             dtype=self.engine.dtype,
-            mode=self.engine.mode,
             max_batch_tokens=self.engine.max_batch_tokens,
             max_batch_size=self.engine.max_batch_size,
             enforce_memory=self.engine.enforce_memory,
@@ -170,7 +154,6 @@ class ClusterFrontend(AsyncServingFrontend):
             cache_shards=plan_cache.shards,
             quantum=plan_cache.quantum,
             heartbeat_interval_s=self.cluster.heartbeat_interval_s,
-            exec_delay_s=self.cluster.exec_delay_s,
         )
         proc = WorkerProcess(config)
         proc.start()
@@ -221,17 +204,6 @@ class ClusterFrontend(AsyncServingFrontend):
     def _route(self, item) -> None:
         self._assign_plan_keys(*item)
         super()._route(item)
-
-    def _reserved_finish_us(self, placement, estimate_us: float) -> float:
-        # The threaded front end's reservation plus the transport's
-        # per-dispatch overhead (zero by default, which reduces it exactly
-        # to the base class's).
-        return transport_adjusted_finish_us(
-            placement.start_us,
-            placement.replica.free_at_us,
-            estimate_us,
-            self.cluster.transport_overhead_us,
-        )
 
     def _assign_plan_keys(
         self, batch, placement, batch_id: int, attempt: int
@@ -381,10 +353,11 @@ class ClusterFrontend(AsyncServingFrontend):
             self._loop.call_soon_threadsafe(
                 self._record_idle_failure, replica_id, reason
             )
-        if self.cluster.restart_workers and not self._closing:
-            replica = self.policy.replicas[replica_id]
-            fresh = self._spawn(replica)
-            fresh.ping(timeout=self.cluster.ready_timeout_s)
+        if not self._closing:
+            # Respawn (fresh process, full cache snapshot); the replica then
+            # re-admits through the health tracker's half-open probe.
+            fresh = self._spawn(self.policy.replicas[replica_id])
+            fresh.ping(timeout=READY_TIMEOUT_S)
             self._procs[replica_id] = fresh
 
     def _record_idle_failure(self, replica_id: int, reason: str) -> None:

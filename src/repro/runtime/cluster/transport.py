@@ -40,9 +40,6 @@ class Channel:
         self._sock = sock
         self._send_lock = make_lock("transport", reentrant=False)
 
-    def fileno(self) -> int:
-        return self._sock.fileno()
-
     def settimeout(self, timeout) -> None:
         """Receive timeout in seconds (``None`` blocks forever)."""
         self._sock.settimeout(timeout)

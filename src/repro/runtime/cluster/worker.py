@@ -16,7 +16,6 @@ databases instead of aliasing the parent's.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -43,18 +42,13 @@ class WorkerConfig:
 
     Mirrors the :class:`ServingEngine` constructor arguments of the host
     (minus the fleet shape: a worker is always one replica of one device),
-    plus the transport knobs.  ``heartbeat_interval_s`` comes from the
-    cluster config, never a literal — the ``transport-hygiene`` rule's
-    contract.  ``exec_delay_s`` is a chaos-test knob: a wall-clock sleep
-    before each execution, giving a test a window to SIGKILL the worker
-    mid-batch.
+    plus the heartbeat period, which comes from the cluster config, never
+    a literal — the ``transport-hygiene`` rule's contract.
     """
 
     replica_id: int
     spec: GPUSpec
-    backend: str = "PIT"
     dtype: str = "float32"
-    mode: str = "inference"
     max_batch_tokens: int = 16384
     max_batch_size: int = 32
     enforce_memory: bool = False
@@ -64,7 +58,6 @@ class WorkerConfig:
     cache_shards: int = 8
     quantum: float = SIGNATURE_QUANTUM
     heartbeat_interval_s: float = 0.05
-    exec_delay_s: float = 0.0
 
 
 class RecordingPlanCache(PlanCache):
@@ -101,10 +94,10 @@ class RecordingPlanCache(PlanCache):
 
 def make_worker_engine(config: WorkerConfig) -> ServingEngine:
     """The worker's single-replica engine, per the host's
-    :meth:`ServingEngine.make_worker_backend` semantics — same backend
-    kind, same device class, same resilience config (so the deterministic
-    fault injector reaches identical decisions at identical coordinates),
-    but a process-private :class:`RecordingPlanCache`."""
+    :meth:`ServingEngine.make_worker_backend` semantics — same device
+    class, same resilience config (so the deterministic fault injector
+    reaches identical decisions at identical coordinates), but a
+    process-private :class:`RecordingPlanCache`."""
     cache = RecordingPlanCache(
         config.cache_capacity,
         quantum=config.quantum,
@@ -112,9 +105,7 @@ def make_worker_engine(config: WorkerConfig) -> ServingEngine:
     )
     return ServingEngine(
         config.spec,
-        backend=config.backend,
         dtype=config.dtype,
-        mode=config.mode,
         max_batch_tokens=config.max_batch_tokens,
         max_batch_size=config.max_batch_size,
         replicas=1,
@@ -183,7 +174,6 @@ def _run_dispatch(
     released: set,
     data_channel: Channel,
     pending: deque,
-    config: WorkerConfig,
     message,
 ) -> dict:
     batch_id = message["batch_id"]
@@ -192,8 +182,6 @@ def _run_dispatch(
     workload = decode_wire(message["workload"])
     keys = [decode_wire(k) for k in message["await_keys"]]
     _await_keys(cache, released, data_channel, pending, keys)
-    if config.exec_delay_s > 0:
-        time.sleep(config.exec_delay_s)
     cache.drain_delta()
     try:
         batch_report, request_reports = engine.execute_batch(
@@ -244,13 +232,7 @@ def worker_main(
                 _absorb_delta(cache, released, message)
             elif kind == "dispatch":
                 reply = _run_dispatch(
-                    engine,
-                    cache,
-                    released,
-                    data_channel,
-                    pending,
-                    config,
-                    message,
+                    engine, cache, released, data_channel, pending, message
                 )
                 data_channel.send(reply)
             # Unknown kinds are ignored: a newer host may speak a richer
@@ -274,12 +256,10 @@ class WorkerProcess:
     never pickled.
     """
 
-    def __init__(self, config: WorkerConfig, *, context=None):
+    def __init__(self, config: WorkerConfig):
         import multiprocessing
 
-        ctx = context if context is not None else (
-            multiprocessing.get_context("fork")
-        )
+        ctx = multiprocessing.get_context("fork")
         self.config = config
         self.replica_id = config.replica_id
         host_data, worker_data = channel_pair()

@@ -42,7 +42,7 @@ import heapq
 import itertools
 from typing import Optional
 
-from .resilience import InjectedFault, resolve_failure
+from .resilience import InjectedFault, _failure_report, resolve_failure
 from .scheduler import SchedulingPolicy, _OpenBatch
 from .serving import (
     InferenceRequest,
@@ -101,14 +101,14 @@ class RealClock:
 
     Time zero is the first observation, so a fresh front end's arrival
     stamps start near 0 like the simulated traces it mirrors.  Deadlines
-    map to ``loop.call_at`` and the handles are kept so the owner can
-    cancel stragglers at shutdown.
+    map to ``loop.call_at``; the handles of timers that have not fired yet
+    are kept so the owner can cancel stragglers at shutdown.
     """
 
     def __init__(self):
         self._loop = None
         self._base = None
-        self._handles: list = []
+        self._handles: set = set()
 
     def _ensure_loop(self):
         if self._loop is None:
@@ -126,9 +126,13 @@ class RealClock:
         # wall time has no simultaneous timers to break ties between.
         del priority
         loop = self._ensure_loop()
-        self._handles.append(
-            loop.call_at(self._base + when_us / 1e6, callback, *args)
-        )
+
+        def fire():
+            self._handles.discard(handle)
+            callback(*args)
+
+        handle = loop.call_at(self._base + when_us / 1e6, fire)
+        self._handles.add(handle)
 
     def cancel_pending(self) -> None:
         for handle in self._handles:
@@ -403,14 +407,9 @@ class AsyncServingFrontend:
         )
         if estimate != float("inf"):
             placement.replica.free_at_us = max(
-                placement.replica.free_at_us,
-                self._reserved_finish_us(placement, estimate),
+                placement.replica.free_at_us, placement.start_us + estimate
             )
         self._queues[placement.replica.replica_id].put_nowait(item)
-
-    def _reserved_finish_us(self, placement, estimate_us: float) -> float:
-        """Where a worker dispatch's reservation moves ``free_at``."""
-        return placement.start_us + estimate_us
 
     def _execute(self, item) -> tuple:
         """Run one placed batch through the engine (worker-thread safe)."""
@@ -475,17 +474,11 @@ class AsyncServingFrontend:
         batch, placement, batch_id, _ = item
         for request in batch.requests:
             self._resolve(
-                RequestReport(
-                    request_id=request.request_id,
-                    batch_id=batch_id,
-                    tokens=request.tokens,
-                    arrival_us=request.arrival_us,
-                    start_us=placement.start_us,
-                    queue_us=placement.start_us - request.arrival_us,
-                    exec_us=0.0,
-                    selection_us=0.0,
-                    ok=False,
-                    error=f"worker failure: {exc!r}",
+                _failure_report(
+                    request,
+                    batch_id,
+                    placement.start_us,
+                    f"worker failure: {exc!r}",
                 )
             )
         self._release(len(batch.requests))

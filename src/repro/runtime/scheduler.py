@@ -74,7 +74,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..hw.costmodel import health_adjusted_finish_us, predicted_finish_us
+from ..hw.costmodel import health_adjusted_finish_us
 from .resilience import HealthTracker
 from .serving import (
     ReplicaStats,
@@ -158,8 +158,8 @@ class SchedulingPolicy:
         self._open: dict = {}
         self._tokens = itertools.count()
         #: Per-replica breaker state (None when the engine runs without a
-        #: resilience config — every placement decision is then
-        #: bit-identical to the legacy path).
+        #: resilience config — every replica then places with a zero health
+        #: penalty).
         self.health = (
             HealthTracker(
                 engine.replicas,
@@ -265,6 +265,13 @@ class SchedulingPolicy:
     # ------------------------------------------------------------------
     # Placement and accounting
     # ------------------------------------------------------------------
+    def _penalty_us(self, replica: _Replica, now_us: float) -> float:
+        """The replica's health placement penalty (zero without a
+        resilience config)."""
+        if self.health is None:
+            return 0.0
+        return self.health.placement_penalty_us(replica.replica_id, now_us)
+
     def _placeable_replicas(self, now_us: float, exclude: tuple) -> list:
         """Replicas eligible for a placement at ``now_us``.
 
@@ -275,35 +282,24 @@ class SchedulingPolicy:
         whatever is open, and an all-down fleet places anyway (the attempt
         fails fast and retries — placement must never deadlock).
         """
-        if self.health is None:
-            if exclude:
-                kept = [
-                    r for r in self.replicas if r.replica_id not in exclude
-                ]
-                return kept if kept else list(self.replicas)
-            return self.replicas
         open_replicas = [
             r
             for r in self.replicas
-            if self.health.placement_penalty_us(r.replica_id, now_us)
-            != float("inf")
+            if self._penalty_us(r, now_us) != float("inf")
         ]
         preferred = [
             r for r in open_replicas if r.replica_id not in exclude
         ]
-        if preferred:
-            return preferred
-        if open_replicas:
-            return open_replicas
-        return list(self.replicas)
+        return preferred or open_replicas or list(self.replicas)
 
     def select_replica(self, signature, workload, close_us: float,
                        memoize: bool = True, exclude: tuple = ()) -> _Replica:
         """Pick the replica for a ``signature`` batch closing at ``close_us``.
 
         Cost-aware placement minimizes the predicted finish time
-        ``max(close_us, free_at_us) + est_exec_us`` with the batch priced
-        on each replica's device class
+        ``max(close_us, free_at_us) + est_exec_us`` plus the replica's
+        health penalty, with the batch priced on each replica's device
+        class
         (:meth:`~repro.runtime.serving.ServingEngine.estimate_exec_us`,
         memoized per (signature, class) — only from dispatch-time merged
         workloads, so the batch-open prediction passes ``memoize=False``).
@@ -323,17 +319,10 @@ class SchedulingPolicy:
             # change the decision — so homogeneous lineups skip the
             # simulated pricing runs entirely.  A finite health penalty
             # (suspect/probing replicas) still reorders: healthy peers win.
-            if self.health is None:
-                return min(
-                    replicas, key=lambda r: (r.free_at_us, r.replica_id)
-                )
             return min(
                 replicas,
                 key=lambda r: (
-                    r.free_at_us
-                    + self.health.placement_penalty_us(
-                        r.replica_id, close_us
-                    ),
+                    r.free_at_us + self._penalty_us(r, close_us),
                     r.free_at_us,
                     r.replica_id,
                 ),
@@ -347,17 +336,6 @@ class SchedulingPolicy:
                 est_by_class[r.device.spec] = self.engine.estimate_exec_us(
                     signature, workload, r.device, memoize=memoize
                 )
-        if self.health is None:
-            return min(
-                replicas,
-                key=lambda r: (
-                    predicted_finish_us(
-                        close_us, r.free_at_us, est_by_class[r.device.spec]
-                    ),
-                    r.free_at_us,
-                    r.replica_id,
-                ),
-            )
         return min(
             replicas,
             key=lambda r: (
@@ -365,7 +343,7 @@ class SchedulingPolicy:
                     close_us,
                     r.free_at_us,
                     est_by_class[r.device.spec],
-                    self.health.placement_penalty_us(r.replica_id, close_us),
+                    self._penalty_us(r, close_us),
                 ),
                 r.free_at_us,
                 r.replica_id,

@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..baselines import PITBackend
 from ..core.plan import Planner, PlanSpec, ResolvedPlan
 from ..core.selection import KernelChoice, PlanCache
 from ..core.tiledb import TileDB
@@ -39,7 +40,6 @@ from ..sparsity.attention import MaskStats, representative_attention_mask
 from ..sparsity.moe import merge_routing, routing_sample_mask, routing_signature
 from .engine import RunReport, run_transformer
 from .resilience import FaultInjector, ResilienceConfig
-from .session import make_replica_backends
 
 
 @dataclass(frozen=True)
@@ -196,14 +196,14 @@ class DeviceClass:
     #: Dense index in first-seen lineup order (0 = the engine's own spec).
     class_id: int
     spec: GPUSpec
-    backend: object
+    backend: PITBackend
     tiledb: TileDB
     planner: Planner
     #: A second backend of the same device *not* attached to the shared
     #: plan cache: cost-aware placement prices candidate workloads through
     #: it, and pricing must not perturb the serving cache's hit/miss
     #: accounting (placement probes are not traffic).
-    pricing_backend: object
+    pricing_backend: PITBackend
 
     @property
     def name(self) -> str:
@@ -605,12 +605,9 @@ class ServingEngine:
         self,
         spec: GPUSpec,
         *,
-        backend: str = "PIT",
         dtype: str = "float32",
-        mode: str = "inference",
         max_batch_tokens: int = 16384,
         max_batch_size: int = 32,
-        devices: int = 1,
         replicas: int = 1,
         replica_specs: Optional[list] = None,
         placement: str = "cost-aware",
@@ -646,10 +643,8 @@ class ServingEngine:
             raise ValueError("batch_window_us must be >= 0 (or None)")
         self.spec = spec
         self.dtype = dtype
-        self.mode = mode
         self.max_batch_tokens = max_batch_tokens
         self.max_batch_size = max_batch_size
-        self.devices = devices
         self.replica_specs = replica_specs
         self.replicas = len(replica_specs)
         self.placement = placement
@@ -677,32 +672,25 @@ class ServingEngine:
             if resilience is not None and resilience.fault is not None
             else None
         )
-        self.backend_name = backend
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        # One backend per distinct device class — serving backends share
-        # the plan cache; pricing backends are cache-detached so placement
-        # probes never perturb the serving cache's hit/miss accounting.
-        lineup = [spec] + replica_specs
-        kwargs = {"plan_cache": self.plan_cache} if backend == "PIT" else {}
-        serving_backends = make_replica_backends(
-            backend, lineup, dtype, **kwargs
-        )
-        pricing_backends = make_replica_backends(backend, lineup, dtype)
         #: GPUSpec -> DeviceClass, one per distinct device in the lineup
         #: (insertion-ordered; the engine's own spec is always class 0).
-        self._device_classes = {
-            dev_spec: DeviceClass(
-                class_id=class_id,
+        #: Serving backends share the plan cache; pricing backends are
+        #: cache-detached so placement probes never perturb the serving
+        #: cache's hit/miss accounting.
+        self._device_classes: dict = {}
+        for dev_spec in [spec] + replica_specs:
+            if dev_spec in self._device_classes:
+                continue
+            dev_backend = PITBackend(dev_spec, dtype, plan_cache=self.plan_cache)
+            self._device_classes[dev_spec] = DeviceClass(
+                class_id=len(self._device_classes),
                 spec=dev_spec,
                 backend=dev_backend,
                 tiledb=dev_backend.tiledb,
                 planner=Planner(dev_backend.tiledb, self.plan_cache),
-                pricing_backend=pricing_backends[dev_spec],
+                pricing_backend=PITBackend(dev_spec, dtype),
             )
-            for class_id, (dev_spec, dev_backend) in enumerate(
-                serving_backends.items()
-            )
-        }
         primary = self._device_classes[spec]
         #: DeviceClass serving each replica id, in lineup order.
         self.replica_devices = [
@@ -745,8 +733,8 @@ class ServingEngine:
             return self.replica_devices[replica_id]
         return self._device_classes[self.spec]
 
-    def make_worker_backend(self, device: DeviceClass):
-        """A fresh model backend of ``device``'s class for one live worker.
+    def make_worker_backend(self, device: DeviceClass) -> PITBackend:
+        """A fresh PIT backend of ``device``'s class for one live worker.
 
         The per-class serving backend is shared by every replica of the
         class and carries per-run mutable state (``set_fusion`` toggles,
@@ -757,14 +745,7 @@ class ServingEngine:
         :class:`~repro.core.selection.PlanCache` — so construction is
         cheap and plans stay process-wide warm.
         """
-        from .session import make_backend
-
-        kwargs = (
-            {"plan_cache": self.plan_cache}
-            if self.backend_name == "PIT"
-            else {}
-        )
-        return make_backend(self.backend_name, device.spec, self.dtype, **kwargs)
+        return PITBackend(device.spec, self.dtype, plan_cache=self.plan_cache)
 
     def estimate_exec_us(
         self,
@@ -798,9 +779,7 @@ class ServingEngine:
             run = run_transformer(
                 workload,
                 device.pricing_backend,
-                mode=self.mode,
                 enforce_memory=self.enforce_memory,
-                devices=self.devices,
             )
             est = run.latency_ms * 1e3 if run.ok else float("inf")
             if memoize:
@@ -1203,9 +1182,7 @@ class ServingEngine:
         run = run_transformer(
             workload,
             backend if backend is not None else device.backend,
-            mode=self.mode,
             enforce_memory=self.enforce_memory,
-            devices=self.devices,
         )
         compute_us = run.latency_ms * 1e3 * slowdown
         exec_us = compute_us + (serial_us if self.charge_selection else 0.0)

@@ -55,53 +55,6 @@ def make_backend(
     return _resolve_backend(name)(spec, dtype, **kwargs)
 
 
-def make_replica_backends(
-    name: str, specs, dtype: str = "float32", **kwargs
-) -> dict:
-    """One backend per *distinct* device spec of a replica lineup.
-
-    A heterogeneous fleet (mixed A100/V100 replicas) needs one backend —
-    and therefore one TileDB — per device class, not per replica: two A100
-    replicas share profiles, plans and kernels.  Returns an insertion-ordered
-    ``{GPUSpec: ModelBackend}`` dict keyed by the frozen spec, in first-seen
-    lineup order.
-    """
-    backends: dict = {}
-    for spec in specs:
-        if spec not in backends:
-            backends[spec] = make_backend(name, spec, dtype, **kwargs)
-    return backends
-
-
-def make_live_frontend(
-    spec: GPUSpec,
-    *,
-    max_queue_depth: Optional[int] = None,
-    overload: str = "shed",
-    **engine_kwargs,
-):
-    """Build a :class:`~repro.runtime.serving.ServingEngine` plus the
-    asyncio front end serving it — the live analogue of constructing an
-    engine and calling ``run(policy="continuous")``.
-
-    ``engine_kwargs`` forward to the engine constructor (``replicas``,
-    ``replica_specs``, ``batch_window_us``, ``plan_cache``, ...);
-    ``max_queue_depth``/``overload`` configure the front end's
-    backpressure (see
-    :class:`~repro.runtime.frontend.AsyncServingFrontend`).  Returns
-    ``(engine, frontend)`` so callers keep the engine handle for plan-cache
-    persistence and replay.
-    """
-    from .frontend import AsyncServingFrontend
-    from .serving import ServingEngine
-
-    engine = ServingEngine(spec, **engine_kwargs)
-    frontend = AsyncServingFrontend(
-        engine, max_queue_depth=max_queue_depth, overload=overload
-    )
-    return engine, frontend
-
-
 def validate_backend_kwargs(name: str, kwargs: dict) -> Optional[str]:
     """Check that ``kwargs`` bind to the backend's constructor signature.
 

@@ -2,7 +2,7 @@
 (dynamic attention, MoE routing, varying sequence lengths, sparse training)
 plus activation sparsity and the pattern-repetition study."""
 
-from .activation import measured_sparsity, relu_activation_mask, relu_mask_stream
+from .activation import measured_sparsity, relu_activation_mask
 from .attention import (
     MaskStats,
     as_mask_stats,
@@ -72,7 +72,6 @@ __all__ = [
     "pad_to_multiple",
     "pattern_fingerprint",
     "relu_activation_mask",
-    "relu_mask_stream",
     "relu_pattern_stream",
     "seqlen_pattern_stream",
     "sliding_window_mask",

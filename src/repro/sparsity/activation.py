@@ -52,22 +52,6 @@ def relu_activation_mask(
     return mask
 
 
-def relu_mask_stream(
-    num_batches: int,
-    num_tokens: int,
-    hidden: int,
-    sparsity: float,
-    *,
-    seed: int = 0,
-):
-    """Yield per-batch activation masks — every batch's pattern is fresh,
-    which is why memoizing compiled kernels per pattern fails (Figure 20)."""
-    for i in range(num_batches):
-        yield relu_activation_mask(
-            num_tokens, hidden, sparsity, seed=seed * 99991 + i
-        )
-
-
 def measured_sparsity(mask: np.ndarray) -> float:
     """Zero fraction of a mask (sanity-check helper used by benches)."""
     return 1.0 - float(np.count_nonzero(mask)) / mask.size

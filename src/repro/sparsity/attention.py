@@ -9,7 +9,6 @@ attention policy covers with micro-tiles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

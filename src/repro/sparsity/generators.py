@@ -49,13 +49,6 @@ class PatternHitCounter:
     def hit_ratio(self) -> float:
         return self.hits / self.total if self.total else 0.0
 
-    def cumulative_ratios(self) -> list:
-        """Not retroactive — callers should sample :attr:`hit_ratio` as they
-        stream; helper retained for API symmetry."""
-        raise NotImplementedError(
-            "sample hit_ratio while streaming; ratios are not stored"
-        )
-
 
 def seqlen_pattern_stream(
     dataset: str,

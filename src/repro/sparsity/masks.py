@@ -11,7 +11,6 @@ weights move — the dynamic part.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -9,7 +9,7 @@ semantically non-zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -86,10 +86,6 @@ class SimTensor:
         if self.mask is None:
             return self.data
         return np.where(self.mask, self.data, 0.0)
-
-    def with_layout(self, layout: Layout) -> "SimTensor":
-        """Same values, different declared storage order (zero-copy view)."""
-        return SimTensor(self.data, dtype=self.dtype, layout=layout, mask=self.mask)
 
 
 def randn(shape, *, dtype: str = "float32", seed: int = 0, scale: float = 1.0) -> SimTensor:

@@ -126,6 +126,11 @@ CASES = {
         )
         for seed in (1234, 777)
     },
+    "chaos-heterogeneous": (
+        dict(replica_specs=[V100, A100, V100], resilience=chaos(1234)),
+        mixed_trace,
+        dict(n=20),
+    ),
     **{
         f"cluster-{lineup}-{seed}": (
             lineup_settings,

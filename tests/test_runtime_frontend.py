@@ -28,7 +28,6 @@ from repro.runtime import (
     ServingEngine,
     VirtualClock,
     decision_trace,
-    make_live_frontend,
     replay_trace,
     serve_workloads,
 )
@@ -147,6 +146,32 @@ class TestVirtualClock:
         clock.call_at(42.0, lambda: seen.append(clock.now_us()))
         clock.fire_next()
         assert seen == [42.0]
+
+
+class TestRealClock:
+    def test_fired_timers_leave_no_handle_behind(self):
+        """Every batch schedules a window deadline; once those timers have
+        fired, the clock holds no handle for them."""
+        engine = make_engine(max_batch_size=1, batch_window_us=100.0)
+
+        async def main():
+            frontend = AsyncServingFrontend(engine)
+            await frontend.start()
+            futures = [
+                await frontend.submit(bert_workload("mnli", 2, seed=i))
+                for i in range(40)
+            ]
+            await frontend.drain()
+            await asyncio.gather(*futures)
+            # Past the last batch's window deadline.
+            await asyncio.sleep(0.01)
+            handles = len(frontend.clock._handles)
+            await frontend.stop()
+            return frontend.report(), handles
+
+        report, handles = asyncio.run(main())
+        assert len(report.batches) == 40
+        assert handles == 0
 
 
 class TestBackpressure:
@@ -271,13 +296,11 @@ class TestLiveServing:
         assert any("attention" in b.plan_kinds for b in report.batches)
 
     def test_make_live_frontend_convenience(self):
-        engine, frontend = make_live_frontend(
-            V100,
-            replicas=2,
-            max_batch_size=4,
-            enforce_memory=False,
-            max_queue_depth=16,
+        """The live set-up: an engine, and a front end built over it."""
+        engine = ServingEngine(
+            V100, replicas=2, max_batch_size=4, enforce_memory=False
         )
+        frontend = AsyncServingFrontend(engine, max_queue_depth=16)
         assert frontend.engine is engine
         assert frontend.max_queue_depth == 16
 

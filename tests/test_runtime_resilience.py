@@ -28,6 +28,7 @@ from repro.runtime import (
     FaultSpec,
     HealthTracker,
     ResilienceConfig,
+    SchedulingPolicy,
     ServingEngine,
     decision_trace,
     replay_trace,
@@ -244,6 +245,60 @@ class TestHealthTracker:
         assert (2500.0, 0, HALF_OPEN) in timeline
 
 
+class TestHealthAwarePlacement:
+    """Replica choice on a homogeneous fleet, read straight off the
+    policy: the health penalty adds to ``free_at`` and exclusions relax
+    in order, so placement never deadlocks."""
+
+    def select(self, resilience=None, *, free_at=(0.0, 0.0), exclude=(),
+               failures=()):
+        engine = make_engine(replicas=2, resilience=resilience)
+        request = engine.submit(bert_workload("mnli", 2, seed=0))
+        policy = SchedulingPolicy(engine)
+        for replica, us in zip(policy.replicas, free_at):
+            replica.free_at_us = us
+        for replica_id, us in failures:
+            policy.health.on_failure(replica_id, us)
+        return policy.select_replica(
+            request.batch_signature(engine.plan_cache.quantum),
+            request.workload,
+            200.0,
+            exclude=exclude,
+        ).replica_id
+
+    def test_without_resilience_ties_break_by_free_at_then_id(self):
+        assert self.select() == 0
+        assert self.select(free_at=(300.0, 0.0)) == 1
+        assert self.select(exclude=(0,)) == 1
+        # Everything excluded: place anyway, on the usual order.
+        assert self.select(exclude=(0, 1)) == 0
+
+    def test_suspect_penalty_adds_to_free_at(self):
+        config = ResilienceConfig(suspect_penalty_us=1000.0)
+        suspect = ((0, 100.0),)
+        assert self.select(config, failures=suspect) == 1
+        # A healthy peer busy past the penalty still loses to the suspect.
+        busy_peer = (0.0, 1500.0)
+        assert self.select(config, free_at=busy_peer, failures=suspect) == 0
+
+    def test_down_replicas_are_out_while_any_is_open(self):
+        config = ResilienceConfig(
+            fault=FaultSpec(1, outages=((0, 0.0, 1e6),))
+        )
+        assert self.select(config) == 1
+        # A retry avoiding the only open replica still goes there.
+        assert self.select(config, exclude=(1,)) == 1
+
+    def test_all_down_fleet_places_over_every_replica(self):
+        """With nothing open the exclusion does not apply either: the
+        attempt fails fast and retries rather than deadlocking."""
+        config = ResilienceConfig(
+            fault=FaultSpec(1, outages=((0, 0.0, 1e6), (1, 0.0, 1e6)))
+        )
+        assert self.select(config, exclude=(0,)) == 0
+        assert self.select(config, free_at=(300.0, 0.0), exclude=(1,)) == 1
+
+
 class TestResilienceConfig:
     def test_backoff_is_exponential_and_capped(self):
         config = ResilienceConfig(
@@ -391,14 +446,17 @@ class TestDegradedPlanning:
 
 
 class TestChaosEquivalence:
-    @pytest.mark.parametrize("seed", [1234, 777])
-    def test_sim_and_replay_decide_identically_under_faults(self, seed):
+    @pytest.mark.parametrize("variant", ["1234", "777", "heterogeneous"])
+    def test_sim_and_replay_decide_identically_under_faults(self, variant):
         """Decisions, retries, failovers, health transitions and the set of
-        reported requests all equal the golden of the injection seed."""
-        golden = decision_goldens.load()[f"chaos-{seed}"]
+        reported requests all equal the golden of each chaos case: two
+        injection seeds, and a mixed V100/A100 fleet — the one case whose
+        cost-aware placement sees health penalties."""
+        case = f"chaos-{variant}"
+        golden = decision_goldens.load()[case]
         for driver in ("run", "replay"):
-            observed = decision_goldens.serve(f"chaos-{seed}", driver)
-            assert observed == golden, f"{driver} diverged under seed {seed}"
+            observed = decision_goldens.serve(case, driver)
+            assert observed == golden, f"{driver} diverged on {case}"
 
     def test_same_seed_replays_are_bit_identical(self):
         traces = []
