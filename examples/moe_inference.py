@@ -34,8 +34,10 @@ def expert_layer_demo():
     print(f"tokens per expert: {routing.counts.tolist()}")
     print(f"load imbalance (max/mean): {routing.imbalance():.1f}x")
 
-    reference = moe_layer_reference(tokens, w1, w2, routing.assignment)
-    grouped = moe_layer_grouped(tokens, w1, w2, routing.assignment, seed=11)
+    # The numeric path needs each token's expert: the same draw, per token.
+    assignment = router.assign(num_tokens, seed=7)
+    reference = moe_layer_reference(tokens, w1, w2, assignment)
+    grouped = moe_layer_grouped(tokens, w1, w2, assignment, seed=11)
     err = np.abs(reference - grouped).max()
     print(f"max |grouped - reference| = {err:.2e}")
     assert err < 1e-8
@@ -43,7 +45,7 @@ def expert_layer_demo():
     # The grouped kernel's cost follows the *total* token count, not the
     # busiest expert — the padding-free property.
     kern = GroupedMatmulKernel(TileConfig(32, 32, 32), A100, "float16")
-    result = kern.run(tokens, w1, routing.assignment)
+    result = kern.run(tokens, w1, assignment)
     print(f"grouped kernel simulated latency: "
           f"{result.report.latency_us:.1f} us "
           f"(detector {result.report.convert_us:.1f} us)")

@@ -91,9 +91,8 @@ def encode_wire(obj):
     if isinstance(obj, RoutingResult):
         return {
             "__routing__": {
-                "assignment": _encode_ndarray(np.asarray(obj.assignment)),
                 "counts": _encode_ndarray(np.asarray(obj.counts)),
-                "probs": _encode_ndarray(np.asarray(obj.probs)),
+                "num_tokens": int(obj.num_tokens),
             }
         }
     if isinstance(obj, MoESpec):
@@ -173,9 +172,8 @@ def decode_wire(data):
         if "__routing__" in data:
             body = data["__routing__"]
             return RoutingResult(
-                assignment=_decode_ndarray(body["assignment"]),
                 counts=_decode_ndarray(body["counts"]),
-                probs=_decode_ndarray(body["probs"]),
+                num_tokens=body["num_tokens"],
             )
         if "__moespec__" in data:
             return MoESpec(**data["__moespec__"])
@@ -235,10 +233,10 @@ def dispatch_message(
     attempt: int,
     start_us: float,
     replica_id: int,
-    workload=None,
     await_keys=(),
 ) -> dict:
-    """Execute one closed batch.  ``await_keys`` are plan-cache keys the
+    """Execute one closed batch.  Each request's workload crosses once; the
+    worker merges the batch itself.  ``await_keys`` are plan-cache keys the
     worker must observe (via a cache delta, or their release) before it may
     start planning — the cross-process single-flight protocol."""
     return {
@@ -248,7 +246,6 @@ def dispatch_message(
         "start_us": start_us,
         "replica_id": replica_id,
         "requests": [encode_wire(r) for r in requests],
-        "workload": encode_wire(workload),
         "await_keys": [encode_wire(k) for k in await_keys],
     }
 

@@ -253,7 +253,6 @@ class ClusterFrontend(AsyncServingFrontend):
             attempt=attempt,
             start_us=placement.start_us,
             replica_id=replica_id,
-            workload=placement.workload,
             await_keys=awaits,
         )
         self._inflight_dispatch[replica_id] = batch_id

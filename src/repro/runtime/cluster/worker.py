@@ -179,7 +179,6 @@ def _run_dispatch(
     batch_id = message["batch_id"]
     attempt = message["attempt"]
     requests = [decode_wire(r) for r in message["requests"]]
-    workload = decode_wire(message["workload"])
     keys = [decode_wire(k) for k in message["await_keys"]]
     _await_keys(cache, released, data_channel, pending, keys)
     cache.drain_delta()
@@ -189,7 +188,6 @@ def _run_dispatch(
             batch_id=batch_id,
             start_us=message["start_us"],
             replica_id=message["replica_id"],
-            workload=workload,
             attempt=attempt,
         )
     except Exception as exc:

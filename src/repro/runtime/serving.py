@@ -73,7 +73,7 @@ class InferenceRequest:
         load statistics agree to within one bucket.  Merged batches price
         with merged statistics (:func:`merge_workloads`), so members must
         be statistically alike — the same tolerance the plan cache uses.
-        MoE routing tables concatenate through
+        MoE routing tables add up through
         :func:`~repro.sparsity.moe.merge_routing`: the grouped kernel's
         cost follows the total token count, so co-batching is sound.
 
@@ -115,7 +115,7 @@ def merge_workloads(workloads) -> Workload:
     the first member's: ``act_sparsity`` is token-weight-averaged,
     ``attn_stats`` are sequence-weight-averaged
     (:meth:`~repro.sparsity.attention.MaskStats.merged`) and MoE routing
-    tables concatenate per layer
+    tables add up per layer
     (:func:`~repro.sparsity.moe.merge_routing`).  Irreconcilable metadata —
     different architectures, an activation-sparse member next to a dense
     one, mismatched attention shapes, differing MoE layer sets — raises

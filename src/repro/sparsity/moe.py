@@ -19,18 +19,16 @@ from ..tensor.ops import softmax
 
 @dataclass
 class RoutingResult:
-    """Token-to-expert assignment for one batch."""
+    """Per-expert token loads of one batch's top-1 routing.
 
-    #: [num_tokens] expert id per token (top-1 routing).
-    assignment: np.ndarray
+    Every MoE pricing path reads only these statistics; the numeric path
+    draws per-token expert ids from :meth:`Router.assign` instead.
+    """
+
     #: [num_experts] token count per expert.
     counts: np.ndarray
-    #: [num_tokens, num_experts] router probabilities (for aux losses).
-    probs: np.ndarray
-
-    @property
-    def num_tokens(self) -> int:
-        return int(self.assignment.size)
+    #: Tokens routed, dropped ones included (see :func:`drop_overflow`).
+    num_tokens: int
 
     @property
     def num_experts(self) -> int:
@@ -68,20 +66,17 @@ class RoutingResult:
             order = np.argsort(-self.counts)
             for i in range(deficit):
                 counts[order[i % order.size]] += 1
-        assignment = np.repeat(np.arange(counts.size), counts)
-        return RoutingResult(
-            assignment=assignment, counts=counts, probs=self.probs
-        )
+        return RoutingResult(counts=counts, num_tokens=num_tokens)
 
 
 def merge_routing(results) -> RoutingResult:
     """Merge several batches' routing tables into one grouped dispatch.
 
-    Routing tables drawn for separate batches concatenate meaningfully at
-    the *grouped-kernel* level: the merged assignment is the concatenation,
-    the per-expert counts add, and the grouped FFN's cost still follows the
-    total token count (the property padding systems lack).  This is what
-    lets a serving engine co-batch MoE requests instead of refusing them.
+    Routing tables drawn for separate batches combine meaningfully at the
+    *grouped-kernel* level: the per-expert counts and the token counts add,
+    and the grouped FFN's cost still follows the total token count (the
+    property padding systems lack).  This is what lets a serving engine
+    co-batch MoE requests instead of refusing them.
 
     Raises ``ValueError`` on zero inputs or mismatched expert counts —
     tables over different expert populations describe different layers and
@@ -100,10 +95,10 @@ def merge_routing(results) -> RoutingResult:
                 f"cannot merge routing tables over {num_experts} and "
                 f"{r.num_experts} experts"
             )
-    assignment = np.concatenate([r.assignment for r in results])
-    counts = np.sum([r.counts for r in results], axis=0)
-    probs = np.concatenate([r.probs for r in results], axis=0)
-    return RoutingResult(assignment=assignment, counts=counts, probs=probs)
+    return RoutingResult(
+        counts=np.sum([r.counts for r in results], axis=0),
+        num_tokens=sum(r.num_tokens for r in results),
+    )
 
 
 def routing_signature(routings, *, quantum: float = 0.05) -> tuple:
@@ -184,15 +179,21 @@ class Router:
             np.full(num_experts, concentration)
         )
 
-    def route(self, num_tokens: int, *, seed: int = 0) -> RoutingResult:
-        """Assign ``num_tokens`` tokens to experts (top-1)."""
+    def assign(self, num_tokens: int, *, seed: int = 0) -> np.ndarray:
+        """The ``[num_tokens]`` expert id of each token (top-1)."""
         rng = np.random.default_rng(seed ^ 0x5EED)
         logits = rng.standard_normal((num_tokens, self.num_experts))
         logits += np.log(self.popularity + 1e-12)  # popularity bias
-        probs = softmax(logits, axis=-1)
-        assignment = probs.argmax(axis=-1)
-        counts = np.bincount(assignment, minlength=self.num_experts)
-        return RoutingResult(assignment=assignment, counts=counts, probs=probs)
+        return softmax(logits, axis=-1).argmax(axis=-1)
+
+    def route(self, num_tokens: int, *, seed: int = 0) -> RoutingResult:
+        """Route ``num_tokens`` tokens (top-1) and keep their per-expert
+        loads — the same draw as :meth:`assign` with the same seed."""
+        assignment = self.assign(num_tokens, seed=seed)
+        return RoutingResult(
+            counts=np.bincount(assignment, minlength=self.num_experts),
+            num_tokens=int(num_tokens),
+        )
 
 
 def capacity_tokens(num_tokens: int, num_experts: int, capacity_factor: float) -> int:
@@ -206,16 +207,12 @@ def capacity_tokens(num_tokens: int, num_experts: int, capacity_factor: float) -
 
 
 def drop_overflow(result: RoutingResult, capacity: int) -> RoutingResult:
-    """Apply a hard capacity: tokens over an expert's capacity are dropped
-    (assignment -1), as Tutel/DeepSpeed do when buffers fill."""
+    """Apply a hard capacity: tokens over an expert's capacity are dropped,
+    as Tutel/DeepSpeed do when buffers fill.  Dropped tokens still count in
+    ``num_tokens``; only the per-expert loads are capped."""
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    assignment = result.assignment.copy()
-    fill = np.zeros(result.num_experts, dtype=int)
-    for i, e in enumerate(assignment):
-        if fill[e] >= capacity:
-            assignment[i] = -1
-        else:
-            fill[e] += 1
-    counts = np.bincount(assignment[assignment >= 0], minlength=result.num_experts)
-    return RoutingResult(assignment=assignment, counts=counts, probs=result.probs)
+    return RoutingResult(
+        counts=np.minimum(result.counts, capacity),
+        num_tokens=result.num_tokens,
+    )

@@ -1,6 +1,6 @@
 """Golden plans of Algorithm 1 and of the PIT backend's priced runs.
 
-Four sections, each a map from case name to its recorded outcome:
+Five sections, each a map from case name to its recorded outcome:
 
 * ``selection`` — the :func:`~repro.core.selection.kernel_selection` choice
   (tile, PIT-axis, micro-tile, and the ``repr`` of the estimated cost and
@@ -17,6 +17,10 @@ Four sections, each a map from case name to its recorded outcome:
   8-14; Figure 19's GLUE workloads are Figure 11's), each priced once on a
   fresh backend and once through a :class:`PlanCache` shared by the whole
   sweep.
+* ``baselines`` — the same latency, convert time and peak memory (plus
+  ``oom``) of every non-PIT backend in Figure 8's and Figure 9's lineups on
+  their MoE workloads, as ``run_lineup`` prices them for the figures.
+  MegaBlocks ships fp16 kernels only, so Figure 8's fp32 lineup omits it.
 * ``training`` — ``sparse_training_step("pit", ...)`` at four of Figure
   15's points.
 
@@ -47,7 +51,7 @@ from repro.models import (
     swin_moe_workload,
     switch_workload,
 )
-from repro.runtime import run_transformer, sparse_training_step
+from repro.runtime import run_lineup, run_transformer, sparse_training_step
 from repro.sparsity import BERT_DATASETS
 from repro.sparsity.masks import granular_mask
 
@@ -67,6 +71,11 @@ NM_DIMS = (1024, 256, 192)
 NM_MASKS = {"g1x1-s0.99": ((1, 1), 0.99), "g1x32-s0.9": ((1, 32), 0.9)}
 NM_PATTERNS = ((2, 4), (1, 4))
 NM_POLICIES = {"deterministic": (), "learned": ("learned", 4, 0)}
+
+#: Figure 8's fp16 and Figure 9's lineup without PIT; Figure 8's fp32
+#: lineup drops MegaBlocks.
+BASELINES = ("PyTorch", "PyTorch-S", "Tutel", "DeepSpeed", "MegaBlocks")
+BASELINES_FP32 = BASELINES[:-1]
 
 
 def _figure_cases() -> dict:
@@ -234,6 +243,22 @@ def record_figures() -> dict:
     return out
 
 
+def record_baselines() -> dict:
+    out = {}
+    last_build = workload = None
+    for name, (build, spec, dtype, kwargs) in FIGURE_CASES.items():
+        if not name.startswith(("fig8-", "fig9-")):
+            continue
+        if build is not last_build:
+            last_build, workload = build, build()
+        lineup = BASELINES if dtype == "float16" else BASELINES_FP32
+        out[name] = {
+            report.backend: _run(report)
+            for report in run_lineup(workload, lineup, spec, dtype, **kwargs)
+        }
+    return out
+
+
 def record_training() -> dict:
     out = {}
     for name, (block, sparsity) in TRAINING_CASES.items():
@@ -256,6 +281,7 @@ SECTIONS = {
     "selection": record_selection,
     "nm": record_nm,
     "figures": record_figures,
+    "baselines": record_baselines,
     "training": record_training,
 }
 

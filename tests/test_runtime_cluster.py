@@ -51,6 +51,7 @@ from repro.runtime import (
     WorkerLostError,
     cluster_replay_trace,
     decision_trace,
+    replay_trace,
     serve_cluster,
 )
 from repro.runtime.cluster import worker as cluster_worker
@@ -69,6 +70,7 @@ from repro.runtime.resilience import (
     QUARANTINED,
     WorkerCrashFault,
 )
+from repro.sparsity import Router, drop_overflow
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -109,10 +111,22 @@ def assert_workload_equal(a, b):
     assert sorted(a.routing_by_layer) == sorted(b.routing_by_layer)
     for layer, routing in a.routing_by_layer.items():
         other = b.routing_by_layer[layer]
-        assert np.array_equal(routing.assignment, other.assignment)
         assert np.array_equal(routing.counts, other.counts)
-        assert np.array_equal(routing.probs, other.probs)
+        assert routing.counts.dtype == other.counts.dtype
+        assert routing.num_tokens == other.num_tokens
     assert a.seed == b.seed
+
+
+def dispatch_bytes(workload) -> int:
+    """Serialized size of a one-request dispatch frame."""
+    message = dispatch_message(
+        [InferenceRequest(request_id=0, workload=workload)],
+        batch_id=0,
+        attempt=0,
+        start_us=0.0,
+        replica_id=0,
+    )
+    return len(json.dumps(message))
 
 
 # ----------------------------------------------------------------------
@@ -201,10 +215,25 @@ class TestCodec:
             attempt=1,
             start_us=500.0,
             replica_id=2,
-            workload=request.workload,
             await_keys=[("plan", "proj")],
         )
         json.dumps(message)  # must not raise
+
+    def test_dispatch_frame_carries_routing_statistics(self):
+        # Routing crosses as per-expert counts plus a token count, so the
+        # frame no longer grows with the batch's token count.
+        small = dispatch_bytes(switch_workload(64, 2, seed=0))
+        large = dispatch_bytes(switch_workload(64, 32, seed=0))
+        assert small < 16 * 1024
+        assert abs(large - small) <= 1024
+
+    def test_capped_routing_round_trips_its_token_count(self):
+        routing = Router(8, concentration=0.2, seed=3).route(512, seed=0)
+        capped = drop_overflow(routing, capacity=32)
+        assert capped.num_tokens > capped.counts.sum()
+        restored = decode_wire(json.loads(json.dumps(encode_wire(capped))))
+        assert restored.num_tokens == capped.num_tokens == 512
+        assert np.array_equal(restored.counts, capped.counts)
 
 
 # ----------------------------------------------------------------------
@@ -370,6 +399,23 @@ class TestClusterReplayEquivalence:
         # no more cold searches than the one-replica run: the deltas carry
         # every resolved plan (and memo) to the whole fleet.
         assert clu_misses <= sim_misses
+
+    def test_figure_8_sized_moe_request_serves(self):
+        # Switch-128 at batch 32 once built a 74.6 MiB dispatch frame, over
+        # the transport's 64 MiB limit: the worker refused it and the
+        # request failed with a broken pipe.
+        workload = switch_workload(128, 32, seed=0)
+        in_process = make_engine()
+        in_process.submit(workload)
+        expected = replay_trace(in_process)
+
+        pooled = make_engine()
+        pooled.submit(workload)
+        report = cluster_replay_trace(pooled)
+        assert [r.ok for r in report.requests] == [True]
+        assert decision_trace(report, include_timing=True) == (
+            decision_trace(expected, include_timing=True)
+        )
 
 
 # ----------------------------------------------------------------------

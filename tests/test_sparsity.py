@@ -160,9 +160,18 @@ class TestMoE:
 
     def test_popularity_stable_assignments_vary(self):
         router = Router(8, seed=0)
-        a = router.route(256, seed=1)
-        b = router.route(256, seed=2)
-        assert not np.array_equal(a.assignment, b.assignment)
+        a = router.assign(256, seed=1)
+        b = router.assign(256, seed=2)
+        assert not np.array_equal(a, b)
+
+    def test_route_counts_the_assign_draw(self):
+        router = Router(8, concentration=0.3, seed=2)
+        assignment = router.assign(300, seed=5)
+        routing = router.route(300, seed=5)
+        assert np.array_equal(
+            routing.counts, np.bincount(assignment, minlength=8)
+        )
+        assert routing.num_tokens == assignment.size == 300
 
     def test_capacity(self):
         assert capacity_tokens(1000, 10, 1.25) == 125
@@ -171,8 +180,16 @@ class TestMoE:
         router = Router(4, concentration=0.2, seed=3)
         result = router.route(512, seed=0)
         capped = drop_overflow(result, capacity=64)
-        assert capped.counts.max() <= 64
-        assert (capped.assignment == -1).sum() == 512 - capped.counts.sum()
+        assert np.array_equal(capped.counts, np.minimum(result.counts, 64))
+        # Dropped tokens still reached the layer.
+        assert capped.num_tokens == result.num_tokens == 512
+        assert capped.counts.sum() < 512
+        # Reference: fill each expert's buffer token by token, in order.
+        kept = np.zeros(4, dtype=int)
+        for expert in router.assign(512, seed=0):
+            if kept[expert] < 64:
+                kept[expert] += 1
+        assert np.array_equal(capped.counts, kept)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
