@@ -26,11 +26,10 @@ arrivals past its queue-depth bound instead of queueing them past SLO
 feasibility, and — replayed in virtual time — reproduces the simulated
 scheduler's decisions exactly (see docs/concurrency.md).
 
-The closing section goes one step further: the **process pool** serves
-the same traffic with each replica a real OS worker process behind an RPC
-channel, plan-cache deltas keeping the fleet warm with one process's
-worth of cold searches, and the replay proving the boundary changed no
-decision (see docs/cluster.md).
+The closing section replays the same traffic through the **process
+pool**, each replica a real OS worker process behind an RPC channel with
+plan-cache deltas keeping the fleet warm, and shows the boundary changed
+no decision (see docs/cluster.md).
 
 Run:  PYTHONPATH=src python examples/serving.py
 """
@@ -314,36 +313,17 @@ def main():
     # ------------------------------------------------------------------
     # The process pool: each replica is a real OS process.
     # ------------------------------------------------------------------
-    from repro.runtime import cluster_replay_trace, serve_cluster
+    from repro.runtime import cluster_replay_trace
 
-    # Two worker processes, each with its own backend and planner; the
+    # Four worker processes, each with its own backend and planner; the
     # scheduling policy stays in this process and only batch execution
     # crosses the RPC channel.  Every plan a worker searches cold comes
-    # back in a cache delta and is broadcast to the rest of the fleet, so
-    # N processes pay one process's worth of cold searches (see
-    # docs/cluster.md).
-    pool_engine = ServingEngine(
-        V100, max_batch_tokens=8192, max_batch_size=8, replicas=2,
-        batch_window_us=3000.0, plan_cache=PlanCache(),
-        enforce_memory=False, overlap_selection=False,
-        charge_selection=False,
-    )
-    pool_report = serve_cluster(pool_engine, mixed_stream())
-    print()
-    print(pool_report.describe())
-    print(
-        f"process pool: {len(pool_report.batches)} batches across "
-        f"{len({b.replica_id for b in pool_report.batches})} worker "
-        f"processes, "
-        f"{sum(b.cache_misses for b in pool_report.batches)} cold "
-        f"searches fleet-wide"
-    )
-
-    # And the same equivalence gate holds across the process boundary:
-    # virtual-time replay through real worker processes reproduces the
-    # simulated scheduler's decisions, timings included.  (The cluster
-    # front end requires overlap_selection=False — speculative batch-open
-    # searches would run host-side and fork the plan traffic.)
+    # back in a cache delta and is broadcast to the rest of the fleet (see
+    # docs/cluster.md).  Virtual-time replay through the workers
+    # reproduces the simulated scheduler's decisions, timings included.
+    # (The cluster front end requires overlap_selection=False —
+    # speculative batch-open searches would run host-side and fork the
+    # plan traffic.)
     def cluster_engine():
         return ServingEngine(
             V100, max_batch_tokens=8192, max_batch_size=8, replicas=4,
@@ -364,7 +344,9 @@ def main():
     print(
         f"cluster replay vs simulated scheduler: "
         f"{'decision-identical' if cidentical else 'DIVERGED'} "
-        f"({len(creplayed.batches)} batches, real worker processes)"
+        f"({len(creplayed.batches)} batches across 4 worker processes, "
+        f"{sum(b.cache_misses for b in creplayed.batches)} cold searches "
+        f"fleet-wide)"
     )
 
 

@@ -18,7 +18,7 @@ catalog with examples):
   fault-injection randomness always takes an explicit seed.
 * ``transport-hygiene`` — only plan-codec-serializable payloads cross
   the worker boundary (no lambdas, locks, backends, engines in channel
-  sends), and heartbeat intervals flow from config, never literals.
+  sends).
 * ``pragma-justification`` — every suppression pragma carries a reason
   and silences something real.
 """
@@ -804,7 +804,6 @@ _TRANSPORT_SEND_METHODS = frozenset(
 _UNSERIALIZABLE_NAME = re.compile(
     r"(?i)(backend|planner|tiledb|lock|thread|socket|executor|engine)"
 )
-_HEARTBEAT_NAME = re.compile(r"(?i)heartbeat")
 
 
 def _attr_segments(node) -> list:
@@ -818,30 +817,17 @@ def _attr_segments(node) -> list:
     return parts
 
 
-def _is_numeric_literal(node) -> bool:
-    return (
-        isinstance(node, ast.Constant)
-        and isinstance(node.value, (int, float))
-        and not isinstance(node.value, bool)
-    )
-
-
 @rule(
     "transport-hygiene",
-    "Only codec-serializable payloads cross the worker boundary; "
-    "heartbeat intervals come from config, never literals",
+    "Only codec-serializable payloads cross the worker boundary",
 )
 def check_transport_hygiene(corpus):
-    """Two wire-protocol invariants the cluster subsystem rests on.
+    """The wire-protocol invariant the cluster subsystem rests on.
 
     A channel ``send`` whose payload expression mentions a live handle —
     a backend, engine, lock, thread, socket — or embeds a lambda is
     smuggling process state across the boundary; only data the plan codec
     round-trips may travel (build messages with the ``codec`` helpers).
-    And a heartbeat interval spelled as a numeric literal at a call site
-    (or assigned onto a ``heartbeat*`` attribute) drifts from the cluster
-    config the liveness monitor times against; intervals must flow from
-    configuration.
     """
     findings: dict = {}
 
@@ -860,48 +846,8 @@ def check_transport_hygiene(corpus):
 
     for module in corpus:
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and _HEARTBEAT_NAME.search(target.attr)
-                        and _is_numeric_literal(node.value)
-                    ):
-                        flag(
-                            module,
-                            node.lineno,
-                            (
-                                f"heartbeat interval `{target.attr}` "
-                                f"assigned a numeric literal"
-                            ),
-                            (
-                                "heartbeat cadence comes from the cluster "
-                                "config (ClusterConfig / WorkerConfig), "
-                                "never a call-site literal"
-                            ),
-                        )
-                continue
             if not isinstance(node, ast.Call):
                 continue
-            for kw in node.keywords:
-                if (
-                    kw.arg is not None
-                    and _HEARTBEAT_NAME.search(kw.arg)
-                    and _is_numeric_literal(kw.value)
-                ):
-                    flag(
-                        module,
-                        node.lineno,
-                        (
-                            f"heartbeat interval `{kw.arg}=` passed as a "
-                            f"numeric literal"
-                        ),
-                        (
-                            "thread the interval from configuration so "
-                            "the liveness monitor and the worker agree "
-                            "on one cadence"
-                        ),
-                    )
             func = node.func
             if (
                 not isinstance(func, ast.Attribute)

@@ -1,14 +1,11 @@
 """Runtime: the execution engine, sessions, serving, training, reporting."""
 
 from .cluster import (
-    ClusterConfig,
     ClusterFrontend,
     WorkerConfig,
     WorkerLostError,
     WorkerProcess,
     cluster_replay_trace,
-    serve_cluster,
-    serve_cluster_async,
 )
 from .engine import (
     TRAINING_STATE_MULTIPLIER,
@@ -64,7 +61,6 @@ __all__ = [
     "BACKENDS_BY_NAME",
     "AsyncServingFrontend",
     "BatchReport",
-    "ClusterConfig",
     "ClusterFrontend",
     "ContinuousScheduler",
     "DeviceClass",
@@ -101,8 +97,6 @@ __all__ = [
     "run_lineup",
     "run_transformer",
     "serve_async",
-    "serve_cluster",
-    "serve_cluster_async",
     "serve_workloads",
     "sparse_training_run",
     "sparse_training_step",

@@ -233,12 +233,9 @@ def dispatch_message(
     attempt: int,
     start_us: float,
     replica_id: int,
-    await_keys=(),
 ) -> dict:
     """Execute one closed batch.  Each request's workload crosses once; the
-    worker merges the batch itself.  ``await_keys`` are plan-cache keys the
-    worker must observe (via a cache delta, or their release) before it may
-    start planning — the cross-process single-flight protocol."""
+    worker merges the batch itself."""
     return {
         "type": "dispatch",
         "batch_id": batch_id,
@@ -246,7 +243,6 @@ def dispatch_message(
         "start_us": start_us,
         "replica_id": replica_id,
         "requests": [encode_wire(r) for r in requests],
-        "await_keys": [encode_wire(k) for k in await_keys],
     }
 
 
@@ -277,23 +273,14 @@ def error_message(batch_id: int, attempt: int, exc: BaseException) -> dict:
     }
 
 
-def heartbeat_message(replica_id: int, seq: int) -> dict:
-    return {"type": "heartbeat", "replica_id": replica_id, "seq": seq}
-
-
-def cache_delta_message(entries, released=()) -> dict:
-    """Broadcast resolved plans (and/or release keys whose pending search
-    died or degraded, so awaiting workers search for themselves).
+def cache_delta_message(entries) -> dict:
+    """Broadcast resolved plans.
 
     ``entries`` must already be in the dump entry format
     (``{"key": ..., "value": ...}`` with plan-codec-encoded members), i.e.
     exactly what :func:`encode_delta_entries` produces.
     """
-    return {
-        "type": "cache-delta",
-        "entries": list(entries),
-        "released": [encode_wire(k) for k in released],
-    }
+    return {"type": "cache-delta", "entries": list(entries)}
 
 
 def ping_message() -> dict:

@@ -4,10 +4,10 @@ One :class:`Channel` wraps one end of a ``socket.socketpair()``: each
 message is a 4-byte big-endian length prefix followed by a canonical JSON
 body (sorted keys, no whitespace — two processes encoding the same message
 produce identical bytes, which keeps the wire format diffable and the
-determinism tests honest).  Sends are serialized by a per-channel lock
-because the host broadcasts cache deltas from whichever replica worker
-thread finished a batch; receives are single-consumer by construction
-(the owning replica thread on the host, the main loop in the worker).
+determinism tests honest).  The replay host and each worker drive their
+channels from one thread, and receives stay single-consumer; sends still
+hold a per-channel lock, so a channel shared between threads never
+interleaves two frames.
 
 A peer that vanishes — closed socket, dead process — surfaces as
 :class:`WorkerLostError` from either direction, which the cluster frontend

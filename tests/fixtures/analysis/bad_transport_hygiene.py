@@ -1,11 +1,10 @@
-"""Known-bad: live handles on the wire and literal heartbeat cadences."""
+"""Known-bad: live handles on the wire."""
 
 
 class LeakyDispatcher:
     def __init__(self, channel, backend):
         self.channel = channel
         self.backend = backend
-        self.heartbeat_interval_s = 0.25  # expect[transport-hygiene]
 
     def send_callback(self):
         self.channel.send(lambda: None)  # expect[transport-hygiene]
@@ -19,7 +18,3 @@ class LeakyDispatcher:
 
     def send_lock_over_pipe(self, result_pipe, state_lock):
         result_pipe.send({"guard": state_lock})  # expect[transport-hygiene]
-
-
-def spawn_with_literal_cadence(spawn_worker):
-    return spawn_worker(replica_id=0, heartbeat_interval_s=0.05)  # expect[transport-hygiene]

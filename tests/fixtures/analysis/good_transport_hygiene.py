@@ -1,4 +1,4 @@
-"""Known-good: codec-built payloads and config-driven heartbeat cadence."""
+"""Known-good: codec-built payloads."""
 
 
 def dispatch(data_channel, codec_message):
@@ -6,21 +6,5 @@ def dispatch(data_channel, codec_message):
 
 
 def broadcast_delta(data_channel, entries):
-    payload = {"type": "cache-delta", "entries": entries, "released": []}
+    payload = {"type": "cache-delta", "entries": entries}
     data_channel.send(payload)
-
-
-def spawn_with_config_cadence(spawn_worker, cluster_config):
-    return spawn_worker(
-        replica_id=0,
-        heartbeat_interval_s=cluster_config.heartbeat_interval_s,
-    )
-
-
-class Worker:
-    def __init__(self, config):
-        self.config = config
-        self.heartbeat_interval_s = config.heartbeat_interval_s
-
-    def beat(self, control_channel, sequence):
-        control_channel.send({"type": "heartbeat", "seq": sequence})

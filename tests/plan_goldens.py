@@ -18,9 +18,10 @@ Five sections, each a map from case name to its recorded outcome:
   fresh backend and once through a :class:`PlanCache` shared by the whole
   sweep.
 * ``baselines`` — the same latency, convert time and peak memory (plus
-  ``oom``) of every non-PIT backend in Figure 8's and Figure 9's lineups on
-  their MoE workloads, as ``run_lineup`` prices them for the figures.
-  MegaBlocks ships fp16 kernels only, so Figure 8's fp32 lineup omits it.
+  ``oom``) of every non-PIT backend in the lineups of Figures 8-14 on their
+  workloads, as ``run_lineup`` prices them for the figures.  MegaBlocks
+  ships fp16 kernels only, so Figure 8's fp32 lineup omits it; Figure 12's
+  large-4096 row holds its out-of-memory boundary.
 * ``training`` — ``sparse_training_step("pit", ...)`` at four of Figure
   15's points.
 
@@ -76,6 +77,16 @@ NM_POLICIES = {"deterministic": (), "learned": ("learned", 4, 0)}
 #: lineup drops MegaBlocks.
 BASELINES = ("PyTorch", "PyTorch-S", "Tutel", "DeepSpeed", "MegaBlocks")
 BASELINES_FP32 = BASELINES[:-1]
+#: Figures 10-14's lineups without PIT, as ``benchmarks/bench_fig1*.py``
+#: run them: TurboTransformer joins in Figure 11, Longformer-S in Figure 12.
+DENSE_BASELINES = ("PyTorch", "PyTorch-S", "DeepSpeed")
+FIGURE_BASELINES = {
+    "fig10": DENSE_BASELINES,
+    "fig11": DENSE_BASELINES + ("TurboTransformer",),
+    "fig12": ("PyTorch", "PyTorch-S", "Longformer-S", "DeepSpeed"),
+    "fig13": DENSE_BASELINES,
+    "fig14": DENSE_BASELINES,
+}
 
 
 def _figure_cases() -> dict:
@@ -247,11 +258,13 @@ def record_baselines() -> dict:
     out = {}
     last_build = workload = None
     for name, (build, spec, dtype, kwargs) in FIGURE_CASES.items():
-        if not name.startswith(("fig8-", "fig9-")):
-            continue
         if build is not last_build:
             last_build, workload = build, build()
-        lineup = BASELINES if dtype == "float16" else BASELINES_FP32
+        figure = name.split("-")[0]
+        if figure in FIGURE_BASELINES:
+            lineup = FIGURE_BASELINES[figure]
+        else:
+            lineup = BASELINES if dtype == "float16" else BASELINES_FP32
         out[name] = {
             report.backend: _run(report)
             for report in run_lineup(workload, lineup, spec, dtype, **kwargs)

@@ -13,25 +13,22 @@ Five properties carry the cluster subsystem:
   processes reproduces the golden decision traces
   (``tests/fixtures/decision_goldens.json``), timings included, over
   seeds, heterogeneous lineups and injected faults.
-* **Single-flight plan sync** — N workers pay the cold-search bill of
-  one process; deltas keep every replica warm.
-* **Crash resilience** — a SIGKILL'd worker routes through
+* **Plan sync** — N workers pay the cold-search bill of one process;
+  deltas keep every replica warm.
+* **Worker failure** — a worker that dies mid-dispatch routes through
   ``resolve_failure`` exactly like an injected crash: zero lost
-  requests, a counted failover, and the quarantine -> half-open ->
-  healthy ladder once the worker respawns.
+  requests, a counted failover and a quarantined replica; a failed
+  start-up leaves no worker process behind.
 """
 
-import asyncio
 import dataclasses
 import json
 import multiprocessing
 import os
-import signal
 import socket
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +40,6 @@ from repro.hw import V100
 from repro.models import bert_workload, switch_workload
 from repro.models.workloads import longformer_workload, opt_inference_workload
 from repro.runtime import (
-    ClusterConfig,
-    ClusterFrontend,
     InferenceRequest,
     ResilienceConfig,
     ServingEngine,
@@ -52,7 +47,6 @@ from repro.runtime import (
     cluster_replay_trace,
     decision_trace,
     replay_trace,
-    serve_cluster,
 )
 from repro.runtime.cluster import worker as cluster_worker
 from repro.runtime.cluster.codec import (
@@ -64,12 +58,7 @@ from repro.runtime.cluster.codec import (
     encode_wire,
 )
 from repro.runtime.cluster.transport import channel_pair
-from repro.runtime.resilience import (
-    HALF_OPEN,
-    HEALTHY,
-    QUARANTINED,
-    WorkerCrashFault,
-)
+from repro.runtime.resilience import QUARANTINED, WorkerCrashFault
 from repro.sparsity import Router, drop_overflow
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -215,7 +204,6 @@ class TestCodec:
             attempt=1,
             start_us=500.0,
             replica_id=2,
-            await_keys=[("plan", "proj")],
         )
         json.dumps(message)  # must not raise
 
@@ -419,132 +407,46 @@ class TestClusterReplayEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Live serving over real processes
+# Worker failure: a dead process is just another crash fault
 # ----------------------------------------------------------------------
-class TestLiveCluster:
-    def test_live_fleet_shares_cold_searches(self):
-        workload = bert_workload("mnli", 2, seed=0)
-        single = make_engine(replicas=1, max_batch_size=1)
-        single_report = serve_cluster(single, [workload] * 4)
-        assert all(r.ok for r in single_report.requests)
-        single_misses = sum(b.cache_misses for b in single_report.batches)
-
-        fleet = make_engine(replicas=2, max_batch_size=1)
-        fleet_report = serve_cluster(fleet, [workload] * 4)
-        assert all(r.ok for r in fleet_report.requests)
-        fleet_misses = sum(b.cache_misses for b in fleet_report.batches)
-
-        assert single_misses > 0
-        # Identical signatures everywhere: the owner searches once and the
-        # delta keeps every other batch (on either worker) warm.
-        assert fleet_misses == single_misses
-        # The host cache absorbed the deltas too.
-        assert len(fleet.plan_cache) > 0
-
-    def test_live_report_covers_every_request(self):
-        engine = make_engine(replicas=2)
-        workloads = [
-            bert_workload("mnli", 2, seed=i) if i % 2 else
-            switch_workload(8, batch_size=2, seed=i)
-            for i in range(4)
-        ]
-        report = serve_cluster(engine, workloads)
-        assert len(report.requests) == 4
-        assert all(r.ok for r in report.requests)
-        ids = [r.request_id for r in report.requests]
-        assert len(set(ids)) == len(ids)
-
-
-# ----------------------------------------------------------------------
-# SIGKILL chaos: a real dead process is just another crash fault
-# ----------------------------------------------------------------------
-class TestWorkerKill:
-    def test_sigkill_routes_through_resolve_failure(self, monkeypatch):
-        # Each worker sleeps before executing a dispatch, widening the
-        # window to SIGKILL it mid-batch.  The patch is in place before
-        # the workers fork, so every worker (respawns too) inherits it.
+class TestWorkerFailure:
+    def test_worker_dying_mid_dispatch_fails_over(self, monkeypatch):
+        # The patch is in place before the workers fork, so replica 1's
+        # worker exits the moment a dispatch reaches it.
         run_dispatch = cluster_worker._run_dispatch
 
-        def slow_dispatch(*args):
-            time.sleep(0.25)
-            return run_dispatch(*args)
+        def exit_on_replica_1(engine, cache, message):
+            if message["replica_id"] == 1:
+                os._exit(9)
+            return run_dispatch(engine, cache, message)
 
-        monkeypatch.setattr(cluster_worker, "_run_dispatch", slow_dispatch)
-        resilience = ResilienceConfig(
-            max_retries=2,
-            retry_backoff_us=1000.0,
-            failure_detect_us=100.0,
-            quarantine_after=1,
-            quarantine_us=200_000.0,
-            suspect_penalty_us=1000.0,
-        )
+        monkeypatch.setattr(cluster_worker, "_run_dispatch", exit_on_replica_1)
         engine = make_engine(
-            replicas=2, max_batch_size=1, resilience=resilience
+            max_batch_size=1,
+            resilience=ResilienceConfig(max_retries=2, quarantine_after=1),
         )
-        cluster = ClusterConfig(
-            heartbeat_interval_s=0.02, heartbeat_timeout_s=0.25
+        engine.submit_many(
+            [bert_workload("mnli", 2)] * 4, interarrival_us=100.0
         )
+        report = cluster_replay_trace(engine)
 
-        async def run():
-            frontend = ClusterFrontend(engine, cluster=cluster)
-            await frontend.start()
-            try:
-                # Warm wave: both replicas execute, plans sync.
-                warm = [
-                    await frontend.submit(bert_workload("mnli", 2, seed=s))
-                    for s in (0, 1)
-                ]
-                await frontend.drain()
-                await asyncio.gather(*warm)
-
-                # Victim dispatch: wait until it is on the wire, then
-                # SIGKILL the worker mid-execution.
-                fut = await frontend.submit(bert_workload("mnli", 2, seed=2))
-                victim = None
-                for _ in range(400):
-                    for replica_id in (0, 1):
-                        if frontend.dispatch_inflight(replica_id) is not None:
-                            victim = replica_id
-                            break
-                    if victim is not None:
-                        break
-                    await asyncio.sleep(0.005)
-                assert victim is not None, "dispatch never reached a worker"
-                pid = frontend.worker_pid(victim)
-                os.kill(pid, signal.SIGKILL)
-                await frontend.drain()
-                victim_report = await fut
-
-                # Give the respawned worker time to pass quarantine.
-                await asyncio.sleep(0.35)
-                burst = [
-                    await frontend.submit(bert_workload("mnli", 2, seed=s))
-                    for s in range(3, 9)
-                ]
-                await frontend.drain()
-                burst_reports = await asyncio.gather(*burst)
-                return frontend.report(), victim, victim_report, burst_reports
-            finally:
-                await frontend.stop()
-
-        report, victim, victim_report, burst_reports = asyncio.run(run())
-
-        # Zero lost requests: the killed batch retried onto the peer.
-        assert victim_report.ok
-        assert victim_report.retries >= 1
-        assert all(r.ok for r in burst_reports)
-        assert len(report.requests) == 9
+        assert len(report.requests) == 4
         assert all(r.ok for r in report.requests)
-        ids = [r.request_id for r in report.requests]
-        assert len(set(ids)) == len(ids)
+        assert report.retries >= 1
         assert report.failovers >= 1
-
-        # The breaker walked the same ladder an injected crash walks.
         states = [
             state for _, replica_id, state in report.health_timeline
-            if replica_id == victim
+            if replica_id == 1
         ]
         assert QUARANTINED in states
-        tail = states[states.index(QUARANTINED):]
-        assert HALF_OPEN in tail
-        assert HEALTHY in tail[tail.index(HALF_OPEN):]
+
+    def test_failed_startup_shuts_every_worker_down(self, monkeypatch):
+        monkeypatch.setattr(
+            cluster_worker.WorkerProcess, "ping",
+            lambda self, timeout=None: False,
+        )
+        engine = make_engine()
+        engine.submit(bert_workload("mnli", 2))
+        with pytest.raises(WorkerLostError):
+            cluster_replay_trace(engine)
+        assert multiprocessing.active_children() == []
