@@ -72,8 +72,9 @@ class ModelBackend:
         self.tiledb = shared_tiledb(spec, dtype, tensor_core=self.tensor_core)
         self._fusion_active = False
 
-    def set_fusion(self, active: bool) -> None:
-        """Engine hook: enable inference-layer fusion memory savings.
+    def set_fusion(self, active: bool, lengths=None) -> None:
+        """Engine hook at run start (given the run's ``lengths``) and at run
+        end: enable inference-layer fusion memory savings.
 
         Only takes effect on backends with ``fuses_inference_layers`` — and
         only at inference; training must keep activations for backward

@@ -26,7 +26,7 @@ from ..core.detector import index_construction_time_us
 from ..core.kernels import kernel_from_choice
 from ..core.plan import Planner, PlanSpec, ResolvedPlan
 from ..core.selection import PermutedChoice
-from ..hw.costmodel import elementwise_time_us
+from ..hw.costmodel import elementwise_time_us, layernorm_time_us
 from ..hw.memtracker import MemoryTracker
 from ..hw.spec import dtype_bytes
 from ..hw.timeline import ExecReport
@@ -64,15 +64,29 @@ class PITBackend(ModelBackend):
         #: index is shared by every layer (the structures do not change
         #: within a forward pass).
         self._detected: set = set()
+        self._run_facts = None
 
-    def set_fusion(self, active: bool) -> None:
-        super().set_fusion(active)
+    def set_fusion(self, active: bool, lengths=None) -> None:
+        super().set_fusion(active, lengths)
         self._detected.clear()  # engine calls this at run start/end
+        # The run's token facts, read only for its own ``lengths`` object.
+        self._run_facts = None
+        if lengths is not None:
+            self._run_facts = (lengths, self._token_facts(lengths))
+
+    def _token_facts(self, lengths) -> tuple:
+        """(real tokens, batch size, max length) of ``lengths``."""
+        if self._run_facts is not None and self._run_facts[0] is lengths:
+            return self._run_facts[1]
+        lengths = np.asarray(lengths)
+        if not lengths.size:
+            return 0, 0, 0
+        return int(lengths.sum()), int(lengths.size), int(lengths.max())
 
     # ------------------------------------------------------------------
     def padded_tokens(self, lengths) -> int:
         """PIT computes on exactly the real tokens."""
-        return int(np.asarray(lengths).sum()) if np.asarray(lengths).size else 0
+        return self._token_facts(lengths)[0]
 
     def _detector_us(self, rows: int, cols: int, num_microtiles: int) -> float:
         return index_construction_time_us(
@@ -88,27 +102,28 @@ class PITBackend(ModelBackend):
         return self._detector_us(rows, cols, num_microtiles)
 
     def layernorm(self, lengths, d_model: int) -> list:
-        reports = super().layernorm(lengths, d_model)
-        return [
-            ExecReport(op=r.op, latency_us=r.latency_us * self.FUSION_LAUNCH_SAVING)
-            for r in reports
-        ]
+        latency = layernorm_time_us(
+            self.padded_tokens(lengths), d_model, self.dtype, self.spec
+        )
+        return [ExecReport(
+            op="layernorm", latency_us=latency * self.FUSION_LAUNCH_SAVING
+        )]
 
     def pointwise(self, lengths, d_model: int, *, label: str = "residual") -> list:
-        reports = super().pointwise(lengths, d_model, label=label)
-        return [
-            ExecReport(op=r.op, latency_us=r.latency_us * self.FUSION_LAUNCH_SAVING)
-            for r in reports
-        ]
+        latency = elementwise_time_us(
+            self.padded_tokens(lengths) * d_model, self.dtype, self.spec,
+            num_inputs=2,
+        )
+        return [ExecReport(
+            op=label, latency_us=latency * self.FUSION_LAUNCH_SAVING
+        )]
 
     # ------------------------------------------------------------------
     def linear(
         self, lengths, in_f: int, out_f: int,
         *, label: str = "linear", mem: Optional[MemoryTracker] = None,
     ) -> list:
-        tokens = self.padded_tokens(lengths)
-        batch = int(np.asarray(lengths).size)
-        max_len = int(np.asarray(lengths).max()) if batch else 0
+        tokens, batch, max_len = self._token_facts(lengths)
         latency = self._matmul_us(tokens, in_f, out_f)
         # Detect real-token rows once per *batch*: one pass over the
         # token->row map (int32 per padded row).  The token structure does
@@ -350,19 +365,13 @@ class PITBackend(ModelBackend):
             max(32, routing.num_tokens // max(1, routing.num_experts)),
             d_model, d_ff,
         ).tile
-        steps_up = 0
-        steps_down = 0
-        tiles_up = 0
-        tiles_down = 0
-        for count in routing.counts:
-            count = int(count)
-            if count == 0:
-                continue
-            m_tiles = math.ceil(count / tile.tm)
-            tiles_up += m_tiles * math.ceil(d_ff / tile.tn)
-            steps_up += m_tiles * math.ceil(d_ff / tile.tn) * math.ceil(d_model / tile.tk)
-            tiles_down += m_tiles * math.ceil(d_model / tile.tn)
-            steps_down += m_tiles * math.ceil(d_model / tile.tn) * math.ceil(d_ff / tile.tk)
+        # Every expert's row tiles times the same column tiles and k-steps:
+        # sum the row tiles once (exact integers), then scale.
+        m_tiles = int((-(-routing.counts // tile.tm)).sum())
+        tiles_up = m_tiles * math.ceil(d_ff / tile.tn)
+        steps_up = tiles_up * math.ceil(d_model / tile.tk)
+        tiles_down = m_tiles * math.ceil(d_model / tile.tn)
+        steps_down = tiles_down * math.ceil(d_ff / tile.tk)
         detector = self._detector_us(routing.num_tokens, 1, routing.num_tokens)
         up = self._tiled_matmul_us(steps_up, tiles_up, tile)
         act = elementwise_time_us(routing.num_tokens * d_ff, self.dtype, self.spec)

@@ -51,7 +51,10 @@ class MemoryTracker:
     def __init__(self, spec: GPUSpec, *, enforce_capacity: bool = True):
         self.spec = spec
         self.enforce_capacity = enforce_capacity
+        self._capacity = spec.mem_capacity_bytes()
         self._live: dict[int, Allocation] = {}
+        #: category -> {handle: allocation}, the same live allocations.
+        self._by_category: dict[str, dict[int, Allocation]] = {}
         self._next_handle = 0
         self.current_bytes = 0
         self.peak_bytes = 0
@@ -65,12 +68,13 @@ class MemoryTracker:
         num_bytes = int(num_bytes)
         if num_bytes < 0:
             raise ValueError("allocation size must be non-negative")
-        capacity = self.spec.mem_capacity_bytes()
+        capacity = self._capacity
         if self.enforce_capacity and self.current_bytes + num_bytes > capacity:
             raise OutOfMemoryError(num_bytes, self.current_bytes, capacity, label)
         handle = self._next_handle
         self._next_handle += 1
-        self._live[handle] = Allocation(label, num_bytes, category)
+        alloc = self._live[handle] = Allocation(label, num_bytes, category)
+        self._by_category.setdefault(category, {})[handle] = alloc
         self.current_bytes += num_bytes
         self.peak_bytes = max(self.peak_bytes, self.current_bytes)
         return handle
@@ -80,15 +84,16 @@ class MemoryTracker:
         alloc = self._live.pop(handle, None)
         if alloc is None:
             raise KeyError(f"unknown or already-freed allocation handle {handle}")
+        del self._by_category[alloc.category][handle]
         self.current_bytes -= alloc.num_bytes
 
     def free_category(self, category: str) -> int:
         """Release every live allocation in ``category``; returns bytes freed."""
-        handles = [h for h, a in self._live.items() if a.category == category]
         freed = 0
-        for handle in handles:
-            freed += self._live[handle].num_bytes
-            self.free(handle)
+        for handle, alloc in self._by_category.pop(category, {}).items():
+            del self._live[handle]
+            freed += alloc.num_bytes
+        self.current_bytes -= freed
         return freed
 
     def by_category(self) -> dict[str, int]:

@@ -91,8 +91,7 @@ class _Block:
         if mem is not None:
             for num_bytes, label, category in self.allocs:
                 mem.alloc(num_bytes, label, category=category)
-        for r in self.reports:
-            timeline.add(r)
+        timeline.reports.extend(self.reports)
 
 
 def _attention_ops(backend: ModelBackend, workload: Workload, mem) -> list:
@@ -191,7 +190,8 @@ def run_transformer(
     dense FFN block at layer >= 1 are priced; every later layer replays
     their reports and allocations.  Layer 0 is never a replay source: it
     pays the backend's once-per-batch first-use charges.  MoE blocks are
-    always priced, because routing differs per layer.
+    always priced, because routing differs per layer.  At inference, a run
+    of replayed dense layers that books nothing is handled in one step.
     """
     if mode not in ("inference", "training"):
         raise ValueError(f"mode must be inference|training, got {mode!r}")
@@ -201,7 +201,7 @@ def run_transformer(
     report = RunReport(model=cfg.name, backend=backend.name, mode=mode)
     mem = MemoryTracker(backend.spec, enforce_capacity=enforce_memory)
     timeline = Timeline()
-    backend.set_fusion(mode == "inference")
+    backend.set_fusion(mode == "inference", workload.lengths)
 
     try:
         if model_family_check and hasattr(backend, "check_model"):
@@ -230,7 +230,7 @@ def run_transformer(
         )
         mem.alloc(tokens * d * dsize, "embedding.out", category="activations")
 
-        allreduce = None
+        tail = ()  # the reports every layer ends with
         if devices > 1:
             # Two allreduces per layer move the token activations around
             # the ring.  A ring allreduce sends 2*(devices-1)/devices of
@@ -239,59 +239,62 @@ def run_transformer(
             comm_bytes = tokens * d * dsize
             ring_factor = 2.0 * (devices - 1) / devices
             comm_us = 2 * (ring_factor * comm_bytes / (NVLINK_GBS * 1e3))
-            allreduce = ExecReport(op="tp.allreduce", latency_us=comm_us)
+            tail = (ExecReport(op="tp.allreduce", latency_us=comm_us),)
 
         attn_src = ffn_src = None  # replay sources, priced at layer >= 1
-        # Inference only: current_bytes at the start of the last layer >= 1
-        # that booked both replay blocks in full.  A later layer that is a
-        # replay throughout and starts from the same bytes reaches the same
-        # in-layer peak (nothing is freed mid-layer), and its allocations
-        # die at the layer boundary, so it skips booking them.  Training
-        # never frees activations, so it books every replayed allocation.
+        # Inference only: current_bytes at the start of the last dense layer
+        # >= 1, which booked both of its blocks in full.  A run of later
+        # dense layers that starts from the same bytes replays both blocks,
+        # reaches the same in-layer peak (nothing is freed mid-layer) and
+        # leaves the tracker as it found it, so the whole run takes one
+        # step: its reports, one free and its last layer's output.
+        # Training never frees activations, so it never collapses.
         booked_start = None
-        for layer in range(total_layers):
+        layer = 0
+        while layer < total_layers:
             routing = workload.routing_for(layer)
             start_bytes = mem.current_bytes
-            book = not (
-                routing is None
-                and ffn_src is not None
-                and start_bytes == booked_start
-            )
-            replay_mem = mem if book else None
-
-            if attn_src is None:
-                block = _price_block(
-                    lambda m: _attention_ops(backend, workload, m), mem, devices
-                )
-                block.add_to(timeline)
-                if layer:
-                    attn_src = block
+            if routing is None and start_bytes == booked_start:
+                end = layer + 1
+                while end < total_layers and workload.routing_for(end) is None:
+                    end += 1
+                replay = attn_src.reports + ffn_src.reports + tail
+                timeline.reports.extend(replay * (end - layer))
+                layer = end - 1
             else:
-                attn_src.add_to(timeline, replay_mem)
+                if attn_src is None:
+                    block = _price_block(
+                        lambda m: _attention_ops(backend, workload, m),
+                        mem, devices,
+                    )
+                    block.add_to(timeline)
+                    if layer:
+                        attn_src = block
+                else:
+                    attn_src.add_to(timeline, mem)
 
-            if routing is not None or ffn_src is None:
-                block = _price_block(
-                    lambda m: _ffn_ops(backend, workload, layer, routing, m),
-                    mem,
-                    devices,
-                )
-                block.add_to(timeline)
-                if layer and routing is None:
-                    ffn_src = block
-            else:
-                ffn_src.add_to(timeline, replay_mem)
-
-            if allreduce is not None:
-                timeline.add(allreduce)
+                if routing is not None or ffn_src is None:
+                    block = _price_block(
+                        lambda m: _ffn_ops(backend, workload, layer, routing, m),
+                        mem,
+                        devices,
+                    )
+                    block.add_to(timeline)
+                    if layer and routing is None:
+                        ffn_src = block
+                else:
+                    ffn_src.add_to(timeline, mem)
+                timeline.reports.extend(tail)
 
             if mode == "inference":
-                if layer and routing is None and book:
+                if layer and routing is None:
                     booked_start = start_bytes
                 # Intra-layer activations die once the layer output exists.
                 mem.free_category("activations")
                 mem.free_category("conversion")
                 mem.free_category("padding")
                 mem.alloc(tokens * d * dsize, f"layer{layer}.out", "activations")
+            layer += 1
 
         if mode == "training":
             # Backward costs ~2x forward compute (two matmuls per forward

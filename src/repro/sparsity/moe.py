@@ -49,7 +49,9 @@ class RoutingResult:
         Systems disagree on how many tokens reach the MoE layer: padding
         systems route every padded position, PIT routes only real tokens.
         This rescales the per-expert counts proportionally (largest experts
-        absorb rounding) so all backends see the same load *shape*.
+        absorb rounding) so all backends see the same load *shape*.  A
+        capped routing (:func:`drop_overflow`) keeps dropping the same
+        share: only the scaled *routed* total is apportioned.
         """
         if num_tokens == self.num_tokens:
             return self
@@ -59,14 +61,24 @@ class RoutingResult:
             counts = np.zeros_like(self.counts)
             counts[0] = num_tokens
         else:
-            counts = np.floor(
-                self.counts * (num_tokens / self.num_tokens)
-            ).astype(int)
-            deficit = num_tokens - int(counts.sum())
-            order = np.argsort(-self.counts)
-            for i in range(deficit):
-                counts[order[i % order.size]] += 1
+            routed = int(self.counts.sum()) * num_tokens // self.num_tokens
+            counts = _apportion(
+                self.counts, num_tokens / self.num_tokens, routed
+            )
         return RoutingResult(counts=counts, num_tokens=num_tokens)
+
+
+def _apportion(counts: np.ndarray, scale: float, total: int) -> np.ndarray:
+    """``floor(counts * scale)``, topped up to ``total``: every expert gets
+    ``deficit // n`` more and the first ``deficit % n`` of the largest-first
+    order one more (the largest experts absorb rounding)."""
+    share = np.floor(counts * scale).astype(int)
+    deficit = total - int(share.sum())
+    if deficit > 0:
+        order = np.argsort(-counts)
+        share += deficit // order.size
+        share[order[: deficit % order.size]] += 1
+    return share
 
 
 def merge_routing(results) -> RoutingResult:
@@ -144,11 +156,7 @@ def routing_sample_mask(counts, rows: int) -> np.ndarray:
         share = np.zeros(counts.size, dtype=int)
         share[0] = rows
     else:
-        share = np.floor(counts * (rows / total)).astype(int)
-        deficit = rows - int(share.sum())
-        order = np.argsort(-counts)
-        for i in range(deficit):
-            share[order[i % order.size]] += 1
+        share = _apportion(counts, rows / total, rows)
     mask = np.zeros((rows, counts.size), dtype=bool)
     row_expert = np.repeat(np.arange(counts.size), share)
     mask[np.arange(rows), row_expert] = True

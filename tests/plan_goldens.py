@@ -22,6 +22,11 @@ Five sections, each a map from case name to its recorded outcome:
   workloads, as ``run_lineup`` prices them for the figures.  MegaBlocks
   ships fp16 kernels only, so Figure 8's fp32 lineup omits it; Figure 12's
   large-4096 row holds its out-of-memory boundary.
+
+  Every ``figures`` and ``baselines`` run also records its timeline: the
+  report count and a sha256 over each report's op and the ``repr`` of its
+  latency and convert time, in order.  The totals alone would not notice a
+  reordered or regrouped op sequence.
 * ``training`` — ``sparse_training_step("pit", ...)`` at four of Figure
   15's points.
 
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import json
 from pathlib import Path
 
@@ -204,12 +210,24 @@ def record_nm() -> dict:
     return out
 
 
+def _timeline_sha256(timeline) -> str:
+    """sha256 over each report's op, latency and convert time, in order."""
+    digest = hashlib.sha256()
+    for r in timeline.reports:
+        digest.update(
+            repr((r.op, repr(r.latency_us), repr(r.convert_us))).encode()
+        )
+    return digest.hexdigest()
+
+
 def _run(report) -> dict:
     return {
         "latency_ms": repr(report.latency_ms),
         "convert_ms": repr(report.convert_ms),
         "peak_mem_gib": repr(report.peak_mem_gib),
         "oom": report.oom,
+        "timeline_reports": len(report.timeline.reports),
+        "timeline_sha256": _timeline_sha256(report.timeline),
     }
 
 

@@ -1,7 +1,11 @@
 """Tests for the model-level backends (padding/conversion/fusion semantics)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     DeepSpeedBackend,
@@ -16,7 +20,8 @@ from repro.baselines import (
     length_buckets,
 )
 from repro.hw import A100, V100, MemoryTracker
-from repro.sparsity import Router, longformer_mask_stats
+from repro.hw.costmodel import elementwise_time_us
+from repro.sparsity import Router, RoutingResult, longformer_mask_stats
 
 
 LENGTHS = np.array([16, 40, 100, 128])
@@ -163,6 +168,57 @@ class TestMoE:
         assert total_us(tutel.moe_ffn(skew, 768, 3072)) > 2.0 * total_us(
             tutel.moe_ffn(even, 768, 3072)
         )
+
+
+def pit_moe_ffn_oracle(backend, routing, d_model, d_ff):
+    """``PITBackend.moe_ffn``'s latency, convert time and tile before its
+    tile sums were vectorized: one Python step per live expert."""
+    tile = backend.tiledb.best_dense_tile(
+        max(32, routing.num_tokens // max(1, routing.num_experts)),
+        d_model, d_ff,
+    ).tile
+    steps_up = steps_down = tiles_up = tiles_down = 0
+    for count in routing.counts:
+        count = int(count)
+        if count == 0:
+            continue
+        m_tiles = math.ceil(count / tile.tm)
+        tiles_up += m_tiles * math.ceil(d_ff / tile.tn)
+        steps_up += m_tiles * math.ceil(d_ff / tile.tn) * math.ceil(d_model / tile.tk)
+        tiles_down += m_tiles * math.ceil(d_model / tile.tn)
+        steps_down += m_tiles * math.ceil(d_model / tile.tn) * math.ceil(d_ff / tile.tk)
+    detector = backend._detector_us(routing.num_tokens, 1, routing.num_tokens)
+    up = backend._tiled_matmul_us(steps_up, tiles_up, tile)
+    act = elementwise_time_us(
+        routing.num_tokens * d_ff, backend.dtype, backend.spec
+    )
+    down = backend._tiled_matmul_us(steps_down, tiles_down, tile)
+    return up + act + down + detector, detector, tile.describe()
+
+
+class TestPITMoEOracle:
+    #: Devices and precisions with different profiled tile sets.
+    BACKENDS = (PITBackend(V100), PITBackend(A100, "float16"), PITBackend(A100))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3000), min_size=1, max_size=128),
+        st.integers(0, 500),
+        st.sampled_from(BACKENDS),
+        st.sampled_from([(768, 3072), (1024, 4096), (96, 200), (512, 1000)]),
+    )
+    def test_moe_ffn_matches_the_per_expert_loop(
+        self, counts, dropped, backend, dims
+    ):
+        """Zero and single-expert routings, capped routings (tokens that
+        reached the layer but no expert) and assorted tile shapes."""
+        counts = np.array(counts)
+        routing = RoutingResult(counts, int(counts.sum()) + dropped)
+        (report,) = backend.moe_ffn(routing, *dims)
+        latency, convert, tile = pit_moe_ffn_oracle(backend, routing, *dims)
+        assert report.latency_us == latency
+        assert report.convert_us == convert
+        assert report.detail == {"tile": tile}
 
 
 class TestFusionMemory:

@@ -267,15 +267,26 @@ class TestReplayEdgeCases:
         assert reference.ok
         assert replayed.peak_mem_gib == reference.peak_mem_gib
 
-    def test_layers_after_a_lone_moe_layer_book_again(self, workloads):
+    @pytest.mark.parametrize("moe_layer", [1, 3, 23], ids=lambda n: f"moe@{n}")
+    @pytest.mark.parametrize(
+        "factory, dtype",
+        [(TutelBackend, "float32"), (MegaBlocksBackend, "float16")],
+        ids=["tutel", "megablocks-fp16"],
+    )
+    def test_layers_after_a_lone_moe_layer_book_again(
+        self, workloads, factory, dtype, moe_layer
+    ):
         """Tutel's MoE workspace outlives its layer, so the dense layers
         after it start higher than the layer their blocks were priced in
-        and must book their replayed allocations to reach the true peak."""
+        and must book their replayed allocations to reach the true peak.
+        The lone MoE layer comes before the dense FFN source is priced
+        (layer 1), after it (3), or last, with no dense layer behind it."""
         switch = workloads["switch"]
+        assert switch.config.n_layers + switch.config.decoder_layers == 24
         workload = dataclasses.replace(
-            switch, routing_by_layer={3: switch.routing_for(3)}
+            switch, routing_by_layer={moe_layer: switch.routing_for(moe_layer)}
         )
-        reference, replayed = _pair(TutelBackend, "float32", workload)
+        reference, replayed = _pair(factory, dtype, workload)
         assert reference.ok
         assert fingerprint(replayed) == fingerprint(reference)
 
@@ -308,6 +319,10 @@ def _count_calls(backend, *names) -> Counter:
     return calls
 
 
+#: Every backend op ``run_transformer`` prices a layer through.
+PRICED_OPS = ("linear", "attention", "ffn", "moe_ffn", "layernorm", "pointwise")
+
+
 class TestPricedOncePerRun:
     def test_bert_base_prices_attention_twice(self, workloads):
         backend = PITBackend(V100)
@@ -323,6 +338,36 @@ class TestPricedOncePerRun:
         cfg = workloads["switch"].config
         assert cfg.n_layers + cfg.decoder_layers == 24
         assert calls == {"attention": 2, "ffn": 2, "moe_ffn": 12}
+
+    @pytest.mark.parametrize("workload_name", ["bert", "opt-act"])
+    def test_pricing_work_does_not_grow_with_depth(
+        self, workloads, workload_name, monkeypatch
+    ):
+        """Doubling the encoder stack adds timeline entries only: the same
+        backend ops, tracker allocations and category frees price it."""
+        for name in ("alloc", "free_category"):  # undone after the test
+            monkeypatch.setattr(MemoryTracker, name, getattr(MemoryTracker, name))
+        tracker = _count_calls(MemoryTracker, "alloc", "free_category")
+        workload = workloads[workload_name]
+        n_layers = workload.config.n_layers
+        work, report_counts = [], []
+        for depth in (n_layers, 2 * n_layers):
+            stacked = dataclasses.replace(
+                workload,
+                config=dataclasses.replace(workload.config, n_layers=depth),
+            )
+            backend = PITBackend(V100)
+            ops = _count_calls(backend, *PRICED_OPS)
+            tracker.clear()
+            report = run_transformer(stacked, backend)
+            assert report.ok
+            work.append((ops, Counter(tracker)))
+            report_counts.append(len(report.timeline.reports))
+        assert work[0] == work[1]
+        shallow, deep = report_counts
+        per_layer, rest = divmod(shallow - 1, n_layers)  # 1: the embedding
+        assert rest == 0 and per_layer == 14
+        assert deep - shallow == per_layer * n_layers
 
 
 def test_exec_report_is_frozen():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sparsity import (
     BERT_DATASETS,
@@ -10,6 +12,7 @@ from repro.sparsity import (
     PatternHitCounter,
     PruningSchedule,
     Router,
+    RoutingResult,
     as_mask_stats,
     capacity_tokens,
     drop_overflow,
@@ -27,6 +30,24 @@ from repro.sparsity import (
     relu_activation_mask,
     sliding_window_mask,
     two_four_mask,
+)
+from repro.sparsity.moe import _apportion, routing_sample_mask
+
+
+def deficit_loop(counts, scale, total):
+    """The apportioning loop ``scaled_to`` and ``routing_sample_mask`` ran
+    before it was vectorized: one token at a time, largest expert first."""
+    share = np.floor(counts * scale).astype(int)
+    deficit = total - int(share.sum())
+    order = np.argsort(-counts)
+    for i in range(deficit):
+        share[order[i % order.size]] += 1
+    return share
+
+
+#: Per-expert loads: zeros, a single expert and up to 64 experts.
+expert_counts = st.lists(st.integers(0, 5000), min_size=1, max_size=64).map(
+    np.array
 )
 
 
@@ -196,6 +217,56 @@ class TestMoE:
             Router(0)
         with pytest.raises(ValueError):
             capacity_tokens(10, 2, 0)
+
+    def test_scaled_capped_routing_keeps_dropping(self):
+        """Rescaling a capped routing apportions its routed tokens only: the
+        dropped share stays dropped, so the capped experts stay within one
+        token of the capacity scaled by the same factor (20 here)."""
+        capped = drop_overflow(Router(16, seed=1).route(512, seed=3), 40)
+        assert capped.counts.sum() == 157
+        scaled = capped.scaled_to(256)
+        assert scaled.num_tokens == 256
+        assert scaled.counts.sum() == 157 * 256 // 512
+        assert np.all(np.abs(scaled.counts - capped.counts * 256 / 512) <= 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        expert_counts,
+        st.floats(0.01, 4.0),
+        st.integers(0, 200),
+    )
+    def test_apportion_matches_the_loop(self, counts, scale, extra):
+        """``extra`` tokens beyond the floors: a deficit of zero, below the
+        expert count and several times it."""
+        total = int(np.floor(counts * scale).astype(int).sum()) + extra
+        got = _apportion(counts, scale, total)
+        expected = deficit_loop(counts, scale, total)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(expert_counts, st.integers(0, 20000))
+    def test_scaled_to_matches_the_loop(self, counts, num_tokens):
+        routing = RoutingResult(counts=counts, num_tokens=int(counts.sum()))
+        scaled = routing.scaled_to(num_tokens)
+        assert scaled.num_tokens == num_tokens
+        if routing.num_tokens == 0 or num_tokens == routing.num_tokens:
+            return  # the loop never ran on these paths
+        expected = deficit_loop(counts, num_tokens / routing.num_tokens,
+                                num_tokens)
+        assert np.array_equal(scaled.counts, expected)
+        assert int(scaled.counts.sum()) == num_tokens
+
+    @settings(max_examples=100, deadline=None)
+    @given(expert_counts, st.integers(1, 512))
+    def test_routing_sample_mask_matches_the_loop(self, counts, rows):
+        mask = routing_sample_mask(counts, rows)
+        assert mask.shape == (rows, counts.size)
+        assert np.array_equal(mask.sum(axis=1), np.ones(rows))
+        total = int(counts.sum())
+        if total:
+            share = deficit_loop(counts, rows / total, rows)
+            assert np.array_equal(mask.sum(axis=0), share)
 
 
 class TestPruning:
