@@ -43,12 +43,16 @@ class ModelBackend:
     Subclasses override the padding/conversion/sparsity behaviour; every
     shared cost helper lives here so backends stay commensurate.
 
-    Pricing contract: the engine prices one attention block and one dense
-    FFN block per run and replays them for every later layer (see
-    :func:`repro.runtime.engine.run_transformer`).  A backend's pricing of
-    a layer may therefore depend on per-run state only through first-use
-    charges paid in layer 0, like :class:`~repro.baselines.PITBackend`'s
-    once-per-batch detector passes.
+    Pricing contract: the engine prices layer 0's blocks and replays them
+    for every later layer, re-pricing only what the contract allows to
+    differ (see :func:`repro.runtime.engine.run_transformer`):
+
+    * a first-use charge, like :class:`~repro.baselines.PITBackend`'s
+      once-per-batch detector passes, shows as Convert time
+      (``convert_us``) on the op that pays it;
+    * an op with no Convert time in layer 0 prices identically in every
+      later layer;
+    * in an MoE block, only :meth:`moe_ffn` reads the routing.
     """
 
     name = "PyTorch"
@@ -71,6 +75,8 @@ class ModelBackend:
         self.tensor_core = dtype == "float16" and spec.has_tensor_cores
         self.tiledb = shared_tiledb(spec, dtype, tensor_core=self.tensor_core)
         self._fusion_active = False
+        #: (tile, load_efficiency) -> (step, fixed) times: device constants.
+        self._tile_times: dict = {}
 
     def set_fusion(self, active: bool, lengths=None) -> None:
         """Engine hook at run start (given the run's ``lengths``) and at run
@@ -116,11 +122,17 @@ class ModelBackend:
         """Latency of a fused kernel given its tile workload."""
         if total_steps <= 0:
             return self.spec.kernel_launch_us
-        step = matmul_step_time_us(
-            tile, self.dtype, self.spec,
-            tensor_core=self.tensor_core, load_efficiency=load_efficiency,
-        )
-        fixed = matmul_tile_fixed_time_us(tile, self.dtype, self.spec)
+        times = self._tile_times.get((tile, load_efficiency))
+        if times is None:
+            times = self._tile_times[tile, load_efficiency] = (
+                matmul_step_time_us(
+                    tile, self.dtype, self.spec,
+                    tensor_core=self.tensor_core,
+                    load_efficiency=load_efficiency,
+                ),
+                matmul_tile_fixed_time_us(tile, self.dtype, self.spec),
+            )
+        step, fixed = times
         step_waves = math.ceil(total_steps / self.spec.num_sms)
         tile_waves = math.ceil(out_tiles / self.spec.num_sms)
         return step_waves * step + tile_waves * fixed + self.spec.kernel_launch_us

@@ -65,10 +65,14 @@ class PITBackend(ModelBackend):
         #: within a forward pass).
         self._detected: set = set()
         self._run_facts = None
+        #: Op constants of the current run (MoE constants, variable-length
+        #: attention terms): later calls in the run look them up.
+        self._run_consts: dict = {}
 
     def set_fusion(self, active: bool, lengths=None) -> None:
         super().set_fusion(active, lengths)
         self._detected.clear()  # engine calls this at run start/end
+        self._run_consts.clear()
         # The run's token facts, read only for its own ``lengths`` object.
         self._run_facts = None
         if lengths is not None:
@@ -219,6 +223,8 @@ class PITBackend(ModelBackend):
         """(covered_fraction, num_microtiles) of a (1, 32)-micro-tile cover
         over a ReLU activation mask.  Sampled once per configuration — the
         cover fraction concentrates tightly for i.i.d.-ish masks."""
+        if not tokens:
+            return 0.0, 0  # an empty activation covers nothing
         sample_rows = min(tokens, 2048)
 
         def compute():
@@ -285,7 +291,6 @@ class PITBackend(ModelBackend):
         mem: Optional[MemoryTracker] = None,
     ) -> list:
         lengths = np.asarray(lengths)
-        batch = int(lengths.size)
         if attn_mask is None:
             return self._attention_varlen(lengths, heads, head_dim, causal, mem)
         return self._attention_masked(
@@ -294,13 +299,23 @@ class PITBackend(ModelBackend):
 
     def _attention_varlen(self, lengths, heads, head_dim, causal, mem) -> list:
         """Per-sequence exact-length attention (no padding waste)."""
-        factor = 0.5 if causal else 1.0
-        score_elems = float((lengths.astype(float) ** 2).sum()) * factor
-        bh_tokens = int(lengths.sum())
-        qk = self._scores_matmul_us(score_elems * heads, head_dim)
-        # Softmax streams exactly the computed scores (no padded rows).
-        sm = self._stream_scores_us(score_elems * heads, passes=3)
-        pv = self._scores_matmul_us(score_elems * heads, head_dim)
+        key = ("varlen", heads, head_dim, causal)
+        in_run = self._run_facts is not None and self._run_facts[0] is lengths
+        terms = self._run_consts.get(key) if in_run else None
+        if terms is None:
+            factor = 0.5 if causal else 1.0
+            score_elems = float((lengths.astype(float) ** 2).sum()) * factor
+            terms = (
+                score_elems,
+                int(lengths.sum()),
+                self._scores_matmul_us(score_elems * heads, head_dim),
+                # Softmax streams exactly the computed scores (no padding).
+                self._stream_scores_us(score_elems * heads, passes=3),
+            )
+            if in_run:
+                self._run_consts[key] = terms
+        score_elems, bh_tokens, qk, sm = terms
+        pv = qk  # the same score-tile matmul shape as QK^T
         detector = self._detector_once_us("attn-varlen", bh_tokens, 1, bh_tokens)
         self._alloc(mem, int(score_elems * heads), "attn.scores")
         self._alloc(mem, bh_tokens * heads * head_dim, "attn.out")
@@ -361,28 +376,38 @@ class PITBackend(ModelBackend):
     ) -> list:
         """Grouped sparse expert FFN: SRead tokens per expert, dense tiles,
         SWrite back — cost follows total tokens, not the busiest expert."""
-        tile = self.tiledb.best_dense_tile(
-            max(32, routing.num_tokens // max(1, routing.num_experts)),
-            d_model, d_ff,
-        ).tile
+        tokens = routing.num_tokens
+        key = ("moe", tokens, routing.num_experts, d_model, d_ff)
+        consts = self._run_consts.get(key)
+        if consts is None:
+            tile = self.tiledb.best_dense_tile(
+                max(32, tokens // max(1, routing.num_experts)), d_model, d_ff,
+            ).tile
+            consts = (
+                tile,
+                math.ceil(d_ff / tile.tn), math.ceil(d_model / tile.tk),
+                math.ceil(d_model / tile.tn), math.ceil(d_ff / tile.tk),
+                self._detector_us(tokens, 1, tokens),
+                elementwise_time_us(tokens * d_ff, self.dtype, self.spec),
+                tile.describe(),
+            )
+            if self._run_facts is not None:
+                self._run_consts[key] = consts
+        tile, cols_up, k_up, cols_down, k_down, detector, act, name = consts
         # Every expert's row tiles times the same column tiles and k-steps:
         # sum the row tiles once (exact integers), then scale.
         m_tiles = int((-(-routing.counts // tile.tm)).sum())
-        tiles_up = m_tiles * math.ceil(d_ff / tile.tn)
-        steps_up = tiles_up * math.ceil(d_model / tile.tk)
-        tiles_down = m_tiles * math.ceil(d_model / tile.tn)
-        steps_down = tiles_down * math.ceil(d_ff / tile.tk)
-        detector = self._detector_us(routing.num_tokens, 1, routing.num_tokens)
-        up = self._tiled_matmul_us(steps_up, tiles_up, tile)
-        act = elementwise_time_us(routing.num_tokens * d_ff, self.dtype, self.spec)
-        down = self._tiled_matmul_us(steps_down, tiles_down, tile)
-        self._alloc(mem, routing.num_tokens * d_ff, "moe.hidden")
-        self._alloc(mem, routing.num_tokens * d_model, "moe.out")
+        tiles_up = m_tiles * cols_up
+        tiles_down = m_tiles * cols_down
+        up = self._tiled_matmul_us(tiles_up * k_up, tiles_up, tile)
+        down = self._tiled_matmul_us(tiles_down * k_down, tiles_down, tile)
+        self._alloc(mem, tokens * d_ff, "moe.hidden")
+        self._alloc(mem, tokens * d_model, "moe.out")
         return [
             ExecReport(
                 op="moe.pit_grouped",
                 latency_us=up + act + down + detector,
                 convert_us=detector,
-                detail={"tile": tile.describe()},
+                detail={"tile": name},
             )
         ]

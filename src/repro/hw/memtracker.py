@@ -11,8 +11,6 @@ padding buffers and format-conversion workspaces through a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .spec import GPUSpec
 
 
@@ -32,35 +30,27 @@ class OutOfMemoryError(RuntimeError):
         )
 
 
-@dataclass
-class Allocation:
-    """One live allocation."""
-
-    label: str
-    num_bytes: int
-    category: str
-
-
 class MemoryTracker:
-    """Tracks live allocations and the peak footprint against a device.
+    """Tracks live bytes per category and the peak footprint against a device.
 
     Categories let reports split the footprint the way the paper discusses it
     (weights vs. activations vs. padding waste vs. conversion workspace).
+    Memory is released a whole category at a time, so the tracker keeps one
+    byte total per category and no per-allocation record.
     """
 
     def __init__(self, spec: GPUSpec, *, enforce_capacity: bool = True):
         self.spec = spec
         self.enforce_capacity = enforce_capacity
         self._capacity = spec.mem_capacity_bytes()
-        self._live: dict[int, Allocation] = {}
-        #: category -> {handle: allocation}, the same live allocations.
-        self._by_category: dict[str, dict[int, Allocation]] = {}
-        self._next_handle = 0
+        #: category -> live bytes, in the order the categories were booked.
+        self._bytes: dict[str, int] = {}
         self.current_bytes = 0
         self.peak_bytes = 0
 
-    def alloc(self, num_bytes: int, label: str = "", category: str = "other") -> int:
-        """Allocate ``num_bytes``; returns a handle for :meth:`free`.
+    def alloc(self, num_bytes: int, label: str = "", category: str = "other") -> None:
+        """Allocate ``num_bytes`` in ``category``; ``label`` names the
+        allocation in the error.
 
         Raises :class:`OutOfMemoryError` if the device capacity would be
         exceeded and enforcement is on.
@@ -68,40 +58,23 @@ class MemoryTracker:
         num_bytes = int(num_bytes)
         if num_bytes < 0:
             raise ValueError("allocation size must be non-negative")
-        capacity = self._capacity
-        if self.enforce_capacity and self.current_bytes + num_bytes > capacity:
-            raise OutOfMemoryError(num_bytes, self.current_bytes, capacity, label)
-        handle = self._next_handle
-        self._next_handle += 1
-        alloc = self._live[handle] = Allocation(label, num_bytes, category)
-        self._by_category.setdefault(category, {})[handle] = alloc
-        self.current_bytes += num_bytes
-        self.peak_bytes = max(self.peak_bytes, self.current_bytes)
-        return handle
-
-    def free(self, handle: int) -> None:
-        """Release a previous allocation."""
-        alloc = self._live.pop(handle, None)
-        if alloc is None:
-            raise KeyError(f"unknown or already-freed allocation handle {handle}")
-        del self._by_category[alloc.category][handle]
-        self.current_bytes -= alloc.num_bytes
+        current = self.current_bytes + num_bytes
+        if current > self._capacity and self.enforce_capacity:
+            raise OutOfMemoryError(num_bytes, self.current_bytes, self._capacity, label)
+        self._bytes[category] = self._bytes.get(category, 0) + num_bytes
+        self.current_bytes = current
+        if current > self.peak_bytes:
+            self.peak_bytes = current
 
     def free_category(self, category: str) -> int:
         """Release every live allocation in ``category``; returns bytes freed."""
-        freed = 0
-        for handle, alloc in self._by_category.pop(category, {}).items():
-            del self._live[handle]
-            freed += alloc.num_bytes
+        freed = self._bytes.pop(category, 0)
         self.current_bytes -= freed
         return freed
 
     def by_category(self) -> dict[str, int]:
         """Live bytes per category."""
-        out: dict[str, int] = {}
-        for alloc in self._live.values():
-            out[alloc.category] = out.get(alloc.category, 0) + alloc.num_bytes
-        return out
+        return dict(self._bytes)
 
     @property
     def peak_gib(self) -> float:
@@ -110,7 +83,3 @@ class MemoryTracker:
     @property
     def current_gib(self) -> float:
         return self.current_bytes / (1 << 30)
-
-    def reset_peak(self) -> None:
-        """Reset the peak statistic to the current footprint."""
-        self.peak_bytes = self.current_bytes

@@ -10,6 +10,7 @@ conversion-overhead components of Figures 8-15 and 19).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Timeline:
 
     @property
     def total_us(self) -> float:
-        return sum(r.latency_us for r in self.reports)
+        return sum(map(attrgetter("latency_us"), self.reports))
 
     @property
     def total_ms(self) -> float:
@@ -65,7 +66,7 @@ class Timeline:
 
     @property
     def convert_us(self) -> float:
-        return sum(r.convert_us for r in self.reports)
+        return sum(map(attrgetter("convert_us"), self.reports))
 
     @property
     def convert_ms(self) -> float:

@@ -14,6 +14,7 @@ lines).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Optional
 
 from ..baselines.backends import ModelBackend, UnsupportedModelError
@@ -21,6 +22,7 @@ from ..hw.memtracker import MemoryTracker, OutOfMemoryError
 from ..hw.spec import dtype_bytes
 from ..hw.timeline import ExecReport, Timeline
 from ..models.workloads import Workload
+from ..sparsity.moe import scale_routings
 
 
 @dataclass
@@ -63,108 +65,128 @@ NVLINK_GBS = 130.0
 
 
 class _AllocRecorder:
-    """Books allocations into a tracker and records them for replay."""
+    """Records an op's allocations in call order, booking each into a
+    tracker first when given one."""
 
-    def __init__(self, mem: MemoryTracker):
+    def __init__(self, mem: Optional[MemoryTracker]):
         self._mem = mem
         self.allocs: list = []
 
-    def alloc(self, num_bytes: int, label: str = "", category: str = "other") -> int:
-        handle = self._mem.alloc(num_bytes, label, category=category)
+    def alloc(self, num_bytes: int, label: str = "", category: str = "other") -> None:
+        if self._mem is not None:
+            self._mem.alloc(num_bytes, label, category)
         self.allocs.append((num_bytes, label, category))
-        return handle
+
+
+def _book(mem: MemoryTracker, allocs) -> None:
+    """Book recorded allocations into ``mem``, in their order."""
+    for num_bytes, label, category in allocs:
+        mem.alloc(num_bytes, label, category)
 
 
 @dataclass(frozen=True)
 class _Block:
-    """One priced block of a layer: its reports (tensor-parallel division
-    already applied) and the allocations it booked, both in op order."""
+    """One priced block of a layer: per op, its reports (tensor-parallel
+    division already applied) and the allocations it made; and both
+    flattened, in op order."""
 
+    ops: tuple  # ((reports, allocs), ...)
     reports: tuple
     allocs: tuple
 
-    def add_to(
-        self, timeline: Timeline, mem: Optional[MemoryTracker] = None
-    ) -> None:
-        """Append the reports to ``timeline``; book the allocations again
-        into ``mem`` if one is given."""
-        if mem is not None:
-            for num_bytes, label, category in self.allocs:
-                mem.alloc(num_bytes, label, category=category)
-        timeline.reports.extend(self.reports)
 
-
-def _attention_ops(backend: ModelBackend, workload: Workload, mem) -> list:
-    """The attention block as ``[(reports, sharded)]``: LN, q/k/v,
-    attention, output projection, residual and LN."""
+def _attention_ops(backend: ModelBackend, workload: Workload) -> list:
+    """The attention block as ``[(op, sharded)]``, where ``op(mem)`` prices
+    one backend op: LN, q/k/v, attention, output projection, residual and
+    LN."""
     cfg, lengths = workload.config, workload.lengths
     d = cfg.d_model
-    ops = [(backend.layernorm(lengths, d), False)]
-    for name in ("attn.q", "attn.k", "attn.v"):
-        ops.append((backend.linear(lengths, d, d, label=name, mem=mem), True))
-    ops.append((
-        backend.attention(
-            lengths,
-            cfg.heads,
-            cfg.head_dim,
-            attn_mask=workload.attn_stats,
-            causal=cfg.causal,
-            mem=mem,
-        ),
-        True,
-    ))
-    ops.append((backend.linear(lengths, d, d, label="attn.proj", mem=mem), True))
-    ops.append((backend.pointwise(lengths, d), False))
-    ops.append((backend.layernorm(lengths, d), False))
-    return ops
+
+    def linear(name):
+        return lambda mem: backend.linear(lengths, d, d, label=name, mem=mem)
+
+    def attention(mem):
+        return backend.attention(
+            lengths, cfg.heads, cfg.head_dim, attn_mask=workload.attn_stats,
+            causal=cfg.causal, mem=mem,
+        )
+
+    layernorm = (lambda mem: backend.layernorm(lengths, d), False)
+    return [
+        layernorm,
+        *((linear(name), True) for name in ("attn.q", "attn.k", "attn.v")),
+        (attention, True),
+        (linear("attn.proj"), True),
+        (lambda mem: backend.pointwise(lengths, d), False),
+        layernorm,
+    ]
 
 
-def _ffn_ops(backend: ModelBackend, workload: Workload, layer: int, routing,
-             mem) -> list:
-    """The FFN block as ``[(reports, sharded)]``: the dense FFN or the MoE
-    experts, then the residual."""
+def _ffn_ops(backend: ModelBackend, workload: Workload, layer: int,
+             routing) -> list:
+    """The FFN block as ``[(op, sharded)]``: the dense FFN or the MoE
+    experts (``routing`` already rescaled to the backend's token count),
+    then the residual."""
     cfg, lengths = workload.config, workload.lengths
     d = cfg.d_model
     if routing is not None:
-        # Padding systems route every padded position; PIT routes only
-        # real tokens.  Rescale the canonical routing to this backend's
-        # effective token count.
-        routing = routing.scaled_to(backend.padded_tokens(lengths))
-        ffn = backend.moe_ffn(routing, d, cfg.d_ff, mem=mem)
+        def ffn(mem):
+            return backend.moe_ffn(routing, d, cfg.d_ff, mem=mem)
     else:
-        ffn = backend.ffn(
-            lengths,
-            d,
-            cfg.d_ff,
-            activation=cfg.activation,
-            act_sparsity=workload.act_sparsity,
-            seed=workload.seed * 31 + layer,
-            mem=mem,
-        )
-    return [(ffn, True), (backend.pointwise(lengths, d), False)]
+        def ffn(mem):
+            return backend.ffn(
+                lengths, d, cfg.d_ff, activation=cfg.activation,
+                act_sparsity=workload.act_sparsity,
+                seed=workload.seed * 31 + layer, mem=mem,
+            )
+    return [(ffn, True), (lambda mem: backend.pointwise(lengths, d), False)]
 
 
-def _price_block(ops, mem: MemoryTracker, devices: int) -> _Block:
-    """Price one block: ``ops(mem)`` calls the backend and returns
-    ``[(reports, sharded)]``.
+def _price(op, sharded: bool, recorder: _AllocRecorder,
+           devices: int) -> tuple:
+    """``(reports, allocs)`` of one op, its allocations made through
+    ``recorder``.
 
     Megatron-style TP shards only the weight-bearing matmuls (column/row-
     parallel projections, per-head attention, the FFN or MoE experts);
     layernorm, residual adds and other pointwise ops run replicated at full
-    size on every rank.  The division happens here, once per priced block.
+    size on every rank.  The division happens here, once per priced op.
     """
+    start = len(recorder.allocs)
+    reports = op(recorder)
+    if sharded and devices > 1:
+        reports = [replace(r, latency_us=r.latency_us / devices,
+                           convert_us=r.convert_us / devices) for r in reports]
+    return tuple(reports), tuple(recorder.allocs[start:])
+
+
+def _source(blocks: dict, key: str, ops: list, mem: MemoryTracker,
+            devices: int, layer: int) -> _Block:
+    """This layer's ``key`` block of ``ops``, booked into ``mem``.
+
+    The block priced at a layer >= 1 is final: every later layer replays
+    it.  It is priced from the block layer 0 priced, if any: only the ops
+    whose reports there carry Convert time (the first-use charges) are
+    priced again, and every other op replays its reports and books its
+    allocations again.
+    """
+    source, final = blocks.get(key, (None, False))
+    if final:
+        _book(mem, source.allocs)
+        return source
     recorder = _AllocRecorder(mem)
-    reports = []
-    for execs, sharded in ops(recorder):
-        for r in execs:
-            if sharded and devices > 1:
-                r = replace(
-                    r,
-                    latency_us=r.latency_us / devices,
-                    convert_us=r.convert_us / devices,
-                )
-            reports.append(r)
-    return _Block(tuple(reports), tuple(recorder.allocs))
+    priced, reports = [], []
+    for (op, sharded), old in zip(ops, source.ops if source else repeat(None)):
+        if old and not any(r.convert_us for r in old[0]):
+            for alloc in old[1]:
+                recorder.alloc(*alloc)
+        else:
+            old = _price(op, sharded, recorder, devices)
+        priced.append(old)
+        reports += old[0]
+    block = _Block(tuple(priced), tuple(reports), tuple(recorder.allocs))
+    blocks[key] = (block, layer > 0)
+    return block
 
 
 def run_transformer(
@@ -185,13 +207,15 @@ def run_transformer(
     token activations they produce — stay replicated at full size, and
     every layer pays two ring-allreduces over the token activations.
 
-    Each layer is an attention block and an FFN block, and each distinct
-    block is priced once per run.  The first attention block and the first
-    dense FFN block at layer >= 1 are priced; every later layer replays
-    their reports and allocations.  Layer 0 is never a replay source: it
-    pays the backend's once-per-batch first-use charges.  MoE blocks are
-    always priced, because routing differs per layer.  At inference, a run
-    of replayed dense layers that books nothing is handled in one step.
+    Each layer is an attention block and an FFN block, and each backend op
+    is called once per distinct op per run (the contract is in the
+    :class:`~repro.baselines.backends.ModelBackend` docstring).  Layer 0's
+    blocks are the replay sources.  At the first layer >= 1, only the ops
+    whose layer-0 reports carry Convert time are priced again; the block
+    that results is replayed by every later layer.  An MoE layer prices
+    its routed op and reuses the rest of the first MoE block.  At
+    inference, a layer that would book what the last layer of its kind
+    booked, from the same bytes, only extends the timeline.
     """
     if mode not in ("inference", "training"):
         raise ValueError(f"mode must be inference|training, got {mode!r}")
@@ -241,54 +265,61 @@ def run_transformer(
             comm_us = 2 * (ring_factor * comm_bytes / (NVLINK_GBS * 1e3))
             tail = (ExecReport(op="tp.allreduce", latency_us=comm_us),)
 
-        attn_src = ffn_src = None  # replay sources, priced at layer >= 1
-        # Inference only: current_bytes at the start of the last dense layer
-        # >= 1, which booked both of its blocks in full.  A run of later
-        # dense layers that starts from the same bytes replays both blocks,
-        # reaches the same in-layer peak (nothing is freed mid-layer) and
-        # leaves the tracker as it found it, so the whole run takes one
-        # step: its reports, one free and its last layer's output.
-        # Training never frees activations, so it never collapses.
-        booked_start = None
+        # Padding systems route every padded position; PIT routes only real
+        # tokens.  Every MoE layer's canonical routing is rescaled to this
+        # backend's token count at once.
+        routings = dict(zip(
+            workload.routing_by_layer,
+            scale_routings(workload.routing_by_layer.values(), tokens),
+        ))
+        attn_ops = _attention_ops(backend, workload)
+        blocks = {}  # see _source; "moe" is the first MoE block
+        # Inference only: per layer kind, the start bytes and FFN-or-MoE
+        # allocations of the last layer >= 1 that booked in full.  A later
+        # layer of that kind booking the same from the same bytes reaches
+        # the same peak (nothing is freed mid-layer) and ends where it
+        # started (the start bytes only repeat when no allocation outlives
+        # its layer), so it only extends the timeline; a run of dense
+        # layers takes one step.  Training frees nothing: no collapse.
+        booked = {}
         layer = 0
         while layer < total_layers:
-            routing = workload.routing_for(layer)
-            start_bytes = mem.current_bytes
-            if routing is None and start_bytes == booked_start:
+            routing = routings.get(layer)
+            kind = "ffn" if routing is None else "moe"
+            start = mem.current_bytes
+            ffn = blocks.get(kind, (None,))[0]
+            moe = routing is not None and ffn is not None
+            if moe:
+                # A later MoE layer prices only its routed op and reuses the
+                # first MoE block's residual; it books only if the layer does.
+                op = _ffn_ops(backend, workload, layer, routing)[0][0]
+                routed = _price(op, True, _AllocRecorder(None), devices)
+                residual = ffn.ops[1]
+                ffn = _Block((routed, residual), routed[0] + residual[0],
+                             routed[1] + residual[1])
+            if booked.get(kind) == (start, ffn and ffn.allocs):
                 end = layer + 1
-                while end < total_layers and workload.routing_for(end) is None:
-                    end += 1
-                replay = attn_src.reports + ffn_src.reports + tail
-                timeline.reports.extend(replay * (end - layer))
-                layer = end - 1
-            else:
-                if attn_src is None:
-                    block = _price_block(
-                        lambda m: _attention_ops(backend, workload, m),
-                        mem, devices,
-                    )
-                    block.add_to(timeline)
-                    if layer:
-                        attn_src = block
-                else:
-                    attn_src.add_to(timeline, mem)
+                if routing is None:  # the whole run of dense layers
+                    while end < total_layers and end not in routings:
+                        end += 1
+                attn = blocks["attn"][0]
+                timeline.reports.extend(
+                    (attn.reports + ffn.reports + tail) * (end - layer)
+                )
+                layer = end
+                continue
 
-                if routing is not None or ffn_src is None:
-                    block = _price_block(
-                        lambda m: _ffn_ops(backend, workload, layer, routing, m),
-                        mem,
-                        devices,
-                    )
-                    block.add_to(timeline)
-                    if layer and routing is None:
-                        ffn_src = block
-                else:
-                    ffn_src.add_to(timeline, mem)
-                timeline.reports.extend(tail)
+            attn = _source(blocks, "attn", attn_ops, mem, devices, layer)
+            if moe:
+                _book(mem, ffn.allocs)
+            else:
+                ffn_ops = _ffn_ops(backend, workload, layer, routing)
+                ffn = _source(blocks, kind, ffn_ops, mem, devices, layer)
+            timeline.reports.extend(attn.reports + ffn.reports + tail)
 
             if mode == "inference":
-                if layer and routing is None:
-                    booked_start = start_bytes
+                if layer:
+                    booked[kind] = (start, ffn.allocs)
                 # Intra-layer activations die once the layer output exists.
                 mem.free_category("activations")
                 mem.free_category("conversion")

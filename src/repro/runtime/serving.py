@@ -145,7 +145,8 @@ def merge_workloads(workloads) -> Workload:
         act_sparsity = None
     else:
         tokens = np.asarray([w.total_tokens for w in workloads], dtype=float)
-        act_sparsity = float(np.average(sparsities, weights=tokens))
+        weights = tokens if tokens.sum() else None  # no tokens: equal weights
+        act_sparsity = float(np.average(sparsities, weights=weights))
 
     stats = [w.attn_stats for w in workloads]
     if any(s is None for s in stats):

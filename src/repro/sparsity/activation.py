@@ -46,7 +46,7 @@ def relu_activation_mask(
         hot_ids = rng.choice(hidden, size=num_hot, replace=False)
         mask[:, hot_ids] = rng.random((num_tokens, num_hot)) < hot_budget
     # Remaining budget spread uniformly over all neurons.
-    used = mask.mean()
+    used = mask.mean() if mask.size else 0.0
     remaining = max(0.0, density - used)
     mask |= rng.random((num_tokens, hidden)) < remaining
     return mask

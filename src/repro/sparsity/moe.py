@@ -53,32 +53,48 @@ class RoutingResult:
         capped routing (:func:`drop_overflow`) keeps dropping the same
         share: only the scaled *routed* total is apportioned.
         """
-        if num_tokens == self.num_tokens:
-            return self
-        if num_tokens < 0:
-            raise ValueError("num_tokens must be non-negative")
-        if self.num_tokens == 0:
-            counts = np.zeros_like(self.counts)
-            counts[0] = num_tokens
-        else:
-            routed = int(self.counts.sum()) * num_tokens // self.num_tokens
-            counts = _apportion(
-                self.counts, num_tokens / self.num_tokens, routed
-            )
-        return RoutingResult(counts=counts, num_tokens=num_tokens)
+        return scale_routings([self], num_tokens)[0]
 
 
-def _apportion(counts: np.ndarray, scale: float, total: int) -> np.ndarray:
-    """``floor(counts * scale)``, topped up to ``total``: every expert gets
-    ``deficit // n`` more and the first ``deficit % n`` of the largest-first
-    order one more (the largest experts absorb rounding)."""
-    share = np.floor(counts * scale).astype(int)
-    deficit = total - int(share.sum())
-    if deficit > 0:
-        order = np.argsort(-counts)
-        share += deficit // order.size
-        share[order[: deficit % order.size]] += 1
-    return share
+def scale_routings(routings, num_tokens: int) -> list:
+    """Every routing :meth:`~RoutingResult.scaled_to` ``num_tokens``, in one
+    apportioning pass over the stacked ``[layers, experts]`` counts (one
+    at a time when expert counts differ).  A routing that already has
+    ``num_tokens`` tokens is returned as is."""
+    if num_tokens < 0:
+        raise ValueError("num_tokens must be non-negative")
+    routings = list(routings)
+    if len({r.num_experts for r in routings}) > 1:
+        return [r.scaled_to(num_tokens) for r in routings]
+    rows = [i for i, r in enumerate(routings) if r.num_tokens != num_tokens]
+    if not rows:
+        return routings
+    counts = np.stack([routings[i].counts for i in rows])
+    old = np.array([routings[i].num_tokens for i in rows])
+    empty = old == 0
+    old[empty] = 1
+    scaled = _apportion(
+        counts, num_tokens / old, counts.sum(axis=1) * num_tokens // old
+    )
+    # A routing of no tokens has no shape to keep: expert 0 takes them all.
+    scaled[empty] = 0
+    scaled[empty, 0] = num_tokens
+    for i, row in zip(rows, scaled):
+        routings[i] = RoutingResult(counts=row, num_tokens=num_tokens)
+    return routings
+
+
+def _apportion(counts: np.ndarray, scale, total) -> np.ndarray:
+    """``floor(counts * scale)``, topped up to ``total`` along the last
+    axis, one row per ``scale`` and ``total``: every expert gets
+    ``deficit // n`` more and the first ``deficit % n`` of its row's
+    largest-first order one more (the largest experts absorb rounding)."""
+    share = np.floor(counts * np.expand_dims(scale, -1)).astype(int)
+    deficit = np.expand_dims(np.maximum(total - share.sum(axis=-1), 0), -1)
+    n = counts.shape[-1]
+    # Each expert's place in its row's largest-first order.
+    rank = np.argsort(np.argsort(-counts, axis=-1), axis=-1)
+    return share + deficit // n + (rank < deficit % n)
 
 
 def merge_routing(results) -> RoutingResult:

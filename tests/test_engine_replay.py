@@ -1,8 +1,10 @@
 """Block replay in ``run_transformer`` against the per-layer reference loop.
 
-``run_transformer`` prices each distinct attention / dense-FFN block once
-per run and replays it for every later layer.  ``reference_run_transformer``
-below is the engine's previous loop, which prices every op of every layer;
+``run_transformer`` prices layer 0's blocks, prices again at layer 1 only
+the ops that paid Convert time there, and replays the result for every
+later layer; a later MoE layer prices only its routed op.
+``reference_run_transformer`` below is the engine's original loop, which
+prices every op of every layer;
 the only edit is that tensor parallelism builds divided copies with
 ``dataclasses.replace``, because :class:`ExecReport` is frozen.  Every
 observable field of the two runs must be bit-identical.
@@ -13,7 +15,10 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     MegaBlocksBackend,
@@ -27,6 +32,12 @@ from repro.hw.costmodel import elementwise_time_us
 from repro.hw.memtracker import MemoryTracker, OutOfMemoryError
 from repro.hw.spec import dtype_bytes
 from repro.hw.timeline import ExecReport, Timeline
+from repro.sparsity import (
+    RoutingResult,
+    capacity_tokens,
+    drop_overflow,
+    get_dataset,
+)
 from repro.models import (
     bert_workload,
     longformer_workload,
@@ -36,6 +47,8 @@ from repro.models import (
     swin_moe_workload,
     switch_workload,
 )
+from repro.models.config import switch_transformer
+from repro.models.workloads import Workload, _route_moe_layers
 from repro.runtime import BACKENDS_BY_NAME, RunReport, run_transformer
 from repro.runtime.engine import NVLINK_GBS, TRAINING_STATE_MULTIPLIER
 
@@ -329,7 +342,7 @@ class TestPricedOncePerRun:
         calls = _count_calls(backend, "attention", "ffn")
         run_transformer(workloads["bert"], backend)
         assert workloads["bert"].config.n_layers == 12
-        assert calls == {"attention": 2, "ffn": 2}
+        assert calls == {"attention": 2, "ffn": 1}
 
     def test_switch_prices_every_moe_layer(self, workloads):
         backend = PITBackend(V100)
@@ -337,7 +350,7 @@ class TestPricedOncePerRun:
         run_transformer(workloads["switch"], backend)
         cfg = workloads["switch"].config
         assert cfg.n_layers + cfg.decoder_layers == 24
-        assert calls == {"attention": 2, "ffn": 2, "moe_ffn": 12}
+        assert calls == {"attention": 2, "ffn": 1, "moe_ffn": 12}
 
     @pytest.mark.parametrize("workload_name", ["bert", "opt-act"])
     def test_pricing_work_does_not_grow_with_depth(
@@ -368,6 +381,143 @@ class TestPricedOncePerRun:
         per_layer, rest = divmod(shallow - 1, n_layers)  # 1: the embedding
         assert rest == 0 and per_layer == 14
         assert deep - shallow == per_layer * n_layers
+
+    def test_moe_pricing_work_grows_only_by_routed_ops(
+        self, workloads, monkeypatch
+    ):
+        """Doubling a Switch-64 stack to 48 layers adds one ``moe_ffn`` call
+        per added MoE layer and timeline entries only: the same other
+        backend ops, tracker allocations and category frees price it."""
+        for name in ("alloc", "free_category"):  # undone after the test
+            monkeypatch.setattr(MemoryTracker, name, getattr(MemoryTracker, name))
+        tracker = _count_calls(MemoryTracker, "alloc", "free_category")
+        switch = workloads["switch"]
+        work, report_counts, moe_layers = [], [], []
+        for scale in (1, 2):
+            cfg = dataclasses.replace(
+                switch.config,
+                n_layers=switch.config.n_layers * scale,
+                decoder_layers=switch.config.decoder_layers * scale,
+            )
+            padded = int(switch.lengths.max()) * switch.batch_size
+            stacked = dataclasses.replace(
+                switch, config=cfg,
+                routing_by_layer=_route_moe_layers(cfg, padded, switch.seed),
+            )
+            backend = PITBackend(V100)
+            ops = _count_calls(backend, *PRICED_OPS)
+            tracker.clear()
+            report = run_transformer(stacked, backend)
+            assert report.ok
+            work.append((ops, Counter(tracker)))
+            report_counts.append(len(report.timeline.reports))
+            moe_layers.append(len(stacked.routing_by_layer))
+        (shallow_ops, shallow_mem), (deep_ops, deep_mem) = work
+        assert deep_mem == shallow_mem
+        added = moe_layers[1] - moe_layers[0]
+        assert added == 12
+        assert deep_ops - shallow_ops == Counter(moe_ffn=added)
+        # An attention block is 10 reports, a dense FFN block 4 and an MoE
+        # block 2; the added layers alternate dense and MoE.
+        assert report_counts[1] - report_counts[0] == (14 + 12) * added
+
+
+class TestMoEReplayProperty:
+    """``run_transformer`` against the per-layer reference on random MoE
+    workloads: the booking rule per layer kind, the MoE layers that price
+    only their routed op, and the rescale of every routing at once."""
+
+    BACKENDS = ("PIT", "Tutel", "DeepSpeed", "MegaBlocks", "PyTorch")
+
+    @staticmethod
+    def workload(experts, batch, every, seed, capacity_factor, lone):
+        config = switch_transformer(experts)
+        config = dataclasses.replace(
+            config, moe=dataclasses.replace(config.moe, every=every)
+        )
+        lengths = np.minimum(
+            get_dataset("mnli").sample(batch, seed=seed), config.max_seq
+        )
+        padded = int(lengths.max()) * batch
+        routing = _route_moe_layers(config, padded, seed)
+        if capacity_factor is not None:
+            capacity = capacity_tokens(padded, experts, capacity_factor)
+            routing = {
+                layer: drop_overflow(r, capacity) for layer, r in routing.items()
+            }
+        if lone is not None:
+            routing = {lone: routing[max(routing)]}
+        return Workload(config=config, lengths=lengths,
+                        routing_by_layer=routing, seed=seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        experts=st.integers(1, 128),
+        batch=st.integers(1, 16),
+        every=st.integers(1, 3),
+        seed=st.integers(0, 1000),
+        capacity_factor=st.none() | st.floats(0.5, 2.0),
+        lone=st.none() | st.integers(0, 23),
+    )
+    # Tutel runs out of memory inside an MoE layer here, at inference.
+    @example(experts=128, batch=16, every=2, seed=1, capacity_factor=None,
+             lone=None)
+    def test_moe_runs_match_reference(self, **params):
+        workload = self.workload(**params)
+        for name in self.BACKENDS:
+            factory, dtype = BACKENDS[name]
+            for kwargs in RUN_AXES:
+                reference, replayed = _pair(factory, dtype, workload, **kwargs)
+                assert fingerprint(replayed) == fingerprint(reference), (
+                    name, kwargs,
+                )
+
+    def test_oom_inside_an_moe_layer(self):
+        """The explicit example above does run out of memory in an MoE op,
+        past the layers that collapse."""
+        workload = self.workload(128, 16, 2, 1, None, None)
+        reference, replayed = _pair(TutelBackend, "float32", workload)
+        assert reference.oom and "'moe." in reference.error
+        assert fingerprint(replayed) == fingerprint(reference)
+
+
+class TestPerRunFacts:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 512), min_size=1, max_size=16),
+        run_lengths=st.lists(st.integers(0, 512), min_size=1, max_size=16),
+        counts=st.lists(st.integers(0, 3000), min_size=1, max_size=128),
+        causal=st.booleans(),
+    )
+    def test_ops_price_from_their_arguments(
+        self, lengths, run_lengths, counts, causal
+    ):
+        """PIT keeps its variable-length attention terms and MoE constants
+        for the rest of a run.  Inside the run, an op given another
+        ``lengths`` object or routing, and after the run ends, any op,
+        prices as a backend that never ran does."""
+        lengths, run_lengths = np.array(lengths), np.array(run_lengths)
+        counts = np.array(counts)
+        routing = RoutingResult(counts, int(counts.sum()))
+        backend = PITBackend(V100)
+        backend.set_fusion(True, run_lengths)
+        backend.attention(run_lengths, 12, 64, causal=causal)
+        other = RoutingResult(counts[::-1] + 1, int(counts.sum()) + counts.size)
+        backend.moe_ffn(other, 768, 3072)
+        for _ in ("in the run", "after it"):
+            fresh = PITBackend(V100)
+            fresh.attention(run_lengths, 12, 64, causal=causal)  # detected
+            mem, fresh_mem = MemoryTracker(V100), MemoryTracker(V100)
+            assert backend.attention(
+                lengths, 12, 64, causal=causal, mem=mem
+            )[1:] == fresh.attention(
+                lengths, 12, 64, causal=causal, mem=fresh_mem
+            )[1:]
+            assert mem.by_category() == fresh_mem.by_category()
+            assert backend.moe_ffn(routing, 768, 3072) == fresh.moe_ffn(
+                routing, 768, 3072
+            )
+            backend.set_fusion(False)
 
 
 def test_exec_report_is_frozen():

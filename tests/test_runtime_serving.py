@@ -11,6 +11,8 @@ from repro.models import (
     opt_inference_workload,
     switch_workload,
 )
+from repro.models.config import opt
+from repro.models.workloads import Workload
 from repro.runtime import InferenceRequest, ServingEngine, merge_workloads
 
 
@@ -108,6 +110,16 @@ class TestBatching:
             0.9 * w1.total_tokens + 0.5 * w2.total_tokens
         ) / (w1.total_tokens + w2.total_tokens)
         assert merged.act_sparsity == pytest.approx(expected)
+
+    def test_merge_of_zero_token_workloads_averages_evenly(self):
+        """No tokens to weight by: the merge takes the plain mean (the
+        weighted one divided by zero)."""
+        w1, w2 = (
+            Workload(config=opt("125m"), lengths=np.array([0, 0]),
+                     act_sparsity=sparsity)
+            for sparsity in (0.9, 0.5)
+        )
+        assert merge_workloads([w1, w2]).act_sparsity == pytest.approx(0.7)
 
     def test_merge_rejects_mixed_act_sparsity_regimes(self):
         w1 = opt_inference_workload("125m", 4, act_sparsity=0.9, seed=0)
@@ -210,6 +222,17 @@ class TestServingRun:
             - report.batches[0].start_us
         )
         assert report.throughput_tokens_per_s > 0
+
+    def test_zero_token_activation_sparse_request(self):
+        """An empty activation covers nothing: the request is served, not a
+        ``PlanSpec`` with ``m=0`` that fails the whole run."""
+        engine = ServingEngine(V100, replicas=1, charge_selection=False)
+        engine.submit(Workload(config=opt("125m"), lengths=np.array([0, 0]),
+                               act_sparsity=0.9))
+        report = engine.run(policy="continuous")
+        assert len(report.requests) == 1
+        assert report.requests[0].ok
+        assert report.total_tokens == 0
 
     def test_queueing_delay_accounting(self):
         engine = make_engine()

@@ -1,5 +1,7 @@
 """Tests for the dynamic-sparsity workload generators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from repro.sparsity import (
     sliding_window_mask,
     two_four_mask,
 )
-from repro.sparsity.moe import _apportion, routing_sample_mask
+from repro.sparsity.moe import _apportion, routing_sample_mask, scale_routings
 
 
 def deficit_loop(counts, scale, total):
@@ -49,6 +51,42 @@ def deficit_loop(counts, scale, total):
 expert_counts = st.lists(st.integers(0, 5000), min_size=1, max_size=64).map(
     np.array
 )
+
+
+def scaled_to_oracle(routing, num_tokens):
+    """``RoutingResult.scaled_to``'s counts as it ran before the rescale
+    was vectorized, one layer at a time."""
+    if num_tokens == routing.num_tokens:
+        return routing.counts
+    if routing.num_tokens == 0:
+        counts = np.zeros_like(routing.counts)
+        counts[0] = num_tokens
+        return counts
+    routed = int(routing.counts.sum()) * num_tokens // routing.num_tokens
+    return deficit_loop(
+        routing.counts, num_tokens / routing.num_tokens, routed
+    )
+
+
+@st.composite
+def layer_routings(draw):
+    """One run's MoE routings: tied loads (counts 0-2), capped routings
+    (tokens that reached no expert), routings of zero tokens and, when
+    ``mixed``, layers over different expert counts."""
+    experts = draw(st.integers(1, 64))
+    mixed = draw(st.booleans())
+    routings = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(1, 64)) if mixed else experts
+        top = draw(st.sampled_from([2, 5000]))
+        counts = np.array(draw(st.lists(st.integers(0, top), min_size=n,
+                                        max_size=n)))
+        if draw(st.integers(0, 9)) == 0:
+            counts[:] = 0
+        dropped = draw(st.integers(0, 50))
+        num_tokens = int(counts.sum()) + dropped if counts.any() else 0
+        routings.append(RoutingResult(counts, num_tokens))
+    return routings
 
 
 class TestSeqLen:
@@ -103,6 +141,15 @@ class TestActivation:
     def test_rejects_bad_sparsity(self):
         with pytest.raises(ValueError):
             relu_activation_mask(8, 8, 1.0)
+
+    @pytest.mark.parametrize("shape", [(0, 10), (3, 0)])
+    def test_empty_mask_warns_nothing(self, shape):
+        """An empty mask has no used share to average (it warned "Mean of
+        empty slice")."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = relu_activation_mask(*shape, 0.5)
+        assert mask.shape == shape
 
 
 class TestAttentionMasks:
@@ -256,6 +303,50 @@ class TestMoE:
                                 num_tokens)
         assert np.array_equal(scaled.counts, expected)
         assert int(scaled.counts.sum()) == num_tokens
+
+    @settings(max_examples=150, deadline=None)
+    @given(layer_routings(), st.data())
+    def test_scale_routings_matches_the_per_layer_loop(self, routings, data):
+        """The token count is any count, zero, or one of the routings' own
+        (the identity case)."""
+        num_tokens = data.draw(st.one_of(
+            st.integers(0, 20000),
+            st.sampled_from([r.num_tokens for r in routings]),
+        ))
+        scaled = scale_routings(routings, num_tokens)
+        assert len(scaled) == len(routings)
+        for routing, got in zip(routings, scaled):
+            assert got.num_tokens == num_tokens
+            assert np.array_equal(
+                got.counts, scaled_to_oracle(routing, num_tokens)
+            )
+            if routing.num_tokens == num_tokens:
+                assert got is routing
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.lists(st.tuples(st.floats(0.01, 4.0), st.integers(0, 200)),
+                 min_size=1, max_size=8),
+        st.data(),
+    )
+    def test_apportion_rows_match_the_loop(self, experts, rows, data):
+        """Row-wise apportioning with a deficit of zero, below the expert
+        count and several times it in each row."""
+        counts = np.array([
+            data.draw(st.lists(st.integers(0, data.draw(
+                st.sampled_from([2, 5000]))), min_size=experts,
+                max_size=experts))
+            for _ in rows
+        ])
+        scale = np.array([s for s, _ in rows])
+        total = np.array([
+            int(np.floor(c * s).astype(int).sum()) + extra
+            for c, (s, extra) in zip(counts, rows)
+        ])
+        got = _apportion(counts, scale, total)
+        for row, c, s, t in zip(got, counts, scale, total):
+            assert np.array_equal(row, deficit_loop(c, s, int(t)))
 
     @settings(max_examples=100, deadline=None)
     @given(expert_counts, st.integers(1, 512))
