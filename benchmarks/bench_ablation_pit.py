@@ -16,13 +16,11 @@ Sparse Tensor Core.
 import numpy as np
 import pytest
 
-from repro.baselines import PITSpmmKernel, TritonBlockSparseKernel
+from repro.baselines import TritonBlockSparseKernel
 from repro.core import (
     MicroTile,
-    SparseIndex,
     TileDB,
     build_index,
-    index_construction_time_us,
     kernel_selection,
 )
 from repro.hw import V100, SparseTensorCore, is_two_four_eligible, stream_time_us

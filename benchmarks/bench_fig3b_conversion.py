@@ -12,7 +12,6 @@ from repro.baselines import (
     CuSparseKernel,
     DenseKernelBaseline,
     SPARTA_COMPILE_US,
-    SparTAKernel,
     SputnikKernel,
 )
 from repro.hw import V100

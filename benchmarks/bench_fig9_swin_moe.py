@@ -12,7 +12,7 @@ import pytest
 from repro.hw import A100
 from repro.models import swin_moe_workload
 from repro.runtime import run_transformer
-from repro.baselines import MegaBlocksBackend, PITBackend
+from repro.baselines import MegaBlocksBackend
 
 from .conftest import paper_note
 from .e2e_common import lineup_rows, speedup_summary

@@ -2,8 +2,8 @@
 
 PIT optimizes dynamic sparse deep-learning models by merging sparsely located
 micro-tiles into GPU-efficient dense computation tiles via Permutation
-Invariant Transformation.  See README.md for a tour and DESIGN.md for the
-system inventory.
+Invariant Transformation.  ``docs/`` describes the planning, serving and
+training layers; ``examples/`` runs each end to end.
 
 Package map:
 
@@ -12,8 +12,8 @@ Package map:
   generated kernels and the JIT compiler.
 * :mod:`repro.hw` — analytical GPU model (A100/V100): tile costs, memory
   transactions, footprint tracking, Tensor Core constraints.
-* :mod:`repro.tensor` — mini tensor framework: layouts, CSR/BCSR/COO with
-  conversion costs, dense reference ops.
+* :mod:`repro.tensor` — dense numpy operators for the functional models and
+  the sparse libraries' format-conversion pass counts.
 * :mod:`repro.sparsity` — dynamic-sparsity workload generators.
 * :mod:`repro.baselines` — cuSPARSE/Sputnik/Triton/SparTA and the
   end-to-end systems (PyTorch, Tutel, DeepSpeed, MegaBlocks, ...).

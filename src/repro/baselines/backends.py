@@ -102,17 +102,17 @@ class ModelBackend:
         tiles = math.ceil(m / entry.tile.tm) * math.ceil(n / entry.tile.tn) * batch
         return kernel_time_us(tiles, entry.tile_cost_us(k), self.spec)
 
-    def dense_matmul_us(self, m: int, k: int, n: int, *, batch: int = 1) -> float:
+    def dense_matmul_us(self, m: int, k: int, n: int) -> float:
         """Public dense matmul pricing with the wave-quantized formula — the
         training path charges baseline backends through this instead of
         reimplementing tile lookup (the inference paths use the
         profiled-tile-cost variant, :meth:`_matmul_us`)."""
-        if m <= 0 or k <= 0 or n <= 0 or batch <= 0:
+        if m <= 0 or k <= 0 or n <= 0:
             return 0.0
         entry = self.tiledb.best_dense_tile(m, k, n)
         return dense_matmul_time_us(
             m, k, n, entry.tile, self.dtype, self.spec,
-            tensor_core=self.tensor_core, batch=batch,
+            tensor_core=self.tensor_core,
         )
 
     def _tiled_matmul_us(

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..hw.memory import stream_time_us
 from ..hw.spec import dtype_bytes
-from ..tensor.sparse import CUSPARSE_CONVERT_PASSES, dense_to_csr
+from ..tensor.sparse import CUSPARSE_CONVERT_PASSES
 from .base import SpmmKernel, SpmmResult
 
 #: Fraction of device peak FLOPs unstructured CSR SpMM achieves.
@@ -60,12 +60,3 @@ class CuSparseKernel(SpmmKernel):
             convert_us=self.convert_us(mask),
             detail={"nnz": nnz},
         )
-
-    def run_functional(self, a: np.ndarray, b: np.ndarray):
-        """Real CSR SpMM (for correctness tests): returns (C, SpmmResult)."""
-        from ..tensor.sparse import csr_spmm
-
-        csr = dense_to_csr(a, self.dtype, self.spec, passes=CUSPARSE_CONVERT_PASSES)
-        out = csr_spmm(csr, b)
-        result = self.spmm(a != 0, b.shape[1])
-        return out, result

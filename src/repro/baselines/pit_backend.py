@@ -1,7 +1,7 @@
 """PIT as a model-level backend.
 
-Applies the transformation policies of :mod:`repro.core.policy` to every
-transformer primitive:
+Applies PIT's transformation to every transformer primitive, each with the
+rule the evaluation uses for its dynamic sparsity:
 
 * **projections/FFN** gather exactly the real tokens (m-axis rule) — no
   padding rows, plus a one-pass detector charge per fresh mask;

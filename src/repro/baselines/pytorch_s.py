@@ -35,6 +35,9 @@ from .triton_block import triton_convert_passes
 #: wrapper, paid once per layer per fresh mask.
 TRITON_ATTENTION_SYNC_US = 250.0
 
+#: Block size of Triton's block-sparse attention kernels.
+_TRITON_ATTENTION_BLOCK = 32
+
 
 def triton_masked_attention(
     backend: ModelBackend,
@@ -43,8 +46,6 @@ def triton_masked_attention(
     head_dim: int,
     attn_mask,
     mem: Optional[MemoryTracker],
-    *,
-    block: int = 32,
 ) -> list:
     """Triton block-sparse attention over a dynamic mask.
 
@@ -58,6 +59,7 @@ def triton_masked_attention(
     from ..sparsity.attention import as_mask_stats
     from ..hw.costmodel import TileConfig
 
+    block = _TRITON_ATTENTION_BLOCK
     lengths = np.asarray(lengths)
     batch = int(lengths.size)
     stats = as_mask_stats(attn_mask, block=block)
@@ -143,9 +145,9 @@ class PyTorchSBackend(ModelBackend):
 
         The wrapper materializes the sparse view of the activation (read +
         write: two streaming passes) and rebuilds the block layout from the
-        block occupancy map, plus fixed launch/sync overhead.  Weight-data
-        conversions to BCSR (Figure 15's path) are costed separately with
-        the full multi-pass build in :mod:`repro.tensor.sparse`.
+        block occupancy map, plus fixed launch/sync overhead.  Converting
+        activation *data* to the block format is costed separately with
+        Triton's multi-pass count from :mod:`repro.tensor.sparse`.
         """
         dense_bytes = rows * cols * dtype_bytes(self.dtype)
         layout_bytes = max(1, (rows // self.BLOCK) * (cols // self.BLOCK)) * 8

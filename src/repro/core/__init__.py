@@ -11,7 +11,6 @@ from .cover import (
     MatmulWorkload,
     SampleStack,
     batched_matmul_workload,
-    count_covering_microtiles,
     cover_grid,
     coverage_waste,
     covered_sparsity,
@@ -19,10 +18,8 @@ from .cover import (
     matmul_workload,
 )
 from .detector import (
-    RowIndex,
     SparseIndex,
     build_index,
-    build_row_index,
     index_construction_time_us,
 )
 from .expr import ParseError, ReduceOp, TensorExpr, TensorRef, parse_expr
@@ -51,7 +48,6 @@ from .pit_axis import (
     AxisKind,
     classify_axes,
     get_operator_expr,
-    is_pit_axis,
     pit_axes,
     table1_rows,
 )
@@ -62,17 +58,11 @@ from .plan import (
     ResolvedPlan,
 )
 from .policy import (
-    ActivationPolicy,
-    AttentionPolicy,
-    MoEPolicy,
     PagedAttentionPolicy,
     PolicyDecision,
-    SeqLenPolicy,
 )
 from .rules import (
-    MultiAxisRule,
     PITRule,
-    batch_matmul_multi_axis_rules,
     matmul_axes_for_operand,
     matmul_rules,
 )
@@ -88,8 +78,6 @@ from .selection import (
     sparsity_signature,
 )
 from .sread_swrite import (
-    gather_microtiles,
-    scatter_microtiles,
     sread_cols,
     sread_rows,
     swrite_cols,
@@ -98,8 +86,6 @@ from .sread_swrite import (
 from .tiledb import TileDB, TileEntry
 
 __all__ = [
-    "ActivationPolicy",
-    "AttentionPolicy",
     "AxisInfo",
     "AxisKind",
     "CompiledMatmul",
@@ -111,8 +97,6 @@ __all__ = [
     "MatmulWorkload",
     "MicroTile",
     "MicroTiledOp",
-    "MoEPolicy",
-    "MultiAxisRule",
     "OPERATOR_EXPRESSIONS",
     "PITCompiler",
     "PITRule",
@@ -127,10 +111,8 @@ __all__ = [
     "PlanCacheLoadError",
     "PolicyDecision",
     "ReduceOp",
-    "RowIndex",
     "SIGNATURE_QUANTUM",
     "SampleStack",
-    "SeqLenPolicy",
     "SparseIndex",
     "SparseMatmulKernel",
     "TABLE1_PIT_AXES",
@@ -138,24 +120,19 @@ __all__ = [
     "TensorRef",
     "TileDB",
     "TileEntry",
-    "batch_matmul_multi_axis_rules",
     "batched_matmul_workload",
     "build_index",
-    "build_row_index",
     "choice_from_json",
     "choice_to_json",
     "classify_axes",
-    "count_covering_microtiles",
     "cover_grid",
     "coverage_waste",
     "covered_sparsity",
     "dense_matmul_workload",
     "derive_microtile",
-    "gather_microtiles",
     "gcd_microtile_shape",
     "get_operator_expr",
     "index_construction_time_us",
-    "is_pit_axis",
     "kernel_from_choice",
     "kernel_selection",
     "matmul_axes_for_operand",
@@ -168,7 +145,6 @@ __all__ = [
     "permuted_choice_from_json",
     "permuted_choice_to_json",
     "pit_axes",
-    "scatter_microtiles",
     "sparsity_signature",
     "sread_cols",
     "sread_rows",

@@ -13,9 +13,10 @@ sparsity signature — so two sparsity regimes of one shape each keep their
 own kernel (the old shape-only cache silently served whichever compiled
 first).  The kernel is still reused across invocations even though every
 invocation sees a different exact pattern; only the cheap online index is
-rebuilt (Figure 20 shows why caching per *pattern* would be useless).  The
-policy can be periodically refreshed with new samples, mirroring the
-"Sparse Tensor Samples / Periodically" arrow of Figure 5.
+rebuilt (Figure 20 shows why caching per *pattern* would be useless).
+Fresh samples that quantize to a new signature name a new spec, which
+compiles its own kernel — the "Sparse Tensor Samples / Periodically" arrow
+of Figure 5.
 """
 
 from __future__ import annotations
@@ -54,15 +55,6 @@ class CompiledMatmul:
         if isinstance(self.kernel, DenseMatmulKernel):
             return self.kernel.run(a, b)
         return self.kernel.run(a, b, mask=mask, seed=seed)
-
-    def estimate_us(self, mask=None) -> float:
-        """Estimated latency for an input with the given mask (or the
-        selection-time estimate when no mask is supplied)."""
-        if mask is None or isinstance(self.kernel, DenseMatmulKernel):
-            return self.choice.est_cost_us
-        dense_extent = self.n if self.sparse_operand == "A" else self.m
-        return self.kernel.estimate_us(np.asarray(mask, dtype=bool), dense_extent)
-
 
 class PITCompiler:
     """JIT compiler for dynamically sparse operators on one device."""
@@ -106,23 +98,16 @@ class PITCompiler:
             kind, sparsity_samples, m, k, n, sparse_operand=sparse_operand
         )
 
-    def compile(
-        self,
-        spec: PlanSpec,
-        sparsity_samples=None,
-        *,
-        use_cache: bool = True,
-    ) -> CompiledMatmul:
+    def compile(self, spec: PlanSpec, sparsity_samples=None) -> CompiledMatmul:
         """Resolve ``spec`` through the planner and instantiate its kernel.
 
         ``sparsity_samples`` are only consulted when the plan is not cached
         (Algorithm 1 needs masks to search over); a warm spec compiles
         without touching a mask.
         """
-        if use_cache:
-            hit = self._cache.get(spec)
-            if hit is not None:
-                return hit
+        hit = self._cache.get(spec)
+        if hit is not None:
+            return hit
         make_samples = (
             (lambda: sparsity_samples) if sparsity_samples is not None else None
         )
@@ -143,35 +128,5 @@ class PITCompiler:
             sparse_operand=spec.sparse_operand,
             spec=spec,
         )
-        if use_cache:
-            self._cache[spec] = compiled
+        self._cache[spec] = compiled
         return compiled
-
-    def refresh(
-        self,
-        compiled: CompiledMatmul,
-        new_samples,
-    ) -> CompiledMatmul:
-        """Re-run selection with fresh samples (Figure 5's periodic update).
-
-        Returns the compiled kernel for the new samples' spec and installs
-        it in the compile cache — the previous kernel stays valid (and
-        cached under its own spec) for in-flight work.  When the fresh
-        samples quantize to the same signature the plan is unchanged by
-        construction and the cached choice is reused.
-        """
-        kind = compiled.spec.kind if compiled.spec is not None else "proj"
-        spec = self.planner.make_spec(
-            kind,
-            new_samples,
-            compiled.m,
-            compiled.k,
-            compiled.n,
-            sparse_operand=compiled.sparse_operand,
-        )
-        fresh = self.compile(spec, new_samples, use_cache=False)
-        self._cache[spec] = fresh
-        return fresh
-
-    def cache_size(self) -> int:
-        return len(self._cache)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hw.costmodel import TileConfig
-from .microtile import MicroTile, gcd_microtile_shape
+from .microtile import gcd_microtile_shape
 
 
 def cover_grid(mask: np.ndarray, microtile_shape: tuple) -> np.ndarray:
@@ -59,11 +59,6 @@ def cover_grid(mask: np.ndarray, microtile_shape: tuple) -> np.ndarray:
     padded = np.zeros((grid_r * mh, grid_c * mw), dtype=bool)
     padded[:rows, :cols] = mask != 0
     return padded.reshape(grid_r, mh, grid_c, mw).any(axis=(1, 3))
-
-
-def count_covering_microtiles(mask: np.ndarray, microtile: MicroTile) -> int:
-    """Number of micro-tiles needed to cover all non-zeros of ``mask``."""
-    return int(cover_grid(mask, microtile.shape).sum())
 
 
 def coverage_waste(mask: np.ndarray, microtile_shape: tuple) -> float:
@@ -363,11 +358,6 @@ class MatmulWorkload:
     num_microtiles: int
     #: Fraction of computed elements that are zero padding/waste.
     wasted_fraction: float
-
-    @property
-    def is_empty(self) -> bool:
-        return self.total_k_steps == 0
-
 
 def matmul_workload(
     mask,

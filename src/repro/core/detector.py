@@ -102,38 +102,3 @@ def build_index(
         positions=coords,
         construct_us=construct,
     )
-
-
-def build_row_index(
-    mask: np.ndarray,
-    spec: GPUSpec,
-    *,
-    dtype: str = "float32",
-    seed: int = 0,
-) -> "RowIndex":
-    """Detect non-empty *rows* — the common case for token-granular dynamic
-    sparsity (varying sequence lengths, MoE expert assignment, ReLU rows).
-
-    Cheaper than a full 2-D index: the scan is still one pass but the index
-    has one entry per non-empty row.
-    """
-    if mask.ndim != 2:
-        raise ValueError("build_row_index expects a 2-D mask")
-    rows = np.flatnonzero((mask != 0).any(axis=1))
-    rng = np.random.default_rng(seed)
-    rows = rows[rng.permutation(rows.size)]
-    construct = index_construction_time_us(mask.shape, dtype, spec, rows.size)
-    return RowIndex(rows=rows, num_rows_total=mask.shape[0], construct_us=construct)
-
-
-@dataclass
-class RowIndex:
-    """An unordered index of non-empty rows."""
-
-    rows: np.ndarray
-    num_rows_total: int
-    construct_us: float
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.rows.size)

@@ -67,17 +67,6 @@ class TensorRef:
             out.extend(term.axes)
         return tuple(out)
 
-    def axis_position(self, axis: str):
-        """Index-slot position of ``axis`` in this reference, or None.
-
-        Only meaningful for non-compound slots (a compound slot has no single
-        owner position).
-        """
-        for pos, term in enumerate(self.indices):
-            if not term.is_compound and term.axes == (axis,):
-                return pos
-        return None
-
     def __str__(self) -> str:
         inner = ", ".join(str(t) for t in self.indices)
         return f"{self.name}[{inner}]"
@@ -143,15 +132,6 @@ class TensorExpr:
                 if term.is_compound:
                     derived.update(term.axes)
         return frozenset(derived)
-
-    def tensor(self, name: str) -> TensorRef:
-        for ref in (self.output, *self.inputs):
-            if ref.name == name:
-                return ref
-        raise KeyError(f"no tensor named {name!r} in {self.source!r}")
-
-    def input_names(self) -> tuple:
-        return tuple(ref.name for ref in self.inputs)
 
     def __str__(self) -> str:
         return self.source

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..hw.costmodel import TileConfig
-from ..hw.spec import GPUSpec, dtype_bytes
-from ..tensor.layout import Layout
 
 
 @dataclass(frozen=True)
@@ -33,19 +31,6 @@ class MicroTile:
             raise ValueError(f"micro-tiles are 2-D in this build, got {self.shape}")
         if any(s < 1 for s in self.shape):
             raise ValueError(f"micro-tile extents must be >= 1, got {self.shape}")
-
-    def contig_bytes(self, dtype: str, layout: Layout) -> int:
-        """Contiguous run length of this micro-tile in the given layout."""
-        inner = self.shape[layout.contiguous_axis]
-        return inner * dtype_bytes(dtype)
-
-    def saturates_transaction(self, dtype: str, layout: Layout, spec: GPUSpec) -> bool:
-        """Whether one micro-tile fills at least one memory transaction.
-
-        This is PIT's efficiency precondition (Section 3.1): when true,
-        SRead/SWrite run at (near) streaming bandwidth.
-        """
-        return self.contig_bytes(dtype, layout) >= spec.transaction_bytes
 
     def __str__(self) -> str:
         return f"{self.shape[0]}x{self.shape[1]}"

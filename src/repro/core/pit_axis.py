@@ -96,11 +96,6 @@ def pit_axes(expr: TensorExpr) -> tuple:
     return tuple(name for name, info in classify_axes(expr).items() if info.is_pit)
 
 
-def is_pit_axis(expr: TensorExpr, axis: str) -> bool:
-    """Whether ``axis`` is a PIT-axis of ``expr`` (KeyError if unknown)."""
-    return classify_axes(expr)[axis].is_pit
-
-
 # ----------------------------------------------------------------------
 # Table 1: widely-used operators, their expressions and PIT-axes.
 # ----------------------------------------------------------------------

@@ -230,11 +230,6 @@ class PlanSpec:
                     f"got them on kind {self.kind!r}"
                 )
 
-    @property
-    def sample_shape(self) -> tuple:
-        """Shape the sparsity samples of this spec must have."""
-        return (self.m, self.k) if self.sparse_operand == "A" else (self.k, self.n)
-
     def cache_key(self) -> tuple:
         """The :class:`~repro.core.selection.PlanCache` key this spec names.
 
@@ -353,15 +348,13 @@ class Planner:
         *,
         sparse_operand: str = "A",
         include_dense_fallback: bool = True,
-        extra_signature: tuple = (),
         pattern: tuple = (),
         permutation: tuple = (),
     ) -> PlanSpec:
         """Build the spec for ``sparsity_samples`` of an ``[m,k,n]`` matmul.
 
         The signature is the quantized sparsity signature of the samples
-        (quantized with the cache's quantum, so specs and cache agree),
-        optionally prefixed with caller-provided discriminators.
+        (quantized with the cache's quantum, so specs and cache agree).
         ``pattern``/``permutation`` only apply to nm-sparse specs.
         """
         sig = sparsity_signature(sparsity_samples, quantum=self.cache.quantum)
@@ -371,7 +364,7 @@ class Planner:
             k=k,
             n=n,
             sparse_operand=sparse_operand,
-            signature=tuple(extra_signature) + sig,
+            signature=sig,
             tiledb_key=self.tiledb.cache_key,
             include_dense_fallback=include_dense_fallback,
             pattern=pattern,

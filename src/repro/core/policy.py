@@ -1,23 +1,13 @@
-"""Transformation policies: how models map their dynamic sparsity onto PIT.
+"""Transformation policies: how a model maps its dynamic sparsity onto PIT.
 
 A *policy* decides, per operator in a model, which tensors are sparse, what
 granularity their sparsity has, and which PIT rule family applies.  The
-policies here correspond one-to-one to the optimizations named in the
-evaluation:
+model backends apply the evaluation's sequence-length, MoE, activation and
+attention policies inline; the one kept as a class is the Section 6
+observation that vLLM's Paged Attention is a special case of PIT:
 
-* :class:`SeqLenPolicy` — varying sequence lengths in a batch (BERT, OPT,
-  Switch Transformer non-MoE layers): tokens are rows; padding rows are the
-  sparsity; PIT-axis m gathers real tokens only.
-* :class:`MoEPolicy` — expert dispatch (Switch Transformer, Swin-MoE): the
-  (b, m) multi-axis rule gathers each expert's tokens into dense tiles.
-* :class:`ActivationPolicy` — ReLU activation sparsity in FFN layers (OPT):
-  the k-axis rule skips zero activation columns of the second FFN matmul.
-* :class:`AttentionPolicy` — dynamic sparse attention (Longformer,
-  Museformer): 2-D attention masks covered by micro-tiles on the m-axis of
-  softmax(QK^T)V.
-* :class:`PagedAttentionPolicy` — the Section 6 observation that vLLM's
-  Paged Attention is a special case of PIT: KV-cache pages are micro-tiles
-  gathered along the sequence axis.
+* :class:`PagedAttentionPolicy` — KV-cache pages are micro-tiles gathered
+  along the sequence axis.
 """
 
 from __future__ import annotations
@@ -25,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .pit_axis import get_operator_expr, is_pit_axis
 
 
 @dataclass(frozen=True)
@@ -42,83 +30,6 @@ class PolicyDecision:
     granularity: tuple
     #: Short label used in reports.
     label: str
-
-
-class SeqLenPolicy:
-    """Varying sequence lengths: padding tokens are zero rows.
-
-    Gathering real tokens along the m-axis of every projection matmul
-    removes padding waste entirely; SWrite restores token positions.
-    """
-
-    label = "seqlen"
-
-    def decision(self) -> PolicyDecision:
-        assert is_pit_axis(get_operator_expr("MatMul"), "m")
-        return PolicyDecision(
-            sparse_operand="A", pit_axis="m", granularity=(1, -1), label=self.label
-        )
-
-    @staticmethod
-    def token_mask(lengths, max_len: int) -> np.ndarray:
-        """[sum over batch] boolean rows: True for real tokens of a packed
-        (batch*max_len, hidden) activation."""
-        rows = []
-        for length in lengths:
-            if length > max_len:
-                raise ValueError(f"length {length} exceeds max_len {max_len}")
-            row = np.zeros(max_len, dtype=bool)
-            row[:length] = True
-            rows.append(row)
-        return np.concatenate(rows)
-
-
-class MoEPolicy:
-    """Expert dispatch via the (b, m) multi-axis rule.
-
-    Each expert's matmul reads only its routed tokens; token positions inside
-    the batch are irrelevant thanks to permutation invariance.
-    """
-
-    label = "moe"
-
-    def decision(self) -> PolicyDecision:
-        return PolicyDecision(
-            sparse_operand="A", pit_axis="m", granularity=(1, -1), label=self.label
-        )
-
-
-class ActivationPolicy:
-    """ReLU activation sparsity in FFN second matmuls (OPT).
-
-    After ReLU, activation columns that are zero for *every* row of the tile
-    can be skipped on the k-axis; finer per-row zeros are covered at
-    micro-tile granularity (1 x 32 in the paper's OPT experiment).
-    """
-
-    label = "relu-activation"
-
-    def decision(self) -> PolicyDecision:
-        assert is_pit_axis(get_operator_expr("MatMul"), "k")
-        return PolicyDecision(
-            sparse_operand="A", pit_axis="k", granularity=(1, 32), label=self.label
-        )
-
-
-class AttentionPolicy:
-    """Dynamic sparse attention masks (Longformer/Museformer).
-
-    The attention-score matrix is sparse by the (input-dependent) mask; PIT
-    covers the mask with micro-tiles and computes only covered score tiles in
-    QK^T, softmax and PV.
-    """
-
-    label = "sparse-attention"
-
-    def decision(self) -> PolicyDecision:
-        return PolicyDecision(
-            sparse_operand="A", pit_axis="m", granularity=(1, 32), label=self.label
-        )
 
 
 class PagedAttentionPolicy:

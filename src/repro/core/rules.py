@@ -6,9 +6,7 @@ SRead/SWrite on the PIT-axis, loading/writing multiple sparsely located
 micro-tiles on this axis into/from the dense computation tile."
 
 This module enumerates the feasible rules for an operator given the tile
-database, which is the search space Algorithm 1 walks.  It also implements
-the multi-axis rules for BatchMatMul ((b, m) / (b, n) joint permutation) the
-paper identifies but defers — an extension in this build.
+database, which is the search space Algorithm 1 walks.
 """
 
 from __future__ import annotations
@@ -83,54 +81,6 @@ def matmul_rules(
                     microtile=micro,
                     tile=tile,
                     sparse_operand=sparse_operand,
-                )
-            )
-    return rules
-
-
-@dataclass(frozen=True)
-class MultiAxisRule:
-    """Extension: joint permutation over two PIT-axes of BatchMatMul.
-
-    The paper (Section 3.2) identifies permutations over (b, m) or (b, n) as
-    valid multi-axis PIT rules and leaves them to future work.  Flattening
-    (b, m) into one super-axis lets tokens from *different batch elements*
-    merge into one dense tile — the transformation MoE dispatch needs
-    (tokens of one expert come from many sequences).
-    """
-
-    operator: str
-    axes: tuple  # e.g. ("b", "m")
-    microtile: MicroTile
-    tile: TileConfig
-
-    def flattened_extent(self, extents: dict) -> int:
-        """Extent of the flattened super-axis."""
-        total = 1
-        for axis in self.axes:
-            total *= extents[axis]
-        return total
-
-
-def batch_matmul_multi_axis_rules(tiles) -> list:
-    """Enumerate (b, m) and (b, n) multi-axis rules for BatchMatMul."""
-    inferred = set(pit_axes(get_operator_expr("BatchMatMul")))
-    rules = []
-    for pair in (("b", "m"), ("b", "n")):
-        if not set(pair) <= inferred:
-            continue
-        for tile_like in tiles:
-            tile = getattr(tile_like, "tile", tile_like)
-            # The flattened super-axis behaves like matmul's m (or n): the
-            # micro-tile is one row (or column) of the tile.
-            operand = "A" if pair[1] == "m" else "B"
-            micro = derive_microtile(tile, pair[1], operand=operand)
-            rules.append(
-                MultiAxisRule(
-                    operator="BatchMatMul",
-                    axes=pair,
-                    microtile=micro,
-                    tile=tile,
                 )
             )
     return rules

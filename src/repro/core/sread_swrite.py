@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detector import SparseIndex
-
 
 def sread_rows(data: np.ndarray, row_index: np.ndarray) -> np.ndarray:
     """Gather whole rows (micro-tiles of shape ``(1, width)``).
@@ -73,43 +71,4 @@ def swrite_cols(
         )
     out = np.zeros(out_shape, dtype=dtype if dtype is not None else cols.dtype)
     out[:, idx] = cols
-    return out
-
-
-def gather_microtiles(data: np.ndarray, index: SparseIndex) -> np.ndarray:
-    """Gather full micro-tiles by grid coordinates into a packed block array.
-
-    Returns ``(num_microtiles, mh, mw)``; out-of-range tails (from grid
-    padding) are zero-filled, matching a guarded GPU load.
-    """
-    mh, mw = index.microtile.shape
-    num = index.num_microtiles
-    out = np.zeros((num, mh, mw), dtype=data.dtype)
-    rows, cols = data.shape
-    for i, (br, bc) in enumerate(index.positions):
-        r0, c0 = br * mh, bc * mw
-        r1, c1 = min(r0 + mh, rows), min(c0 + mw, cols)
-        out[i, : r1 - r0, : c1 - c0] = data[r0:r1, c0:c1]
-    return out
-
-
-def scatter_microtiles(
-    out_shape: tuple,
-    index: SparseIndex,
-    blocks: np.ndarray,
-    *,
-    dtype=None,
-) -> np.ndarray:
-    """Scatter packed micro-tiles back to their grid coordinates."""
-    mh, mw = index.microtile.shape
-    if blocks.shape[0] != index.num_microtiles:
-        raise ValueError(
-            f"expected {index.num_microtiles} blocks, got {blocks.shape[0]}"
-        )
-    out = np.zeros(out_shape, dtype=dtype if dtype is not None else blocks.dtype)
-    rows, cols = out_shape
-    for i, (br, bc) in enumerate(index.positions):
-        r0, c0 = br * mh, bc * mw
-        r1, c1 = min(r0 + mh, rows), min(c0 + mw, cols)
-        out[r0:r1, c0:c1] = blocks[i, : r1 - r0, : c1 - c0]
     return out

@@ -134,13 +134,6 @@ class TileDB:
                 )
             return _INSTANCE_CACHE[key]
 
-    @staticmethod
-    def clear_shared() -> None:
-        """Drop the shared instances (tests that vary spec parameters)."""
-        _reset_shared_after_fork()
-        with _INSTANCE_CACHE_LOCK:
-            _INSTANCE_CACHE.clear()
-
     def _to_entry(self, profile: TileProfile) -> TileEntry:
         tk = profile.tile.tk
         step_us = profile.time_per_k_us * tk
@@ -154,12 +147,6 @@ class TileDB:
     def tiles(self) -> list:
         """``GetTilesFromTileDB``: candidate tiles, best efficiency first."""
         return list(self._entries)
-
-    def entry_for(self, tile: TileConfig) -> TileEntry:
-        for entry in self._entries:
-            if entry.tile == tile:
-                return entry
-        raise KeyError(f"tile {tile.describe()} not in the database")
 
     def best_dense_tile(self, m: int, k: int, n: int) -> TileEntry:
         """The dense tile minimizing full-dense latency for this shape.

@@ -28,11 +28,8 @@ from .costmodel import (
 )
 from .memory import (
     gather_efficiency,
-    gather_time_us,
-    microtile_contig_bytes,
     stream_time_us,
     tensor_bytes,
-    transactions_for,
 )
 from .memtracker import MemoryTracker, OutOfMemoryError
 from .profiler import TileProfile, profile_matmul_tiles
@@ -42,7 +39,6 @@ from .wmma import (
     WMMA_FP16_SHAPES,
     SparseTensorCore,
     is_two_four_eligible,
-    validate_wmma_tile,
     wmma_supports,
 )
 
@@ -64,7 +60,6 @@ __all__ = [
     "dtype_bytes",
     "elementwise_time_us",
     "gather_efficiency",
-    "gather_time_us",
     "get_gpu",
     "is_two_four_eligible",
     "kernel_time_us",
@@ -72,7 +67,6 @@ __all__ = [
     "matmul_step_time_us",
     "matmul_tile_fixed_time_us",
     "matmul_tile_time_us",
-    "microtile_contig_bytes",
     "parse_lineup",
     "predicted_finish_us",
     "profile_matmul_tiles",
@@ -81,7 +75,5 @@ __all__ = [
     "sparse_matmul_time_us",
     "stream_time_us",
     "tensor_bytes",
-    "transactions_for",
-    "validate_wmma_tile",
     "wmma_supports",
 ]

@@ -244,10 +244,10 @@ def elementwise_time_us(
     spec: GPUSpec,
     *,
     num_inputs: int = 1,
-    num_outputs: int = 1,
 ) -> float:
-    """Latency of a bandwidth-bound elementwise kernel (ReLU, add, mask...)."""
-    total_bytes = num_elems * dtype_bytes(dtype) * (num_inputs + num_outputs)
+    """Latency of a bandwidth-bound elementwise kernel (ReLU, add, mask...)
+    that reads ``num_inputs`` tensors and writes one."""
+    total_bytes = num_elems * dtype_bytes(dtype) * (num_inputs + 1)
     return stream_time_us(total_bytes, spec) + spec.kernel_launch_us
 
 

@@ -1,29 +1,19 @@
-"""Global-memory access model: transactions, streaming, gather/scatter.
+"""Global-memory access model: streaming and gather/scatter bandwidth.
 
 PIT's central performance argument for SRead/SWrite is that rearranging data
 *at micro-tile granularity* is free as long as each micro-tile saturates one
 global-memory transaction (32 bytes).  This module provides the byte/latency
 accounting behind that argument:
 
-* :func:`transactions_for` — number of 32B transactions to move a region,
 * :func:`stream_time_us` — time for a fully coalesced streaming access,
-* :func:`gather_time_us` — time for a transaction-granular scattered access
-  (SRead/SWrite), which degrades only when micro-tiles are narrower than one
-  transaction.
+* :func:`gather_efficiency` — the bandwidth fraction of a
+  transaction-granular scattered access (SRead/SWrite), which degrades only
+  when micro-tiles are narrower than one transaction.
 """
 
 from __future__ import annotations
 
-import math
-
 from .spec import GPUSpec, dtype_bytes
-
-
-def transactions_for(num_bytes: int, spec: GPUSpec) -> int:
-    """Number of global-memory transactions needed to move ``num_bytes``."""
-    if num_bytes <= 0:
-        return 0
-    return math.ceil(num_bytes / spec.transaction_bytes)
 
 
 def stream_time_us(num_bytes: int, spec: GPUSpec) -> float:
@@ -47,33 +37,6 @@ def gather_efficiency(contig_bytes: int, spec: GPUSpec) -> float:
         raise ValueError("contig_bytes must be positive")
     useful_fraction = min(1.0, contig_bytes / spec.transaction_bytes)
     return spec.gather_efficiency * useful_fraction
-
-
-def gather_time_us(
-    num_bytes: int,
-    contig_bytes: int,
-    spec: GPUSpec,
-) -> float:
-    """Time to gather/scatter ``num_bytes`` in runs of ``contig_bytes``.
-
-    ``num_bytes`` counts *useful* bytes; the transaction waste of narrow runs
-    is folded into the efficiency factor.
-    """
-    if num_bytes <= 0:
-        return 0.0
-    eff = gather_efficiency(contig_bytes, spec)
-    return num_bytes / (spec.bandwidth_bytes_us() * eff)
-
-
-def microtile_contig_bytes(microtile_shape: tuple, dtype: str) -> int:
-    """Contiguous bytes of one micro-tile, assuming the last axis is innermost.
-
-    For a row-major tensor a ``(1, 32)`` micro-tile is one 128-byte run; a
-    ``(32, 1)`` micro-tile is 32 separate 4-byte runs (for float32), which is
-    why PIT requires the sparse tensor to be non-contiguous on the PIT-axis —
-    i.e. stored so that the *other* axes are innermost (Section 3.2).
-    """
-    return microtile_shape[-1] * dtype_bytes(dtype)
 
 
 def tensor_bytes(shape: tuple, dtype: str) -> int:

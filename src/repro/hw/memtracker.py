@@ -72,14 +72,6 @@ class MemoryTracker:
         self.current_bytes -= freed
         return freed
 
-    def by_category(self) -> dict[str, int]:
-        """Live bytes per category."""
-        return dict(self._bytes)
-
     @property
     def peak_gib(self) -> float:
         return self.peak_bytes / (1 << 30)
-
-    @property
-    def current_gib(self) -> float:
-        return self.current_bytes / (1 << 30)

@@ -21,10 +21,10 @@ from .spec import GPUSpec
 from .wmma import wmma_supports
 
 #: Candidate extents for the output-tile dimensions.
-DEFAULT_TM = (8, 16, 32, 64, 128)
-DEFAULT_TN = (8, 16, 32, 64, 128)
+_TM_CANDIDATES = (8, 16, 32, 64, 128)
+_TN_CANDIDATES = (8, 16, 32, 64, 128)
 #: Candidate K-step extents.
-DEFAULT_TK = (8, 16, 32, 64)
+_TK_CANDIDATES = (8, 16, 32, 64)
 
 #: Reference K extent used to express profiled costs per-tile.  The tile cost
 #: stored in the DB is normalized to "per K element" so selection can rescale
@@ -45,11 +45,6 @@ class TileProfile:
     #: Whether the tile is expressible with wmma fragments in fp16.
     tensor_core_ok: bool
 
-    def tile_time_us(self, k_extent: int) -> float:
-        """Estimated latency of one tile accumulating over ``k_extent``."""
-        return self.time_per_k_us * max(1, k_extent) + self.fixed_us
-
-
 _CACHE: dict = {}
 
 
@@ -57,9 +52,6 @@ def profile_matmul_tiles(
     spec: GPUSpec,
     dtype: str,
     *,
-    tm_candidates=DEFAULT_TM,
-    tn_candidates=DEFAULT_TN,
-    tk_candidates=DEFAULT_TK,
     tensor_core: bool = False,
 ) -> list:
     """Profile every candidate matmul tile shape on the device model.
@@ -70,7 +62,7 @@ def profile_matmul_tiles(
     """
     # The full frozen GPUSpec keys the cache: two same-named specs with
     # different parameters must not share profiles.
-    key = (spec, dtype, tm_candidates, tn_candidates, tk_candidates, tensor_core)
+    key = (spec, dtype, tensor_core)
     if key in _CACHE:
         return _CACHE[key]
 
@@ -80,7 +72,7 @@ def profile_matmul_tiles(
     shared_budget = spec.shared_mem_per_sm_kib * 1024
 
     profiles = []
-    for tm, tk, tn in itertools.product(tm_candidates, tk_candidates, tn_candidates):
+    for tm, tk, tn in itertools.product(_TM_CANDIDATES, _TK_CANDIDATES, _TN_CANDIDATES):
         tile = TileConfig(tm=tm, tk=tk, tn=tn)
         working_set = (tm * tk + tk * tn + tm * tn) * dsize
         if working_set > shared_budget:

@@ -115,15 +115,6 @@ class GPUSpec:
         """Device memory capacity in bytes."""
         return int(self.mem_capacity_gib * (1 << 30))
 
-    def min_microtile_elems(self, dtype: str) -> int:
-        """Smallest useful micro-tile extent (elements) on the contiguous axis.
-
-        Per Section 3.1, a micro-tile should saturate one memory transaction:
-        32 bytes -> 8 float32 or 4 float64 elements.
-        """
-        return max(1, self.transaction_bytes // dtype_bytes(dtype))
-
-
 #: NVIDIA A100-80GB (SXM).  108 SMs, 19.5 fp32 TFLOP/s, 312 fp16 TFLOP/s
 #: (Tensor Core), 2039 GB/s HBM2e.
 A100 = GPUSpec(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costmodel import TileConfig
 from .spec import GPUSpec
 
 #: The three fp16 fragment shapes wmma supports, as (m, n, k).
@@ -40,16 +39,6 @@ def wmma_supports(tm: int, tn: int, tk: int) -> bool:
         tm % fm == 0 and tn % fn == 0 and tk % fk == 0
         for fm, fn, fk in WMMA_FP16_SHAPES
     )
-
-
-def validate_wmma_tile(tile: TileConfig) -> None:
-    """Raise ``ValueError`` if ``tile`` cannot be built from wmma fragments."""
-    if not wmma_supports(tile.tm, tile.tn, tile.tk):
-        raise ValueError(
-            f"tile {tile.describe()} is not decomposable into wmma fragments "
-            f"{WMMA_FP16_SHAPES}; PIT must transform micro-tiles into one of "
-            f"these dense shapes first"
-        )
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ from .functional import (
     ffn_block,
     moe_layer_grouped,
     moe_layer_reference,
-    padded_batch_forward,
-    varlen_forward,
 )
 from .workloads import (
     Workload,
@@ -55,9 +53,7 @@ __all__ = [
     "opt",
     "opt_inference_workload",
     "opt_training_workload",
-    "padded_batch_forward",
     "swin_moe",
     "swin_moe_workload",
     "switch_transformer",
-    "varlen_forward",
 ]

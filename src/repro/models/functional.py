@@ -1,14 +1,12 @@
 """Functional (numpy) transformer blocks — the numerical reference models.
 
-These compute real values at small scale so tests can verify PIT's
+These compute real values at small scale so the examples can check PIT's
 model-level claims numerically:
 
-* a padded batch forward equals a PIT-style gathered (varlen) forward on
-  the real tokens (the SeqLen policy's correctness);
 * an MoE layer computed with the grouped PIT kernel equals the per-token
   expert loop;
-* masked attention computed on gathered score tiles equals the dense
-  masked reference.
+* an encoder layer over a shuffled token order equals the in-order layer
+  once un-shuffled (permutation invariance under a sparse attention mask).
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ def attention_block(
     heads: int,
     *,
     attn_mask: np.ndarray = None,
-    causal: bool = False,
 ) -> np.ndarray:
     """Multi-head self-attention over one sequence [s, d_model]."""
     s, d_model = x.shape
@@ -70,16 +67,13 @@ def attention_block(
     mask = np.ones((s, s), dtype=bool)
     if attn_mask is not None:
         mask &= attn_mask
-    if causal:
-        mask &= np.tril(np.ones((s, s), dtype=bool))
     probs = masked_softmax(scores, np.broadcast_to(mask, scores.shape))
     out = (probs @ v).transpose(1, 0, 2).reshape(s, d_model)
     return out @ w.wo
 
 
-def ffn_block(x: np.ndarray, w: LayerWeights, activation: str = "gelu") -> np.ndarray:
-    act = relu if activation == "relu" else gelu
-    return act(x @ w.w1) @ w.w2
+def ffn_block(x: np.ndarray, w: LayerWeights) -> np.ndarray:
+    return gelu(x @ w.w1) @ w.w2
 
 
 def encoder_layer(
@@ -88,67 +82,13 @@ def encoder_layer(
     heads: int,
     *,
     attn_mask: np.ndarray = None,
-    causal: bool = False,
-    activation: str = "gelu",
 ) -> np.ndarray:
-    """One pre-LN transformer layer over a single sequence [s, d_model]."""
+    """One pre-LN transformer layer (GELU FFN) over a single sequence
+    [s, d_model]."""
     h = x + attention_block(
-        layernorm(x, w.ln1_g, w.ln1_b), w, heads,
-        attn_mask=attn_mask, causal=causal,
+        layernorm(x, w.ln1_g, w.ln1_b), w, heads, attn_mask=attn_mask
     )
-    return h + ffn_block(layernorm(h, w.ln2_g, w.ln2_b), w, activation=activation)
-
-
-def padded_batch_forward(
-    sequences: list,
-    w: LayerWeights,
-    heads: int,
-    *,
-    activation: str = "gelu",
-    causal: bool = False,
-) -> list:
-    """PyTorch-style forward: pad to the batch max, run, strip padding.
-
-    Padding tokens attend nowhere and are attended by nobody, so the real
-    token outputs must equal the per-sequence forward — the property the
-    varlen test relies on.
-    """
-    max_len = max(s.shape[0] for s in sequences)
-    outs = []
-    for seq in sequences:
-        s = seq.shape[0]
-        padded = np.zeros((max_len, seq.shape[1]))
-        padded[:s] = seq
-        token_mask = np.zeros(max_len, dtype=bool)
-        token_mask[:s] = True
-        attn_mask = np.outer(token_mask, token_mask)
-        out = encoder_layer(
-            padded, w, heads, attn_mask=attn_mask, causal=causal,
-            activation=activation,
-        )
-        outs.append(out[:s])
-    return outs
-
-
-def varlen_forward(
-    sequences: list,
-    w: LayerWeights,
-    heads: int,
-    *,
-    activation: str = "gelu",
-    causal: bool = False,
-    seed: int = 0,
-) -> list:
-    """PIT-style forward: process each sequence at its exact length, with
-    the batch's token rows visited in a shuffled (unordered-index) order."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(sequences))
-    outs = [None] * len(sequences)
-    for i in order:
-        outs[i] = encoder_layer(
-            sequences[i], w, heads, causal=causal, activation=activation
-        )
-    return outs
+    return h + ffn_block(layernorm(h, w.ln2_g, w.ln2_b), w)
 
 
 def moe_layer_reference(

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..sparsity.attention import MaskStats, longformer_mask_stats, museformer_mask_stats
-from ..sparsity.moe import Router, RoutingResult
+from ..sparsity.moe import Router
 from ..sparsity.seqlen import get_dataset
 from .config import (
     ModelConfig,
@@ -53,10 +53,6 @@ class Workload:
     @property
     def max_len(self) -> int:
         return int(self.lengths.max()) if self.lengths.size else 0
-
-    def routing_for(self, layer: int) -> Optional[RoutingResult]:
-        return self.routing_by_layer.get(layer)
-
 
 def _route_moe_layers(config: ModelConfig, padded_tokens: int, seed: int) -> dict:
     """Build per-layer routing for every MoE layer of the stack.

@@ -11,7 +11,6 @@ from .engine import (
     TRAINING_STATE_MULTIPLIER,
     RunReport,
     run_transformer,
-    speedup_table,
 )
 from .frontend import (
     AsyncServingFrontend,
@@ -22,7 +21,7 @@ from .frontend import (
     serve_async,
     serve_workloads,
 )
-from .report import format_speedups, format_table
+from .report import format_table
 from .resilience import (
     FaultInjector,
     FaultSpec,
@@ -89,7 +88,6 @@ __all__ = [
     "VirtualClock",
     "cluster_replay_trace",
     "decision_trace",
-    "format_speedups",
     "format_table",
     "make_backend",
     "merge_workloads",
@@ -100,6 +98,5 @@ __all__ = [
     "serve_workloads",
     "sparse_training_run",
     "sparse_training_step",
-    "speedup_table",
     "validate_backend_kwargs",
 ]

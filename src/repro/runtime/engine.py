@@ -195,7 +195,6 @@ def run_transformer(
     *,
     mode: str = "inference",
     enforce_memory: bool = True,
-    model_family_check: bool = True,
     devices: int = 1,
 ) -> RunReport:
     """Price one forward (or forward+backward) pass of ``workload``.
@@ -228,7 +227,7 @@ def run_transformer(
     backend.set_fusion(mode == "inference", workload.lengths)
 
     try:
-        if model_family_check and hasattr(backend, "check_model"):
+        if hasattr(backend, "check_model"):
             backend.check_model(cfg.family, workload.max_len)
 
         dsize = dtype_bytes(backend.dtype)
@@ -347,17 +346,3 @@ def run_transformer(
     finally:
         backend.set_fusion(False)
     return report
-
-
-def speedup_table(reports: list, *, reference: str = "PIT") -> dict:
-    """Speedups of ``reference`` over every other (successful) backend."""
-    by_name = {r.backend: r for r in reports}
-    if reference not in by_name or not by_name[reference].ok:
-        raise KeyError(f"no successful {reference!r} run among the reports")
-    ref_latency = by_name[reference].latency_ms
-    table = {}
-    for name, rep in by_name.items():
-        if name == reference or not rep.ok:
-            continue
-        table[name] = rep.latency_ms / ref_latency
-    return table

@@ -78,9 +78,6 @@ class VirtualClock:
             self._timers, (when_us, priority, next(self._seq), callback, args)
         )
 
-    def pending(self) -> bool:
-        return bool(self._timers)
-
     def fire_next(self) -> float:
         """Fire the earliest timer; returns the time it fired at."""
         when_us, _, _, callback, args = heapq.heappop(self._timers)
@@ -556,11 +553,6 @@ class AsyncServingFrontend:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    @property
-    def inflight(self) -> int:
-        """Admitted-but-unfinished requests (the backpressure quantity)."""
-        return self._inflight
-
     def report(self) -> ServingReport:
         """The aggregate report over everything served so far."""
         report = self._report
@@ -608,12 +600,7 @@ def serve_virtual(frontend: AsyncServingFrontend,
     return frontend.report()
 
 
-def replay_trace(
-    engine,
-    requests=None,
-    *,
-    max_queue_depth: Optional[int] = None,
-) -> ServingReport:
+def replay_trace(engine, requests=None) -> ServingReport:
     """Serve a trace through the front end's pipeline in virtual time.
 
     :func:`serve_virtual` over a fresh :class:`AsyncServingFrontend` on a
@@ -623,9 +610,7 @@ def replay_trace(
     defaults to the engine's queued submissions.  Compare reports with
     :func:`decision_trace`.
     """
-    frontend = AsyncServingFrontend(
-        engine, max_queue_depth=max_queue_depth, clock=VirtualClock()
-    )
+    frontend = AsyncServingFrontend(engine, clock=VirtualClock())
     return serve_virtual(frontend, requests)
 
 
@@ -667,12 +652,10 @@ async def serve_async(
     workloads,
     *,
     max_queue_depth: Optional[int] = None,
-    overload: str = "shed",
 ) -> ServingReport:
-    """Serve ``workloads`` through a live front end on the running loop."""
-    frontend = AsyncServingFrontend(
-        engine, max_queue_depth=max_queue_depth, overload=overload
-    )
+    """Serve ``workloads`` through a live front end on the running loop;
+    past ``max_queue_depth`` arrivals are shed."""
+    frontend = AsyncServingFrontend(engine, max_queue_depth=max_queue_depth)
     await frontend.start()
     futures = [await frontend.submit(w) for w in workloads]
     await frontend.drain()
@@ -687,14 +670,8 @@ def serve_workloads(
     workloads,
     *,
     max_queue_depth: Optional[int] = None,
-    overload: str = "shed",
 ) -> ServingReport:
     """Synchronous wrapper: run :func:`serve_async` on a private loop."""
     return asyncio.run(
-        serve_async(
-            engine,
-            workloads,
-            max_queue_depth=max_queue_depth,
-            overload=overload,
-        )
+        serve_async(engine, workloads, max_queue_depth=max_queue_depth)
     )

@@ -33,11 +33,3 @@ def _fmt(cell) -> str:
             return f"{cell:.1f}"
         return f"{cell:.3f}"
     return str(cell)
-
-
-def format_speedups(table: dict, *, reference: str = "PIT") -> str:
-    """Render a speedup dict as 'PIT is N.Nx faster than X' lines."""
-    lines = []
-    for name, speedup in sorted(table.items(), key=lambda kv: -kv[1]):
-        lines.append(f"{reference} is {speedup:.2f}x faster than {name}")
-    return "\n".join(lines)

@@ -722,11 +722,6 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Device classes (heterogeneous replica lineups)
     # ------------------------------------------------------------------
-    @property
-    def device_classes(self) -> list:
-        """The distinct device classes of the lineup, by ``class_id``."""
-        return list(self._device_classes.values())
-
     def device_for_replica(self, replica_id: int) -> DeviceClass:
         """The device class serving ``replica_id``; an off-range id falls
         back to the engine's own class."""
@@ -815,8 +810,13 @@ class ServingEngine:
         The stream continues the engine's arrival clock: the first arrival
         lands one gap after the latest arrival ever submitted (at 0 on a
         fresh engine), so a second call cannot produce arrivals earlier than
-        already-queued requests.
+        already-queued requests.  The gap must be finite and non-negative
+        (``ValueError`` otherwise, before anything is queued).
         """
+        if not (math.isfinite(interarrival_us) and interarrival_us >= 0):
+            raise ValueError(
+                f"interarrival_us must be finite and >= 0, got {interarrival_us!r}"
+            )
         base = self._arrival_clock_us
         if self._next_id > 0:
             base += interarrival_us
@@ -824,9 +824,6 @@ class ServingEngine:
         for i, w in enumerate(workloads):
             out.append(self.submit(w, arrival_us=base + i * interarrival_us))
         return out
-
-    def pending(self) -> int:
-        return len(self._queue)
 
     # ------------------------------------------------------------------
     # Batching: token-budget bucketing over variable-length requests
@@ -1042,26 +1039,13 @@ class ServingEngine:
             degraded=True,
         )
 
-    def plan_cache_keys(self) -> list:
-        """Every device class's TileDB key, primary first.
-
-        The full identity set of this engine's plan traffic: pass it to
-        ``PlanCache.load(path, expected_tiledb_keys=engine.plan_cache_keys())``
-        to validate a mixed-lineup dump against *all* the classes the
-        reviving engine can actually serve, not just its primary.
-        """
-        return [device.tiledb.cache_key for device in self.device_classes]
-
-    def save_plan_cache(self, path, *, max_entries: Optional[int] = None) -> dict:
+    def save_plan_cache(self, path) -> dict:
         """Persist this engine's plan cache for a later process.
 
         A fresh engine constructed with
         ``PlanCache.load(path, expected_tiledb_key=...)`` serves the same
         traffic with zero cold searches — every serving-path plan kind is
         keyed by a serializable :class:`~repro.core.plan.PlanSpec`.
-        ``max_entries`` forwards the dump's LRU age-out cap (see
-        :meth:`PlanCache.save`); entries under the cap keep the
-        zero-cold-search replay property.
 
         The dump header records the *primary* device class's TileDB key
         (the coarse transfer guard ``PlanCache.load`` validates) plus the
@@ -1069,12 +1053,10 @@ class ServingEngine:
         (``tiledb_keys``) — a heterogeneous engine's cache holds entries
         for every class, each carrying its own ``tiledb_key`` inside the
         plan key.  A reviving mixed lineup validates the whole set with
-        ``expected_tiledb_keys=engine.plan_cache_keys()``; per-entry keys,
+        ``expected_tiledb_keys=`` its classes' TileDB keys; per-entry keys,
         not the header, remain what planners match at resolve time.
         """
-        return self.plan_cache.save(
-            path, tiledb_key=self.tiledb.cache_key, max_entries=max_entries
-        )
+        return self.plan_cache.save(path, tiledb_key=self.tiledb.cache_key)
 
     def speculate_plans(
         self,

@@ -270,15 +270,13 @@ def sparse_training_run(
     spec: GPUSpec,
     *,
     sparsities,
-    config: ModelConfig = None,
     block: tuple = (32, 64),
-    batch_tokens: int = 32 * 128,
-    dtype: str = "float32",
     seed: int = 0,
     seed_stride: int = 0,
     plan_cache: Optional[PlanCache] = None,
 ) -> list:
-    """Price a multi-step pruning run: one report per sparsity step.
+    """Price a multi-step pruning run of fp32 BERT-base at the default
+    batch: one report per sparsity step.
 
     All steps share one :class:`PlanCache` (``plan_cache``, or a fresh one),
     so the PIT backend's plan resolutions warm-start across the run: the
@@ -299,11 +297,8 @@ def sparse_training_run(
         sparse_training_step(
             backend,
             spec,
-            config=config,
             block=block,
             sparsity=s,
-            batch_tokens=batch_tokens,
-            dtype=dtype,
             seed=seed + i * seed_stride,
             plan_cache=cache,
         )

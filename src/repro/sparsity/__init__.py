@@ -2,21 +2,17 @@
 (dynamic attention, MoE routing, varying sequence lengths, sparse training)
 plus activation sparsity and the pattern-repetition study."""
 
-from .activation import measured_sparsity, relu_activation_mask
+from .activation import relu_activation_mask
 from .attention import (
     MaskStats,
     as_mask_stats,
-    dynamic_token_mask,
     global_token_positions,
     longformer_mask,
     longformer_mask_rows,
     longformer_mask_stats,
-    mask_sparsity,
-    museformer_mask,
     museformer_mask_rows,
     museformer_mask_stats,
     museformer_summary_positions,
-    sliding_window_mask,
 )
 from .generators import (
     PatternHitCounter,
@@ -28,17 +24,17 @@ from .masks import (
     MagnitudePruner,
     PruningSchedule,
     granular_mask,
+    mask_sparsity,
     nm_prune_mask,
     two_four_mask,
 )
-from .moe import Router, RoutingResult, capacity_tokens, drop_overflow
+from .moe import Router, RoutingResult, capacity_tokens
 from .seqlen import (
     BERT_DATASETS,
     DATASETS,
     GLUE_TASKS,
     LengthDistribution,
     get_dataset,
-    pad_to_multiple,
 )
 
 __all__ = [
@@ -54,8 +50,6 @@ __all__ = [
     "RoutingResult",
     "as_mask_stats",
     "capacity_tokens",
-    "drop_overflow",
-    "dynamic_token_mask",
     "get_dataset",
     "global_token_positions",
     "granular_mask",
@@ -63,17 +57,13 @@ __all__ = [
     "longformer_mask_rows",
     "longformer_mask_stats",
     "mask_sparsity",
-    "measured_sparsity",
-    "museformer_mask",
     "museformer_mask_rows",
     "museformer_mask_stats",
     "museformer_summary_positions",
     "nm_prune_mask",
-    "pad_to_multiple",
     "pattern_fingerprint",
     "relu_activation_mask",
     "relu_pattern_stream",
     "seqlen_pattern_stream",
-    "sliding_window_mask",
     "two_four_mask",
 ]

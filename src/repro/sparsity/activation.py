@@ -15,29 +15,29 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Fraction of neurons that fire with high probability for every token.
+_HOT_FRACTION = 0.02
+
 
 def relu_activation_mask(
     num_tokens: int,
     hidden: int,
     sparsity: float,
     *,
-    hot_fraction: float = 0.02,
     seed: int = 0,
 ) -> np.ndarray:
     """A [num_tokens, hidden] boolean mask of non-zero post-ReLU activations.
 
-    ``sparsity`` is the target zero fraction (e.g. 0.99 for OPT).  A
-    ``hot_fraction`` of neurons fire with high probability for every token
-    (shared features), the rest fire independently so that each token's
-    non-zero set differs — which is what makes the pattern *dynamic*.
+    ``sparsity`` is the target zero fraction (e.g. 0.99 for OPT).  2% of
+    neurons fire with high probability for every token (shared features),
+    the rest fire independently so that each token's non-zero set differs —
+    which is what makes the pattern *dynamic*.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError("sparsity must be in [0, 1)")
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError("hot_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
     density = 1.0 - sparsity
-    num_hot = int(hidden * hot_fraction)
+    num_hot = int(hidden * _HOT_FRACTION)
     # Hot neurons fire for most tokens but must not exceed the density
     # budget; they take at most half of it.
     hot_budget = min(0.9, (density * hidden) / (2 * max(1, num_hot)))
@@ -50,8 +50,3 @@ def relu_activation_mask(
     remaining = max(0.0, density - used)
     mask |= rng.random((num_tokens, hidden)) < remaining
     return mask
-
-
-def measured_sparsity(mask: np.ndarray) -> float:
-    """Zero fraction of a mask (sanity-check helper used by benches)."""
-    return 1.0 - float(np.count_nonzero(mask)) / mask.size

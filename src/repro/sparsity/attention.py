@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Rows a chunked statistics pass materializes at once.
+_CHUNK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class MaskStats:
@@ -144,19 +147,16 @@ class MaskStats:
         )
 
     @classmethod
-    def from_row_chunks(
-        cls, row_fn, seq: int, *, micro_w: int = 32, block: int = 32,
-        chunk_rows: int = 2048,
-    ):
+    def from_row_chunks(cls, row_fn, seq: int, *, micro_w: int = 32, block: int = 32):
         """Compute statistics by streaming row chunks.
 
         ``row_fn(lo, hi)`` returns the boolean mask rows ``[lo:hi]`` of shape
-        ``(hi-lo, seq)``.  ``chunk_rows`` is rounded to a multiple of
+        ``(hi-lo, seq)``.  Chunks are 2048 rows, rounded to a multiple of
         ``block`` so block covers never straddle chunks.
         """
         from ..core.cover import cover_grid
 
-        chunk_rows = max(block, (chunk_rows // block) * block)
+        chunk_rows = max(block, (_CHUNK_ROWS // block) * block)
         fine_w = 8
         nnz = 0
         covered_micro = 0
@@ -217,14 +217,6 @@ def representative_attention_mask(
     return mask
 
 
-def sliding_window_mask(seq_len: int, window: int) -> np.ndarray:
-    """Symmetric sliding-window attention mask ([seq, seq] boolean)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    idx = np.arange(seq_len)
-    return np.abs(idx[:, None] - idx[None, :]) <= window // 2
-
-
 def global_token_positions(seq_len: int, num_global: int, seed: int) -> np.ndarray:
     """The input-dependent global token positions of a Longformer input."""
     rng = np.random.default_rng(seed)
@@ -271,14 +263,12 @@ def longformer_mask_stats(
     *,
     num_global: int = 16,
     seed: int = 0,
-    micro_w: int = 32,
-    block: int = 32,
 ) -> MaskStats:
     """Longformer mask statistics without materializing the full matrix."""
     globals_ = global_token_positions(seq_len, num_global, seed)
     return MaskStats.from_row_chunks(
         lambda lo, hi: longformer_mask_rows(lo, hi, seq_len, window, globals_),
-        seq_len, micro_w=micro_w, block=block,
+        seq_len,
     )
 
 
@@ -320,27 +310,6 @@ def museformer_mask_rows(
     return mask & causal
 
 
-def museformer_mask(
-    seq_len: int,
-    *,
-    bar_len: int = 256,
-    fine_bars: int = 2,
-    summary_stride: int = 4,
-    seed: int = 0,
-) -> np.ndarray:
-    """Museformer's fine- and coarse-grained attention.
-
-    Tokens attend finely to their own and the previous ``fine_bars`` bars
-    (music repeats locally) and coarsely to one summary token per
-    ``summary_stride``-th earlier bar; which bars are summarized varies with
-    the piece (seeded here).  Causal.
-    """
-    if bar_len < 1:
-        raise ValueError("bar_len must be >= 1")
-    summaries = museformer_summary_positions(seq_len, bar_len, summary_stride, seed)
-    return museformer_mask_rows(0, seq_len, seq_len, bar_len, fine_bars, summaries)
-
-
 def museformer_mask_stats(
     seq_len: int,
     *,
@@ -348,8 +317,6 @@ def museformer_mask_stats(
     fine_bars: int = 2,
     summary_stride: int = 4,
     seed: int = 0,
-    micro_w: int = 32,
-    block: int = 32,
 ) -> MaskStats:
     """Museformer mask statistics via row-chunked streaming (32k-ready)."""
     summaries = museformer_summary_positions(seq_len, bar_len, summary_stride, seed)
@@ -357,25 +324,5 @@ def museformer_mask_stats(
         lambda lo, hi: museformer_mask_rows(
             lo, hi, seq_len, bar_len, fine_bars, summaries
         ),
-        seq_len, micro_w=micro_w, block=block,
+        seq_len,
     )
-
-
-def dynamic_token_mask(
-    seq_len: int,
-    keep_ratio: float,
-    *,
-    seed: int = 0,
-) -> np.ndarray:
-    """Dynamic token pruning (DynamicViT/SpAtten-style): a per-input subset
-    of tokens stays active; attention is restricted to active x active."""
-    if not 0.0 < keep_ratio <= 1.0:
-        raise ValueError("keep_ratio must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    keep = rng.random(seq_len) < keep_ratio
-    return np.outer(keep, keep)
-
-
-def mask_sparsity(mask: np.ndarray) -> float:
-    """Zero fraction of an attention mask."""
-    return 1.0 - float(np.count_nonzero(mask)) / mask.size

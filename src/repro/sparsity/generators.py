@@ -17,6 +17,9 @@ import numpy as np
 from .activation import relu_activation_mask
 from .seqlen import LengthDistribution, get_dataset
 
+#: Mask columns a ReLU pattern keeps for its fingerprint (memory economy).
+_FINGERPRINT_COLS = 512
+
 
 def pattern_fingerprint(pattern: np.ndarray) -> str:
     """A stable content hash identifying one sparsity pattern exactly."""
@@ -76,17 +79,16 @@ def relu_pattern_stream(
     num_batches: int,
     *,
     seed: int = 0,
-    fingerprint_cols: int = 512,
 ):
     """Yield ReLU activation patterns batch by batch.
 
-    ``fingerprint_cols`` truncates the mask columns for memory economy; the
-    truncation only *raises* the measured hit ratio, so the Figure 20
-    conclusion (ratios near zero) is conservative.
+    Masks keep at most 512 columns for memory economy; the truncation only
+    *raises* the measured hit ratio, so the Figure 20 conclusion (ratios
+    near zero) is conservative.
     """
     for i in range(num_batches):
         mask = relu_activation_mask(
-            batch_tokens, min(hidden, fingerprint_cols), sparsity,
+            batch_tokens, min(hidden, _FINGERPRINT_COLS), sparsity,
             seed=seed * 104729 + i,
         )
         yield mask

@@ -27,7 +27,8 @@ class RoutingResult:
 
     #: [num_experts] token count per expert.
     counts: np.ndarray
-    #: Tokens routed, dropped ones included (see :func:`drop_overflow`).
+    #: Tokens routed, including any a capacity cap dropped (then
+    #: ``num_tokens`` exceeds ``counts.sum()``).
     num_tokens: int
 
     @property
@@ -50,7 +51,7 @@ class RoutingResult:
         systems route every padded position, PIT routes only real tokens.
         This rescales the per-expert counts proportionally (largest experts
         absorb rounding) so all backends see the same load *shape*.  A
-        capped routing (:func:`drop_overflow`) keeps dropping the same
+        capped routing (one that dropped tokens) keeps dropping the same
         share: only the scaled *routed* total is apportioned.
         """
         return scale_routings([self], num_tokens)[0]
@@ -228,15 +229,3 @@ def capacity_tokens(num_tokens: int, num_experts: int, capacity_factor: float) -
     import math
 
     return max(1, math.ceil(capacity_factor * num_tokens / num_experts))
-
-
-def drop_overflow(result: RoutingResult, capacity: int) -> RoutingResult:
-    """Apply a hard capacity: tokens over an expert's capacity are dropped,
-    as Tutel/DeepSpeed do when buffers fill.  Dropped tokens still count in
-    ``num_tokens``; only the per-expert loads are capped."""
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    return RoutingResult(
-        counts=np.minimum(result.counts, capacity),
-        num_tokens=result.num_tokens,
-    )

@@ -48,23 +48,6 @@ class LengthDistribution:
         raw = rng.lognormal(mu, self.log_sigma, size=batch_size)
         return np.clip(np.round(raw).astype(int), self.min_len, self.max_len)
 
-    def batches(self, num_batches: int, batch_size: int, *, seed: int = 0):
-        """Yield ``num_batches`` independent batches of lengths."""
-        for i in range(num_batches):
-            yield self.sample(batch_size, seed=seed * 100003 + i)
-
-    def padding_ratio(self, batch_size: int, *, seed: int = 0, num_batches: int = 16) -> float:
-        """Expected fraction of padded (wasted) tokens when padding each
-        batch to its own maximum — the sparsity this dataset induces."""
-        wasted = 0
-        total = 0
-        for batch in self.batches(num_batches, batch_size, seed=seed):
-            padded = int(batch.max()) * batch_size
-            wasted += padded - int(batch.sum())
-            total += padded
-        return wasted / total if total else 0.0
-
-
 #: Length statistics per dataset.  GLUE statistics follow the standard BERT
 #: uncased tokenization; IMDB/Multi-News/Multi-XScience are long-document
 #: corpora; Alpaca lengths include the instruction+response pair.
@@ -100,12 +83,3 @@ def get_dataset(name: str) -> LengthDistribution:
     except KeyError:
         known = ", ".join(sorted(DATASETS))
         raise KeyError(f"unknown dataset {name!r}; known: {known}") from None
-
-
-def pad_to_multiple(lengths: np.ndarray, multiple: int) -> np.ndarray:
-    """Round lengths up to a multiple (Triton block-sparse needs multiples of
-    32 tokens; Figure 11 discusses the waste this creates on short GLUE
-    sequences)."""
-    if multiple < 1:
-        raise ValueError("multiple must be >= 1")
-    return ((lengths + multiple - 1) // multiple) * multiple

@@ -1,30 +1,1 @@
-"""Mini tensor framework: values, layouts, sparse formats, reference ops."""
-
-from .layout import Layout, needs_transpose
-from .sparse import (
-    BCSRMatrix,
-    COOMatrix,
-    CSRMatrix,
-    bcsr_spmm,
-    csr_spmm,
-    dense_to_bcsr,
-    dense_to_coo,
-    dense_to_csr,
-)
-from .tensor import SimTensor, from_mask, randn
-
-__all__ = [
-    "BCSRMatrix",
-    "COOMatrix",
-    "CSRMatrix",
-    "Layout",
-    "SimTensor",
-    "bcsr_spmm",
-    "csr_spmm",
-    "dense_to_bcsr",
-    "dense_to_coo",
-    "dense_to_csr",
-    "from_mask",
-    "needs_transpose",
-    "randn",
-]
+"""Dense reference operators and the sparse libraries' conversion passes."""

@@ -1,29 +1,13 @@
-"""Dense reference operators.
+"""Dense numpy operators.
 
-These numpy implementations are the *golden references* every sparse path is
-tested against: PIT's permutation-invariance claim is exactly that its
-rearranged execution equals these results.  They are also the numerical
-engines of the model forward passes in :mod:`repro.models`.
+They are the numerical engines of the model forward passes in
+:mod:`repro.models`, whose dense results PIT's permuted execution must
+equal.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C[m, n] += A[m, k] * B[k, n]."""
-    return a @ b
-
-
-def batch_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C[b, m, n] += A[b, m, k] * B[b, k, n]."""
-    return np.einsum("bmk,bkn->bmn", a, b)
-
-
-def reduce_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """C[p] += A[p, l] along ``axis``."""
-    return a.sum(axis=axis)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -63,31 +47,3 @@ def layernorm(
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mean) / np.sqrt(var + eps) * gamma + beta
-
-
-def conv2d(x: np.ndarray, w: np.ndarray, *, stride: int = 1) -> np.ndarray:
-    """C[n, f, y, x] += A[n, m, y*s + i, x*s + j] * W[f, m, i, j].
-
-    A direct (slow) convolution used only as a reference for the PIT-axis
-    analysis of the convolution expression (Table 1) and its tests.
-    """
-    n, m, h, wdt = x.shape
-    f, m2, kh, kw = w.shape
-    if m != m2:
-        raise ValueError(f"channel mismatch: input {m} vs weight {m2}")
-    oh = (h - kh) // stride + 1
-    ow = (wdt - kw) // stride + 1
-    out = np.zeros((n, f, oh, ow), dtype=np.result_type(x, w))
-    for i in range(kh):
-        for j in range(kw):
-            patch = x[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride]
-            out += np.einsum("nmyx,fm->nfyx", patch, w[:, :, i, j])
-    return out
-
-
-def dropout_mask(shape, rate: float, seed: int) -> np.ndarray:
-    """A seeded boolean keep-mask for dropout-style sparsification."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    rng = np.random.default_rng(seed)
-    return rng.random(shape) >= rate

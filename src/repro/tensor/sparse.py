@@ -1,4 +1,4 @@
-"""Sparse storage formats (COO / CSR / BCSR) with conversion-cost accounting.
+"""Format-conversion pass counts of the sparse libraries PIT is compared with.
 
 Classic sparse libraries pay a *format conversion* before they can compute:
 cuSPARSE wants CSR, Sputnik wants CSR with row swizzles, Triton's block-sparse
@@ -6,23 +6,12 @@ kernels want a block index (a BCSR-like layout).  The paper's Figure 3b shows
 this conversion dominating at runtime, and Figure 18 compares PIT's index
 construction against these converters.
 
-Each ``from_dense`` constructor here returns both the real converted structure
-(numpy arrays, usable for correct computation) and a simulated conversion
-latency derived from the passes a GPU converter makes over the data.  The
-pass structure is documented per format; the inefficiency constants are
-calibrated so the PIT-vs-converter ratios land in the paper's reported ranges
-(3.6-4.7x vs cuSPARSE at 1x1, 11.2-26.5x vs Triton at 16x16/32x32).
+A conversion is priced as this many streaming passes over the dense input
+(plus its index writes and launches): cuSPARSE's and Sputnik's
+``convert_us``, and PyTorch-S converting activation data to Triton's block
+format.  The cuSPARSE count lands PIT's detector 3.6-4.7x faster at 1x1
+granularity, the paper's Figure 18 range.
 """
-
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-
-import numpy as np
-
-from ..hw.memory import stream_time_us, tensor_bytes
-from ..hw.spec import GPUSpec, dtype_bytes
 
 #: cuSPARSE's dense->CSR runs an nnz-count pass, a prefix scan, and a fill
 #: pass, with poor bandwidth utilization on the scattered index writes and a
@@ -37,198 +26,3 @@ TRITON_CONVERT_PASSES = 14.0
 
 #: Sputnik reuses CSR but adds a row-sorting pass for load balancing.
 SPUTNIK_CONVERT_PASSES = 5.0
-
-
-@dataclass
-class COOMatrix:
-    """Coordinate-format sparse matrix."""
-
-    shape: tuple
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    convert_us: float
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.values.dtype)
-        out[self.rows, self.cols] = self.values
-        return out
-
-
-@dataclass
-class CSRMatrix:
-    """Compressed-sparse-row matrix, as consumed by cuSPARSE-style SpMM."""
-
-    shape: tuple
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    convert_us: float
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.values.dtype)
-        for row in range(self.shape[0]):
-            start, end = self.indptr[row], self.indptr[row + 1]
-            out[row, self.indices[start:end]] = self.values[start:end]
-        return out
-
-    def index_bytes(self) -> int:
-        """Device bytes of the index structures (not the values)."""
-        return int(self.indptr.size * 4 + self.indices.size * 4)
-
-
-@dataclass
-class BCSRMatrix:
-    """Block-compressed sparse matrix (Triton / OpenAI block-sparse layout).
-
-    Blocks are ``block_shape`` dense tiles; a block is stored whenever it
-    contains *any* non-zero, which is where block-granular libraries pay the
-    coverage waste PIT avoids (a 1x32 non-zero strip forces a full 32x32
-    block).
-    """
-
-    shape: tuple
-    block_shape: tuple
-    #: (num_blocks, 2) array of (block_row, block_col) coordinates.
-    block_coords: np.ndarray
-    #: (num_blocks, *block_shape) dense block values.
-    blocks: np.ndarray
-    convert_us: float
-
-    @property
-    def num_blocks(self) -> int:
-        return int(self.block_coords.shape[0])
-
-    @property
-    def stored_elems(self) -> int:
-        return self.num_blocks * self.block_shape[0] * self.block_shape[1]
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.blocks.dtype)
-        bh, bw = self.block_shape
-        rows, cols = self.shape
-        for (br, bc), block in zip(self.block_coords, self.blocks):
-            r0, c0 = br * bh, bc * bw
-            r1, c1 = min(r0 + bh, rows), min(c0 + bw, cols)
-            out[r0:r1, c0:c1] = block[: r1 - r0, : c1 - c0]
-        return out
-
-    def coverage_waste(self, nnz: int) -> float:
-        """Fraction of stored elements that are zeros (wasted compute)."""
-        if self.stored_elems == 0:
-            return 0.0
-        return 1.0 - nnz / self.stored_elems
-
-
-def _conversion_time_us(
-    dense_shape: tuple,
-    dtype: str,
-    spec: GPUSpec,
-    passes: float,
-    index_bytes: int,
-) -> float:
-    """Converter latency: ``passes`` streams over the dense input plus index
-    writes plus a couple of kernel launches/syncs."""
-    dense_bytes = tensor_bytes(dense_shape, dtype)
-    stream = stream_time_us(int(dense_bytes * passes), spec)
-    index_write = stream_time_us(index_bytes, spec)
-    return stream + index_write + 3 * spec.kernel_launch_us
-
-
-def dense_to_coo(
-    dense: np.ndarray, dtype: str, spec: GPUSpec
-) -> COOMatrix:
-    """Convert to COO with cuSPARSE-like conversion cost."""
-    rows, cols = np.nonzero(dense)
-    values = dense[rows, cols]
-    convert = _conversion_time_us(
-        dense.shape, dtype, spec, CUSPARSE_CONVERT_PASSES, int(rows.size * 12)
-    )
-    return COOMatrix(dense.shape, rows, cols, values, convert)
-
-
-def dense_to_csr(
-    dense: np.ndarray,
-    dtype: str,
-    spec: GPUSpec,
-    *,
-    passes: float = CUSPARSE_CONVERT_PASSES,
-) -> CSRMatrix:
-    """Convert to CSR with a cuSPARSE-style multi-pass conversion cost."""
-    if dense.ndim != 2:
-        raise ValueError("CSR conversion expects a 2-D matrix")
-    nnz_mask = dense != 0
-    counts = nnz_mask.sum(axis=1)
-    indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    rows, cols = np.nonzero(dense)
-    values = dense[rows, cols]
-    index_bytes = int(indptr.size * 4 + cols.size * 4 + values.size * dtype_bytes(dtype))
-    convert = _conversion_time_us(dense.shape, dtype, spec, passes, index_bytes)
-    return CSRMatrix(dense.shape, indptr, cols.astype(np.int64), values, convert)
-
-
-def dense_to_bcsr(
-    dense: np.ndarray,
-    block_shape: tuple,
-    dtype: str,
-    spec: GPUSpec,
-    *,
-    passes: float = TRITON_CONVERT_PASSES,
-) -> BCSRMatrix:
-    """Convert to BCSR (block index) with a Triton-style conversion cost."""
-    if dense.ndim != 2:
-        raise ValueError("BCSR conversion expects a 2-D matrix")
-    bh, bw = block_shape
-    rows, cols = dense.shape
-    grid_r, grid_c = math.ceil(rows / bh), math.ceil(cols / bw)
-    padded = np.zeros((grid_r * bh, grid_c * bw), dtype=dense.dtype)
-    padded[:rows, :cols] = dense
-    blocked = padded.reshape(grid_r, bh, grid_c, bw).transpose(0, 2, 1, 3)
-    occupied = (blocked != 0).any(axis=(2, 3))
-    block_rows, block_cols = np.nonzero(occupied)
-    blocks = blocked[block_rows, block_cols]
-    coords = np.stack([block_rows, block_cols], axis=1)
-    index_bytes = int(coords.size * 4 + grid_r * grid_c)  # coords + lut bitmap
-    convert = _conversion_time_us(dense.shape, dtype, spec, passes, index_bytes)
-    return BCSRMatrix(dense.shape, (bh, bw), coords, blocks, convert)
-
-
-def csr_spmm(csr: CSRMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Reference CSR x dense SpMM (row-wise gather), used by baselines."""
-    if rhs.ndim != 2 or rhs.shape[0] != csr.shape[1]:
-        raise ValueError(
-            f"rhs shape {rhs.shape} incompatible with CSR shape {csr.shape}"
-        )
-    out = np.zeros((csr.shape[0], rhs.shape[1]), dtype=np.result_type(csr.values, rhs))
-    for row in range(csr.shape[0]):
-        start, end = csr.indptr[row], csr.indptr[row + 1]
-        if start == end:
-            continue
-        cols = csr.indices[start:end]
-        vals = csr.values[start:end]
-        out[row] = vals @ rhs[cols]
-    return out
-
-
-def bcsr_spmm(bcsr: BCSRMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Reference BCSR x dense SpMM (block-wise), used by Triton-style kernels."""
-    bh, bw = bcsr.block_shape
-    out = np.zeros((bcsr.shape[0], rhs.shape[1]), dtype=np.result_type(bcsr.blocks, rhs))
-    padded_rhs = rhs
-    if rhs.shape[0] % bw != 0:
-        pad = bw - rhs.shape[0] % bw
-        padded_rhs = np.vstack([rhs, np.zeros((pad, rhs.shape[1]), dtype=rhs.dtype)])
-    for (br, bc), block in zip(bcsr.block_coords, bcsr.blocks):
-        rhs_slab = padded_rhs[bc * bw : (bc + 1) * bw]
-        rows = slice(br * bh, min((br + 1) * bh, bcsr.shape[0]))
-        out[rows] += (block @ rhs_slab)[: out[rows].shape[0]]
-    return out

@@ -13,7 +13,7 @@ from repro.baselines import (
     mean_run_length,
     triton_convert_passes,
 )
-from repro.hw import V100
+from repro.hw import A100, V100
 from repro.sparsity import granular_mask
 
 
@@ -47,13 +47,6 @@ class TestCuSparse:
         lo = k.spmm(granular_mask((1024, 1024), (1, 1), 0.99, seed=0), 1024)
         hi = k.spmm(granular_mask((1024, 1024), (1, 1), 0.90, seed=0), 1024)
         assert hi.compute_us > 5 * lo.compute_us
-
-    def test_functional_matches_dense(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((64, 64)) * (rng.random((64, 64)) < 0.2)
-        b = rng.standard_normal((64, 32))
-        out, _ = CuSparseKernel(V100).run_functional(a, b)
-        np.testing.assert_allclose(out, a @ b, atol=1e-10)
 
     def test_slower_than_dense_at_low_sparsity(self):
         """Figure 3b: at 70% sparsity cuSPARSE loses to dense cuBLAS."""
@@ -151,3 +144,52 @@ class TestPITKernelLevel:
         fp16 = PITSpmmKernel(V100, "float16", tensor_core=True).spmm(mask, 1024)
         fp32 = PITSpmmKernel(V100, "float32").spmm(mask, 1024)
         assert fp16.compute_us < fp32.compute_us
+
+
+#: The libraries that convert the dense input before computing, by name.
+CONVERTING_KERNELS = {
+    "cuSPARSE": lambda spec: CuSparseKernel(spec),
+    "Sputnik": lambda spec: SputnikKernel(spec),
+    "Triton-16": lambda spec: TritonBlockSparseKernel(spec, block=16),
+    "Triton-32": lambda spec: TritonBlockSparseKernel(spec, block=32),
+}
+
+
+class TestConversionCost:
+    """The format conversion each library runs before it can compute
+    (Figures 3b and 18), against PIT's single-pass index construction."""
+
+    @pytest.mark.parametrize("name", ["Sputnik", "Triton-16", "Triton-32", "PIT"])
+    def test_grows_with_the_dense_area(self, name):
+        """4x the dense area costs more than 2x: at these sizes the passes
+        over the dense input, not the fixed launches, dominate (cuSPARSE's
+        case is in ``TestCuSparse``)."""
+        small = granular_mask((1024, 1024), (1, 1), 0.95, seed=3)
+        large = granular_mask((2048, 2048), (1, 1), 0.95, seed=3)
+        if name == "PIT":
+            pit = PITSpmmKernel(V100)
+            costs = [pit.convert_us(mask, (1, 1)) for mask in (small, large)]
+        else:
+            kernel = CONVERTING_KERNELS[name](V100)
+            costs = [kernel.convert_us(mask) for mask in (small, large)]
+        assert costs[1] > 2 * costs[0]
+
+    @pytest.mark.parametrize("name", list(CONVERTING_KERNELS))
+    def test_spmm_charges_the_standalone_conversion(self, name, fine_mask):
+        """Figure 3b's Convert bar and Figure 18's conversion are one number."""
+        kernel = CONVERTING_KERNELS[name](V100)
+        assert kernel.spmm(fine_mask, 256).convert_us == kernel.convert_us(fine_mask)
+
+    @pytest.mark.parametrize("spec", [V100, A100], ids=["V100", "A100"])
+    def test_figure18_order(self, spec):
+        """Block layouts cost more to build than CSR, wider blocks more than
+        narrow ones, Sputnik's row sort more than plain CSR, and PIT's
+        detector least of all."""
+        mask = granular_mask((2048, 2048), (1, 1), 0.95, seed=3)
+        costs = [
+            CONVERTING_KERNELS[name](spec).convert_us(mask)
+            for name in ("Triton-32", "Triton-16", "Sputnik", "cuSPARSE")
+        ]
+        costs.append(PITSpmmKernel(spec).convert_us(mask, (1, 1)))
+        assert costs == sorted(costs, reverse=True)
+        assert len(set(costs)) == len(costs)

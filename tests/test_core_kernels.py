@@ -16,10 +16,7 @@ from repro.core import (
     MicroTile,
     SparseMatmulKernel,
     build_index,
-    build_row_index,
-    gather_microtiles,
     index_construction_time_us,
-    scatter_microtiles,
     sread_cols,
     sread_rows,
     swrite_cols,
@@ -55,19 +52,6 @@ class TestDetector:
         one_pass = stream_time_us(tensor_bytes((4096, 4096), "float32"), V100)
         assert t < 1.5 * one_pass + 2 * V100.kernel_launch_us
 
-    def test_row_index(self):
-        mask = np.zeros((16, 8), dtype=bool)
-        mask[3] = True
-        mask[11, 2] = True
-        idx = build_row_index(mask, V100, seed=0)
-        assert set(idx.rows.tolist()) == {3, 11}
-        assert idx.num_rows == 2
-
-    def test_row_index_rejects_non2d(self):
-        with pytest.raises(ValueError):
-            build_row_index(np.zeros(5, dtype=bool), V100)
-
-
 class TestSReadSWrite:
     def test_row_roundtrip_any_order(self):
         rng = np.random.default_rng(1)
@@ -88,21 +72,17 @@ class TestSReadSWrite:
         with pytest.raises(ValueError):
             swrite_rows((4, 4), np.array([0, 1]), np.zeros((3, 4)))
 
-    def test_microtile_gather_scatter_roundtrip(self):
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((20, 20))
-        mask = rng.random((20, 20)) < 0.3
-        data = data * mask
-        idx = build_index(mask, MicroTile((4, 4)), V100, seed=7)
-        blocks = gather_microtiles(data, idx)
-        restored = scatter_microtiles((20, 20), idx, blocks)
-        np.testing.assert_array_equal(restored, data)
+    def test_swrite_cols_length_mismatch(self):
+        with pytest.raises(ValueError, match="columns"):
+            swrite_cols((4, 4), np.array([0, 1, 2]), np.zeros((4, 2)))
 
-    def test_scatter_count_mismatch(self):
-        idx = build_index(np.ones((8, 8), dtype=bool), MicroTile((4, 4)), V100)
-        with pytest.raises(ValueError):
-            scatter_microtiles((8, 8), idx, np.zeros((1, 4, 4)))
-
+    def test_swrite_leaves_unindexed_rows_zero(self):
+        """Rows no micro-tile covered were all-zero inputs; SWrite leaves
+        their outputs zero and keeps the requested dtype."""
+        rows = np.ones((2, 3), dtype=np.float32)
+        out = swrite_rows((5, 3), np.array([4, 1]), rows, dtype=np.float64)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.sum(axis=1), [0, 3, 0, 0, 3])
 
 class TestSparseMatmulKernel:
     @pytest.fixture()

@@ -8,7 +8,6 @@ from repro.core import (
     MicroTile,
     SampleStack,
     batched_matmul_workload,
-    count_covering_microtiles,
     cover_grid,
     coverage_waste,
     covered_sparsity,
@@ -18,8 +17,7 @@ from repro.core import (
     matmul_microtiled_op,
     matmul_workload,
 )
-from repro.hw import V100, TileConfig
-from repro.tensor import Layout
+from repro.hw import TileConfig
 
 
 def granular_mask(shape, granularity, sparsity, seed=0):
@@ -39,20 +37,6 @@ class TestMicroTile:
             MicroTile((0, 4))
         with pytest.raises(ValueError):
             MicroTile((1, 2, 3))
-
-    def test_contig_bytes_by_layout(self):
-        m = MicroTile((1, 32))
-        assert m.contig_bytes("float32", Layout.ROW_MAJOR) == 128
-        assert m.contig_bytes("float32", Layout.COL_MAJOR) == 4
-
-    def test_saturates_transaction(self):
-        assert MicroTile((1, 8)).saturates_transaction(
-            "float32", Layout.ROW_MAJOR, V100
-        )
-        assert not MicroTile((8, 1)).saturates_transaction(
-            "float32", Layout.ROW_MAJOR, V100
-        )
-
 
 class TestDeriveMicrotile:
     def test_m_axis_row_microtile(self):
@@ -108,7 +92,7 @@ class TestCoverGrid:
 
     def test_count(self):
         mask = np.eye(16, dtype=bool)
-        assert count_covering_microtiles(mask, MicroTile((4, 4))) == 4
+        assert int(cover_grid(mask, (4, 4)).sum()) == 4
 
 
 class TestTable3CoverMath:
@@ -327,7 +311,7 @@ class TestMatmulWorkload:
         wl = matmul_workload(
             np.zeros((64, 64), dtype=bool), TileConfig(32, 32, 32), "m", 64
         )
-        assert wl.is_empty
+        assert wl.total_k_steps == 0
         assert wl.num_output_tiles == 0
 
     def test_bad_axis_operand_combo(self):

@@ -86,10 +86,6 @@ class TestPlanSpec:
         with pytest.raises(ValueError, match="sparse_operand"):
             make_spec(tiledb, sparse_operand="C")
 
-    def test_sample_shape_follows_operand(self, tiledb):
-        assert make_spec(tiledb).sample_shape == (128, 64)
-        assert make_spec(tiledb, sparse_operand="B").sample_shape == (64, 64)
-
     def test_specs_differing_only_in_signature_are_distinct(self, tiledb):
         a = make_spec(tiledb, signature=(7,))
         b = make_spec(tiledb, signature=(8,))

@@ -9,17 +9,15 @@ from repro.core import (
     PITCompiler,
     PlanCache,
     Planner,
-    SeqLenPolicy,
     SparseMatmulKernel,
     TileDB,
-    batch_matmul_multi_axis_rules,
     kernel_from_choice,
     kernel_selection,
     matmul_axes_for_operand,
     matmul_rules,
     sparsity_signature,
 )
-from repro.hw import V100, TileConfig
+from repro.hw import V100
 from selection_oracle import oracle_kernel_selection
 
 
@@ -50,13 +48,6 @@ class TestTileDB:
         best = tiledb.best_dense_tile(4096, 4096, 4096)
         assert best.tile.output_elems >= 32 * 32
 
-    def test_entry_lookup(self, tiledb):
-        tile = tiledb.tiles()[0].tile
-        assert tiledb.entry_for(tile).tile == tile
-        with pytest.raises(KeyError):
-            tiledb.entry_for(TileConfig(3, 3, 3))
-
-
 class TestRules:
     def test_axes_for_operand(self):
         assert set(matmul_axes_for_operand("A")) == {"m", "k"}
@@ -74,14 +65,6 @@ class TestRules:
                 assert rule.microtile.shape == (1, rule.tile.tk)
             else:
                 assert rule.microtile.shape == (rule.tile.tm, 1)
-
-    def test_multi_axis_rules(self, tiledb):
-        rules = batch_matmul_multi_axis_rules(tiledb.tiles()[:3])
-        axes = {r.axes for r in rules}
-        assert axes == {("b", "m"), ("b", "n")}
-        extents = {"b": 8, "m": 128, "n": 64}
-        assert rules[0].flattened_extent(extents) == 8 * 128
-
 
 class TestKernelSelection:
     def test_high_sparsity_picks_sparse(self, tiledb):
@@ -350,11 +333,11 @@ class TestPlanCache:
 
     def test_compiler_uses_plan_cache(self):
         cache = PlanCache()
-        compiler = PITCompiler(V100, plan_cache=cache)
         mask = granular_mask((256, 256), (8, 1), 0.99)
-        spec = compiler.plan_spec([mask], 256, 256, 256)
-        compiler.compile(spec, [mask], use_cache=False)
-        compiler.compile(spec, [mask], use_cache=False)
+        for _ in range(2):
+            compiler = PITCompiler(V100, plan_cache=cache)
+            spec = compiler.plan_spec([mask], 256, 256, 256)
+            compiler.compile(spec, [mask])
         assert cache.hits == 1 and cache.misses == 1
 
 
@@ -404,7 +387,6 @@ class TestCompiler:
         c1 = self._compile(compiler, [mask], 256, 256, 256)
         c2 = self._compile(compiler, [mask], 256, 256, 256)
         assert c1 is c2
-        assert compiler.cache_size() == 1
 
     def test_compile_cache_is_sparsity_aware(self):
         """Two sparsity regimes of one shape keep separate kernels — the
@@ -417,22 +399,9 @@ class TestCompiler:
         assert c_sparse is not c_dense
         assert c_dense.choice.is_dense_fallback
         assert not c_sparse.choice.is_dense_fallback
-        assert compiler.cache_size() == 2
         # Each regime keeps hitting its own compiled kernel.
         assert self._compile(compiler, [sparse], 1024, 1024, 1024) is c_sparse
         assert self._compile(compiler, [dense], 1024, 1024, 1024) is c_dense
-
-    def test_refresh_replaces_cache(self):
-        compiler = PITCompiler(V100)
-        sparse = granular_mask((256, 256), (8, 1), 0.99)
-        c1 = self._compile(compiler, [sparse], 256, 256, 256)
-        dense = np.ones((256, 256), dtype=bool)
-        c2 = compiler.refresh(c1, [dense])
-        assert c2.choice.is_dense_fallback
-        # The refreshed kernel serves its spec; the old spec's kernel stays
-        # valid for in-flight work instead of being clobbered.
-        assert self._compile(compiler, [dense], 256, 256, 256) is c2
-        assert self._compile(compiler, [sparse], 256, 256, 256) is c1
 
     def test_legacy_compile_matmul_shim_removed(self):
         """The one-release deprecation shim is gone: the PlanSpec API
@@ -449,25 +418,7 @@ class TestCompiler:
         compiler.compile(spec, [mask])
         assert compiler.compile(spec).choice is not None
 
-    def test_estimate_with_fresh_mask(self):
-        compiler = PITCompiler(V100)
-        mask = granular_mask((1024, 1024), (8, 1), 0.99)
-        compiled = self._compile(compiler, [mask], 1024, 1024, 1024)
-        denser = granular_mask((1024, 1024), (8, 1), 0.5, seed=9)
-        assert compiled.estimate_us(denser) > compiled.estimate_us(mask)
-
-
 class TestPolicies:
-    def test_seqlen_token_mask(self):
-        mask = SeqLenPolicy.token_mask([2, 4], max_len=4)
-        np.testing.assert_array_equal(
-            mask, [True, True, False, False, True, True, True, True]
-        )
-
-    def test_seqlen_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            SeqLenPolicy.token_mask([5], max_len=4)
-
     def test_paged_attention_gather(self):
         pool = np.arange(4 * 2 * 3, dtype=float).reshape(4, 2, 3)
         policy = PagedAttentionPolicy(page_size=2)
@@ -481,5 +432,4 @@ class TestPolicies:
             policy.gather_pages(np.zeros((2, 2, 2)), [5])
 
     def test_decisions_labelled(self):
-        assert SeqLenPolicy().decision().pit_axis == "m"
         assert PagedAttentionPolicy().decision().label == "paged-attention"

@@ -35,7 +35,6 @@ from repro.hw.timeline import ExecReport, Timeline
 from repro.sparsity import (
     RoutingResult,
     capacity_tokens,
-    drop_overflow,
     get_dataset,
 )
 from repro.models import (
@@ -54,8 +53,7 @@ from repro.runtime.engine import NVLINK_GBS, TRAINING_STATE_MULTIPLIER
 
 
 def reference_run_transformer(
-    workload, backend, *, mode="inference", enforce_memory=True,
-    model_family_check=True, devices=1,
+    workload, backend, *, mode="inference", enforce_memory=True, devices=1,
 ):
     """The per-layer pricing loop: every op of every layer, priced."""
     cfg = workload.config
@@ -65,7 +63,7 @@ def reference_run_transformer(
     backend.set_fusion(mode == "inference")
 
     try:
-        if model_family_check and hasattr(backend, "check_model"):
+        if hasattr(backend, "check_model"):
             backend.check_model(cfg.family, workload.max_len)
 
         dsize = dtype_bytes(backend.dtype)
@@ -114,7 +112,7 @@ def reference_run_transformer(
                  sharded=True)
             _add(backend.pointwise(lengths, d), sharded=False)
             _add(backend.layernorm(lengths, d), sharded=False)
-            routing = workload.routing_for(layer)
+            routing = workload.routing_by_layer.get(layer)
             if routing is not None:
                 routing = routing.scaled_to(backend.padded_tokens(lengths))
                 _add(backend.moe_ffn(routing, d, d_ff, mem=mem), sharded=True)
@@ -297,7 +295,7 @@ class TestReplayEdgeCases:
         switch = workloads["switch"]
         assert switch.config.n_layers + switch.config.decoder_layers == 24
         workload = dataclasses.replace(
-            switch, routing_by_layer={moe_layer: switch.routing_for(moe_layer)}
+            switch, routing_by_layer={moe_layer: switch.routing_by_layer[moe_layer]}
         )
         reference, replayed = _pair(factory, dtype, workload)
         assert reference.ok
@@ -443,7 +441,8 @@ class TestMoEReplayProperty:
         if capacity_factor is not None:
             capacity = capacity_tokens(padded, experts, capacity_factor)
             routing = {
-                layer: drop_overflow(r, capacity) for layer, r in routing.items()
+                layer: RoutingResult(np.minimum(r.counts, capacity), r.num_tokens)
+                for layer, r in routing.items()
             }
         if lone is not None:
             routing = {lone: routing[max(routing)]}
@@ -513,7 +512,7 @@ class TestPerRunFacts:
             )[1:] == fresh.attention(
                 lengths, 12, 64, causal=causal, mem=fresh_mem
             )[1:]
-            assert mem.by_category() == fresh_mem.by_category()
+            assert vars(mem) == vars(fresh_mem)
             assert backend.moe_ffn(routing, 768, 3072) == fresh.moe_ffn(
                 routing, 768, 3072
             )

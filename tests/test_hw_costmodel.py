@@ -6,8 +6,6 @@ being Algorithm 1's num_tiles x tile_cost, and the SRead gather surcharge
 vanishing once micro-tiles saturate a transaction.
 """
 
-import math
-
 import pytest
 
 from repro.hw import (

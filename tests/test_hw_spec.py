@@ -6,7 +6,6 @@ from repro.hw import (
     A100,
     V100,
     V100_16GB,
-    GPUSpec,
     dtype_bytes,
     get_gpu,
     parse_lineup,
@@ -53,13 +52,6 @@ class TestGPUSpec:
 
     def test_mem_capacity_bytes(self):
         assert V100.mem_capacity_bytes() == 32 * (1 << 30)
-
-    def test_min_microtile_is_transaction_sized(self):
-        # Paper Section 3.1: 32B transaction -> 1x8 float32, 1x4 float64.
-        assert A100.min_microtile_elems("float32") == 8
-        assert A100.min_microtile_elems("float64") == 4
-        assert A100.min_microtile_elems("float16") == 16
-
 
 class TestRegistry:
     def test_lookup_case_insensitive(self):

@@ -8,11 +8,9 @@ from repro.hw import (
     V100,
     ExecReport,
     SparseTensorCore,
-    TileConfig,
     Timeline,
     is_two_four_eligible,
     profile_matmul_tiles,
-    validate_wmma_tile,
     wmma_supports,
 )
 
@@ -32,10 +30,6 @@ class TestWmma:
         PIT's transformation in Figure 17."""
         assert not wmma_supports(32, 1, 16)
         assert not wmma_supports(1, 32, 16)
-
-    def test_validate_raises_with_explanation(self):
-        with pytest.raises(ValueError, match="dense"):
-            validate_wmma_tile(TileConfig(32, 16, 1))
 
     def test_two_four_eligibility(self):
         ok = np.array([[1, 0, 2, 0, 0, 3, 0, 4]], dtype=float)
@@ -76,7 +70,7 @@ class TestProfiler:
 
         profs = profile_matmul_tiles(V100, "float32")
         p = profs[0]
-        predicted = p.tile_time_us(4096)
+        predicted = p.time_per_k_us * 4096 + p.fixed_us
         actual = matmul_tile_time_us(p.tile, 4096, "float32", V100)
         assert predicted == pytest.approx(actual, rel=0.02)
 

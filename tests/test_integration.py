@@ -60,9 +60,7 @@ class TestFullPipeline:
         rng = np.random.default_rng(1)
         lengths = [50, 120, 8, 77]
         max_len, d = 128, 64
-        from repro.core import SeqLenPolicy
-
-        token_mask = SeqLenPolicy.token_mask(lengths, max_len)
+        token_mask = np.concatenate([np.arange(max_len) < n for n in lengths])
         x = rng.standard_normal((len(lengths) * max_len, d)) * token_mask[:, None]
         w = rng.standard_normal((d, d))
         mask2d = np.repeat(token_mask[:, None], d, axis=1)
@@ -88,7 +86,7 @@ class TestFullPipeline:
             b = rng.standard_normal((512, 256))
             out = compiled.run(a, b[:, :512] if False else b, mask=mask)
             np.testing.assert_allclose(out.output, a @ b, atol=1e-8)
-        assert compiler.cache_size() == 1  # one compiled kernel served all
+        assert compiler.compile(spec) is compiled  # one kernel served all
 
 
 class TestMultiDevice:

@@ -1,27 +1,50 @@
-"""No module under ``src/`` imports a name it never uses.
+"""Every import is used, and every public definition in ``src/`` has a caller.
 
-An AST check over every module except the ``__init__.py`` re-export
-files: each module-level ``import`` / ``from ... import`` binding must be
-read somewhere in its module, or listed in the module's ``__all__``.
-Dead imports hide which modules really depend on which, and they outlive
-the code that needed them.
+Two AST checks:
+
+* no module under ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``
+  imports a name it never uses (``__init__.py`` re-export files are
+  skipped; names listed in a module's ``__all__`` count as used). Dead
+  imports hide which modules really depend on which, and they outlive the
+  code that needed them.
+* every public top-level function and class under ``src/`` is named
+  outside its own body by some module under ``src/``, ``benchmarks/``,
+  ``examples/`` or ``perfbench/``. Tests do not count: a name only tests
+  reach either moves into ``tests/`` (an oracle) or goes. Neither do
+  ``__init__.py`` re-exports and ``__all__``. A string that is exactly the
+  name counts, because ``getattr`` and perfbench's tracer bind by string.
+  ``repro.analysis`` is left out: its rules register by decorator, and
+  tier-1 drives its entry points.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+
+#: Trees whose modules count as callers of a ``src/`` definition.
+CALLER_TREES = ("src", "benchmarks", "examples", "perfbench")
+#: Package whose definitions the caller check leaves out.
+UNCHECKED = Path("src", "repro", "analysis")
 
 
 def _exported(tree: ast.Module) -> set:
     """The string entries of a module-level ``__all__``."""
     names = set()
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if _is_all(node):
             names |= {elt.value for elt in node.value.elts}
     return names
+
+
+def _is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
 
 
 def unused_imports(root: Path) -> list:
@@ -47,8 +70,59 @@ def unused_imports(root: Path) -> list:
     return found
 
 
+def _names(node: ast.AST) -> Counter:
+    """How often each identifier is named under ``node``: name loads,
+    attribute loads and strings that are exactly an identifier."""
+    named = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            named[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            named[sub.attr] += 1
+        elif (
+            isinstance(sub, ast.Constant)
+            and isinstance(sub.value, str)
+            and sub.value.isidentifier()
+        ):
+            named[sub.value] += 1
+    return named
+
+
+def uncalled_definitions(repo: Path) -> list:
+    """``"path:line: name"`` for each public top-level function or class
+    under ``repo/src`` that no caller module names outside its own body."""
+    named = Counter()
+    definitions = []
+    for tree_name in CALLER_TREES:
+        for path in sorted((repo / tree_name).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            rel = path.relative_to(repo)
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in tree.body:
+                if not _is_all(node):
+                    named.update(_names(node))
+            if tree_name != "src" or UNCHECKED in rel.parents:
+                continue
+            for node in tree.body:
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ) and not node.name.startswith("_"):
+                    definitions.append((rel, node))
+    found = []
+    for rel, node in definitions:
+        if named[node.name] - _names(node)[node.name] <= 0:
+            found.append(f"{rel}:{node.lineno}: {node.name}")
+    return found
+
+
 def test_src_has_no_unused_imports():
     assert unused_imports(SRC) == []
+
+
+@pytest.mark.parametrize("tree", ["benchmarks", "examples", "tests"])
+def test_tree_has_no_unused_imports(tree):
+    assert unused_imports(REPO / tree) == []
 
 
 def test_checker_flags_unused_and_keeps_used(tmp_path):
@@ -64,3 +138,52 @@ def test_checker_flags_unused_and_keeps_used(tmp_path):
         "    return os.sep + js.dumps(pi)\n"
     )
     assert unused_imports(tmp_path) == ["mod.py:4: tau"]
+
+
+def test_every_public_definition_has_a_caller_outside_tests():
+    assert uncalled_definitions(REPO) == []
+
+
+def test_caller_check_flags_test_only_definitions(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    rules = tmp_path / "src" / "repro" / "analysis"
+    for d in (pkg, rules, tmp_path / "examples", tmp_path / "tests"):
+        d.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "from .mod import Used, dead, by_string, helper\n"
+        "legacy_name = dead\n"
+        "__all__ = ['Used', 'dead', 'by_string', 'helper', 'exported']\n"
+    )
+    (pkg / "mod.py").write_text(
+        "__all__ = ['exported']\n"
+        "def dead(n):\n"
+        "    return dead(n - 1) if n else 0\n"
+        "class Used:\n"
+        "    pass\n"
+        "def by_string():\n"
+        "    pass\n"
+        "def helper():\n"
+        "    pass\n"
+        "def exported():\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+        "def user():\n"
+        "    return helper()\n"
+    )
+    (rules / "rules.py").write_text("def check_rule():\n    pass\n")
+    (tmp_path / "examples" / "ex.py").write_text(
+        "import pkg\n"
+        "pkg.Used()\n"
+        "getattr(pkg, 'by_string')()\n"
+        "pkg.user()\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg import dead, exported\n"
+        "dead(1)\n"
+        "exported()\n"
+    )
+    assert uncalled_definitions(tmp_path) == [
+        "src/pkg/mod.py:2: dead",
+        "src/pkg/mod.py:10: exported",
+    ]

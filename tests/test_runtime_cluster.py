@@ -59,7 +59,7 @@ from repro.runtime.cluster.codec import (
 )
 from repro.runtime.cluster.transport import channel_pair
 from repro.runtime.resilience import QUARANTINED, WorkerCrashFault
-from repro.sparsity import Router, drop_overflow
+from repro.sparsity import Router, RoutingResult
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -217,7 +217,7 @@ class TestCodec:
 
     def test_capped_routing_round_trips_its_token_count(self):
         routing = Router(8, concentration=0.2, seed=3).route(512, seed=0)
-        capped = drop_overflow(routing, capacity=32)
+        capped = RoutingResult(np.minimum(routing.counts, 32), routing.num_tokens)
         assert capped.num_tokens > capped.counts.sum()
         restored = decode_wire(json.loads(json.dumps(encode_wire(capped))))
         assert restored.num_tokens == capped.num_tokens == 512
@@ -271,7 +271,6 @@ def _fork_registry_child(parent_db, conn):
 class TestForkAwareRegistries:
     def test_forked_child_gets_fresh_registries(self):
         ctx = multiprocessing.get_context("fork")
-        TileDB.clear_shared()
         parent_db = TileDB.shared(V100, "float32")
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
@@ -286,7 +285,6 @@ class TestForkAwareRegistries:
         assert not result["db_is_parent"]
         # The parent's registry is untouched.
         assert TileDB.shared(V100, "float32") is parent_db
-        TileDB.clear_shared()
 
 
 # ----------------------------------------------------------------------

@@ -102,7 +102,7 @@ class TestReplayEquivalence:
         mixed_trace(engine, n=6)
         report = replay_trace(engine)
         assert len(report.requests) == 6
-        assert engine.pending() == 0
+        assert not engine._queue
 
     def test_replica_stats_match_simulated(self):
         """Per-replica batch and token counts agree with the golden
@@ -135,8 +135,7 @@ class TestVirtualClock:
         clock.call_at(5.0, fired.append, "late")
         clock.call_at(1.0, fired.append, "early")
         clock.call_at(1.0, fired.append, "early-second")
-        while clock.pending():
-            clock.fire_next()
+        assert clock.run_until_idle() == 5.0
         assert fired == ["early", "early-second", "late"]
         assert clock.now_us() == 5.0
 
@@ -226,7 +225,7 @@ class TestBackpressure:
             futures = []
             for w in workloads:
                 futures.append(await frontend.submit(w))
-                max_seen = max(max_seen, frontend.inflight)
+                max_seen = max(max_seen, frontend._inflight)
             await frontend.stop()
             await asyncio.gather(*futures)
             return frontend.report()
@@ -340,7 +339,7 @@ class TestWorkerFailure:
             await frontend.start()
             futures = [await frontend.submit(w) for w in workloads]
             await frontend.stop()
-            assert frontend.inflight == 0
+            assert frontend._inflight == 0
             return frontend.report(), await asyncio.gather(*futures)
 
         report, results = asyncio.run(asyncio.wait_for(main(), timeout=30))

@@ -222,7 +222,7 @@ class TestContinuousVsDrain:
         engine = make_engine()
         engine.submit(bert_workload("mnli", 4, seed=0))
         engine.run(policy="continuous")
-        assert engine.pending() == 0
+        assert not engine._queue
 
     def test_unknown_policy_rejected(self):
         engine = make_engine()

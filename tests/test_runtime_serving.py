@@ -365,9 +365,9 @@ class TestPlanPersistence:
     def test_run_drains_queue(self):
         engine = make_engine()
         engine.submit(bert_workload("mnli", 4, seed=0))
-        assert engine.pending() == 1
+        assert len(engine._queue) == 1
         engine.run()
-        assert engine.pending() == 0
+        assert not engine._queue
 
     def test_request_ids_are_stable(self):
         engine = make_engine()
@@ -410,6 +410,21 @@ class TestArrivalClock:
             [bert_workload("mnli", 4, seed=1)], interarrival_us=100.0
         )
         assert stream[0].arrival_us == pytest.approx(9100.0)
+
+    @pytest.mark.parametrize("gap", [-800.0, float("nan"), float("inf")])
+    def test_submit_many_rejects_a_bad_gap(self, gap):
+        """A negative gap would queue the new stream before the old one."""
+        engine = make_engine()
+        engine.submit_many(
+            [bert_workload("mnli", 4, seed=s) for s in range(2)],
+            interarrival_us=1000.0,
+        )
+        with pytest.raises(ValueError, match="interarrival_us"):
+            engine.submit_many(
+                [bert_workload("mnli", 4, seed=s) for s in range(2)],
+                interarrival_us=gap,
+            )
+        assert len(engine._queue) == 2
 
 
 class TestFailureMetrics:
@@ -549,7 +564,6 @@ class TestHeterogeneousEngine:
 
         engine = make_engine(replica_specs=[A100, A100, V100])
         assert engine.replicas == 3
-        assert len(engine.device_classes) == 2
         # Replicas of one class share the backend/TileDB/planner.
         d0, d1, d2 = (engine.device_for_replica(i) for i in range(3))
         assert d0 is d1
@@ -559,8 +573,8 @@ class TestHeterogeneousEngine:
     def test_homogeneous_shorthand_is_one_class(self):
         engine = make_engine(replicas=3)
         assert engine.replicas == 3
-        assert len(engine.device_classes) == 1
         assert engine.replica_specs == [V100, V100, V100]
+        assert engine.device_for_replica(2) is engine.device_for_replica(0)
         assert engine.device_for_replica(1).backend is engine.backend
 
     def test_conflicting_replica_counts_rejected(self):

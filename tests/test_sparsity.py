@@ -17,23 +17,57 @@ from repro.sparsity import (
     RoutingResult,
     as_mask_stats,
     capacity_tokens,
-    drop_overflow,
-    dynamic_token_mask,
     get_dataset,
+    global_token_positions,
     granular_mask,
     longformer_mask,
+    longformer_mask_rows,
     longformer_mask_stats,
     mask_sparsity,
-    measured_sparsity,
-    museformer_mask,
+    museformer_mask_rows,
     museformer_mask_stats,
-    pad_to_multiple,
+    museformer_summary_positions,
     pattern_fingerprint,
     relu_activation_mask,
-    sliding_window_mask,
+    seqlen_pattern_stream,
     two_four_mask,
 )
-from repro.sparsity.moe import _apportion, routing_sample_mask, scale_routings
+from repro.sparsity.attention import representative_attention_mask
+from repro.sparsity.moe import (
+    _apportion,
+    merge_routing,
+    routing_sample_mask,
+    routing_signature,
+    scale_routings,
+)
+
+
+def museformer_mask(seq_len, *, bar_len=256, fine_bars=2, summary_stride=4, seed=0):
+    """The full ``[seq, seq]`` Museformer mask: the dense reference for
+    :func:`museformer_mask_stats`, which streams the same rows in chunks."""
+    summaries = museformer_summary_positions(seq_len, bar_len, summary_stride, seed)
+    return museformer_mask_rows(0, seq_len, seq_len, bar_len, fine_bars, summaries)
+
+
+def cover_cells(mask, h, w):
+    """Which ``(h, w)`` cells of ``mask`` hold a non-zero, the mask padded
+    with zeros to whole cells."""
+    rows = -(-mask.shape[0] // h) * h
+    cols = -(-mask.shape[1] // w) * w
+    padded = np.zeros((rows, cols), dtype=bool)
+    padded[: mask.shape[0], : mask.shape[1]] = mask
+    return padded.reshape(rows // h, h, cols // w, w).any(axis=(1, 3))
+
+
+#: Masks for the statistics oracle: sequence lengths off the 32/48 grids,
+#: an empty mask, and one longer than a 2048-row statistics chunk.
+STATS_MASKS = {
+    "longformer": lambda: longformer_mask(256, 32, num_global=4, seed=1),
+    "museformer": lambda: museformer_mask(300, bar_len=64, seed=2),
+    "random": lambda: np.random.default_rng(3).random((200, 200)) < 0.05,
+    "empty": lambda: np.zeros((64, 64), dtype=bool),
+    "longformer-2100": lambda: longformer_mask(2100, 64, num_global=8, seed=4),
+}
 
 
 def deficit_loop(counts, scale, total):
@@ -109,20 +143,6 @@ class TestSeqLen:
         d = get_dataset("cola")
         np.testing.assert_array_equal(d.sample(64, seed=5), d.sample(64, seed=5))
 
-    def test_batches_differ(self):
-        d = get_dataset("mnli")
-        batches = list(d.batches(2, 32, seed=0))
-        assert not np.array_equal(batches[0], batches[1])
-
-    def test_padding_ratio_positive(self):
-        ratio = get_dataset("mnli").padding_ratio(32, seed=0)
-        assert 0.1 < ratio < 0.9
-
-    def test_pad_to_multiple(self):
-        np.testing.assert_array_equal(
-            pad_to_multiple(np.array([16, 33, 64]), 32), [32, 64, 64]
-        )
-
     def test_unknown_dataset(self):
         with pytest.raises(KeyError, match="known"):
             get_dataset("imagenet21k")
@@ -131,7 +151,7 @@ class TestSeqLen:
 class TestActivation:
     def test_target_sparsity(self):
         mask = relu_activation_mask(512, 3072, 0.99, seed=0)
-        assert measured_sparsity(mask) == pytest.approx(0.99, abs=0.005)
+        assert mask_sparsity(mask) == pytest.approx(0.99, abs=0.005)
 
     def test_dynamic_across_seeds(self):
         a = relu_activation_mask(64, 512, 0.95, seed=0)
@@ -153,11 +173,6 @@ class TestActivation:
 
 
 class TestAttentionMasks:
-    def test_sliding_window_bandwidth(self):
-        mask = sliding_window_mask(64, 8)
-        assert mask[0, 0] and mask[0, 4] and not mask[0, 5]
-        assert (mask == mask.T).all()
-
     def test_longformer_has_global_stripes(self):
         mask = longformer_mask(256, 32, num_global=4, seed=0)
         full_rows = (mask.all(axis=1)).sum()
@@ -179,13 +194,14 @@ class TestAttentionMasks:
         row = mask[4 * 64 + 1]
         assert row[: 2 * 64].sum() <= 2  # only summary tokens, if any
 
-    def test_dynamic_token_mask(self):
-        mask = dynamic_token_mask(128, 0.25, seed=0)
-        assert 0 < mask_sparsity(mask) < 1
-        # active x active structure: rank-1 boolean
-        rows = mask.any(axis=1)
-        np.testing.assert_array_equal(mask, np.outer(rows, rows))
-
+    def test_longformer_rows_concatenate_to_the_full_mask(self):
+        full = longformer_mask(300, 40, num_global=5, seed=4)
+        globals_ = global_token_positions(300, 5, 4)
+        chunks = [
+            longformer_mask_rows(lo, min(300, lo + 64), 300, 40, globals_)
+            for lo in range(0, 300, 64)
+        ]
+        np.testing.assert_array_equal(np.vstack(chunks), full)
 
 class TestMaskStats:
     def test_matches_full_mask(self):
@@ -212,6 +228,96 @@ class TestMaskStats:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             MaskStats.from_mask(np.ones((4, 8), dtype=bool))
+
+    @pytest.mark.parametrize("micro_w,block", [(32, 32), (16, 48)])
+    @pytest.mark.parametrize("name", list(STATS_MASKS))
+    def test_counts_match_a_dense_oracle(self, name, micro_w, block):
+        mask = STATS_MASKS[name]()
+        stats = MaskStats.from_mask(mask, micro_w=micro_w, block=block)
+        blocks = cover_cells(mask, block, block)
+        assert (stats.seq, stats.micro_w, stats.block) == (mask.shape[0], micro_w, block)
+        assert stats.nnz == int(mask.sum())
+        assert stats.covered_micro == int(cover_cells(mask, 1, micro_w).sum())
+        assert stats.covered_micro_fine == int(cover_cells(mask, 1, 8).sum())
+        assert stats.covered_blocks == int(blocks.sum())
+        assert stats.row_blocks_nonzero == int(blocks.any(axis=1).sum())
+
+    def test_best_micro_cover_takes_the_finer_width_on_scattered_columns(self):
+        """Two global-token columns: a 32-wide micro-tile stores 32 elements
+        per hit, the 8-wide one only 8."""
+        mask = np.zeros((64, 64), dtype=bool)
+        mask[:, [3, 40]] = True
+        stats = MaskStats.from_mask(mask)
+        assert stats.covered_micro_elems() == 64 * 2 * 32
+        assert stats.best_micro_cover_elems() == 64 * 2 * 8
+        assert stats.covered_block_elems() == 2 * 2 * 32 * 32
+
+    def test_best_micro_cover_without_a_fine_count(self):
+        stats = MaskStats(
+            seq=64, nnz=40, micro_w=32, covered_micro=4, block=32,
+            covered_blocks=1, row_blocks_nonzero=1,
+        )
+        assert stats.best_micro_cover_elems() == stats.covered_micro_elems() == 128
+
+    def test_plan_signature_quantizes_density_and_cover(self):
+        """Density 0.25 and micro-cover 0.5 land in buckets 5 and 10 at the
+        default quantum; a density within half a quantum shares them."""
+        base = dict(seq=64, micro_w=32, covered_micro=64, block=32,
+                    covered_blocks=4, row_blocks_nonzero=2)
+        stats = MaskStats(nnz=1024, **base)
+        assert stats.plan_signature() == (64, 5, 10, 32, 32)
+        assert MaskStats(nnz=1050, **base).plan_signature() == stats.plan_signature()
+        assert stats.plan_signature(quantum=0.25) == (64, 1, 2, 32, 32)
+        with pytest.raises(ValueError, match="quantum"):
+            stats.plan_signature(quantum=0)
+
+    def test_plan_signature_moves_with_the_mask_structure(self):
+        base = longformer_mask_stats(1024, 128, num_global=8, seed=0)
+        wider = longformer_mask_stats(1024, 512, num_global=8, seed=0)
+        more_global = longformer_mask_stats(1024, 128, num_global=64, seed=0)
+        signatures = {s.plan_signature() for s in (base, wider, more_global)}
+        assert len(signatures) == 3
+
+    def test_merged_weights_every_count(self):
+        a = longformer_mask_stats(256, 32, num_global=4, seed=0)
+        b = longformer_mask_stats(256, 96, num_global=4, seed=1)
+        merged = MaskStats.merged([a, b], weights=[3, 1])
+        for field in ("nnz", "covered_micro", "covered_micro_fine",
+                      "covered_blocks", "row_blocks_nonzero"):
+            expected = round(0.75 * getattr(a, field) + 0.25 * getattr(b, field))
+            assert getattr(merged, field) == expected, field
+        assert (merged.seq, merged.micro_w, merged.block) == (256, 32, 32)
+        assert MaskStats.merged([a]) is a
+
+    def test_merged_rejects_incompatible_inputs(self):
+        a = longformer_mask_stats(256, 32, seed=0)
+        with pytest.raises(ValueError, match="zero"):
+            MaskStats.merged([])
+        with pytest.raises(ValueError, match="shapes"):
+            MaskStats.merged([a, longformer_mask_stats(128, 32, seed=0)])
+        with pytest.raises(ValueError, match="weights"):
+            MaskStats.merged([a, a], weights=[1, 1, 1])
+        with pytest.raises(ValueError, match="weights"):
+            MaskStats.merged([a, a], weights=[0, 0])
+
+    def test_representative_mask_is_one_band_per_row(self):
+        """The cold-plan stand-in: one contiguous run per row at the stats'
+        density, following the scaled diagonal, the same on every call."""
+        stats = longformer_mask_stats(1024, 128, seed=0)
+        sample = representative_attention_mask(stats, 64, 256)
+        assert sample.shape == (64, 256)
+        assert (sample.sum(axis=1) == round(stats.density * 256)).all()
+        rising = np.diff(sample.astype(int), axis=1, prepend=0) == 1
+        assert (rising.sum(axis=1) == 1).all()
+        assert sample[0, 0] and sample[-1, -1]
+        np.testing.assert_array_equal(
+            sample, representative_attention_mask(stats, 64, 256)
+        )
+
+    def test_representative_mask_rejects_an_empty_shape(self):
+        stats = longformer_mask_stats(256, 32, seed=0)
+        with pytest.raises(ValueError):
+            representative_attention_mask(stats, 0, 8)
 
 
 class TestMoE:
@@ -244,32 +350,59 @@ class TestMoE:
     def test_capacity(self):
         assert capacity_tokens(1000, 10, 1.25) == 125
 
-    def test_drop_overflow(self):
-        router = Router(4, concentration=0.2, seed=3)
-        result = router.route(512, seed=0)
-        capped = drop_overflow(result, capacity=64)
-        assert np.array_equal(capped.counts, np.minimum(result.counts, 64))
-        # Dropped tokens still reached the layer.
-        assert capped.num_tokens == result.num_tokens == 512
-        assert capped.counts.sum() < 512
-        # Reference: fill each expert's buffer token by token, in order.
-        kept = np.zeros(4, dtype=int)
-        for expert in router.assign(512, seed=0):
-            if kept[expert] < 64:
-                kept[expert] += 1
-        assert np.array_equal(capped.counts, kept)
-
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             Router(0)
         with pytest.raises(ValueError):
             capacity_tokens(10, 2, 0)
 
+    def test_merge_routing_adds_counts_and_tokens(self):
+        a = RoutingResult(np.array([3, 0, 5]), 10)  # a cap dropped 2 tokens
+        b = RoutingResult(np.array([1, 4, 0]), 5)
+        merged = merge_routing([a, b])
+        np.testing.assert_array_equal(merged.counts, [4, 4, 5])
+        assert merged.num_tokens == 15
+        assert merge_routing([a]) is a
+
+    def test_merge_routing_rejects_incompatible_tables(self):
+        with pytest.raises(ValueError, match="zero"):
+            merge_routing([])
+        with pytest.raises(ValueError, match="experts"):
+            merge_routing([
+                RoutingResult(np.array([1, 2, 3]), 6),
+                RoutingResult(np.array([1, 2, 3, 4]), 10),
+            ])
+
+    def test_routing_signature_quantizes_imbalance_and_live_experts(self):
+        """Loads [6, 2, 0, 0]: imbalance 6 / 2 = 3.0, half the experts live."""
+        routing = RoutingResult(np.array([6, 2, 0, 0]), 8)
+        assert routing_signature([routing]) == (4, 60, 10)
+        assert routing_signature([routing], quantum=0.5) == (4, 6, 1)
+        assert routing_signature([RoutingResult(np.zeros(4, int), 0)]) == (4, 0, 0)
+        with pytest.raises(ValueError, match="quantum"):
+            routing_signature([routing], quantum=0)
+        with pytest.raises(ValueError, match="at least one"):
+            routing_signature([])
+
+    def test_routing_signature_of_several_tables_is_that_of_their_merge(self):
+        router = Router(16, seed=0)
+        routings = [router.route(512, seed=s) for s in range(3)]
+        assert routing_signature(routings) == routing_signature(
+            [merge_routing(routings)]
+        )
+
+    def test_routing_signature_separates_skewed_from_even_routers(self):
+        skewed = Router(16, concentration=0.3, seed=0).route(4096, seed=1)
+        even = Router(16, concentration=50.0, seed=0).route(4096, seed=1)
+        assert routing_signature([skewed]) != routing_signature([even])
+        assert skewed.imbalance() > even.imbalance()
+
     def test_scaled_capped_routing_keeps_dropping(self):
         """Rescaling a capped routing apportions its routed tokens only: the
         dropped share stays dropped, so the capped experts stay within one
         token of the capacity scaled by the same factor (20 here)."""
-        capped = drop_overflow(Router(16, seed=1).route(512, seed=3), 40)
+        routing = Router(16, seed=1).route(512, seed=3)
+        capped = RoutingResult(np.minimum(routing.counts, 40), routing.num_tokens)
         assert capped.counts.sum() == 157
         scaled = capped.scaled_to(256)
         assert scaled.num_tokens == 256
@@ -420,3 +553,15 @@ class TestPatternStudy:
         for mask in relu_pattern_stream(32, 128, 0.95, 50, seed=0):
             c.observe(mask)
         assert c.hit_ratio == 0.0
+
+    def test_seqlen_pattern_stream_is_sorted_and_seeded(self):
+        d = get_dataset("mnli")
+        batches = list(seqlen_pattern_stream("mnli", 16, 3, seed=1))
+        assert len(batches) == 3
+        for lengths in batches:
+            assert lengths.shape == (16,)
+            assert (np.diff(lengths) >= 0).all()
+            assert d.min_len <= lengths.min() and lengths.max() <= d.max_len
+        assert not np.array_equal(batches[0], batches[1])
+        for a, b in zip(batches, seqlen_pattern_stream("mnli", 16, 3, seed=1)):
+            np.testing.assert_array_equal(a, b)

@@ -3,36 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.tensor.ops import (
-    batch_matmul,
-    conv2d,
-    dropout_mask,
-    gelu,
-    layernorm,
-    masked_softmax,
-    matmul,
-    reduce_sum,
-    relu,
-    softmax,
-)
+from repro.tensor.ops import gelu, layernorm, masked_softmax, relu, softmax
 
 
 class TestBasics:
-    def test_matmul(self):
-        a, b = np.eye(3), np.arange(9.0).reshape(3, 3)
-        np.testing.assert_array_equal(matmul(a, b), b)
-
-    def test_batch_matmul(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 5, 6))
-        b = rng.standard_normal((4, 6, 7))
-        ref = np.stack([a[i] @ b[i] for i in range(4)])
-        np.testing.assert_allclose(batch_matmul(a, b), ref, atol=1e-12)
-
-    def test_reduce_sum(self):
-        x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(reduce_sum(x, axis=1), [3.0, 12.0])
-
     def test_relu(self):
         np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0, 0, 2])
 
@@ -75,44 +49,3 @@ class TestLayernorm:
         x = np.ones((1, 4)) * 7
         y = layernorm(x, np.full(4, 2.0), np.full(4, 1.5))
         np.testing.assert_allclose(y, np.full((1, 4), 1.5))
-
-
-class TestConv2d:
-    def test_identity_kernel(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 1, 5, 5))
-        w = np.zeros((1, 1, 1, 1))
-        w[0, 0, 0, 0] = 1.0
-        np.testing.assert_allclose(conv2d(x, w), x)
-
-    def test_matches_manual(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        w = np.ones((1, 1, 2, 2))
-        out = conv2d(x, w)
-        assert out.shape == (1, 1, 3, 3)
-        assert out[0, 0, 0, 0] == pytest.approx(0 + 1 + 4 + 5)
-
-    def test_channel_mismatch(self):
-        with pytest.raises(ValueError):
-            conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 2, 2)))
-
-    def test_stride(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        w = np.ones((1, 1, 2, 2))
-        out = conv2d(x, w, stride=2)
-        assert out.shape == (1, 1, 2, 2)
-
-
-class TestDropoutMask:
-    def test_rate_respected(self):
-        mask = dropout_mask((1000, 100), 0.3, seed=0)
-        assert mask.mean() == pytest.approx(0.7, abs=0.02)
-
-    def test_seeded(self):
-        np.testing.assert_array_equal(
-            dropout_mask((10, 10), 0.5, seed=3), dropout_mask((10, 10), 0.5, seed=3)
-        )
-
-    def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            dropout_mask((2, 2), 1.0, seed=0)
