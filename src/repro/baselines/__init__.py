@@ -8,7 +8,7 @@ MegaBlocks, TurboTransformers, Longformer-S, TVM, and the PIT backend.
 """
 
 from .backends import ModelBackend, TVMBackend, UnsupportedModelError
-from .base import DenseKernelBaseline, SpmmKernel, SpmmResult, shared_tiledb
+from .base import DenseKernelBaseline, SpmmKernel, SpmmResult
 from .cusparse import CuSparseKernel
 from .longformer_s import LongformerSBackend
 from .moe_systems import DeepSpeedBackend, MegaBlocksBackend, TutelBackend
@@ -47,6 +47,5 @@ __all__ = [
     "UnsupportedModelError",
     "length_buckets",
     "mean_run_length",
-    "shared_tiledb",
     "triton_convert_passes",
 ]

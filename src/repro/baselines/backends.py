@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.tiledb import TileDB
 from ..hw.costmodel import (
     TileConfig,
     dense_matmul_time_us,
@@ -30,7 +31,6 @@ from ..hw.costmodel import (
 from ..hw.memtracker import MemoryTracker
 from ..hw.spec import GPUSpec, dtype_bytes
 from ..hw.timeline import ExecReport
-from .base import shared_tiledb
 
 
 class UnsupportedModelError(RuntimeError):
@@ -73,7 +73,7 @@ class ModelBackend:
         self.spec = spec
         self.dtype = dtype
         self.tensor_core = dtype == "float16" and spec.has_tensor_cores
-        self.tiledb = shared_tiledb(spec, dtype, tensor_core=self.tensor_core)
+        self.tiledb = TileDB.shared(spec, dtype, tensor_core=self.tensor_core)
         self._fusion_active = False
         #: (tile, load_efficiency) -> (step, fixed) times: device constants.
         self._tile_times: dict = {}

@@ -20,14 +20,6 @@ from ..core.tiledb import TileDB
 from ..hw.costmodel import dense_matmul_time_us
 from ..hw.spec import GPUSpec
 
-def shared_tiledb(spec: GPUSpec, dtype: str, *, tensor_core: bool = False) -> TileDB:
-    """A cached TileDB for (device, dtype) — offline profiling happens once.
-
-    Delegates to :meth:`TileDB.shared`, so baselines, the compiler and the
-    serving engine all hold the *same* instance per configuration.
-    """
-    return TileDB.shared(spec, dtype, tensor_core=tensor_core)
-
 
 @dataclass(frozen=True)
 class SpmmResult:
@@ -60,7 +52,7 @@ class SpmmKernel:
 
     def dense_reference_us(self, m: int, k: int, n: int) -> float:
         """cuBLAS-style dense latency for the same problem."""
-        db = shared_tiledb(self.spec, self.dtype)
+        db = TileDB.shared(self.spec, self.dtype)
         entry = db.best_dense_tile(m, k, n)
         return dense_matmul_time_us(m, k, n, entry.tile, self.dtype, self.spec)
 

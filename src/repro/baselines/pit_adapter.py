@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.cover import SampleStack
 from ..core.detector import index_construction_time_us
 from ..core.kernels import SparseMatmulKernel
 from ..core.selection import kernel_selection
@@ -25,7 +26,7 @@ class PITSpmmKernel(SpmmKernel):
     def __init__(self, spec, dtype: str = "float32", *, tensor_core: bool = False):
         super().__init__(spec, dtype)
         self.tensor_core = tensor_core
-        self.tiledb = TileDB(spec, dtype, tensor_core=tensor_core)
+        self.tiledb = TileDB.shared(spec, dtype, tensor_core=tensor_core)
 
     def spmm(self, mask: np.ndarray, n: int) -> SpmmResult:
         m, k = mask.shape
@@ -47,10 +48,13 @@ class PITSpmmKernel(SpmmKernel):
             self.dtype,
             tensor_core=self.tensor_core,
         )
-        compute = kernel.estimate_us(mask, n, include_detector=False)
-        wl = kernel.workload(mask, n)
+        # The kernel's workload covers the mask with its micro-tiles, so the
+        # stack's memoized micro-tile count is the index Convert builds.
+        stack = SampleStack([mask])
+        compute = kernel.estimate_us(stack, n, include_detector=False)
         convert = index_construction_time_us(
-            mask.shape, self.dtype, self.spec, wl.num_microtiles
+            mask.shape, self.dtype, self.spec,
+            int(stack.num_microtiles(kernel.microtile.shape)[0]),
         )
         return SpmmResult(
             compute_us=compute,

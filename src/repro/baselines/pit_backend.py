@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.cover import CoverCache
+from ..core.cover import SampleStack
 from ..core.detector import index_construction_time_us
 from ..core.kernels import kernel_from_choice
 from ..core.plan import Planner, PlanSpec, ResolvedPlan
@@ -180,41 +180,33 @@ class PITBackend(ModelBackend):
         """Price one weight-masked matmul under an already-resolved plan.
 
         A cold plan's estimate *is* the price — Algorithm 1 just scored this
-        very mask, so re-estimating would duplicate the cover pass.  A warm
-        plan replays the cached kernel (and, for nm-sparse, the cached
-        channel permutation + N:M projection) against the current mask;
-        pass ``cover`` (a :class:`CoverCache` of ``mask``) to reuse an
-        existing pyramid on that path.
+        very mask, so re-estimating would duplicate the cover pass.  So is
+        a dense fallback's, warm or cold: its cost depends only on the
+        spec's (m, k, n).  A warm sparse plan replays the cached kernel
+        (and, for nm-sparse, the cached channel permutation + N:M
+        projection) against the current mask; pass ``cover`` (a one-sample
+        :class:`SampleStack` of ``mask``) to reuse an existing pyramid on
+        that path.
         """
-        if resolved.cold:
-            return resolved.choice.est_cost_us
         choice = resolved.choice
+        if resolved.cold or choice.is_dense_fallback:
+            return choice.est_cost_us
+        operand = cover if cover is not None else mask
         if isinstance(choice, PermutedChoice):
-            if choice.is_dense_fallback:
-                choice = choice.choice
-            else:
-                from ..sparsity.masks import nm_prune_mask
+            from ..sparsity.masks import nm_prune_mask
 
-                projected = np.asarray(mask, dtype=bool)
-                if choice.permutation:
-                    projected = projected[np.asarray(choice.permutation), :]
-                projected = nm_prune_mask(projected, *choice.pattern, axis=0)
-                kern = kernel_from_choice(
-                    choice.choice, self.spec, self.dtype,
-                    sparse_operand="B", tensor_core=self.tensor_core,
-                )
-                return kern.estimate_us(projected, m)
-        if choice.is_dense_fallback:
-            kern = kernel_from_choice(
-                choice, self.spec, self.dtype, tensor_core=self.tensor_core
-            )
-            k, n = mask.shape
-            return kern.estimate_us(m, k, n)
+            # The replayed channel order and N:M projection make a new
+            # mask; the caller's cover is of the unprojected one.
+            projected = np.asarray(mask, dtype=bool)
+            if choice.permutation:
+                projected = projected[np.asarray(choice.permutation), :]
+            operand = nm_prune_mask(projected, *choice.pattern, axis=0)
+            choice = choice.choice
         kern = kernel_from_choice(
             choice, self.spec, self.dtype,
             sparse_operand="B", tensor_core=self.tensor_core,
         )
-        return kern.estimate_us(cover if cover is not None else mask, m)
+        return kern.estimate_us(operand, m)
 
     # ------------------------------------------------------------------
     def _act_sparse_workload(
@@ -229,10 +221,10 @@ class PITBackend(ModelBackend):
 
         def compute():
             mask = relu_activation_mask(sample_rows, d_ff, sparsity, seed=seed)
-            grid = CoverCache(mask).grid((1, self.MICRO_W))
-            covered = float(grid.sum()) / max(1, grid.size)
-            micro_per_row = float(grid.sum()) / max(1, sample_rows)
-            return (covered, micro_per_row)
+            stack = SampleStack([mask])
+            micro = float(stack.num_microtiles((1, self.MICRO_W))[0])
+            covered = micro / max(1, stack.grid_cells((1, self.MICRO_W)))
+            return (covered, micro / max(1, sample_rows))
 
         spec = PlanSpec(
             kind="ffn-act",

@@ -19,9 +19,10 @@ import math
 
 import numpy as np
 
-from ..hw.costmodel import matmul_step_time_us, matmul_tile_fixed_time_us
 from ..core.cover import cover_grid
-from .base import SpmmKernel, SpmmResult, shared_tiledb
+from ..core.tiledb import TileDB
+from ..hw.costmodel import sparse_matmul_time_us
+from .base import SpmmKernel, SpmmResult
 
 #: AOT specialization cost per new sparsity pattern (microseconds).
 #: Figure 3b reports 400-600 seconds; we charge the midpoint.
@@ -45,15 +46,13 @@ class SparTAKernel(SpmmKernel):
         n_tiles_cols = math.ceil(n / tile.tn)
         total_steps = covered_steps * n_tiles_cols
         out_tiles = int(grid.any(axis=1).sum()) * n_tiles_cols
-        step = matmul_step_time_us(tile, self.dtype, self.spec)
-        fixed = matmul_tile_fixed_time_us(tile, self.dtype, self.spec)
-        step_waves = math.ceil(total_steps / self.spec.num_sms)
-        tile_waves = math.ceil(out_tiles / self.spec.num_sms)
-        return step_waves * step + tile_waves * fixed + self.spec.kernel_launch_us
+        return sparse_matmul_time_us(
+            total_steps, out_tiles, tile, self.dtype, self.spec
+        )
 
     def best_tile_for(self, mask: np.ndarray, n: int):
         """The AOT tile search: minimize in-place cover cost for the pattern."""
-        db = shared_tiledb(self.spec, self.dtype)
+        db = TileDB.shared(self.spec, self.dtype)
         best_tile, best_cost = None, float("inf")
         for entry in db.tiles():
             cost = self._cover_cost_us(mask, entry.tile, n)

@@ -7,7 +7,6 @@ the generated sparse kernels, tied together by :class:`PITCompiler`.
 
 from .compiler import CompiledMatmul, PITCompiler
 from .cover import (
-    CoverCache,
     MatmulWorkload,
     SampleStack,
     batched_matmul_workload,
@@ -15,7 +14,6 @@ from .cover import (
     coverage_waste,
     covered_sparsity,
     dense_matmul_workload,
-    matmul_workload,
 )
 from .detector import (
     SparseIndex,
@@ -28,18 +26,12 @@ from .kernels import (
     GroupedMatmulKernel,
     KernelResult,
     SparseMatmulKernel,
-    choice_from_json,
-    choice_to_json,
     kernel_from_choice,
-    permuted_choice_from_json,
-    permuted_choice_to_json,
 )
 from .microtile import (
     MicroTile,
-    MicroTiledOp,
     derive_microtile,
     gcd_microtile_shape,
-    matmul_microtiled_op,
 )
 from .pit_axis import (
     OPERATOR_EXPRESSIONS,
@@ -89,14 +81,12 @@ __all__ = [
     "AxisInfo",
     "AxisKind",
     "CompiledMatmul",
-    "CoverCache",
     "DenseMatmulKernel",
     "GroupedMatmulKernel",
     "KernelChoice",
     "KernelResult",
     "MatmulWorkload",
     "MicroTile",
-    "MicroTiledOp",
     "OPERATOR_EXPRESSIONS",
     "PITCompiler",
     "PITRule",
@@ -122,8 +112,6 @@ __all__ = [
     "TileEntry",
     "batched_matmul_workload",
     "build_index",
-    "choice_from_json",
-    "choice_to_json",
     "classify_axes",
     "cover_grid",
     "coverage_waste",
@@ -136,14 +124,10 @@ __all__ = [
     "kernel_from_choice",
     "kernel_selection",
     "matmul_axes_for_operand",
-    "matmul_microtiled_op",
     "matmul_rules",
-    "matmul_workload",
     "nm_kernel_selection",
     "nm_permutation_candidates",
     "parse_expr",
-    "permuted_choice_from_json",
-    "permuted_choice_to_json",
     "pit_axes",
     "sparsity_signature",
     "sread_cols",

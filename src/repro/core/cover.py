@@ -23,13 +23,14 @@ transposition identity ``cover_grid(mask.T, (a, b)) ==
 cover_grid(mask, (b, a)).T`` (served as a numpy view, never materialized)
 this makes a cold Algorithm 1 search touch the raw mask O(1) times instead
 of once per candidate micro-tile shape — the Section 5.5 budget depends on
-it.  :class:`SampleStack` extends the same pyramid across a whole batch of
-same-shape sparsity samples so candidate evaluation vectorizes over the
-sample axis.
+it.  :class:`SampleStack` holds the pyramid of one or more same-shape
+sparsity samples, and :func:`batched_matmul_workload` evaluates a rule on
+every stacked sample in one pass; a single mask is a one-sample stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,53 +88,6 @@ def covered_sparsity(mask: np.ndarray, microtile_shape: tuple) -> float:
     return 1.0 - float(grid.sum()) / grid.size
 
 
-class _CoverPyramid:
-    """Pooled cover grids over a ``[S, R, C]`` boolean stack.
-
-    The ``(1, 1)`` level is the stack itself; a ``(mh, mw)`` grid derives
-    from the coarsest cached level ``(dh, dw)`` with ``dh | mh`` and
-    ``dw | mw`` by an any-pooled reshape, touching ``R*C / (dh*dw)`` cells
-    instead of the raw masks.  Exactness rests on
-    ``ceil(ceil(x/a)/b) == ceil(x/(a*b))``: pooling a zero-padded coarse
-    grid marks exactly the cells the naive zero-padded scan marks, partial
-    trailing tiles included.
-    """
-
-    __slots__ = ("_grids",)
-
-    def __init__(self, stack: np.ndarray):
-        self._grids = {(1, 1): stack}
-
-    def grid(self, shape: tuple) -> np.ndarray:
-        mh, mw = int(shape[0]), int(shape[1])
-        if mh < 1 or mw < 1:
-            raise ValueError(f"invalid micro-tile shape {shape}")
-        key = (mh, mw)
-        got = self._grids.get(key)
-        if got is None:
-            got = self._derive(key)
-            self._grids[key] = got
-        return got
-
-    def _derive(self, key: tuple) -> np.ndarray:
-        mh, mw = key
-        dh, dw = 1, 1
-        for h, w in self._grids:
-            if mh % h == 0 and mw % w == 0 and h * w > dh * dw:
-                dh, dw = h, w
-        src = self._grids[(dh, dw)]
-        fh, fw = mh // dh, mw // dw
-        if fh == 1 and fw == 1:
-            return src
-        s, rows, cols = src.shape
-        grid_r, grid_c = -(-rows // fh), -(-cols // fw)
-        if grid_r * fh != rows or grid_c * fw != cols:
-            padded = np.zeros((s, grid_r * fh, grid_c * fw), dtype=bool)
-            padded[:, :rows, :cols] = src
-            src = padded
-        return _pool_rows(_pool_cols(src, fw), fh)
-
-
 #: Word dtypes for column pooling: ``f`` consecutive mask bytes are one
 #: non-zero test on an ``f``-byte integer view — numpy reduces a short
 #: contiguous bool axis element-by-element, while the integer compare runs
@@ -170,78 +124,6 @@ def _pool_rows(arr: np.ndarray, fh: int) -> np.ndarray:
     return arr.reshape(s, r // fh, fh, c).any(axis=2)
 
 
-class CoverCache:
-    """Memoized cover grids (and their marginals) for one mask.
-
-    Algorithm 1 evaluates dozens of (tile, axis) candidates whose micro-tiles
-    collapse to a handful of distinct shapes; the pyramid keeps the online
-    search cheap (the paper reports 30-100us searches) by deriving every
-    coarser grid from a finer one instead of re-scanning the raw mask, and
-    per-grid row/column counts are computed once and shared across all rules
-    that reuse a micro-tile shape.
-    """
-
-    def __init__(self, mask: np.ndarray):
-        self.mask = np.asarray(mask, dtype=bool)
-        if self.mask.ndim != 2:
-            raise ValueError(
-                f"CoverCache expects a 2-D mask, got shape {self.mask.shape}"
-            )
-        self.nnz = int(np.count_nonzero(self.mask))
-        self._pyr = _CoverPyramid(self.mask[np.newaxis])
-        self._grids: dict = {}
-        self._stats: dict = {}
-
-    @property
-    def shape(self) -> tuple:
-        """Shape of the wrapped mask — a cache substitutes for its mask
-        anywhere only the shape and the cover grids are consulted (e.g.
-        :meth:`SparseMatmulKernel.estimate_us`), so one pyramid can price
-        the same mask through several backends without rebuilding."""
-        return self.mask.shape
-
-    def grid(self, microtile_shape: tuple, *, transposed: bool = False) -> np.ndarray:
-        key = (tuple(microtile_shape), transposed)
-        got = self._grids.get(key)
-        if got is None:
-            if transposed:
-                # cover_grid(mask.T, (a, b)) == cover_grid(mask, (b, a)).T:
-                # serve the other orientation as a view instead of
-                # materializing a second grid.
-                mh, mw = microtile_shape
-                got = self._pyr.grid((mw, mh))[0].T
-            else:
-                got = self._pyr.grid(tuple(microtile_shape))[0]
-            self._grids[key] = got
-        return got
-
-    def _stat(self, name: str, shape: tuple, transposed: bool, fn):
-        key = (name, tuple(shape), transposed)
-        got = self._stats.get(key)
-        if got is None:
-            got = fn(self.grid(shape, transposed=transposed))
-            self._stats[key] = got
-        return got
-
-    def col_counts(self, shape: tuple, *, transposed: bool = False) -> np.ndarray:
-        """Non-empty micro-tiles per grid column (``grid.sum(axis=0)``)."""
-        return self._stat("col", shape, transposed, lambda g: g.sum(axis=0))
-
-    def row_counts(self, shape: tuple, *, transposed: bool = False) -> np.ndarray:
-        """Non-empty micro-tiles per grid row (``grid.sum(axis=1)``)."""
-        return self._stat("row", shape, transposed, lambda g: g.sum(axis=1))
-
-    def live_rows(self, shape: tuple, *, transposed: bool = False) -> int:
-        """Number of grid rows containing any non-empty micro-tile."""
-        return self._stat(
-            "live", shape, transposed, lambda g: int(g.any(axis=1).sum())
-        )
-
-    def num_microtiles(self, shape: tuple, *, transposed: bool = False) -> int:
-        """Total non-empty micro-tiles of this grid."""
-        return self._stat("nnz", shape, transposed, lambda g: int(g.sum()))
-
-
 class SampleStack:
     """A batch of same-shape sparsity samples sharing one cover pyramid.
 
@@ -249,7 +131,9 @@ class SampleStack:
     samples; stacking them into one ``[S, R, C]`` boolean array lets every
     (tile, axis) rule's workload evaluate across all samples in a single
     vectorized pass (counts of shape ``[S, G]``, ``ceil``/``sum`` over the
-    grid axis per sample) instead of a per-sample Python loop.
+    grid axis per sample) instead of a per-sample Python loop.  Per-grid
+    marginals are memoized, so every rule that reuses a micro-tile shape
+    shares one count.  A single mask is a one-sample stack, held as a view.
     """
 
     def __init__(self, samples):
@@ -271,10 +155,19 @@ class SampleStack:
             if len(arrays) == 1
             else np.stack(arrays)
         )
-        #: Per-sample non-zero counts, shape ``[S]``.
-        self.nnz = self.stack.sum(axis=(1, 2), dtype=np.int64)
-        self._pyr = _CoverPyramid(self.stack)
+        #: Cover-grid pyramid: shape -> ``[S, Gr, Gc]`` grid, seeded with
+        #: the stack itself as the ``(1, 1)`` level.
+        self._levels = {(1, 1): self.stack}
         self._stats: dict = {}
+
+    @functools.cached_property
+    def nnz(self) -> np.ndarray:
+        """``[S]`` per-sample non-zero counts, counted on first use: only a
+        workload's waste fraction reads them, and a cover-only caller
+        (the activation-cover memo) never does."""
+        return np.array(
+            [np.count_nonzero(sample) for sample in self.stack], dtype=np.int64
+        )
 
     @property
     def num_samples(self) -> int:
@@ -302,14 +195,45 @@ class SampleStack:
             return
         base = gcd_microtile_shape(canon)
         if base != (1, 1):
-            self._pyr.grid(base)
+            self._level(base)
         for shape in canon:
-            self._pyr.grid(shape)
+            self._level(shape)
 
     def grids(self, shape: tuple, *, transposed: bool = False) -> np.ndarray:
         """``[S, Gr, Gc]`` cover grids (transposed served as a view)."""
-        got = self._pyr.grid(self._canonical(shape, transposed))
+        got = self._level(self._canonical(shape, transposed))
         return got.transpose(0, 2, 1) if transposed else got
+
+    def _level(self, shape: tuple) -> np.ndarray:
+        """The pyramid's ``(mh, mw)`` grid, derived on first use.
+
+        A grid derives from the coarsest cached level ``(dh, dw)`` with
+        ``dh | mh`` and ``dw | mw`` by an any-pooled reshape, touching
+        ``R*C / (dh*dw)`` cells instead of the raw masks.  Exactness rests
+        on ``ceil(ceil(x/a)/b) == ceil(x/(a*b))``: pooling a zero-padded
+        coarse grid marks exactly the cells the naive zero-padded scan
+        marks, partial trailing tiles included.
+        """
+        mh, mw = int(shape[0]), int(shape[1])
+        if mh < 1 or mw < 1:
+            raise ValueError(f"invalid micro-tile shape {shape}")
+        grid = self._levels.get((mh, mw))
+        if grid is not None:
+            return grid
+        dh, dw = 1, 1
+        for h, w in self._levels:
+            if mh % h == 0 and mw % w == 0 and h * w > dh * dw:
+                dh, dw = h, w
+        base = self._levels[(dh, dw)]
+        fh, fw = mh // dh, mw // dw
+        s, rows, cols = base.shape
+        grid_r, grid_c = -(-rows // fh), -(-cols // fw)
+        if grid_r * fh != rows or grid_c * fw != cols:
+            padded = np.zeros((s, grid_r * fh, grid_c * fw), dtype=bool)
+            padded[:, :rows, :cols] = base
+            base = padded
+        grid = self._levels[(mh, mw)] = _pool_rows(_pool_cols(base, fw), fh)
+        return grid
 
     def _stat(self, name: str, shape: tuple, transposed: bool, fn):
         key = (name, tuple(shape), transposed)
@@ -359,117 +283,6 @@ class MatmulWorkload:
     #: Fraction of computed elements that are zero padding/waste.
     wasted_fraction: float
 
-def matmul_workload(
-    mask,
-    tile: TileConfig,
-    pit_axis: str,
-    n_extent: int,
-    *,
-    sparse_operand: str = "A",
-) -> MatmulWorkload:
-    """Workload of ``C[m,n] += A[m,k] * B[k,n]`` with one sparse operand.
-
-    ``mask`` is the sparse operand's non-zero mask (A: [M, K]; B: [K, N]) or
-    a :class:`CoverCache` wrapping it.  ``n_extent`` is the dense extent of
-    the axis not covered by the mask (N when A is sparse, M when B is
-    sparse).
-
-    * PIT-axis ``m`` (A sparse): micro-tile ``(1, tk)``.  Micro-tiles merge
-      across rows within the same K-block; every K-block column contributes
-      ``ceil(count / tm)`` steps, replicated over ``ceil(N / tn)`` output
-      column tiles.
-    * PIT-axis ``k`` (A sparse): micro-tile ``(tm, 1)``.  Columns of each
-      row-block gather into K-steps of ``tk``; every row-block contributes
-      ``ceil(count / tk)`` steps.
-    * PIT-axis ``n`` / ``k`` with B sparse: symmetric.
-    """
-    cache = mask if isinstance(mask, CoverCache) else CoverCache(mask)
-    if sparse_operand == "A":
-        if pit_axis == "m":
-            return _workload_outer_axis(cache, tile, n_extent, transposed=False)
-        if pit_axis == "k":
-            return _workload_reduce_axis(cache, tile, n_extent, transposed=False)
-        raise ValueError(f"sparse A supports PIT-axis m or k, got {pit_axis!r}")
-    if sparse_operand == "B":
-        if pit_axis == "n":
-            return _workload_outer_axis(cache, tile, n_extent, transposed=True)
-        if pit_axis == "k":
-            return _workload_reduce_axis(cache, tile, n_extent, transposed=True)
-        raise ValueError(f"sparse B supports PIT-axis n or k, got {pit_axis!r}")
-    raise ValueError(f"sparse_operand must be 'A' or 'B', got {sparse_operand!r}")
-
-
-def _workload_outer_axis(
-    cache: CoverCache,
-    tile: TileConfig,
-    dense_extent: int,
-    *,
-    transposed: bool,
-) -> MatmulWorkload:
-    """Spatial-axis rule: merge (1, tk) micro-tiles across rows.
-
-    The grid is oriented so rows are the PIT-axis (for sparse B, the mask is
-    transposed so its n-axis becomes the rows).  For each K-block column,
-    ``count`` non-empty row micro-tiles merge into ``ceil(count/merge)``
-    dense tiles of one K-step each.
-    """
-    merge_factor = tile.tn if transposed else tile.tm
-    shape = (1, tile.tk)
-    counts = cache.col_counts(shape, transposed=transposed)
-    steps_per_ncol = int(np.ceil(counts / merge_factor).sum())
-    n_tiles_cols = math.ceil(dense_extent / (tile.tm if transposed else tile.tn))
-    total_steps = steps_per_ncol * n_tiles_cols
-
-    # Output tiles: rows with any non-zero, packed by merge_factor, times
-    # the output column tiles.
-    nonzero_rows = cache.live_rows(shape, transposed=transposed)
-    out_tiles = math.ceil(nonzero_rows / merge_factor) * n_tiles_cols
-
-    num_micro = cache.num_microtiles(shape, transposed=transposed)
-    # Sparse-operand elements touched per output column tile.
-    computed = steps_per_ncol * merge_factor * tile.tk
-    waste = 0.0 if computed == 0 else max(0.0, 1.0 - cache.nnz / computed)
-    return MatmulWorkload(
-        total_k_steps=total_steps,
-        num_output_tiles=out_tiles,
-        num_microtiles=num_micro,
-        wasted_fraction=waste,
-    )
-
-
-def _workload_reduce_axis(
-    cache: CoverCache,
-    tile: TileConfig,
-    dense_extent: int,
-    *,
-    transposed: bool,
-) -> MatmulWorkload:
-    """Reduction-axis rule: merge (row_block, 1) micro-tiles along K.
-
-    For each row-block, ``count`` non-empty column micro-tiles merge into
-    ``ceil(count/tk)`` K-steps.
-    """
-    row_block = tile.tn if transposed else tile.tm
-    shape = (row_block, 1)
-    counts = cache.row_counts(shape, transposed=transposed)
-    steps_per_ncol = int(np.ceil(counts / tile.tk).sum())
-    n_tiles_cols = math.ceil(dense_extent / (tile.tm if transposed else tile.tn))
-    total_steps = steps_per_ncol * n_tiles_cols
-
-    # Every row-block with any work writes its output tiles densely.
-    nonzero_blocks = int((counts > 0).sum())
-    out_tiles = nonzero_blocks * n_tiles_cols
-
-    num_micro = cache.num_microtiles(shape, transposed=transposed)
-    computed = steps_per_ncol * row_block * tile.tk
-    waste = 0.0 if computed == 0 else max(0.0, 1.0 - cache.nnz / computed)
-    return MatmulWorkload(
-        total_k_steps=total_steps,
-        num_output_tiles=out_tiles,
-        num_microtiles=num_micro,
-        wasted_fraction=waste,
-    )
-
 
 def batched_matmul_workload(
     stack: SampleStack,
@@ -479,12 +292,22 @@ def batched_matmul_workload(
     *,
     sparse_operand: str = "A",
 ) -> list:
-    """Vectorized :func:`matmul_workload` across a :class:`SampleStack`.
+    """Workload of ``C[m,n] += A[m,k] * B[k,n]`` on every stacked sample.
 
-    One pooled-counts pass evaluates every sample; returns one
-    :class:`MatmulWorkload` per sample, exactly equal to the per-sample
-    scalar results (the integer tile counts are identical; the float waste
-    fraction is computed from the same integers).
+    The stack holds the sparse operand's non-zero masks (A: [M, K]; B:
+    [K, N]); ``n_extent`` is the dense extent of the axis the masks do not
+    cover (N when A is sparse, M when B is sparse).  One pooled-counts pass
+    evaluates every sample and returns one :class:`MatmulWorkload` each.
+
+    * PIT-axis ``m`` (A sparse): micro-tile ``(1, tk)``.  Micro-tiles merge
+      across rows within the same K-block; every K-block column contributes
+      ``ceil(count / tm)`` steps, replicated over ``ceil(N / tn)`` output
+      column tiles.
+    * PIT-axis ``k`` (A sparse): micro-tile ``(tm, 1)``.  Columns of each
+      row-block gather into K-steps of ``tk``; every row-block contributes
+      ``ceil(count / tk)`` steps.
+    * PIT-axis ``n`` / ``k`` with B sparse: symmetric, on the transposed
+      grids.
     """
     if sparse_operand == "A":
         if pit_axis == "m":
@@ -504,13 +327,11 @@ def batched_matmul_workload(
 def _assemble_workloads(stack, steps_per_ncol, n_tiles_cols, out_tiles, micro,
                         elems_per_step) -> list:
     computed = steps_per_ncol * elems_per_step
+    nnz = stack.nnz
     out = []
     for s in range(stack.num_samples):
-        waste = (
-            0.0
-            if computed[s] == 0
-            else max(0.0, 1.0 - stack.nnz[s] / computed[s])
-        )
+        elems = int(computed[s])
+        waste = 0.0 if elems == 0 else max(0.0, 1.0 - int(nnz[s]) / elems)
         out.append(
             MatmulWorkload(
                 total_k_steps=int(steps_per_ncol[s]) * n_tiles_cols,

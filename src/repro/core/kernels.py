@@ -27,9 +27,9 @@ from ..hw.costmodel import (
 )
 from ..hw.spec import GPUSpec, dtype_bytes
 from ..hw.timeline import ExecReport
-from .cover import MatmulWorkload, matmul_workload
+from .cover import SampleStack, batched_matmul_workload
 from .detector import index_construction_time_us
-from .microtile import MicroTile, derive_microtile, matmul_microtiled_op
+from .microtile import derive_microtile
 from .sread_swrite import sread_cols, sread_rows, swrite_cols, swrite_rows
 
 
@@ -47,84 +47,45 @@ def _operand_mask(tensor: np.ndarray, mask) -> np.ndarray:
     return tensor != 0
 
 
-def tile_to_json(tile) -> list:
-    """Canonical JSON field list of a :class:`TileConfig` — the one place
-    that knows the field order, shared by the choice serializer here and
-    the tagged plan-cache codec in :mod:`repro.core.plan`."""
-    return [tile.tm, tile.tk, tile.tn]
+def _price_rule(rule, stack: SampleStack, dense_extent: int, spec: GPUSpec,
+                dtype: str, *, tensor_core: bool,
+                include_detector: bool = True) -> tuple:
+    """``(workloads, costs_us)`` of one (tile, PIT-axis, micro-tile) rule,
+    one of each per stacked sample.
 
-
-def tile_from_json(data) -> TileConfig:
-    return TileConfig(*data)
-
-
-def microtile_to_json(micro) -> list:
-    """Canonical JSON field list of a :class:`MicroTile` (see
-    :func:`tile_to_json`)."""
-    return list(micro.shape)
-
-
-def microtile_from_json(data) -> MicroTile:
-    return MicroTile(shape=tuple(data))
-
-
-def choice_to_json(choice) -> dict:
-    """Encode a :class:`~repro.core.selection.KernelChoice` as plain JSON data.
-
-    Plans are checkpointable artifacts: a choice serialized here and revived
-    with :func:`choice_from_json` compares equal field-for-field, names the
-    same kernel through :func:`kernel_from_choice`, and therefore prices and
-    executes identically — the property the persistent
-    :class:`~repro.core.selection.PlanCache` rests on.
+    The cost is CoverAlgo's workload times the profiled tile cost,
+    wave-quantized, plus the SRead surcharge of the rule's micro-tile and,
+    unless ``include_detector`` is off, the detector pass that builds the
+    sparse index.  ``rule`` is anything carrying ``tile``, ``pit_axis``,
+    ``microtile`` and ``sparse_operand``: Algorithm 1 passes each
+    :class:`~repro.core.rules.PITRule` it scores, a
+    :class:`SparseMatmulKernel` passes itself, so a plan prices the same
+    in the search and in the kernel it names.
     """
-    tile = choice.tile
-    micro = choice.microtile
-    return {
-        "tile": tile_to_json(tile) if tile is not None else None,
-        "pit_axis": choice.pit_axis,
-        "microtile": microtile_to_json(micro) if micro is not None else None,
-        "est_cost_us": choice.est_cost_us,
-        "covered_sparsity": choice.covered_sparsity,
-        "search_time_us": choice.search_time_us,
-    }
-
-
-def choice_from_json(data: dict):
-    """Inverse of :func:`choice_to_json`."""
-    from .selection import KernelChoice  # lazy: kernels stays import-light
-
-    tile = data["tile"]
-    micro = data["microtile"]
-    return KernelChoice(
-        tile=tile_from_json(tile) if tile is not None else None,
-        pit_axis=data["pit_axis"],
-        microtile=microtile_from_json(micro) if micro is not None else None,
-        est_cost_us=data["est_cost_us"],
-        covered_sparsity=data["covered_sparsity"],
-        search_time_us=data["search_time_us"],
+    workloads = batched_matmul_workload(
+        stack, rule.tile, rule.pit_axis, dense_extent,
+        sparse_operand=rule.sparse_operand,
     )
-
-
-def permuted_choice_to_json(choice) -> dict:
-    """Encode a :class:`~repro.core.selection.PermutedChoice` — an nm-sparse
-    plan — as plain JSON data.  The concrete winning permutation is part of
-    the artifact: a revived plan replays the channel order bit-for-bit."""
-    return {
-        "choice": choice_to_json(choice.choice),
-        "permutation": list(choice.permutation),
-        "pattern": list(choice.pattern),
-    }
-
-
-def permuted_choice_from_json(data: dict):
-    """Inverse of :func:`permuted_choice_to_json`."""
-    from .selection import PermutedChoice  # lazy: kernels stays import-light
-
-    return PermutedChoice(
-        choice=choice_from_json(data["choice"]),
-        permutation=tuple(data["permutation"]),
-        pattern=tuple(data["pattern"]),
-    )
+    contig = max(rule.microtile.shape) * dtype_bytes(dtype)
+    shape = stack.sample_shape
+    costs = []
+    for wl in workloads:
+        detector = (
+            index_construction_time_us(shape, dtype, spec, wl.num_microtiles)
+            if include_detector
+            else 0.0
+        )
+        costs.append(sparse_matmul_time_us(
+            wl.total_k_steps,
+            wl.num_output_tiles,
+            rule.tile,
+            dtype,
+            spec,
+            tensor_core=tensor_core,
+            sread_contig_bytes=contig,
+            detector_us=detector,
+        ))
+    return workloads, costs
 
 
 class DenseMatmulKernel:
@@ -212,50 +173,21 @@ class SparseMatmulKernel:
         self.dtype = dtype
         self.sparse_operand = sparse_operand
         self.tensor_core = tensor_core
-        self.microtiled_op = matmul_microtiled_op(tile, pit_axis)
         self.microtile = derive_microtile(tile, pit_axis, operand=sparse_operand)
 
     # ------------------------------------------------------------------
     # Cost face
     # ------------------------------------------------------------------
-    def workload(self, mask: np.ndarray, dense_extent: int) -> MatmulWorkload:
-        return matmul_workload(
-            mask,
-            self.tile,
-            self.pit_axis,
-            dense_extent,
-            sparse_operand=self.sparse_operand,
+    def estimate_us(self, mask, dense_extent: int, *,
+                    include_detector: bool = True) -> float:
+        """Cost of one call on ``mask``: the sparse operand's mask, or a
+        one-sample :class:`SampleStack` of it to reuse its cover pyramid."""
+        stack = mask if isinstance(mask, SampleStack) else SampleStack([mask])
+        _, costs = _price_rule(
+            self, stack, dense_extent, self.spec, self.dtype,
+            tensor_core=self.tensor_core, include_detector=include_detector,
         )
-
-    def sread_contig_bytes(self) -> int:
-        """Contiguous run of one micro-tile, assuming the piggyback layout
-        flip (Section 3.2) already made the PIT-axis non-contiguous."""
-        run_elems = max(self.microtile.shape)
-        return run_elems * dtype_bytes(self.dtype)
-
-    def estimate_us(
-        self,
-        mask: np.ndarray,
-        dense_extent: int,
-        *,
-        include_detector: bool = True,
-    ) -> float:
-        wl = self.workload(mask, dense_extent)
-        detector = 0.0
-        if include_detector:
-            detector = index_construction_time_us(
-                mask.shape, self.dtype, self.spec, wl.num_microtiles
-            )
-        return sparse_matmul_time_us(
-            wl.total_k_steps,
-            wl.num_output_tiles,
-            self.tile,
-            self.dtype,
-            self.spec,
-            tensor_core=self.tensor_core,
-            sread_contig_bytes=self.sread_contig_bytes(),
-            detector_us=detector,
-        )
+        return costs[0]
 
     # ------------------------------------------------------------------
     # Functional face
@@ -306,11 +238,13 @@ class SparseMatmulKernel:
             b_packed = sread_rows(np.where(op_mask, b, 0.0), rows)
             out = a_packed @ b_packed
 
-        wl = self.workload(op_mask, dense_extent)
+        (wl,), (latency,) = _price_rule(
+            self, SampleStack([op_mask]), dense_extent, self.spec, self.dtype,
+            tensor_core=self.tensor_core,
+        )
         detector_us = index_construction_time_us(
             op_mask.shape, self.dtype, self.spec, wl.num_microtiles
         )
-        latency = self.estimate_us(op_mask, dense_extent)
         report = ExecReport(
             op=f"pit_matmul[{self.pit_axis}]",
             latency_us=latency,

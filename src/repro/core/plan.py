@@ -37,16 +37,6 @@ from typing import Callable, Optional
 
 from ..hw.costmodel import TileConfig
 from ..hw.spec import GPUSpec
-from .kernels import (
-    choice_from_json,
-    choice_to_json,
-    microtile_from_json,
-    microtile_to_json,
-    permuted_choice_from_json,
-    permuted_choice_to_json,
-    tile_from_json,
-    tile_to_json,
-)
 from .microtile import MicroTile
 from .selection import (
     KernelChoice,
@@ -82,12 +72,16 @@ PLAN_KINDS = (
 def encode_value(obj):
     """Encode a plan-cache key or value into JSON-compatible data.
 
-    Tuples, :class:`GPUSpec`, :class:`TileConfig`, :class:`MicroTile` and
-    :class:`KernelChoice` are tagged so :func:`decode_value` can rebuild
-    objects that compare (and hash) equal to the originals — the property
-    cache keys need to survive a process boundary.  Raises ``TypeError``
-    for anything else non-primitive, so callers can skip entries that were
-    never meant to be persisted.
+    Tuples, :class:`GPUSpec`, :class:`TileConfig`, :class:`MicroTile`,
+    :class:`KernelChoice`, :class:`PermutedChoice` and :class:`PlanSpec`
+    are tagged so :func:`decode_value` can rebuild objects that compare
+    (and hash) equal to the originals — the property cache keys need to
+    survive a process boundary.  A revived choice names the same kernel
+    through :func:`~repro.core.kernels.kernel_from_choice`, so it prices
+    and executes identically; an nm-sparse plan keeps its concrete
+    permutation, so it replays the channel order bit for bit.  Raises
+    ``TypeError`` for anything else non-primitive, so callers can skip
+    entries that were never meant to be persisted.
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -96,13 +90,17 @@ def encode_value(obj):
     if isinstance(obj, GPUSpec):
         return {"__gpuspec__": dataclasses.asdict(obj)}
     if isinstance(obj, TileConfig):
-        return {"__tile__": tile_to_json(obj)}
+        return {"__tile__": [obj.tm, obj.tk, obj.tn]}
     if isinstance(obj, MicroTile):
-        return {"__microtile__": microtile_to_json(obj)}
+        return {"__microtile__": list(obj.shape)}
     if isinstance(obj, KernelChoice):
-        return {"__choice__": choice_to_json(obj)}
+        return {"__choice__": _choice_fields(obj)}
     if isinstance(obj, PermutedChoice):
-        return {"__permchoice__": permuted_choice_to_json(obj)}
+        return {"__permchoice__": {
+            "choice": _choice_fields(obj.choice),
+            "permutation": list(obj.permutation),
+            "pattern": list(obj.pattern),
+        }}
     if isinstance(obj, PlanSpec):
         return {"__planspec__": obj.to_json()}
     raise TypeError(f"cannot serialize {type(obj).__name__} into a plan dump")
@@ -120,16 +118,46 @@ def decode_value(data):
         if "__gpuspec__" in data:
             return GPUSpec(**data["__gpuspec__"])
         if "__tile__" in data:
-            return tile_from_json(data["__tile__"])
+            return TileConfig(*data["__tile__"])
         if "__microtile__" in data:
-            return microtile_from_json(data["__microtile__"])
+            return MicroTile(shape=tuple(data["__microtile__"]))
         if "__choice__" in data:
-            return choice_from_json(data["__choice__"])
+            return _choice_from_fields(data["__choice__"])
         if "__permchoice__" in data:
-            return permuted_choice_from_json(data["__permchoice__"])
+            fields = data["__permchoice__"]
+            return PermutedChoice(
+                choice=_choice_from_fields(fields["choice"]),
+                permutation=tuple(fields["permutation"]),
+                pattern=tuple(fields["pattern"]),
+            )
         if "__planspec__" in data:
             return PlanSpec.from_json(data["__planspec__"])
     raise TypeError(f"cannot decode {data!r} from a plan dump")
+
+
+def _choice_fields(choice: KernelChoice) -> dict:
+    """A choice's fields; the tile and micro-tile ride as bare lists."""
+    tile, micro = choice.tile, choice.microtile
+    return {
+        "tile": None if tile is None else [tile.tm, tile.tk, tile.tn],
+        "pit_axis": choice.pit_axis,
+        "microtile": None if micro is None else list(micro.shape),
+        "est_cost_us": choice.est_cost_us,
+        "covered_sparsity": choice.covered_sparsity,
+        "search_time_us": choice.search_time_us,
+    }
+
+
+def _choice_from_fields(data: dict) -> KernelChoice:
+    tile, micro = data["tile"], data["microtile"]
+    return KernelChoice(
+        tile=None if tile is None else TileConfig(*tile),
+        pit_axis=data["pit_axis"],
+        microtile=None if micro is None else MicroTile(shape=tuple(micro)),
+        est_cost_us=data["est_cost_us"],
+        covered_sparsity=data["covered_sparsity"],
+        search_time_us=data["search_time_us"],
+    )
 
 
 def _freeze(obj):

@@ -29,9 +29,9 @@ import numpy as np
 
 from ..analysis.runtime_checks import make_lock
 from ..hw.costmodel import TileConfig, sparse_matmul_time_us
-from ..hw.spec import GPUSpec, dtype_bytes
-from .cover import SampleStack, batched_matmul_workload, dense_matmul_workload
-from .detector import index_construction_time_us
+from ..hw.spec import GPUSpec
+from .cover import SampleStack, dense_matmul_workload
+from .kernels import _price_rule
 from .microtile import MicroTile
 from .rules import matmul_rules
 from .tiledb import TileDB
@@ -140,7 +140,6 @@ def _eval_rules(rules, stack: SampleStack, dense_extent: int,
     them per rule; the nm-sparse search stacks *permutation candidates x
     samples* and averages per (rule, candidate).
     """
-    spec, dtype = tiledb.spec, tiledb.dtype
     transposed = sparse_operand == "B"
     need = []
     for rule in rules:
@@ -148,40 +147,20 @@ def _eval_rules(rules, stack: SampleStack, dense_extent: int,
         need.append(rule.microtile.shape)
     stack.prime(need, transposed=transposed)
 
-    sample_shape = stack.sample_shape
-    num_samples = stack.num_samples
     out = []
     for rule in rules:
         t0 = time.perf_counter() if profile_rules is not None else 0.0
-        wls = batched_matmul_workload(
-            stack, rule.tile, rule.pit_axis, dense_extent,
-            sparse_operand=sparse_operand,
+        _, costs = _price_rule(
+            rule, stack, dense_extent, tiledb.spec, tiledb.dtype,
+            tensor_core=tiledb.tensor_core,
         )
         cover_counts = stack.num_microtiles(
             rule.microtile.shape, transposed=transposed
         )
-        cover_cells = stack.grid_cells(
+        cover_cells = max(1, stack.grid_cells(
             rule.microtile.shape, transposed=transposed
-        )
-        contig = max(rule.microtile.shape) * dtype_bytes(dtype)
-        costs = []
-        covs = []
-        for s in range(num_samples):
-            wl = wls[s]
-            detector = index_construction_time_us(
-                sample_shape, dtype, spec, wl.num_microtiles
-            )
-            costs.append(sparse_matmul_time_us(
-                wl.total_k_steps,
-                wl.num_output_tiles,
-                rule.tile,
-                dtype,
-                spec,
-                tensor_core=tiledb.tensor_core,
-                sread_contig_bytes=contig,
-                detector_us=detector,
-            ))
-            covs.append(1.0 - float(cover_counts[s]) / max(1, cover_cells))
+        ))
+        covs = [1.0 - float(count) / cover_cells for count in cover_counts]
         if profile_rules is not None:
             profile_rules.append({
                 "tile": rule.tile.describe(),
@@ -503,8 +482,9 @@ class _PlanCacheShard:
 
     ``entries`` maps key -> ``[value, stamp]`` where ``stamp`` is a
     monotonically increasing recency counter shared by all shards, so a
-    global LRU order can be reconstructed (for persistence and age-out)
-    without any cross-shard coordination on the hot path.  ``inflight``
+    global LRU order can be reconstructed (for persistence and
+    :meth:`PlanCache.entries`) without any cross-shard coordination on the
+    hot path.  ``inflight``
     holds one :class:`threading.Event` per key whose Algorithm 1 search is
     currently running — the single-flight protocol of
     :meth:`PlanCache.get_or_compute`.
@@ -526,7 +506,8 @@ class PlanCacheLoadError(ValueError):
 
     Raised by :meth:`PlanCache.load` for *corruption* — truncated or
     invalid JSON, missing header fields, a ``capacity``, ``quantum`` or
-    ``shards`` of the wrong type or range, undecodable entries — as distinct
+    ``shards`` of the wrong type or range, an ``entries`` field that is
+    not a list, undecodable entries — as distinct
     from the plain :class:`ValueError` it raises for a well-formed dump
     that is merely incompatible (unknown format version, foreign TileDB
     identity).  Subclasses ``ValueError`` so existing callers that guard
@@ -760,8 +741,8 @@ class PlanCache:
         return value, False
 
     #: On-disk dump format version; bumped whenever key/value encoding
-    #: changes.  Format 2 adds the ``shards`` and multi-class
-    #: ``tiledb_keys`` headers; format-1 dumps still load.
+    #: changes.  Format 2 added the ``shards`` and multi-class
+    #: ``tiledb_keys`` headers; it is the only format :meth:`load` reads.
     DUMP_FORMAT = 2
 
     @staticmethod
@@ -782,7 +763,7 @@ class PlanCache:
                 return last
         return None
 
-    def save(self, path, *, tiledb_key, max_entries: Optional[int] = None) -> dict:
+    def save(self, path, *, tiledb_key) -> dict:
         """Persist the cache to ``path`` as JSON.
 
         ``tiledb_key`` is the :attr:`~repro.core.tiledb.TileDB.cache_key`
@@ -794,22 +775,14 @@ class PlanCache:
         records ``tiledb_keys`` — every class identity found among the
         saved entries — and :meth:`load` can validate against the full set.
 
-        ``max_entries`` is the spill/age policy: when set, only the
-        ``max_entries`` most recently used entries are persisted (global
-        LRU order across shards) and the rest age out of the dump.  Replay
-        against the dump stays zero-cold-search for every entry under the
-        cap.
-
+        Entries are written oldest first (global LRU order across shards).
         Entries whose key or value cannot be serialized (ad-hoc objects a
         caller memoized) are skipped, not fatal.  Returns
-        ``{"entries": saved, "skipped": skipped, "aged_out": aged_out}``.
+        ``{"entries": saved, "skipped": skipped}``.
         """
         import json
 
         from .plan import encode_value
-
-        if max_entries is not None and max_entries < 0:
-            raise ValueError("max_entries must be >= 0")
 
         items = []
         for shard in self._shard_list:
@@ -819,10 +792,6 @@ class PlanCache:
                     for key, slot in shard.entries.items()
                 )
         items.sort(key=lambda item: item[0])  # oldest first
-        aged_out = 0
-        if max_entries is not None and len(items) > max_entries:
-            aged_out = len(items) - max_entries
-            items = items[aged_out:]
 
         primary = tuple(tiledb_key)
         class_keys = {primary: None}  # insertion-ordered set, primary first
@@ -862,7 +831,7 @@ class PlanCache:
                 pass
             raise
         os.replace(tmp_path, path)
-        return {"entries": len(entries), "skipped": skipped, "aged_out": aged_out}
+        return {"entries": len(entries), "skipped": skipped}
 
     @classmethod
     def load(
@@ -871,7 +840,6 @@ class PlanCache:
         *,
         expected_tiledb_key=None,
         expected_tiledb_keys=None,
-        shards: Optional[int] = None,
     ) -> "PlanCache":
         """Revive a cache saved by :meth:`save` (fresh hit/miss counters).
 
@@ -885,8 +853,8 @@ class PlanCache:
         expected set; a dump carrying plans for a foreign device class
         raises and names the offending class.
 
-        ``shards`` overrides the revived cache's shard count (defaults to
-        the dump header's, or the library default for format-1 dumps).
+        The revived cache keeps the dump header's capacity, quantum and
+        shard count.
         """
         import json
 
@@ -906,10 +874,10 @@ class PlanCache:
                 f"got {type(payload).__name__}"
             )
         fmt = payload.get("format")
-        if fmt not in (1, cls.DUMP_FORMAT):
+        if fmt != cls.DUMP_FORMAT:
             raise ValueError(
                 f"unsupported plan-cache dump format {fmt!r} "
-                f"(this build reads formats 1 and {cls.DUMP_FORMAT})"
+                f"(this build reads format {cls.DUMP_FORMAT})"
             )
         try:
             dump_key = decode_value(payload["tiledb_key"])
@@ -925,10 +893,7 @@ class PlanCache:
                 f"plans selected over different tiles are not transferable"
             )
         try:
-            dump_keys = [
-                decode_value(k)
-                for k in payload.get("tiledb_keys", [payload["tiledb_key"]])
-            ]
+            dump_keys = [decode_value(k) for k in payload["tiledb_keys"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanCacheLoadError(
                 f"plan-cache dump {path} has an undecodable tiledb_keys "
@@ -944,17 +909,21 @@ class PlanCache:
                     f"class; plans selected over different tiles are not "
                     f"transferable"
                 )
-        if shards is None:
-            shards = payload.get("shards", DEFAULT_PLAN_CACHE_SHARDS)
         try:
             capacity = payload["capacity"]
             quantum = payload["quantum"]
+            shards = payload["shards"]
             raw_entries = payload["entries"]
         except KeyError as exc:
             raise PlanCacheLoadError(
                 f"plan-cache dump {path} is missing required header "
                 f"field {exc}"
             ) from exc
+        if not isinstance(raw_entries, list):
+            raise PlanCacheLoadError(
+                f"plan-cache dump {path} has an entries field of type "
+                f"{type(raw_entries).__name__}, expected a list"
+            )
         try:
             cache = cls(capacity, quantum=quantum, shards=shards)
         except ValueError as exc:

@@ -646,7 +646,6 @@ class ServingEngine:
         self.dtype = dtype
         self.max_batch_tokens = max_batch_tokens
         self.max_batch_size = max_batch_size
-        self.replica_specs = replica_specs
         self.replicas = len(replica_specs)
         self.placement = placement
         self.batch_window_us = batch_window_us

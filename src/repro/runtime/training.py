@@ -38,14 +38,10 @@ import numpy as np
 from ..baselines.backends import ModelBackend
 from ..baselines.pit_backend import PITBackend
 from ..baselines.triton_block import triton_convert_passes
-from ..core.cover import CoverCache
+from ..core.cover import SampleStack
 from ..core.detector import index_construction_time_us
 from ..core.selection import PlanCache
-from ..hw.costmodel import (
-    TileConfig,
-    matmul_step_time_us,
-    matmul_tile_fixed_time_us,
-)
+from ..hw.costmodel import TileConfig, sparse_matmul_time_us
 from ..hw.memory import stream_time_us
 from ..hw.spec import GPUSpec, dtype_bytes
 from ..models.config import ModelConfig, bert_base
@@ -76,10 +72,10 @@ class SparseTrainingReport:
 # ----------------------------------------------------------------------
 #: Per-step mask/cover memo.  One figure point prices the *same* regenerated
 #: masks for all three backends, and a warm-start run re-prices them every
-#: epoch — so the cover-grid pyramid (PR 3) is built once per mask and
-#: reused, instead of `CoverCache(weight_mask)` from scratch at every
-#: pricing call.  Bounded LRU: a figure sweep touches dozens of
-#: (block, sparsity) points but only a handful at a time.
+#: epoch — so each mask's one-sample :class:`SampleStack` (its cover-grid
+#: pyramid) is built once and reused by every pricing call.  Bounded LRU: a
+#: figure sweep touches dozens of (block, sparsity) points but only a
+#: handful at a time.
 _COVER_MEMO: OrderedDict = OrderedDict()
 _COVER_MEMO_CAP = 24
 
@@ -108,7 +104,7 @@ def _family_masks(config: ModelConfig, block: tuple, sparsity: float,
         ("ffn2", (d_ff, d), 1),
     ):
         mask = pruner.mask(rng.standard_normal(shape), sparsity)
-        families[name] = (mask, CoverCache(mask), count)
+        families[name] = (mask, SampleStack([mask]), count)
     _COVER_MEMO[key] = families
     while len(_COVER_MEMO) > _COVER_MEMO_CAP:
         _COVER_MEMO.popitem(last=False)
@@ -116,7 +112,7 @@ def _family_masks(config: ModelConfig, block: tuple, sparsity: float,
 
 
 def _block_cover_matmul_us(
-    cover: CoverCache,
+    cover: SampleStack,
     m: int,
     spec: GPUSpec,
     dtype: str,
@@ -126,22 +122,16 @@ def _block_cover_matmul_us(
     """Triton-style in-place block-sparse matmul: covered W blocks execute
     as dense (block x block) tiles for each output row-block.
 
-    Takes the weight mask's :class:`CoverCache` — the pyramid is shared
-    across pruning steps and backends via :func:`_family_masks` instead of
-    being rebuilt per call.
+    Takes the weight mask's one-sample :class:`SampleStack` — the pyramid
+    is shared across pruning steps and backends via :func:`_family_masks`
+    instead of being rebuilt per call.
     """
-    grid = cover.grid((block, block))
-    covered = int(grid.sum())
-    tile = TileConfig(block, block, block)
+    grid = cover.grids((block, block))[0]
     row_tiles = math.ceil(m / block)
-    steps = covered * row_tiles
+    steps = int(grid.sum()) * row_tiles
     out_tiles = int(grid.any(axis=0).sum()) * row_tiles
-    step = matmul_step_time_us(tile, dtype, spec)
-    fixed = matmul_tile_fixed_time_us(tile, dtype, spec)
-    return (
-        math.ceil(steps / spec.num_sms) * step
-        + math.ceil(out_tiles / spec.num_sms) * fixed
-        + spec.kernel_launch_us
+    return sparse_matmul_time_us(
+        steps, out_tiles, TileConfig(block, block, block), dtype, spec
     )
 
 
@@ -230,7 +220,7 @@ def sparse_training_step(
             # the same quantity as the convert share for the stacked bars.
             micro = (block[0], 1) if block[0] >= block[1] else (1, block[1])
             detector = index_construction_time_us(
-                mask.shape, dtype, spec, int(cover.grid(micro).sum())
+                mask.shape, dtype, spec, int(cover.num_microtiles(micro)[0])
             )
             convert_us += count * detector
 

@@ -1,42 +1,80 @@
 """The pre-pyramid Algorithm 1 loop: the reference for the selection fast path.
 
-Every sample gets its own cover cache whose grids are each one naive padded
-:func:`~repro.core.cover.cover_grid` scan of the mask, and every rule walks
-the samples one at a time, summing costs in sample order — Algorithm 1 as
-it ran before the cover-grid pyramid and the stacked-sample evaluator.
-``kernel_selection`` must return the same choice, bit for bit; the
-equivalence tests check that, and ``benchmarks/bench_selection_fastpath.py``
-times this loop as the baseline of its 5x gate.
+Every sample keeps its own grids, each one naive padded
+:func:`~repro.core.cover.cover_grid` scan of the mask, and every rule's
+workload is counted from those grids one sample at a time, summing costs in
+sample order — Algorithm 1 as it ran before the cover-grid pyramid and the
+stacked-sample evaluator.  The workload counts share no code with that
+evaluator (:class:`~repro.core.cover.SampleStack`,
+:func:`~repro.core.cover.batched_matmul_workload`), so the reference checks
+them rather than repeats them.  The covered sparsity does share one
+convention with it: a sparse B's rule micro-tile, which is in B's own
+``[k, n]`` coordinates, is applied to the transposed mask here too, so a
+mistake in that orientation shows in neither.  ``kernel_selection`` must
+return the same choice, bit for bit; the equivalence tests check that, and
+``benchmarks/bench_selection_fastpath.py`` times this loop as the baseline
+of its 5x gate.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
 from repro.core import KernelChoice, TileDB, matmul_rules
-from repro.core.cover import (
-    CoverCache,
-    cover_grid,
-    dense_matmul_workload,
-    matmul_workload,
-)
+from repro.core.cover import cover_grid, dense_matmul_workload
 from repro.core.detector import index_construction_time_us
 from repro.hw.costmodel import sparse_matmul_time_us
 from repro.hw.spec import dtype_bytes
 
 
-class NaiveCoverCache(CoverCache):
-    """A :class:`CoverCache` that scans the raw mask once per grid shape."""
+class NaiveCovers:
+    """One sample's cover grids, each scanned from the raw mask once."""
 
-    def grid(self, microtile_shape: tuple, *, transposed: bool = False):
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask
+        self._grids = {}
+
+    def grid(self, microtile_shape: tuple, transposed: bool) -> np.ndarray:
         key = (tuple(microtile_shape), transposed)
-        got = self._grids.get(key)
-        if got is None:
+        if key not in self._grids:
             mask = self.mask.T if transposed else self.mask
-            got = self._grids[key] = cover_grid(mask, microtile_shape)
-        return got
+            self._grids[key] = cover_grid(mask, microtile_shape)
+        return self._grids[key]
+
+
+def naive_workload(covers: NaiveCovers, tile, pit_axis: str, dense_extent: int,
+                   sparse_operand: str) -> tuple:
+    """``(total_k_steps, num_output_tiles, num_microtiles, wasted_fraction)``
+    of one rule on one sample, counted from its naive grids.
+
+    The grid is oriented so rows are the PIT-axis side (a sparse B is
+    transposed).  A spatial axis (m, n) merges ``(1, tk)`` micro-tiles of
+    each K-block column into ``ceil(count / merge)`` tiles; the reduction
+    axis k gathers each row-block's ``(rows, 1)`` micro-tiles into
+    ``ceil(count / tk)`` K-steps.  Every step of one output column tile
+    computes ``rows x tk`` sparse-operand elements; the waste is the share
+    of those that are zeros.
+    """
+    transposed = sparse_operand == "B"
+    rows = tile.tn if transposed else tile.tm
+    col_tiles = math.ceil(dense_extent / (tile.tm if transposed else tile.tn))
+    if pit_axis == "k":
+        grid = covers.grid((rows, 1), transposed)
+        counts = grid.sum(axis=1)
+        steps = int(np.ceil(counts / tile.tk).sum())
+        out_tiles = int((counts > 0).sum()) * col_tiles
+    else:
+        grid = covers.grid((1, tile.tk), transposed)
+        steps = int(np.ceil(grid.sum(axis=0) / rows).sum())
+        live = int(grid.any(axis=1).sum())
+        out_tiles = math.ceil(live / rows) * col_tiles
+    computed = steps * rows * tile.tk
+    nnz = int(np.count_nonzero(covers.mask))
+    waste = 0.0 if computed == 0 else max(0.0, 1.0 - nnz / computed)
+    return steps * col_tiles, out_tiles, int(grid.sum()), waste
 
 
 def oracle_kernel_selection(
@@ -55,22 +93,22 @@ def oracle_kernel_selection(
     spec, dtype = tiledb.spec, tiledb.dtype
     start = time.perf_counter()
 
-    caches = [NaiveCoverCache(s) for s in samples]
+    transposed = sparse_operand == "B"
+    covers = [NaiveCovers(s) for s in samples]
     best, best_cost, best_cov = None, float("inf"), 0.0
     for rule in matmul_rules(tiledb.tiles(), sparse_operand=sparse_operand):
         cost = 0.0
         cov = 0.0
-        for cache in caches:
-            wl = matmul_workload(
-                cache, rule.tile, rule.pit_axis, dense_extent,
-                sparse_operand=sparse_operand,
+        for sample in covers:
+            steps, out_tiles, num_micro, _ = naive_workload(
+                sample, rule.tile, rule.pit_axis, dense_extent, sparse_operand
             )
             detector = index_construction_time_us(
-                cache.shape, dtype, spec, wl.num_microtiles
+                sample.mask.shape, dtype, spec, num_micro
             )
             cost += sparse_matmul_time_us(
-                wl.total_k_steps,
-                wl.num_output_tiles,
+                steps,
+                out_tiles,
                 rule.tile,
                 dtype,
                 spec,
@@ -78,9 +116,7 @@ def oracle_kernel_selection(
                 sread_contig_bytes=max(rule.microtile.shape) * dtype_bytes(dtype),
                 detector_us=detector,
             )
-            grid = cache.grid(
-                rule.microtile.shape, transposed=(sparse_operand == "B")
-            )
+            grid = sample.grid(rule.microtile.shape, transposed)
             cov += 1.0 - float(grid.sum()) / max(1, grid.size)
         cost /= len(samples)
         cov /= len(samples)

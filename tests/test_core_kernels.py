@@ -14,6 +14,7 @@ from repro.core import (
     DenseMatmulKernel,
     GroupedMatmulKernel,
     MicroTile,
+    SampleStack,
     SparseMatmulKernel,
     build_index,
     index_construction_time_us,
@@ -132,6 +133,16 @@ class TestSparseMatmulKernel:
         assert rep.latency_us > 0
         assert 0 < rep.convert_us < rep.latency_us
         assert rep.detail["k_steps"] > 0
+
+    def test_estimate_accepts_a_one_sample_stack(self, problem):
+        """A prebuilt one-sample stack prices exactly like its mask, and
+        the functional face reports the cost face's estimate."""
+        a, b, mask = problem
+        for axis in ("m", "k"):
+            kern = SparseMatmulKernel(TileConfig(32, 32, 32), axis, V100)
+            est = kern.estimate_us(mask, 64)
+            assert kern.estimate_us(SampleStack([mask]), 64) == est
+            assert kern.run(a, b, mask=mask).report.latency_us == est
 
     def test_estimate_beats_dense_at_high_sparsity(self):
         rng = np.random.default_rng(6)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CoverCache,
     MicroTile,
     SampleStack,
     batched_matmul_workload,
@@ -14,10 +13,9 @@ from repro.core import (
     dense_matmul_workload,
     derive_microtile,
     gcd_microtile_shape,
-    matmul_microtiled_op,
-    matmul_workload,
 )
 from repro.hw import TileConfig
+from selection_oracle import NaiveCovers, naive_workload
 
 
 def granular_mask(shape, granularity, sparsity, seed=0):
@@ -26,6 +24,13 @@ def granular_mask(shape, granularity, sparsity, seed=0):
     rng = np.random.default_rng(seed)
     grid = rng.random((shape[0] // gh, shape[1] // gw)) >= sparsity
     return np.kron(grid, np.ones(granularity, dtype=bool))
+
+
+def one_sample_workload(mask, tile, axis, extent, **kwargs):
+    """The workload of a single mask: a one-sample stack's only entry."""
+    return batched_matmul_workload(
+        SampleStack([mask]), tile, axis, extent, **kwargs
+    )[0]
 
 
 class TestMicroTile:
@@ -56,17 +61,6 @@ class TestDeriveMicrotile:
     def test_axis_not_touching_operand(self):
         with pytest.raises(ValueError):
             derive_microtile(TileConfig(32, 32, 32), "n", operand="A")
-
-    def test_microtiled_op_record(self):
-        op = matmul_microtiled_op(TileConfig(4, 4, 4), "m")
-        assert op.input_microtile_sizes[0].shape == (1, 4)
-        assert op.input_microtile_sizes[1] is None  # B read densely
-        assert op.output_microtile_size.shape == (1, 4)
-        assert op.tile_output_format == (4, 4)
-
-    def test_microtiled_op_bad_axis(self):
-        with pytest.raises(ValueError):
-            matmul_microtiled_op(TileConfig(4, 4, 4), "q")
 
 
 class TestCoverGrid:
@@ -138,18 +132,18 @@ class TestCoverPyramid:
             rows = int(rng.integers(1, 180))
             cols = int(rng.integers(1, 180))
             mask = rng.random((rows, cols)) < rng.uniform(0.02, 0.4)
-            cache = CoverCache(mask)
+            stack = SampleStack([mask])
             shapes = [
                 (int(rng.integers(1, 50)), int(rng.integers(1, 50)))
                 for _ in range(8)
             ]
             for shape in shapes:
                 np.testing.assert_array_equal(
-                    cache.grid(shape), cover_grid(mask, shape),
+                    stack.grids(shape)[0], cover_grid(mask, shape),
                     err_msg=f"trial {trial} shape {shape} mask {mask.shape}",
                 )
                 np.testing.assert_array_equal(
-                    cache.grid(shape, transposed=True),
+                    stack.grids(shape, transposed=True)[0],
                     cover_grid(mask.T, shape),
                     err_msg=f"trial {trial} shape {shape} transposed",
                 )
@@ -160,43 +154,44 @@ class TestCoverPyramid:
         still match the from-scratch scan."""
         rng = np.random.default_rng(3)
         mask = rng.random((100, 200)) < 0.1
-        cache = CoverCache(mask)
+        stack = SampleStack([mask])
         for shape in [(1, 8), (1, 16), (1, 48), (4, 16), (8, 48)]:
             np.testing.assert_array_equal(
-                cache.grid(shape), cover_grid(mask, shape)
+                stack.grids(shape)[0], cover_grid(mask, shape)
             )
 
     def test_transposed_grid_is_a_view_not_a_copy(self):
         """The transposition identity serves the other orientation as a
         numpy view of the canonical grid — never a second materialization."""
         mask = np.random.default_rng(5).random((64, 96)) < 0.2
-        cache = CoverCache(mask)
-        canonical = cache.grid((16, 8))
-        flipped = cache.grid((8, 16), transposed=True)
+        stack = SampleStack([mask])
+        canonical = stack.grids((16, 8))
+        flipped = stack.grids((8, 16), transposed=True)
         assert np.shares_memory(canonical, flipped)
 
     def test_counts_match_grid_marginals(self):
         mask = np.random.default_rng(6).random((70, 90)) < 0.15
-        cache = CoverCache(mask)
+        stack = SampleStack([mask])
         for shape in [(1, 8), (16, 1), (5, 7)]:
             grid = cover_grid(mask, shape)
             np.testing.assert_array_equal(
-                cache.col_counts(shape), grid.sum(axis=0)
+                stack.col_counts(shape)[0], grid.sum(axis=0)
             )
             np.testing.assert_array_equal(
-                cache.row_counts(shape), grid.sum(axis=1)
+                stack.row_counts(shape)[0], grid.sum(axis=1)
             )
-            assert cache.live_rows(shape) == int(grid.any(axis=1).sum())
-            assert cache.num_microtiles(shape) == int(grid.sum())
+            assert stack.live_rows(shape)[0] == int(grid.any(axis=1).sum())
+            assert stack.num_microtiles(shape)[0] == int(grid.sum())
+            assert stack.grid_cells(shape) == grid.size
 
     def test_pyramid_disabled_matches_naive(self):
         """The pyramid agrees with the pre-pyramid naive scan (one padded
         :func:`cover_grid` pass per shape) on a non-divisible mask."""
         mask = np.random.default_rng(7).random((33, 61)) < 0.2
-        fast = CoverCache(mask)
+        fast = SampleStack([mask])
         for shape in [(1, 4), (4, 1), (3, 3)]:
             np.testing.assert_array_equal(
-                cover_grid(mask, shape), fast.grid(shape)
+                cover_grid(mask, shape), fast.grids(shape)[0]
             )
 
     def test_gcd_microtile_shape(self):
@@ -233,13 +228,17 @@ class TestSampleStack:
                     tgrids[s], cover_grid(sample.T, shape)
                 )
 
-    def test_batched_workload_equals_scalar(self):
-        """The [S, G] vectorized pass must reproduce the per-sample
-        matmul_workload results exactly, in both orientations."""
+    def test_batched_workload_equals_naive_per_sample(self):
+        """The [S, G] vectorized pass must reproduce the selection oracle's
+        naive per-sample workload exactly (every field, the waste fraction
+        included, and an all-zero sample that computes nothing), in both
+        orientations, and each sample's workload must not depend on the
+        samples stacked with it."""
         from repro.hw import TileConfig as TC
 
         rng = np.random.default_rng(13)
         samples = [rng.random((96, 130)) < p for p in (0.05, 0.2, 0.6)]
+        samples.append(np.zeros((96, 130), dtype=bool))
         stack = SampleStack(samples)
         cases = [
             (TC(32, 16, 32), "m", "A"),
@@ -252,10 +251,18 @@ class TestSampleStack:
                 stack, tile, axis, 64, sparse_operand=operand
             )
             for s, sample in enumerate(samples):
-                scalar = matmul_workload(
+                naive = naive_workload(
+                    NaiveCovers(sample), tile, axis, 64, operand
+                )
+                wl = batched[s]
+                assert (
+                    wl.total_k_steps, wl.num_output_tiles, wl.num_microtiles,
+                    wl.wasted_fraction,
+                ) == naive, (tile, axis, operand, s)
+                alone = one_sample_workload(
                     sample, tile, axis, 64, sparse_operand=operand
                 )
-                assert batched[s] == scalar, (tile, axis, operand, s)
+                assert wl == alone, (tile, axis, operand, s)
 
     def test_nnz_per_sample(self):
         samples = [np.eye(8, dtype=bool), np.ones((8, 8), dtype=bool)]
@@ -263,6 +270,17 @@ class TestSampleStack:
         assert stack.nnz.tolist() == [8, 64]
         assert stack.num_samples == 2
         assert stack.sample_shape == (8, 8)
+
+    def test_nnz_is_counted_on_first_use(self):
+        """Cover-only callers never pay for the non-zero count; the waste
+        fraction of a workload is what reads it."""
+        mask = np.eye(64, dtype=bool)
+        stack = SampleStack([mask])
+        assert stack.num_microtiles((1, 8))[0] == 64
+        assert "nnz" not in vars(stack)
+        wl = batched_matmul_workload(stack, TileConfig(8, 8, 8), "m", 8)[0]
+        assert "nnz" in vars(stack)
+        assert wl.wasted_fraction == 1.0 - 64 / (8 * 8 * 8)
 
 
 class TestMatmulWorkload:
@@ -276,7 +294,7 @@ class TestMatmulWorkload:
         tile = TileConfig(32, 32, 32)
         mask = np.zeros((256, 256), dtype=bool)
         mask[:128, :] = True
-        wl = matmul_workload(mask, tile, "m", 256)
+        wl = one_sample_workload(mask, tile, "m", 256)
         dense = dense_matmul_workload(256, 256, 256, tile)
         assert wl.total_k_steps == dense.total_k_steps // 2
         assert wl.num_output_tiles == dense.num_output_tiles // 2
@@ -287,7 +305,7 @@ class TestMatmulWorkload:
         tile = TileConfig(32, 32, 32)
         mask = np.zeros((1024, 32), dtype=bool)
         mask[::32, :] = True  # 32 rows, one per 32-row band
-        wl = matmul_workload(mask, tile, "m", 32)
+        wl = one_sample_workload(mask, tile, "m", 32)
         assert wl.total_k_steps == 1  # merged into a single tile
         assert wl.num_output_tiles == 1
 
@@ -295,7 +313,7 @@ class TestMatmulWorkload:
         tile = TileConfig(32, 32, 32)
         mask = np.zeros((256, 256), dtype=bool)
         mask[:, :64] = True  # only 64 of 256 k-columns alive
-        wl = matmul_workload(mask, tile, "k", 128)
+        wl = one_sample_workload(mask, tile, "k", 128)
         dense = dense_matmul_workload(256, 256, 128, tile)
         assert wl.total_k_steps == dense.total_k_steps // 4
 
@@ -303,12 +321,12 @@ class TestMatmulWorkload:
         tile = TileConfig(32, 32, 32)
         mask = np.zeros((256, 256), dtype=bool)  # B[k, n]
         mask[:, :128] = True  # half the output columns alive
-        wl = matmul_workload(mask, tile, "n", 256, sparse_operand="B")
+        wl = one_sample_workload(mask, tile, "n", 256, sparse_operand="B")
         dense = dense_matmul_workload(256, 256, 256, tile)
         assert wl.total_k_steps == dense.total_k_steps // 2
 
     def test_empty_mask(self):
-        wl = matmul_workload(
+        wl = one_sample_workload(
             np.zeros((64, 64), dtype=bool), TileConfig(32, 32, 32), "m", 64
         )
         assert wl.total_k_steps == 0
@@ -316,13 +334,6 @@ class TestMatmulWorkload:
 
     def test_bad_axis_operand_combo(self):
         with pytest.raises(ValueError):
-            matmul_workload(
+            one_sample_workload(
                 np.zeros((8, 8), dtype=bool), TileConfig(8, 8, 8), "n", 8
             )
-
-    def test_cover_cache_consistent(self):
-        mask = granular_mask((512, 512), (2, 1), 0.9, seed=5)
-        tile = TileConfig(32, 32, 32)
-        direct = matmul_workload(mask, tile, "k", 512)
-        cached = matmul_workload(CoverCache(mask), tile, "k", 512)
-        assert direct == cached

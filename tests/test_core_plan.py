@@ -22,13 +22,13 @@ from repro.core import (
     Planner,
     PlanSpec,
     ResolvedPlan,
+    MicroTile,
+    PermutedChoice,
     TileDB,
-    choice_from_json,
-    choice_to_json,
     kernel_selection,
 )
 from repro.core.plan import decode_value, encode_value
-from repro.hw import A100, V100
+from repro.hw import A100, V100, TileConfig
 from repro.sparsity import granular_mask
 
 
@@ -125,9 +125,7 @@ class TestChoiceSerialization:
     def test_choice_round_trip(self, tiledb):
         mask = granular_mask((256, 256), (8, 1), 0.95, seed=0)
         choice = kernel_selection([mask], 256, 256, 256, tiledb)
-        revived = choice_from_json(
-            json.loads(json.dumps(choice_to_json(choice)))
-        )
+        revived = decode_value(json.loads(json.dumps(encode_value(choice))))
         assert isinstance(revived, KernelChoice)
         assert revived == choice
 
@@ -136,9 +134,59 @@ class TestChoiceSerialization:
             [np.ones((128, 128), dtype=bool)], 128, 128, 128, tiledb
         )
         assert choice.is_dense_fallback
-        revived = choice_from_json(choice_to_json(choice))
+        revived = decode_value(encode_value(choice))
         assert revived.is_dense_fallback
         assert revived == choice
+
+    def test_encoded_json_is_pinned(self):
+        """The dump format, byte for byte: dumps written by earlier builds
+        must keep loading, so every tagged type's encoding is literal."""
+        tile = TileConfig(32, 8, 64)
+        micro = MicroTile((1, 8))
+        choice = KernelChoice(
+            tile=tile, pit_axis="m", microtile=micro, est_cost_us=12.5,
+            covered_sparsity=0.75, search_time_us=40.0,
+        )
+        dense = KernelChoice(
+            tile=tile, pit_axis=None, microtile=None, est_cost_us=30.0,
+            covered_sparsity=0.0, search_time_us=2.0,
+        )
+        permuted = PermutedChoice(
+            choice=choice, permutation=(2, 0, 1, 3), pattern=(2, 4)
+        )
+        spec = PlanSpec(
+            kind="proj", m=128, k=64, n=64, signature=(7, 20, 20),
+            tiledb_key=("db", 1),
+        )
+        choice_json = (
+            '{"tile": [32, 8, 64], "pit_axis": "m", "microtile": [1, 8], '
+            '"est_cost_us": 12.5, "covered_sparsity": 0.75, '
+            '"search_time_us": 40.0}'
+        )
+        expected = {
+            tile: '{"__tile__": [32, 8, 64]}',
+            micro: '{"__microtile__": [1, 8]}',
+            choice: '{"__choice__": ' + choice_json + '}',
+            dense: (
+                '{"__choice__": {"tile": [32, 8, 64], "pit_axis": null, '
+                '"microtile": null, "est_cost_us": 30.0, '
+                '"covered_sparsity": 0.0, "search_time_us": 2.0}}'
+            ),
+            permuted: (
+                '{"__permchoice__": {"choice": ' + choice_json + ', '
+                '"permutation": [2, 0, 1, 3], "pattern": [2, 4]}}'
+            ),
+            spec: (
+                '{"__planspec__": {"kind": "proj", "m": 128, "k": 64, '
+                '"n": 64, "sparse_operand": "A", '
+                '"signature": {"__tuple__": [7, 20, 20]}, '
+                '"tiledb_key": {"__tuple__": ["db", 1]}, '
+                '"include_dense_fallback": true}}'
+            ),
+        }
+        for obj, text in expected.items():
+            assert json.dumps(encode_value(obj)) == text
+            assert decode_value(json.loads(text)) == obj
 
 
 class TestPlanner:
@@ -210,7 +258,7 @@ class TestPlanCachePersistence:
         planner, spec, resolved = self._populated(tiledb)
         path = tmp_path / "plans.json"
         stats = planner.cache.save(path, tiledb_key=tiledb.cache_key)
-        assert stats == {"entries": 2, "skipped": 0, "aged_out": 0}
+        assert stats == {"entries": 2, "skipped": 0}
 
         loaded = PlanCache.load(path, expected_tiledb_key=tiledb.cache_key)
         assert len(loaded) == 2
@@ -301,6 +349,8 @@ class TestPlanCachePersistence:
             ("capacity", 0),
             ("shards", 0),
             ("shards", 2.5),
+            ("entries", 5),
+            ("entries", None),
         ],
     )
     def test_load_raises_load_error_on_bad_header_value(

@@ -331,6 +331,22 @@ class TestPlanCache:
             assert isinstance(kernel, SparseMatmulKernel)
             assert kernel.pit_axis == choice.pit_axis
 
+    @pytest.mark.parametrize("operand", ["A", "B"])
+    def test_chosen_kernel_prices_as_the_search_did(self, tiledb, operand):
+        """Algorithm 1 and the kernel it names price one workload through
+        one function: on the searched mask the estimates agree exactly."""
+        mask = granular_mask((512, 512), (8, 1), 0.99, seed=4)
+        m, k, n = (512, 512, 1024) if operand == "A" else (1024, 512, 512)
+        extent = n if operand == "A" else m
+        choice = kernel_selection(
+            [mask], m, k, n, tiledb, sparse_operand=operand
+        )
+        assert not choice.is_dense_fallback
+        kernel = kernel_from_choice(
+            choice, tiledb.spec, tiledb.dtype, sparse_operand=operand
+        )
+        assert kernel.estimate_us(mask, extent) == choice.est_cost_us
+
     def test_compiler_uses_plan_cache(self):
         cache = PlanCache()
         mask = granular_mask((256, 256), (8, 1), 0.99)

@@ -24,7 +24,7 @@ from repro.analysis.runtime_checks import (
     debug_locks_installed,
     verify_against_static,
 )
-from repro.core import PlanCache, Planner, TileDB
+from repro.core import PlanCache, PlanCacheLoadError, Planner, TileDB
 from repro.core.plan import encode_value
 from repro.core.selection import DEFAULT_PLAN_CACHE_SHARDS
 from repro.hw import A100, V100
@@ -235,35 +235,6 @@ class TestPersistence:
         resolved = planner.resolve(spec, lambda: [mask])
         return planner, spec, resolved
 
-    def test_age_out_keeps_most_recent_entries(self, tiledb, tmp_path):
-        cache = PlanCache()
-        old_key = ("plan", "proj", 1, 1, 1, "A", (1,), True, "db")
-        new_key = ("plan", "proj", 1, 1, 1, "A", (2,), True, "db")
-        cache.put(old_key, "old")
-        cache.put(new_key, "new")
-        cache.get(old_key)  # refresh: old_key is now the most recent
-        path = tmp_path / "plans.json"
-        stats = cache.save(path, tiledb_key=tiledb.cache_key, max_entries=1)
-        assert stats == {"entries": 1, "skipped": 0, "aged_out": 1}
-        revived = PlanCache.load(path)
-        assert old_key in revived
-        assert new_key not in revived
-
-    def test_age_out_preserves_zero_cold_replay_under_cap(self, tiledb, tmp_path):
-        """Entries that survive the cap still replay with zero searches."""
-        cache = PlanCache()
-        planner, spec, resolved = self._planner_with_plan(tiledb, cache)
-        # Add a decoy the cap will age out (older than the plan's resolve).
-        path = tmp_path / "plans.json"
-        cache.put(("ad-hoc", "decoy"), [1, 2, 3])
-        planner.resolve(spec)  # refresh the real plan past the decoy
-        stats = cache.save(path, tiledb_key=tiledb.cache_key, max_entries=1)
-        assert stats["aged_out"] == 1
-        warm = Planner(tiledb, PlanCache.load(path))
-        revived = warm.resolve(spec)  # no make_samples: must be a pure hit
-        assert not revived.cold
-        assert revived.choice == resolved.choice
-
     def test_multi_class_dump_header_lists_every_class(self, tiledb, tmp_path):
         other = TileDB.shared(A100, "float32")
         cache = PlanCache()
@@ -300,8 +271,9 @@ class TestPersistence:
                 expected_tiledb_keys=[tiledb.cache_key],
             )
 
-    def test_format_1_dump_still_loads(self, tiledb, tmp_path):
-        """Dumps written before sharding (format 1) remain readable."""
+    def test_format_1_dump_is_unsupported(self, tiledb, tmp_path):
+        """Dumps written before sharding (format 1) fail as an unsupported
+        format: a plain ValueError, not a corruption error."""
         path = tmp_path / "plans.json"
         payload = {
             "format": 1,
@@ -311,22 +283,12 @@ class TestPersistence:
             "entries": [],
         }
         path.write_text(json.dumps(payload))
-        cache = PlanCache.load(path, expected_tiledb_key=tiledb.cache_key)
-        assert cache.capacity == 16
-        assert cache.shards == DEFAULT_PLAN_CACHE_SHARDS
+        with pytest.raises(ValueError, match="unsupported") as excinfo:
+            PlanCache.load(path, expected_tiledb_key=tiledb.cache_key)
+        assert not isinstance(excinfo.value, PlanCacheLoadError)
 
-    def test_load_respects_dump_shards_and_override(self, tiledb, tmp_path):
+    def test_load_respects_dump_shards(self, tiledb, tmp_path):
         cache = PlanCache(shards=3)
         path = tmp_path / "plans.json"
         cache.save(path, tiledb_key=tiledb.cache_key)
         assert PlanCache.load(path).shards == 3
-        assert PlanCache.load(path, shards=5).shards == 5
-
-    def test_save_reports_negative_cap_rejected(self, tiledb, tmp_path):
-        cache = PlanCache()
-        with pytest.raises(ValueError, match="max_entries"):
-            cache.save(
-                tmp_path / "plans.json",
-                tiledb_key=tiledb.cache_key,
-                max_entries=-1,
-            )

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from repro.baselines import PITBackend, PyTorchBackend
 from repro.core import (
-    CoverCache,
     PITCompiler,
+    SampleStack,
     TileDB,
+    batched_matmul_workload,
     dense_matmul_workload,
     kernel_selection,
-    matmul_workload,
 )
 from repro.hw import A100, V100, TileConfig
 from repro.models import (
@@ -137,8 +137,9 @@ class TestCoverProperties:
         mask = rng.random((128, 128)) < density
         tile = TileConfig(tm, tk, 32)
         dense = dense_matmul_workload(128, 128, 64, tile)
+        stack = SampleStack([mask])
         for axis in ("m", "k"):
-            wl = matmul_workload(mask, tile, axis, 64)
+            (wl,) = batched_matmul_workload(stack, tile, axis, 64)
             assert wl.total_k_steps <= dense.total_k_steps
             assert wl.num_output_tiles <= dense.num_output_tiles
 
@@ -162,15 +163,20 @@ class TestCoverProperties:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_cover_cache_matches_direct(self, seed):
+    def test_stacked_workload_matches_one_sample_stacks(self, seed):
+        """A sample's workload does not depend on what it is stacked with,
+        nor on which grids its pyramid already holds."""
         rng = np.random.default_rng(seed)
-        mask = rng.random((96, 96)) < 0.2
+        masks = [rng.random((96, 96)) < p for p in (0.2, 0.05)]
         tile = TileConfig(16, 16, 16)
-        cache = CoverCache(mask)
+        stack = SampleStack(masks)
         for axis in ("m", "k"):
-            assert matmul_workload(cache, tile, axis, 64) == matmul_workload(
-                mask, tile, axis, 64
-            )
+            stacked = batched_matmul_workload(stack, tile, axis, 64)
+            for s, mask in enumerate(masks):
+                alone = batched_matmul_workload(
+                    SampleStack([mask]), tile, axis, 64
+                )
+                assert stacked[s] == alone[0]
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -1,6 +1,7 @@
-"""Every import is used, and every public definition in ``src/`` has a caller.
+"""Every import is used, every public definition in ``src/`` has a caller,
+and every attribute a ``src/`` class sets is read.
 
-Two AST checks:
+Three AST checks:
 
 * no module under ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``
   imports a name it never uses (``__init__.py`` re-export files are
@@ -15,6 +16,11 @@ Two AST checks:
   name counts, because ``getattr`` and perfbench's tracer bind by string.
   ``repro.analysis`` is left out: its rules register by decorator, and
   tier-1 drives its entry points.
+* every ``self.<name> = ...`` in a class under ``src/`` (outside
+  ``repro.analysis``) is read as ``.<name>``, or named by a string, by some
+  module under the same caller trees. Tests do not count here either.
+  Exception classes are exempt: their fields are fault data for whoever
+  catches them.
 """
 
 import ast
@@ -116,6 +122,109 @@ def uncalled_definitions(repo: Path) -> list:
     return found
 
 
+def _is_slots_or_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id in ("__all__", "__slots__")
+        for t in node.targets
+    )
+
+
+def _attribute_reads(node: ast.AST, read: set) -> None:
+    """Add to ``read`` every attribute loaded under ``node`` and every
+    string that is exactly an identifier (``getattr`` binds by string);
+    ``__slots__`` and ``__all__`` entries declare names, they read none."""
+    if _is_slots_or_all(node):
+        return
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        read.add(node.attr)
+    elif (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.isidentifier()
+    ):
+        read.add(node.value)
+    for child in ast.iter_child_nodes(node):
+        _attribute_reads(child, read)
+
+
+def _self_assignments(cls: ast.ClassDef):
+    """``(name, line)`` of each ``self.<name> = ...`` in ``cls``'s methods."""
+    for method in cls.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(method):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                    ):
+                        yield sub.attr, sub.lineno
+
+
+def _exception_classes(classes) -> set:
+    """Names of the classes that derive from an exception, transitively
+    through classes defined in the same trees."""
+    def base_name(base):
+        if isinstance(base, ast.Attribute):
+            return base.attr
+        return getattr(base, "id", "")
+
+    found = set()
+    while True:
+        more = {
+            cls.name
+            for _, cls in classes
+            if cls.name not in found
+            and any(
+                name.endswith(("Error", "Exception", "Warning"))
+                or name in found
+                for name in map(base_name, cls.bases)
+            )
+        }
+        if not more:
+            return found
+        found |= more
+
+
+def unread_attributes(repo: Path) -> list:
+    """``"path:line: Class.name"`` for each attribute a ``repo/src`` class
+    sets on ``self`` that no caller module reads."""
+    read = set()
+    classes = []
+    for tree_name in CALLER_TREES:
+        for path in sorted((repo / tree_name).rglob("*.py")):
+            rel = path.relative_to(repo)
+            tree = ast.parse(path.read_text(), filename=str(path))
+            _attribute_reads(tree, read)
+            if tree_name != "src" or UNCHECKED in rel.parents:
+                continue
+            classes.extend(
+                (rel, node)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+            )
+    exempt = _exception_classes(classes)
+    found = []
+    for rel, cls in classes:
+        if cls.name in exempt:
+            continue
+        seen = set()
+        for name, line in _self_assignments(cls):
+            if name not in read and name not in seen:
+                seen.add(name)
+                found.append(f"{rel}:{line}: {cls.name}.{name}")
+    return found
+
+
 def test_src_has_no_unused_imports():
     assert unused_imports(SRC) == []
 
@@ -186,4 +295,49 @@ def test_caller_check_flags_test_only_definitions(tmp_path):
     assert uncalled_definitions(tmp_path) == [
         "src/pkg/mod.py:2: dead",
         "src/pkg/mod.py:10: exported",
+    ]
+
+
+def test_every_attribute_set_in_src_is_read_outside_tests():
+    assert unread_attributes(REPO) == []
+
+
+def test_attribute_check_flags_write_only_attributes(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    rules = tmp_path / "src" / "repro" / "analysis"
+    for d in (pkg, rules, tmp_path / "examples", tmp_path / "tests"):
+        d.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "class Box:\n"
+        "    __slots__ = ('dead', 'read', 'by_string', 'pair', 'only_tested')\n"
+        "    def __init__(self):\n"
+        "        self.dead = 1\n"
+        "        self.read = 2\n"
+        "        self.by_string = 3\n"
+        "        self.pair, self.only_tested = 4, 5\n"
+        "    def reset(self):\n"
+        "        self.dead = 0\n"
+        "    def total(self):\n"
+        "        return self.read + self.pair\n"
+        "class BoxError(ValueError):\n"
+        "    def __init__(self, detail):\n"
+        "        self.detail = detail\n"
+        "class WorseBoxError(BoxError):\n"
+        "    def __init__(self, code):\n"
+        "        self.code = code\n"
+    )
+    (rules / "rules.py").write_text(
+        "class Rule:\n    def __init__(self):\n        self.unread = 1\n"
+    )
+    (tmp_path / "examples" / "ex.py").write_text(
+        "from pkg.mod import Box\n"
+        "print(getattr(Box(), 'by_string'))\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import Box\n"
+        "assert Box().only_tested == 5\n"
+    )
+    assert unread_attributes(tmp_path) == [
+        "src/pkg/mod.py:4: Box.dead",
+        "src/pkg/mod.py:7: Box.only_tested",
     ]

@@ -573,7 +573,7 @@ class TestHeterogeneousEngine:
     def test_homogeneous_shorthand_is_one_class(self):
         engine = make_engine(replicas=3)
         assert engine.replicas == 3
-        assert engine.replica_specs == [V100, V100, V100]
+        assert [d.spec for d in engine.replica_devices] == [V100, V100, V100]
         assert engine.device_for_replica(2) is engine.device_for_replica(0)
         assert engine.device_for_replica(1).backend is engine.backend
 

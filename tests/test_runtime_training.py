@@ -272,19 +272,22 @@ class TestTrainingWarmStart:
 
         src = Path(training.__file__).read_text()
         for needle in ("tiles()", "kernel_selection", "SparseMatmulKernel",
-                       "shared_tiledb", "from ..core.tiledb",
+                       "TileDB.shared", "from ..core.tiledb",
                        "dense_matmul_time_us"):
             assert needle not in src, f"training.py still references {needle}"
 
-    def test_shared_cache_pays_each_search_once(self):
+    @pytest.mark.parametrize("sparsity", [0.9, 0.0])
+    def test_shared_cache_pays_each_search_once(self, sparsity):
+        """At 0.0 every family's plan is the dense fallback, which a warm
+        step must price exactly as the cold search did."""
         cache = PlanCache()
         first = sparse_training_step(
-            "pit", V100, block=(32, 1), sparsity=0.9, plan_cache=cache
+            "pit", V100, block=(32, 1), sparsity=sparsity, plan_cache=cache
         )
         assert first.plan_misses == 3 and first.plan_hits == 0
         assert first.search_us > 0
         second = sparse_training_step(
-            "pit", V100, block=(32, 1), sparsity=0.9, plan_cache=cache
+            "pit", V100, block=(32, 1), sparsity=sparsity, plan_cache=cache
         )
         assert second.plan_misses == 0 and second.plan_hits == 3
         assert second.latency_ms == first.latency_ms  # warm pricing identical
