@@ -309,33 +309,32 @@ def batched_matmul_workload(
     * PIT-axis ``n`` / ``k`` with B sparse: symmetric, on the transposed
       grids.
     """
-    if sparse_operand == "A":
-        if pit_axis == "m":
-            return _batched_outer_axis(stack, tile, n_extent, transposed=False)
-        if pit_axis == "k":
-            return _batched_reduce_axis(stack, tile, n_extent, transposed=False)
-        raise ValueError(f"sparse A supports PIT-axis m or k, got {pit_axis!r}")
-    if sparse_operand == "B":
-        if pit_axis == "n":
-            return _batched_outer_axis(stack, tile, n_extent, transposed=True)
-        if pit_axis == "k":
-            return _batched_reduce_axis(stack, tile, n_extent, transposed=True)
-        raise ValueError(f"sparse B supports PIT-axis n or k, got {pit_axis!r}")
-    raise ValueError(f"sparse_operand must be 'A' or 'B', got {sparse_operand!r}")
-
-
-def _assemble_workloads(stack, steps_per_ncol, n_tiles_cols, out_tiles, micro,
-                        elems_per_step) -> list:
-    computed = steps_per_ncol * elems_per_step
+    axes = {"A": ("m", "k"), "B": ("n", "k")}.get(sparse_operand)
+    if axes is None:
+        raise ValueError(
+            f"sparse_operand must be 'A' or 'B', got {sparse_operand!r}"
+        )
+    if pit_axis not in axes:
+        raise ValueError(
+            f"sparse {sparse_operand} supports PIT-axis {axes[0]} or k, "
+            f"got {pit_axis!r}"
+        )
+    transposed = sparse_operand == "B"
+    outer, shape, divisor = _workload_shape(tile, pit_axis, transposed)
+    steps, tiles = _pooled_workload(stack, shape, transposed, outer, [divisor])
+    n_tiles_cols = math.ceil(n_extent / (tile.tm if transposed else tile.tn))
+    micro = stack.num_microtiles(shape, transposed=transposed)
+    # Every step of one output column tile computes rows x tk operand cells.
+    rows = tile.tn if transposed else tile.tm
     nnz = stack.nnz
     out = []
     for s in range(stack.num_samples):
-        elems = int(computed[s])
+        elems = int(steps[0, s]) * rows * tile.tk
         waste = 0.0 if elems == 0 else max(0.0, 1.0 - int(nnz[s]) / elems)
         out.append(
             MatmulWorkload(
-                total_k_steps=int(steps_per_ncol[s]) * n_tiles_cols,
-                num_output_tiles=int(out_tiles[s]),
+                total_k_steps=int(steps[0, s]) * n_tiles_cols,
+                num_output_tiles=int(tiles[0, s]) * n_tiles_cols,
                 num_microtiles=int(micro[s]),
                 wasted_fraction=waste,
             )
@@ -343,34 +342,32 @@ def _assemble_workloads(stack, steps_per_ncol, n_tiles_cols, out_tiles, micro,
     return out
 
 
-def _batched_outer_axis(stack, tile, dense_extent, *, transposed) -> list:
-    merge_factor = tile.tn if transposed else tile.tm
-    shape = (1, tile.tk)
-    counts = stack.col_counts(shape, transposed=transposed)  # [S, Gc]
-    steps_per_ncol = np.ceil(counts / merge_factor).sum(axis=1).astype(np.int64)
-    n_tiles_cols = math.ceil(dense_extent / (tile.tm if transposed else tile.tn))
-    live = stack.live_rows(shape, transposed=transposed)  # [S]
-    out_tiles = np.ceil(live / merge_factor).astype(np.int64) * n_tiles_cols
-    micro = stack.num_microtiles(shape, transposed=transposed)
-    return _assemble_workloads(
-        stack, steps_per_ncol, n_tiles_cols, out_tiles, micro,
-        merge_factor * tile.tk,
-    )
+def _workload_shape(tile: TileConfig, pit_axis: str, transposed: bool) -> tuple:
+    """``(outer, shape, divisor)``: whether the PIT-axis is spatial, the
+    rule's micro-tile on the grid whose rows are the PIT-axis side (a
+    sparse B is transposed), and its merge factor (spatial) or K-step."""
+    rows = tile.tn if transposed else tile.tm
+    if pit_axis == "k":
+        return False, (rows, 1), tile.tk
+    return True, (1, tile.tk), rows
 
 
-def _batched_reduce_axis(stack, tile, dense_extent, *, transposed) -> list:
-    row_block = tile.tn if transposed else tile.tm
-    shape = (row_block, 1)
-    counts = stack.row_counts(shape, transposed=transposed)  # [S, Gr]
-    steps_per_ncol = np.ceil(counts / tile.tk).sum(axis=1).astype(np.int64)
-    n_tiles_cols = math.ceil(dense_extent / (tile.tm if transposed else tile.tn))
-    nonzero_blocks = (counts > 0).sum(axis=1)
-    out_tiles = nonzero_blocks * n_tiles_cols
-    micro = stack.num_microtiles(shape, transposed=transposed)
-    return _assemble_workloads(
-        stack, steps_per_ncol, n_tiles_cols, out_tiles, micro,
-        row_block * tile.tk,
-    )
+def _pooled_workload(stack: SampleStack, shape: tuple, transposed: bool,
+                    outer: bool, divisors) -> tuple:
+    """``(steps, tiles)``: ``[len(divisors), S]`` K-steps and output tiles
+    (``[1, S]`` on axis k) per output column tile of the rules sharing one
+    workload ``shape`` (:func:`_workload_shape`), reduced from its pooled
+    counts once for all of them.  ``-(-x // d)`` is the exact ``ceil``.
+    """
+    div = np.asarray(divisors, dtype=np.int64)[:, np.newaxis]
+    if outer:
+        counts = stack.col_counts(shape, transposed=transposed)  # [S, Gc]
+        tiles = -(-stack.live_rows(shape, transposed=transposed) // div)
+    else:
+        counts = stack.row_counts(shape, transposed=transposed)  # [S, Gr]
+        tiles = (counts > 0).sum(axis=1)[np.newaxis]
+    steps = (-(-counts[np.newaxis] // div[:, :, np.newaxis])).sum(axis=2)
+    return steps, tiles
 
 
 def dense_matmul_workload(m: int, k: int, n: int, tile: TileConfig) -> MatmulWorkload:

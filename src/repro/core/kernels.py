@@ -23,11 +23,15 @@ import numpy as np
 from ..hw.costmodel import (
     TileConfig,
     dense_matmul_time_us,
+    matmul_step_time_us,
+    matmul_tile_fixed_time_us,
     sparse_matmul_time_us,
 )
+from ..hw.memory import gather_efficiency, stream_time_us, tensor_bytes
 from ..hw.spec import GPUSpec, dtype_bytes
 from ..hw.timeline import ExecReport
 from .cover import SampleStack, batched_matmul_workload
+from .cover import _pooled_workload, _workload_shape
 from .detector import index_construction_time_us
 from .microtile import derive_microtile
 from .sread_swrite import sread_cols, sread_rows, swrite_cols, swrite_rows
@@ -47,45 +51,78 @@ def _operand_mask(tensor: np.ndarray, mask) -> np.ndarray:
     return tensor != 0
 
 
-def _price_rule(rule, stack: SampleStack, dense_extent: int, spec: GPUSpec,
-                dtype: str, *, tensor_core: bool,
-                include_detector: bool = True) -> tuple:
-    """``(workloads, costs_us)`` of one (tile, PIT-axis, micro-tile) rule,
-    one of each per stacked sample.
+class _RuleTable:
+    """Algorithm 1's one evaluator: R rules priced on S samples as ``[R, S]``.
 
-    The cost is CoverAlgo's workload times the profiled tile cost,
-    wave-quantized, plus the SRead surcharge of the rule's micro-tile and,
-    unless ``include_detector`` is off, the detector pass that builds the
-    sparse index.  ``rule`` is anything carrying ``tile``, ``pit_axis``,
-    ``microtile`` and ``sparse_operand``: Algorithm 1 passes each
-    :class:`~repro.core.rules.PITRule` it scores, a
-    :class:`SparseMatmulKernel` passes itself, so a plan prices the same
-    in the search and in the kernel it names.
+    An entry is :func:`sparse_matmul_time_us` plus, unless
+    ``include_detector`` is off, :func:`index_construction_time_us`,
+    evaluated elementwise in their operation order, so it equals the scalar
+    formula bit for bit.  The per-rule terms (SRead-adjusted step cost,
+    fixed tile cost, output-column-tile divisor) are built once, and rules
+    sharing a workload shape share one pooled count.  Algorithm 1 scores a
+    TileDB's :class:`~repro.core.rules.PITRule` list and a
+    :class:`SparseMatmulKernel` prices itself, so a plan prices the same in
+    the search and in the kernel it names.
     """
-    workloads = batched_matmul_workload(
-        stack, rule.tile, rule.pit_axis, dense_extent,
-        sparse_operand=rule.sparse_operand,
-    )
-    contig = max(rule.microtile.shape) * dtype_bytes(dtype)
-    shape = stack.sample_shape
-    costs = []
-    for wl in workloads:
-        detector = (
-            index_construction_time_us(shape, dtype, spec, wl.num_microtiles)
-            if include_detector
-            else 0.0
+
+    def __init__(self, rules, sparse_operand: str, spec: GPUSpec, dtype: str,
+                 tensor_core: bool):
+        self.spec, self.dtype = spec, dtype
+        self.transposed = t = sparse_operand == "B"
+        self.num_rules = len(rules)
+        dsize = dtype_bytes(dtype)
+        self.step_us = np.array([matmul_step_time_us(
+            r.tile, dtype, spec, tensor_core=tensor_core,
+            load_efficiency=gather_efficiency(max(r.microtile.shape) * dsize, spec),
+        ) for r in rules]).reshape(-1, 1)
+        self.fixed_us = np.array([
+            matmul_tile_fixed_time_us(r.tile, dtype, spec) for r in rules
+        ]).reshape(-1, 1)
+        self.col_div = np.array(
+            [r.tile.tm if t else r.tile.tn for r in rules], dtype=np.int64
+        ).reshape(-1, 1)
+        #: ``(outer, shape) -> ([rule index], [divisor])``.
+        self.groups: dict = {}
+        for i, r in enumerate(rules):
+            outer, shape, divisor = _workload_shape(r.tile, r.pit_axis, t)
+            idx, divisors = self.groups.setdefault((outer, shape), ([], []))
+            idx.append(i)
+            divisors.append(divisor)
+
+    def count(self, stack: SampleStack) -> tuple:
+        """``(steps, tiles, micro, cells)``: ``[R, S]`` K-steps and output
+        tiles per output column tile, ``[R, S]`` covering micro-tiles and
+        the ``[R]`` cells of each micro-tile grid (so a rule's covered
+        sparsity is ``1 - micro / cells``)."""
+        t = self.transposed
+        stack.prime([shape for _, shape in self.groups], transposed=t)
+        size = (3, self.num_rules, stack.num_samples)
+        steps, tiles, micro = np.empty(size, dtype=np.int64)
+        cells = np.empty(self.num_rules, dtype=np.int64)
+        for (outer, shape), (idx, divisors) in self.groups.items():
+            steps[idx], tiles[idx] = _pooled_workload(
+                stack, shape, t, outer, divisors
+            )
+            micro[idx] = stack.num_microtiles(shape, transposed=t)
+            cells[idx] = stack.grid_cells(shape, transposed=t)
+        return steps, tiles, micro, cells
+
+    def price(self, counts: tuple, sample_shape: tuple, dense_extent: int, *,
+              include_detector: bool = True) -> np.ndarray:
+        """``[R, S]`` estimated costs (µs) from :meth:`count`'s counts."""
+        steps, tiles, micro, _ = counts
+        spec = self.spec
+        col_tiles = -(-dense_extent // self.col_div)
+        cost = (
+            np.ceil(steps * col_tiles / spec.num_sms) * self.step_us
+            + np.ceil(tiles * col_tiles / spec.num_sms) * self.fixed_us
+            + spec.kernel_launch_us
         )
-        costs.append(sparse_matmul_time_us(
-            wl.total_k_steps,
-            wl.num_output_tiles,
-            rule.tile,
-            dtype,
-            spec,
-            tensor_core=tensor_core,
-            sread_contig_bytes=contig,
-            detector_us=detector,
-        ))
-    return workloads, costs
+        if include_detector:
+            scan = stream_time_us(tensor_bytes(sample_shape, self.dtype), spec)
+            writes = micro * 8 / spec.bandwidth_bytes_us() / spec.gather_efficiency
+            cost += scan + writes + spec.kernel_launch_us
+        return cost
 
 
 class DenseMatmulKernel:
@@ -174,6 +211,8 @@ class SparseMatmulKernel:
         self.sparse_operand = sparse_operand
         self.tensor_core = tensor_core
         self.microtile = derive_microtile(tile, pit_axis, operand=sparse_operand)
+        # The kernel prices its one rule through Algorithm 1's evaluator.
+        self._table = _RuleTable([self], sparse_operand, spec, dtype, tensor_core)
 
     # ------------------------------------------------------------------
     # Cost face
@@ -183,11 +222,11 @@ class SparseMatmulKernel:
         """Cost of one call on ``mask``: the sparse operand's mask, or a
         one-sample :class:`SampleStack` of it to reuse its cover pyramid."""
         stack = mask if isinstance(mask, SampleStack) else SampleStack([mask])
-        _, costs = _price_rule(
-            self, stack, dense_extent, self.spec, self.dtype,
-            tensor_core=self.tensor_core, include_detector=include_detector,
+        cost = self._table.price(
+            self._table.count(stack), stack.sample_shape, dense_extent,
+            include_detector=include_detector,
         )
-        return costs[0]
+        return float(cost[0, 0])
 
     # ------------------------------------------------------------------
     # Functional face
@@ -238,9 +277,11 @@ class SparseMatmulKernel:
             b_packed = sread_rows(np.where(op_mask, b, 0.0), rows)
             out = a_packed @ b_packed
 
-        (wl,), (latency,) = _price_rule(
-            self, SampleStack([op_mask]), dense_extent, self.spec, self.dtype,
-            tensor_core=self.tensor_core,
+        stack = SampleStack([op_mask])
+        latency = self.estimate_us(stack, dense_extent)
+        (wl,) = batched_matmul_workload(
+            stack, self.tile, self.pit_axis, dense_extent,
+            sparse_operand=self.sparse_operand,
         )
         detector_us = index_construction_time_us(
             op_mask.shape, self.dtype, self.spec, wl.num_microtiles

@@ -31,7 +31,7 @@ from ..analysis.runtime_checks import make_lock
 from ..hw.costmodel import TileConfig, sparse_matmul_time_us
 from ..hw.spec import GPUSpec
 from .cover import SampleStack, dense_matmul_workload
-from .kernels import _price_rule
+from .kernels import _RuleTable
 from .microtile import MicroTile
 from .rules import matmul_rules
 from .tiledb import TileDB
@@ -121,69 +121,54 @@ class PermutedChoice:
         return f"{n}:{m} {perm}, {self.choice.describe()}"
 
 
-def _rule_workload_shape(rule, transposed: bool) -> tuple:
-    """Canonical-orientation grid shape a rule's workload evaluation uses."""
-    if rule.pit_axis in ("m", "n"):
-        return (1, rule.tile.tk)
-    return ((rule.tile.tn if transposed else rule.tile.tm), 1)
-
-
-def _eval_rules(rules, stack: SampleStack, dense_extent: int,
-                sparse_operand: str, tiledb: TileDB, profile_rules) -> list:
-    """Score every rule on every stacked sample: Algorithm 1's one evaluator.
-
-    All samples share one cover pyramid; each rule's workload is computed
-    across the whole stack in one pooled-counts pass, and only the O(1)
-    cost-model arithmetic runs per sample.  Returns
-    ``[(rule, costs[S], covs[S]), ...]`` — one estimated cost and one
-    covered sparsity per stacked sample.  :func:`kernel_selection` averages
-    them per rule; the nm-sparse search stacks *permutation candidates x
-    samples* and averages per (rule, candidate).
-    """
-    transposed = sparse_operand == "B"
-    need = []
-    for rule in rules:
-        need.append(_rule_workload_shape(rule, transposed))
-        need.append(rule.microtile.shape)
-    stack.prime(need, transposed=transposed)
-
-    out = []
-    for rule in rules:
-        t0 = time.perf_counter() if profile_rules is not None else 0.0
-        _, costs = _price_rule(
-            rule, stack, dense_extent, tiledb.spec, tiledb.dtype,
-            tensor_core=tiledb.tensor_core,
-        )
-        cover_counts = stack.num_microtiles(
-            rule.microtile.shape, transposed=transposed
-        )
-        cover_cells = max(1, stack.grid_cells(
-            rule.microtile.shape, transposed=transposed
+def _rule_table(tiledb: TileDB, sparse_operand: str) -> tuple:
+    """``(rules, table)`` of a TileDB over one sparse operand, built at the
+    first search and memoized on the TileDB.  Lock-free like
+    :meth:`TileDB.best_dense_tile`: a racing miss builds an equal table."""
+    got = tiledb._rule_tables.get(sparse_operand)
+    if got is None:
+        # foreach T in GetTilesFromTileDB x foreach A in GetPITAxis
+        rules = matmul_rules(tiledb.tiles(), sparse_operand=sparse_operand)
+        got = tiledb._rule_tables[sparse_operand] = (rules, _RuleTable(
+            rules, sparse_operand, tiledb.spec, tiledb.dtype,
+            tiledb.tensor_core,
         ))
-        covs = [1.0 - float(count) / cover_cells for count in cover_counts]
-        if profile_rules is not None:
-            profile_rules.append({
-                "tile": rule.tile.describe(),
-                "pit_axis": rule.pit_axis,
-                "microtile": str(rule.microtile),
-                "eval_us": (time.perf_counter() - t0) * 1e6,
-                "mean_cost_us": _mean_in_sample_order(costs),
-            })
-        out.append((rule, costs, covs))
-    return out
+    return got
 
 
-def _mean_in_sample_order(values) -> float:
-    """Mean of per-sample values, summed first to last.
+def _mean_in_sample_order(values: np.ndarray) -> np.ndarray:
+    """Per-rule mean of ``[R, S]`` per-sample values, summed first to last.
 
     numpy's pairwise summation regroups the additions from eight values on,
     which would move a cost's last bits (and, on a near-tie, the winner)
     with the sample count.
     """
-    total = 0.0
-    for value in values:
-        total += value
-    return total / len(values)
+    total = np.zeros(values.shape[0])
+    for column in values.T:
+        total += column
+    return total / values.shape[1]
+
+
+def _covered_sparsity(counts: tuple) -> np.ndarray:
+    """``[R, S]`` sparsity after covering with each rule's micro-tile."""
+    _, _, micro, cells = counts
+    return 1.0 - micro / np.maximum(1, cells)[:, np.newaxis]
+
+
+def _profile_stages(profile, rules, mean_costs, start: float, covered: float,
+                    choice: KernelChoice, **counts) -> None:
+    """Fill a search's ``profile``: the cover stage (pyramid and pooled
+    counts), the score stage (array pricing, argmin, dense candidate) and
+    each rule's mean cost."""
+    cover_us = (covered - start) * 1e6
+    profile.update(
+        num_rules=len(rules), **counts, cover_us=cover_us,
+        score_us=choice.search_time_us - cover_us,
+        total_us=choice.search_time_us,
+        rules=[{"tile": r.tile.describe(), "pit_axis": r.pit_axis,
+                "microtile": str(r.microtile), "mean_cost_us": float(cost)}
+               for r, cost in zip(rules, mean_costs)],
+    )
 
 
 def _dense_candidate(m: int, k: int, n: int, tiledb: TileDB) -> tuple:
@@ -256,11 +241,11 @@ def kernel_selection(
 
     ``sparsity_samples`` is a list of boolean masks of the sparse operand
     (A: [m, k], B: [k, n]); the paper samples these from recent invocations
-    of the dynamic operator.  Every candidate is evaluated through the
-    cover-grid pyramid with all samples stacked into one batched pass, and
-    its cost is the mean over the samples.  Pass a dict as ``profile`` to
-    receive per-rule evaluation timings (``profile["rules"]``), so
-    benchmarks can attribute where a cold search spends its time.
+    of the dynamic operator.  All samples share one cover pyramid, every
+    (rule, sample) pair is scored in one ``[R, S]`` array pass, and a
+    rule's cost is its mean over the samples.  Pass a dict as ``profile``
+    to receive the search's stage timings (``cover_us``, ``score_us``) and
+    each rule's mean cost (``profile["rules"]``).
     """
     samples = [np.asarray(s, dtype=bool) for s in sparsity_samples]
     if not samples:
@@ -274,30 +259,27 @@ def kernel_selection(
     dense_extent = n if sparse_operand == "A" else m
 
     start = time.perf_counter()
-    profile_rules = [] if profile is not None else None
-
-    # foreach T in GetTilesFromTileDB x foreach A in GetPITAxis
-    rules = matmul_rules(tiledb.tiles(), sparse_operand=sparse_operand)
+    rules, table = _rule_table(tiledb, sparse_operand)
+    counts = table.count(SampleStack(samples))
+    covered = time.perf_counter()
+    costs = _mean_in_sample_order(table.price(counts, expected, dense_extent))
     best, best_cost, best_cov = None, float("inf"), 0.0
-    for rule, costs, covs in _eval_rules(
-        rules, SampleStack(samples), dense_extent, sparse_operand, tiledb,
-        profile_rules,
-    ):
-        cost = _mean_in_sample_order(costs)
-        if cost < best_cost:
-            best, best_cost, best_cov = rule, cost, _mean_in_sample_order(covs)
+    if rules:
+        # The first minimum: the tie-break of a strict ``<`` scan in rule order.
+        r = int(np.argmin(costs))
+        best, best_cost = rules[r], float(costs[r])
+        covs = _covered_sparsity(counts)[r:r + 1]
+        best_cov = float(_mean_in_sample_order(covs)[0])
 
     choice = _settle(
         best, best_cost, best_cov, m, k, n, tiledb, include_dense_fallback,
         sparse_operand, start,
     )
     if profile is not None:
-        profile.update({
-            "num_rules": len(rules),
-            "num_samples": len(samples),
-            "rules": profile_rules,
-            "total_us": choice.search_time_us,
-        })
+        _profile_stages(
+            profile, rules, costs, start, covered, choice,
+            num_samples=len(samples),
+        )
     return choice
 
 
@@ -360,8 +342,8 @@ def nm_kernel_selection(
     permuted mask onto the ``(n, m)`` structured pattern (N:M pruning keeps
     the densest ``n`` of every aligned ``m``-group), then evaluate every
     (tile, PIT-axis) rule over *all* candidates stacked into one
-    :class:`SampleStack` — one ``[candidates x samples, G]`` pass per rule,
-    the PR-3 batched-evaluation idiom.  The cheapest (rule, permutation)
+    :class:`SampleStack` and scored in one ``[rules, candidates x
+    samples]`` array pass.  The cheapest (rule, permutation)
     pair wins; the dense fallback competes exactly as in
     :func:`kernel_selection`.  The full tile database is searched — no
     candidate truncation.
@@ -383,7 +365,6 @@ def nm_kernel_selection(
         raise ValueError(f"k={k} not divisible by N:M group size {mm}")
 
     start = time.perf_counter()
-    profile_rules = [] if profile is not None else None
     candidates = nm_permutation_candidates(samples, permutation, k)
     stacked = []
     for perm in candidates:
@@ -391,35 +372,30 @@ def nm_kernel_selection(
             permuted = s if perm is None else s[np.asarray(perm), :]
             stacked.append(nm_prune_mask(permuted, nn, mm, axis=0))
 
-    rules = matmul_rules(tiledb.tiles(), sparse_operand="B")
-    per_rule = _eval_rules(
-        rules, SampleStack(stacked), m, "B", tiledb, profile_rules
-    )
+    rules, table = _rule_table(tiledb, "B")
+    counts = table.count(SampleStack(stacked))
+    covered = time.perf_counter()
+    costs = table.price(counts, (k, n), m)
     num_samples = len(samples)
+    shape = (len(rules), len(candidates), num_samples)
+    cand_costs = costs.reshape(shape).mean(axis=2)
     best_rule, best_perm_idx, best_cost, best_cov = None, 0, float("inf"), 0.0
-    for rule, costs, covs in per_rule:
-        shape = (len(candidates), num_samples)
-        cand_costs = np.reshape(costs, shape).mean(axis=1)
-        cand_covs = np.reshape(covs, shape).mean(axis=1)
-        idx = int(np.argmin(cand_costs))
-        if cand_costs[idx] < best_cost:
-            best_rule = rule
-            best_perm_idx = idx
-            best_cost = float(cand_costs[idx])
-            best_cov = float(cand_covs[idx])
+    if rules:
+        # The first minimum over (rule, candidate) in rule-major order.
+        r, best_perm_idx = divmod(int(np.argmin(cand_costs)), len(candidates))
+        best_rule, best_cost = rules[r], float(cand_costs[r, best_perm_idx])
+        cand_covs = _covered_sparsity(counts).reshape(shape).mean(axis=2)
+        best_cov = float(cand_covs[r, best_perm_idx])
 
     choice = _settle(
         best_rule, best_cost, best_cov, m, k, n, tiledb,
         include_dense_fallback, "B", start,
     )
     if profile is not None:
-        profile.update({
-            "num_rules": len(rules),
-            "num_samples": num_samples,
-            "num_candidates": len(candidates),
-            "rules": profile_rules,
-            "total_us": choice.search_time_us,
-        })
+        _profile_stages(
+            profile, rules, _mean_in_sample_order(costs), start, covered,
+            choice, num_samples=num_samples, num_candidates=len(candidates),
+        )
     # A dense kernel has no channel order; None is the identity candidate.
     winning = None if choice.is_dense_fallback else candidates[best_perm_idx]
     return PermutedChoice(

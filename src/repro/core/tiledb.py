@@ -89,6 +89,8 @@ class TileDB:
         self._entries = [self._to_entry(p) for p in profiles[: max(1, max_tiles)]]
         #: ``best_dense_tile`` results per ``(m, k, n)``; see there.
         self._best_dense: dict = {}
+        #: Algorithm 1's rule tables per sparse operand; see ``_rule_table``.
+        self._rule_tables: dict = {}
         if not self._entries:
             raise RuntimeError(
                 f"offline profiling produced no feasible tiles for "

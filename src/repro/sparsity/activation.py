@@ -18,6 +18,10 @@ import numpy as np
 #: Fraction of neurons that fire with high probability for every token.
 _HOT_FRACTION = 0.02
 
+#: Rows per block of the uniform draw into one reused buffer.  PCG64's
+#: ``random()`` takes one 64-bit output per element: the same stream.
+_DRAW_ROWS = 32
+
 
 def relu_activation_mask(
     num_tokens: int,
@@ -42,11 +46,18 @@ def relu_activation_mask(
     # budget; they take at most half of it.
     hot_budget = min(0.9, (density * hidden) / (2 * max(1, num_hot)))
     mask = np.zeros((num_tokens, hidden), dtype=bool)
+    used = 0.0
     if num_hot:
         hot_ids = rng.choice(hidden, size=num_hot, replace=False)
-        mask[:, hot_ids] = rng.random((num_tokens, num_hot)) < hot_budget
+        hot = rng.random((num_tokens, num_hot)) < hot_budget
+        mask[:, hot_ids] = hot
+        used = np.count_nonzero(hot) / max(1, mask.size)
     # Remaining budget spread uniformly over all neurons.
-    used = mask.mean() if mask.size else 0.0
     remaining = max(0.0, density - used)
-    mask |= rng.random((num_tokens, hidden)) < remaining
+    draw = np.empty((min(num_tokens, _DRAW_ROWS), hidden))
+    fired = np.empty(draw.shape, dtype=bool)
+    for lo in range(0, num_tokens, _DRAW_ROWS):
+        rows = slice(0, min(_DRAW_ROWS, num_tokens - lo))
+        np.less(rng.random(out=draw[rows]), remaining, out=fired[rows])
+        mask[lo:lo + _DRAW_ROWS] |= fired[rows]
     return mask

@@ -209,12 +209,14 @@ def representative_attention_mask(
     if rows < 1 or cols < 1:
         raise ValueError("sample shape extents must be >= 1")
     width = max(1, min(cols, int(round(stats.density * cols))))
-    mask = np.zeros((rows, cols), dtype=bool)
-    for i in range(rows):
-        center = int(round(i * (cols - 1) / max(1, rows - 1)))
-        lo = max(0, min(center - width // 2, cols - width))
-        mask[i, lo:lo + width] = True
-    return mask
+    # np.rint and round() both round half to even, on the same quotients.
+    centers = np.rint(np.arange(rows) * (cols - 1) / max(1, rows - 1))
+    lo = np.clip(centers.astype(np.int64) - width // 2, 0, cols - width)
+    # Row i is the window of [cols zeros | width ones | zeros] that starts
+    # cols - lo[i] in: one band of ``width`` set columns from column lo[i].
+    band = np.zeros(2 * cols, dtype=bool)
+    band[cols:cols + width] = True
+    return np.lib.stride_tricks.sliding_window_view(band, cols)[cols - lo]
 
 
 def global_token_positions(seq_len: int, num_global: int, seed: int) -> np.ndarray:

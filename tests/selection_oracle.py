@@ -4,16 +4,17 @@ Every sample keeps its own grids, each one naive padded
 :func:`~repro.core.cover.cover_grid` scan of the mask, and every rule's
 workload is counted from those grids one sample at a time, summing costs in
 sample order — Algorithm 1 as it ran before the cover-grid pyramid and the
-stacked-sample evaluator.  The workload counts share no code with that
-evaluator (:class:`~repro.core.cover.SampleStack`,
-:func:`~repro.core.cover.batched_matmul_workload`), so the reference checks
-them rather than repeats them.  The covered sparsity does share one
-convention with it: a sparse B's rule micro-tile, which is in B's own
-``[k, n]`` coordinates, is applied to the transposed mask here too, so a
-mistake in that orientation shows in neither.  ``kernel_selection`` must
-return the same choice, bit for bit; the equivalence tests check that, and
-``benchmarks/bench_selection_fastpath.py`` times this loop as the baseline
-of its 5x gate.
+stacked-sample evaluator.  Neither the workload counts nor the covered
+sparsity share code with that evaluator
+(:class:`~repro.core.cover.SampleStack`, the grouped pooled counts of
+:class:`~repro.core.kernels._RuleTable`), so the reference checks them
+rather than repeats them: the covered sparsity comes from a
+:func:`~repro.core.cover.cover_grid` scan of the raw mask with the rule's
+micro-tile, which is in the sparse operand's own coordinates (``[k, n]``
+for B), while the evaluator reads it from its transposed workload counts.
+``kernel_selection`` must return the same choice, bit for bit; the
+equivalence tests check that, and ``benchmarks/bench_selection_fastpath.py``
+times this loop as the baseline of its speedup gates.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ def oracle_kernel_selection(
     spec, dtype = tiledb.spec, tiledb.dtype
     start = time.perf_counter()
 
-    transposed = sparse_operand == "B"
     covers = [NaiveCovers(s) for s in samples]
     best, best_cost, best_cov = None, float("inf"), 0.0
     for rule in matmul_rules(tiledb.tiles(), sparse_operand=sparse_operand):
@@ -116,7 +116,9 @@ def oracle_kernel_selection(
                 sread_contig_bytes=max(rule.microtile.shape) * dtype_bytes(dtype),
                 detector_us=detector,
             )
-            grid = sample.grid(rule.microtile.shape, transposed)
+            # The rule's micro-tile is in the sparse operand's own
+            # coordinates, so it covers the raw mask, never a transpose.
+            grid = sample.grid(rule.microtile.shape, False)
             cov += 1.0 - float(grid.sum()) / max(1, grid.size)
         cost /= len(samples)
         cov /= len(samples)

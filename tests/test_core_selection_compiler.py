@@ -17,8 +17,13 @@ from repro.core import (
     matmul_rules,
     sparsity_signature,
 )
-from repro.hw import V100
-from selection_oracle import oracle_kernel_selection
+from repro.core.cover import SampleStack, covered_sparsity
+from repro.core.detector import index_construction_time_us
+from repro.core.selection import _covered_sparsity, _rule_table
+from repro.hw import A100, V100
+from repro.hw.costmodel import sparse_matmul_time_us
+from repro.hw.spec import dtype_bytes
+from selection_oracle import NaiveCovers, naive_workload, oracle_kernel_selection
 
 
 def granular_mask(shape, granularity, sparsity, seed=0):
@@ -154,6 +159,29 @@ class TestFastpathEquivalence:
         )
         self._assert_equivalent(fast, slow)
 
+    @pytest.mark.parametrize(
+        "shape,granularity,sparsity",
+        [((2048, 2048), (1, 64), 0.95), ((512, 256), (64, 1), 0.95),
+         ((512, 256), (1, 4), 0.9), ((256, 384), (4, 4), 0.8)],
+    )
+    def test_sparse_b_covered_sparsity_is_the_raw_masks(
+        self, tiledb, shape, granularity, sparsity
+    ):
+        """A sparse B's micro-tile is in B's own ``[k, n]`` coordinates:
+        the choice's covered sparsity is that micro-tile's cover of the raw
+        B masks, averaged over the samples."""
+        k, n = shape
+        masks = [granular_mask(shape, granularity, sparsity, seed=s)
+                 for s in range(2)]
+        choice = kernel_selection(
+            masks, 128, k, n, tiledb, sparse_operand="B",
+            include_dense_fallback=False,
+        )
+        expected = sum(
+            covered_sparsity(mask, choice.microtile.shape) for mask in masks
+        ) / len(masks)
+        assert choice.covered_sparsity == pytest.approx(expected, abs=1e-12)
+
     def test_dense_fallback_agrees(self, tiledb):
         mask = np.ones((256, 256), dtype=bool)
         fast = kernel_selection([mask], 256, 256, 256, tiledb)
@@ -161,17 +189,93 @@ class TestFastpathEquivalence:
         assert fast.is_dense_fallback and slow.is_dense_fallback
         assert fast.tile == slow.tile
 
-    def test_profile_hook_reports_per_rule_timing(self, tiledb):
+    def test_profile_hook_reports_search_stages(self, tiledb):
+        """All rules are scored in one array pass, so the profile reports
+        the search's stages (cover, then score) and each rule's mean
+        cost, not a per-rule timing."""
         mask = granular_mask((256, 256), (8, 1), 0.95)
         profile = {}
-        kernel_selection([mask], 256, 256, 256, tiledb, profile=profile)
+        choice = kernel_selection(
+            [mask], 256, 256, 256, tiledb, profile=profile
+        )
         assert profile["num_samples"] == 1
         assert profile["num_rules"] == len(profile["rules"]) == 2 * len(tiledb)
-        assert all(r["eval_us"] >= 0 for r in profile["rules"])
-        assert profile["total_us"] >= sum(r["eval_us"] for r in profile["rules"]) * 0.5
-        # The winning candidate's mean cost is the reported est_cost unless
-        # the dense fallback won.
-        assert min(r["mean_cost_us"] for r in profile["rules"]) > 0
+        assert profile["cover_us"] > 0 and profile["score_us"] > 0
+        assert profile["total_us"] == choice.search_time_us
+        assert profile["cover_us"] + profile["score_us"] == pytest.approx(
+            profile["total_us"]
+        )
+        assert not any("eval_us" in r for r in profile["rules"])
+        # The winning rule's mean cost is the reported estimate unless the
+        # dense fallback won.
+        best = min(profile["rules"], key=lambda r: r["mean_cost_us"])
+        assert best["mean_cost_us"] > 0
+        if not choice.is_dense_fallback:
+            assert best["mean_cost_us"] == choice.est_cost_us
+            assert best["microtile"] == str(choice.microtile)
+
+
+class TestArrayEvaluator:
+    """Algorithm 1 scores every (rule, sample) pair in one ``[R, S]`` array
+    pass; each entry must equal the scalar cost model on the oracle's
+    naive workload bit for bit, and its covered sparsity must be the
+    rule's micro-tile cover of the raw mask."""
+
+    @pytest.mark.parametrize("spec", [V100, A100], ids=lambda s: s.name)
+    @pytest.mark.parametrize(
+        "dtype,tensor_core", [("float32", False), ("float16", True)]
+    )
+    @pytest.mark.parametrize("operand", ["A", "B"])
+    def test_equals_the_scalar_cost_model(self, spec, dtype, tensor_core,
+                                          operand):
+        db = TileDB(spec, dtype, tensor_core=tensor_core)
+        rules, table = _rule_table(db, operand)
+        assert len(rules) == 2 * len(db)
+        rng = np.random.default_rng(31)
+        shape, extent = (200, 300), 170
+        masks = [rng.random(shape) < p for p in (0.02, 0.3)]
+        masks.append(granular_mask(shape, (8, 1), 0.9, seed=5))
+        counts = table.count(SampleStack(masks))
+        covers = [NaiveCovers(mask) for mask in masks]
+        contig_unit = dtype_bytes(dtype)
+        for include_detector in (True, False):
+            costs = table.price(
+                counts, shape, extent, include_detector=include_detector
+            )
+            for r, rule in enumerate(rules):
+                for s, cover in enumerate(covers):
+                    steps, out_tiles, micro, _ = naive_workload(
+                        cover, rule.tile, rule.pit_axis, extent, operand
+                    )
+                    detector = (
+                        index_construction_time_us(shape, dtype, spec, micro)
+                        if include_detector else 0.0
+                    )
+                    scalar = sparse_matmul_time_us(
+                        steps, out_tiles, rule.tile, dtype, spec,
+                        tensor_core=tensor_core,
+                        sread_contig_bytes=(
+                            max(rule.microtile.shape) * contig_unit
+                        ),
+                        detector_us=detector,
+                    )
+                    assert costs[r, s] == scalar, (rule, s, include_detector)
+        covs = _covered_sparsity(counts)
+        for r, rule in enumerate(rules):
+            for s, mask in enumerate(masks):
+                assert covs[r, s] == covered_sparsity(
+                    mask, rule.microtile.shape
+                ), (rule, s)
+
+    def test_rule_tables_are_built_once_per_operand(self):
+        db = TileDB(V100, "float32")
+        mask = granular_mask((256, 256), (8, 1), 0.95)
+        kernel_selection([mask], 256, 256, 256, db)
+        table_a = _rule_table(db, "A")
+        kernel_selection([mask], 256, 256, 256, db)
+        kernel_selection([mask], 256, 256, 256, db, sparse_operand="B")
+        assert _rule_table(db, "A") is table_a
+        assert set(db._rule_tables) == {"A", "B"}
 
 
 class TestSignatureSinglePass:
@@ -202,6 +306,8 @@ class _NoRulesTileDB:
         self.dtype = real.dtype
         self.tensor_core = real.tensor_core
         self.cache_key = ("no-rules",) + real.cache_key
+        # Algorithm 1 memoizes its rule tables on the tile database.
+        self._rule_tables = {}
 
     def tiles(self):
         return []

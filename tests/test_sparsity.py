@@ -1,6 +1,8 @@
 """Tests for the dynamic-sparsity workload generators."""
 
+import hashlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -162,6 +164,34 @@ class TestActivation:
         with pytest.raises(ValueError):
             relu_activation_mask(8, 8, 1.0)
 
+    @pytest.mark.parametrize("args,digest", [
+        # 0 rows
+        ((0, 4096, 0.99, 0),
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        # 1 row
+        ((1, 3072, 0.95, 1),
+         "7148b738fabfa33d31da61411d2d25277924478dff8758662d1e55b92643095d"),
+        # a row count that is not a multiple of the draw block
+        ((209, 3072, 0.99, 2),
+         "6ef5a5962a3fe82dacab5ac3b994a5e6305105f93d03e969133c839157d31af5"),
+        # hidden < 50: no hot neurons
+        ((100, 40, 0.9, 3),
+         "26497ce6ddcfd590c01e3fc67d93c2fbd923e1a4ca42574d520795087a0eb873"),
+        # sparsity 0.0
+        ((128, 256, 0.0, 4),
+         "434b6e372dc701bd9fb3bd2cfa4d37124d553bb6943d665ce8d83bb6dd8c6304"),
+        # the largest backend ffn-act draw of a drifting serving pass
+        ((920, 4096, 0.95, 5),
+         "ba4d07a08f206bf03f67a9c22a49d0667c587eee9ad69ef3e69121f33acc3077"),
+    ])
+    def test_draw_stream_is_pinned(self, args, digest):
+        """The masks' bytes, pinned from the one full-size uniform draw:
+        drawing in row blocks must consume the same PCG64 stream."""
+        rows, hidden, sparsity, seed = args
+        mask = relu_activation_mask(rows, hidden, sparsity, seed=seed)
+        assert mask.shape == (rows, hidden) and mask.dtype == bool
+        assert hashlib.sha256(mask.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("shape", [(0, 10), (3, 0)])
     def test_empty_mask_warns_nothing(self, shape):
         """An empty mask has no used share to average (it warned "Mean of
@@ -170,6 +200,18 @@ class TestActivation:
             warnings.simplefilter("error")
             mask = relu_activation_mask(*shape, 0.5)
         assert mask.shape == shape
+
+
+def banded_mask_loop(density: float, rows: int, cols: int) -> np.ndarray:
+    """The per-row loop that built the banded cold-plan stand-in: the
+    reference for :func:`representative_attention_mask`."""
+    width = max(1, min(cols, int(round(density * cols))))
+    mask = np.zeros((rows, cols), dtype=bool)
+    for i in range(rows):
+        center = int(round(i * (cols - 1) / max(1, rows - 1)))
+        lo = max(0, min(center - width // 2, cols - width))
+        mask[i, lo:lo + width] = True
+    return mask
 
 
 class TestAttentionMasks:
@@ -313,6 +355,27 @@ class TestMaskStats:
         np.testing.assert_array_equal(
             sample, representative_attention_mask(stats, 64, 256)
         )
+
+    def test_representative_mask_matches_the_row_loop(self):
+        """The vectorized build equals the per-row loop it replaced, kept
+        here as the reference, on random (rows, cols, density) triples
+        and the edges (one row, one column, empty and full density)."""
+        rng = np.random.default_rng(23)
+        triples = [(1, 1, 0.0), (1, 9, 1.0), (7, 1, 0.5), (2, 2, 0.5),
+                   (512, 512, 0.1), (255, 1023, 0.999)]
+        triples += [
+            (int(rng.integers(1, 300)), int(rng.integers(1, 300)),
+             float(rng.random()))
+            for _ in range(300)
+        ]
+        for rows, cols, density in triples:
+            stats = SimpleNamespace(density=density)
+            sample = representative_attention_mask(stats, rows, cols)
+            assert sample.dtype == bool
+            np.testing.assert_array_equal(
+                sample, banded_mask_loop(density, rows, cols),
+                err_msg=f"{(rows, cols, density)}",
+            )
 
     def test_representative_mask_rejects_an_empty_shape(self):
         stats = longformer_mask_stats(256, 32, seed=0)
