@@ -1,16 +1,16 @@
-"""Concurrent serving: sharded PlanCache contention and live/simulated parity.
+"""Concurrent serving: PlanCache contention and live/simulated parity.
 
 The real-concurrency front end (`repro.runtime.frontend`) only earns its
-keep if (a) the sharded plan cache actually removes the head-of-line
-blocking a single cache lock imposes while a cold Algorithm 1 search runs,
-and (b) going concurrent changes *nothing* about the decisions the paper's
-scheduler makes.  Three gates:
+keep if (a) the plan cache actually removes the head-of-line blocking a
+cache lock held across a cold Algorithm 1 search imposes, and (b) going
+concurrent changes *nothing* about the decisions the paper's scheduler
+makes.  Three gates:
 
 1. **Contention**: with ``WARM_THREADS`` threads doing warm plan lookups
-   while a cold Algorithm 1 search stream runs, the sharded single-flight
-   cache must beat a global-lock baseline (one lock held across the whole
-   search, the pre-sharding design) by at least ``CONTENTION_GATE``x on
-   mean warm-lookup latency.
+   while a cold Algorithm 1 search stream runs, the single-flight cache
+   (one lock, never held across a search) must beat a global-lock
+   baseline (one lock held across the whole search) by at least
+   ``CONTENTION_GATE``x on mean warm-lookup latency.
 2. **Zero extra cold searches**: serving the same workloads through the
    real asyncio front end (4 worker replicas pulling batches concurrently)
    must run exactly as many cold Algorithm 1 searches as the simulated
@@ -50,7 +50,7 @@ OUT_PATH = Path("BENCH_serving.json")
 
 WARM_THREADS = 4
 COLD_SEARCHES = 6
-#: Sharded warm lookups during a concurrent cold search must be at least
+#: Single-flight warm lookups during a concurrent cold search must be at least
 #: this much faster than under a global lock held across the search
 #: (observed: orders of magnitude — a cold search blocks the global lock
 #: for whole milliseconds while a warm hit needs microseconds).
@@ -66,8 +66,8 @@ GOLDEN_CASES = ("homogeneous", "seeded-0", "seeded-100", "seeded-1000")
 
 
 class GlobalLockPlanCache:
-    """The pre-sharding design, as a baseline: one lock for every
-    operation, held across the entire Algorithm 1 search on a miss."""
+    """The baseline: one lock for every operation, held across the entire
+    Algorithm 1 search on a miss."""
 
     def __init__(self, inner: PlanCache):
         self._inner = inner
@@ -189,24 +189,25 @@ def make_engine(**kwargs):
 def main():
     failures = []
 
-    # --- Gate 1: sharded warm lookups vs global-lock baseline ------------
+    # --- Gate 1: single-flight warm lookups vs global-lock baseline ------
     baseline_us, baseline_cold = contention_trial(
-        "global lock", GlobalLockPlanCache(PlanCache(shards=1))
+        "global lock", GlobalLockPlanCache(PlanCache())
     )
-    sharded_us, sharded_cold = contention_trial("sharded", PlanCache())
-    ratio = baseline_us / sharded_us if sharded_us > 0 else 0.0
-    if baseline_cold != COLD_SEARCHES or sharded_cold != COLD_SEARCHES:
+    flight_us, flight_cold = contention_trial("single-flight", PlanCache())
+    ratio = baseline_us / flight_us if flight_us > 0 else 0.0
+    if baseline_cold != COLD_SEARCHES or flight_cold != COLD_SEARCHES:
         failures.append(
             f"contention: expected {COLD_SEARCHES} cold searches per trial, "
-            f"got baseline={baseline_cold} sharded={sharded_cold}"
+            f"got baseline={baseline_cold} single-flight={flight_cold}"
         )
     if ratio < CONTENTION_GATE:
         failures.append(
-            f"contention: sharded warm lookups only {ratio:.2f}x faster "
-            f"than the global-lock baseline (need >= {CONTENTION_GATE}x)"
+            f"contention: single-flight warm lookups only {ratio:.2f}x "
+            f"faster than the global-lock baseline "
+            f"(need >= {CONTENTION_GATE}x)"
         )
     print(
-        f"contention gate: sharded mean warm-lookup latency "
+        f"contention gate: single-flight mean warm-lookup latency "
         f"{ratio:.1f}x better under concurrent cold search"
     )
 
@@ -268,7 +269,7 @@ def main():
             "requests": len(workloads),
             "replicas": REPLICAS,
             "warm_lookup_global_lock_us": baseline_us,
-            "warm_lookup_sharded_us": sharded_us,
+            "warm_lookup_single_flight_us": flight_us,
             "contention_ratio": ratio,
             "cold_searches_simulated": simulated.plan_cache_stats["misses"],
             "cold_searches_live": live.plan_cache_stats["misses"],

@@ -21,7 +21,7 @@ serve the same traffic with zero cold searches.
 
 The last section leaves the simulated clock entirely: the **live asyncio
 front end** serves the same kind of traffic through real concurrent
-replica workers (all sharing the engine's sharded plan cache), sheds
+replica workers (all sharing the engine's one plan cache), sheds
 arrivals past its queue-depth bound instead of queueing them past SLO
 feasibility, and — replayed in virtual time — reproduces the simulated
 scheduler's decisions exactly (see docs/concurrency.md).
@@ -208,8 +208,8 @@ def main():
     from repro.runtime import decision_trace, replay_trace, serve_workloads
 
     # Four replica workers pull closed batches concurrently; every worker
-    # gets its own model backend, all resolving into one sharded plan
-    # cache, so concurrent cold searches are never duplicated.
+    # gets its own model backend, all resolving into one single-flight
+    # plan cache, so concurrent cold searches are never duplicated.
     live_engine = ServingEngine(
         V100, max_batch_tokens=8192, max_batch_size=8, replicas=4,
         batch_window_us=3000.0, plan_cache=PlanCache(),

@@ -1,8 +1,8 @@
 """repro.analysis — "pitlint", the invariant checker for this repo.
 
 PR 6 made serving truly concurrent; the invariants that keep it correct
-(lock discipline over the sharded :class:`~repro.core.selection.PlanCache`
-and the shared registries, async hygiene in the live front end,
+(lock discipline over the :class:`~repro.core.selection.PlanCache` and
+the shared registries, async hygiene in the live front end,
 decision-path determinism behind the replay-equivalence guarantee, seeded
 RNG everywhere, frozen plan objects) were until now enforced by convention.
 This package enforces them mechanically:

@@ -6,12 +6,15 @@ Locks are recognized in two shapes, matching the repo's two idioms:
   (``_INSTANCE_CACHE_LOCK``, the TileDB registry's).  Their *order class*
   is the normalized name (``instance_cache``), the same string the runtime
   debug-lock factory tags them with.
-* **shard locks** — ``<shard>.lock`` attributes, where ``<shard>`` is a
-  variable the analyzer can see holding a :class:`_PlanCacheShard`
-  (assigned from ``._shard_for(...)``, iterated out of ``._shard_list``,
-  or ``self`` inside a ``*Shard`` class).  All shard locks share the one
-  order class ``shard``: any nesting of two of them is a deadlock risk,
-  because two threads can nest them in opposite shard order.
+* **instance locks** — attributes a class assigns from
+  ``make_lock("<order class>")``, such as the plan cache's
+  ``self._lock = make_lock("plan_cache", ...)``.  Their order class is the
+  tag the class hands :func:`~repro.analysis.runtime_checks.make_lock`.
+
+Each shape declares the state it guards by naming convention: ``_X`` is
+guarded by its sibling ``_X_LOCK`` (:func:`guarded_globals`), and a
+class's ``self._lock`` guards every other private attribute its
+``__init__`` assigns (:func:`instance_locks`).
 
 The **lock-order graph** has one node per order class and an edge
 ``A -> B`` wherever code acquires ``B`` while holding ``A`` — lexically,
@@ -28,12 +31,10 @@ import ast
 from dataclasses import dataclass
 from typing import Optional
 
-from .astutil import FunctionInfo, iter_functions
+from .astutil import FunctionInfo, dotted_name, iter_functions
 
-#: Attributes that make up a shard's lock-guarded mutable state.
-SHARD_STATE_ATTRS = frozenset(
-    {"entries", "inflight", "hits", "misses", "evictions"}
-)
+#: The instance-lock attribute that guards its class's private state.
+STATE_LOCK_ATTR = "_lock"
 
 
 def normalize_lock_name(name: str) -> str:
@@ -49,48 +50,62 @@ def normalize_lock_name(name: str) -> str:
     return stripped.lower()
 
 
-def infer_shard_vars(info: FunctionInfo) -> set:
-    """Names bound to ``_PlanCacheShard``-like objects in one function."""
-    shard_vars: set = set()
-    if info.class_name and info.class_name.endswith("Shard"):
-        shard_vars.add("self")
+def _make_lock_tag(value) -> Optional[str]:
+    """The order class of a ``make_lock("<class>", ...)`` call, else None."""
+    if (
+        isinstance(value, ast.Call)
+        and (dotted_name(value.func) or "").endswith("make_lock")
+        and value.args
+        and isinstance(value.args[0], ast.Constant)
+    ):
+        return value.args[0].value
+    return None
 
-    def from_shard_expr(value) -> bool:
-        # x = <expr>._shard_for(...)
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "_shard_for"
-        ):
-            return True
-        # x = <expr>._shard_list[i]
-        if (
-            isinstance(value, ast.Subscript)
-            and isinstance(value.value, ast.Attribute)
-            and value.value.attr == "_shard_list"
-        ):
-            return True
-        return False
 
-    def iter_is_shard_list(value) -> bool:
-        return (
-            isinstance(value, ast.Attribute) and value.attr == "_shard_list"
-        )
+def _init_assignments(tree: ast.Module):
+    """``(class, attribute, value)`` for each ``self.<attr> = value`` in a
+    class's ``__init__``."""
+    for info in iter_functions(tree):
+        if info.name != "__init__" or info.class_name is None:
+            continue
+        for node in ast.walk(info.node):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    yield info.class_name, target.attr, node.value
 
-    for node in ast.walk(info.node):
-        if isinstance(node, ast.Assign) and from_shard_expr(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    shard_vars.add(target.id)
-        elif isinstance(node, ast.For) and iter_is_shard_list(node.iter):
-            if isinstance(node.target, ast.Name):
-                shard_vars.add(node.target.id)
-        elif isinstance(node, ast.comprehension) and iter_is_shard_list(
-            node.iter
-        ):
-            if isinstance(node.target, ast.Name):
-                shard_vars.add(node.target.id)
-    return shard_vars
+
+def instance_locks(tree: ast.Module) -> tuple:
+    """One module's instance locks and the state they guard.
+
+    Returns ``(locks, guarded)``.  ``locks`` is ``{class name: {lock
+    attribute: order class}}`` for every ``self.<attr> =
+    make_lock("<class>", ...)`` in a class's ``__init__``.  ``guarded`` is
+    the class-level twin of :func:`guarded_globals`: a class whose
+    ``__init__`` makes ``self._lock`` declares that every other private
+    attribute ``__init__`` assigns (the plan cache's ``_entries``,
+    ``_inflight`` and counters) is touched only while holding it.
+    """
+    assigned = list(_init_assignments(tree))
+    locks: dict = {}
+    for cls, attr, value in assigned:
+        if (tag := _make_lock_tag(value)) is not None:
+            locks.setdefault(cls, {})[attr] = tag
+    guarded: dict = {}
+    for cls, attr, _ in assigned:
+        owned = locks.get(cls, {})
+        if STATE_LOCK_ATTR in owned and attr[0] == "_" and attr not in owned:
+            guarded.setdefault(cls, set()).add(attr)
+    return locks, guarded
 
 
 @dataclass(frozen=True)
@@ -99,36 +114,41 @@ class LockRef:
 
     ``order_class`` is the graph node; ``token`` identifies the concrete
     guard for discipline checks — ``("name", "_X_LOCK")`` for registry
-    locks, ``("attr", "<base var>")`` for attribute locks, so holding
-    ``a.lock`` is not mistaken for holding ``b.lock``.
+    locks, ``("attr", "<base var>", "<attribute>")`` for instance locks, so
+    holding ``a._lock`` is not mistaken for holding ``b._lock``.
     """
 
     order_class: str
     token: tuple
 
 
-def classify_lock(expr, shard_vars) -> Optional[LockRef]:
-    """Recognize ``with <expr>`` as a lock acquisition, or return None."""
+def classify_lock(expr, class_locks: dict) -> Optional[LockRef]:
+    """Recognize ``with <expr>`` as a lock acquisition, or return None;
+    ``class_locks`` is the enclosing class's entry in the ``locks`` map of
+    :func:`instance_locks`."""
     if isinstance(expr, ast.Name) and expr.id.upper().endswith("_LOCK"):
         return LockRef(normalize_lock_name(expr.id), ("name", expr.id))
-    if isinstance(expr, ast.Attribute) and expr.attr == "lock":
-        if isinstance(expr.value, ast.Name):
-            base = expr.value.id
-            order = "shard" if base in shard_vars else f"{base}.lock"
-            return LockRef(order, ("attr", base))
-        return LockRef("anonymous.lock", ("attr", "<expr>"))
+    if (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.attr in class_locks
+    ):
+        return LockRef(
+            class_locks[expr.attr], ("attr", expr.value.id, expr.attr)
+        )
     return None
 
 
-def walk_held(info: FunctionInfo):
+def walk_held(info: FunctionInfo, locks: Optional[dict] = None):
     """Yield ``(node, held)`` for every node in one function body.
 
     ``held`` is the tuple of :class:`LockRef` acquired by enclosing
-    ``with`` statements at that point.  Nested function/class definitions
-    are not entered — they run in their own (lock-free, analyzed
-    separately) context, not at the definition site.
+    ``with`` statements at that point (instance locks per the module's
+    ``locks`` map from :func:`instance_locks`).  Nested function/class
+    definitions are not entered — they run in their own (lock-free,
+    analyzed separately) context, not at the definition site.
     """
-    shard_vars = infer_shard_vars(info)
+    class_locks = (locks or {}).get(info.class_name, {})
     out: list = []
 
     def visit(node, held):
@@ -141,7 +161,7 @@ def walk_held(info: FunctionInfo):
             acquired = []
             for item in node.items:
                 visit(item.context_expr, held)
-                ref = classify_lock(item.context_expr, shard_vars)
+                ref = classify_lock(item.context_expr, class_locks)
                 if ref is not None:
                     acquired.append(ref)
                     out.append((("acquire", ref, item.context_expr), held))
@@ -221,6 +241,7 @@ def _callee_keys(call: ast.Call, enclosing_class: Optional[str]) -> list:
 def _module_lock_facts(module) -> tuple:
     """Per-function direct acquisitions and call sites for one module."""
     functions = iter_functions(module.tree)
+    locks, _ = instance_locks(module.tree)
     facts = {}
     tables: dict = {"func": {}, "method": {}, "class": {}}
     for info in functions:
@@ -233,7 +254,7 @@ def _module_lock_facts(module) -> tuple:
     for info in functions:
         direct: list = []  # (order_class, line)
         calls: list = []  # (held order classes, callee keys, line)
-        for node, held in walk_held(info):
+        for node, held in walk_held(info, locks):
             if isinstance(node, tuple) and node[0] == "acquire":
                 _, ref, expr = node
                 direct.append((ref.order_class, expr.lineno, held))

@@ -4,8 +4,9 @@ Every rule answers one question about an invariant the concurrency and
 reproducibility story rests on (see ``docs/static-analysis.md`` for the
 catalog with examples):
 
-* ``lock-discipline`` — shard state and ``*_LOCK``-guarded registries are
-  only touched under their lock, and the lock-order graph is acyclic.
+* ``lock-discipline`` — a lock-owning class's private state and
+  ``*_LOCK``-guarded registries are only touched under their lock, and
+  the lock-order graph is acyclic.
 * ``async-hygiene`` — no blocking calls inside ``async def`` bodies; CPU
   work goes through ``asyncio.to_thread``.
 * ``replay-determinism`` — code reachable from the scheduling decision
@@ -38,11 +39,11 @@ from .astutil import (
 )
 from .findings import Finding
 from .lockgraph import (
-    SHARD_STATE_ATTRS,
+    STATE_LOCK_ATTR,
     build_lock_graph,
     find_cycles,
     guarded_globals,
-    infer_shard_vars,
+    instance_locks,
     walk_held,
 )
 from .registry import known_rule_ids, rule
@@ -53,27 +54,27 @@ from .registry import known_rule_ids, rule
 # ----------------------------------------------------------------------
 @rule(
     "lock-discipline",
-    "Shard state and *_LOCK-guarded globals accessed only under their "
-    "lock; lock-order graph acyclic",
+    "Private state of a class with a self._lock, and *_LOCK-guarded "
+    "globals, accessed only under their lock; lock-order graph acyclic",
 )
 def check_lock_discipline(corpus):
     findings: set = set()
     for module in corpus:
         global_guards = guarded_globals(module.tree)
+        locks, state = instance_locks(module.tree)
         for info in iter_functions(module.tree):
             if info.name in CONSTRUCTOR_NAMES:
                 continue
-            shard_vars = infer_shard_vars(info)
-            for node, held in walk_held(info):
+            guarded = state.get(info.class_name, ())
+            for node, held in walk_held(info, locks):
                 if isinstance(node, tuple):
                     continue
                 tokens = {ref.token for ref in held}
                 if (
                     isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name)
-                    and node.value.id in shard_vars
-                    and node.attr in SHARD_STATE_ATTRS
-                    and ("attr", node.value.id) not in tokens
+                    and node.attr in guarded
+                    and ("attr", node.value.id, STATE_LOCK_ATTR) not in tokens
                 ):
                     base = node.value.id
                     findings.add(
@@ -82,14 +83,13 @@ def check_lock_discipline(corpus):
                             path=module.path,
                             line=node.lineno,
                             message=(
-                                f"shard state `{base}.{node.attr}` accessed "
-                                f"outside `with {base}.lock`"
+                                f"`{info.class_name}` state "
+                                f"`{base}.{node.attr}` accessed outside "
+                                f"`with {base}.{STATE_LOCK_ATTR}`"
                             ),
                             hint=(
-                                "wrap the access in `with "
-                                f"{base}.lock:` (take each shard's lock "
-                                "sequentially when aggregating, never "
-                                "nested)"
+                                f"wrap the access in `with {base}."
+                                f"{STATE_LOCK_ATTR}:`; never search under it"
                             ),
                         )
                     )

@@ -147,7 +147,8 @@ def make_lock(order_class: str, *, reentrant: bool = True):
     pay nothing for the audit capability in production.  ``order_class``
     must match the static analyzer's vocabulary
     (:func:`repro.analysis.lockgraph.normalize_lock_name` for registry
-    locks, ``"shard"`` for plan-cache shards).
+    locks; an instance lock's tag is its node, ``"plan_cache"`` for the
+    plan cache's).
     """
     if debug_locks_enabled():
         return DebugLock(order_class, reentrant=reentrant)
@@ -175,9 +176,10 @@ def verify_against_static(static_edges) -> list:
 def debug_locks_installed():
     """Force debug locks on for a block (tests).
 
-    Sets the environment variable (so shard locks created inside the block
-    are :class:`DebugLock`), swaps the TileDB registry lock for an audited
-    one, resets the observed-edge record, and restores everything after.
+    Sets the environment variable (so plan-cache locks created inside the
+    block are :class:`DebugLock`), swaps the TileDB registry lock for an
+    audited one, resets the observed-edge record, and restores everything
+    after.
     """
     from ..core import tiledb
 

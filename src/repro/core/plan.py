@@ -264,11 +264,10 @@ class PlanSpec:
         Stable across processes: every component is a primitive, a tuple, or
         a frozen value-compared dataclass (:class:`GPUSpec`).
 
-        Kinds without pattern/permutation keep the original 9-tuple layout
-        (pre-existing dumps and shard routing stay valid); nm-sparse emits
-        an 11-tuple with the two extra fields ahead of the tiledb key — the
-        key stays *last* so :meth:`PlanCache._embedded_tiledb_key` finds it
-        in either layout.
+        Kinds without pattern/permutation keep the original 9-tuple layout;
+        nm-sparse emits an 11-tuple with the two extra fields ahead of the
+        tiledb key — the key stays *last* so
+        :meth:`PlanCache._embedded_tiledb_key` finds it in either layout.
         """
         head = (
             "plan",

@@ -14,13 +14,11 @@ avoiding redundant passes over the samples.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import os
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
@@ -447,52 +445,22 @@ def sparsity_signature(sparsity_samples, *, quantum: float = SIGNATURE_QUANTUM):
     )
 
 
-#: Default shard count for new caches.  Eight shards keep bookkeeping
-#: contention negligible for the replica counts the serving stack runs
-#: (lineups of 2-8) without fragmenting the LRU into uselessly small slices.
-DEFAULT_PLAN_CACHE_SHARDS = 8
-
-
-class _PlanCacheShard:
-    """One lock domain of a :class:`PlanCache`.
-
-    ``entries`` maps key -> ``[value, stamp]`` where ``stamp`` is a
-    monotonically increasing recency counter shared by all shards, so a
-    global LRU order can be reconstructed (for persistence and
-    :meth:`PlanCache.entries`) without any cross-shard coordination on the
-    hot path.  ``inflight``
-    holds one :class:`threading.Event` per key whose Algorithm 1 search is
-    currently running — the single-flight protocol of
-    :meth:`PlanCache.get_or_compute`.
-    """
-
-    __slots__ = ("entries", "lock", "hits", "misses", "evictions", "inflight")
-
-    def __init__(self):
-        self.entries: OrderedDict = OrderedDict()
-        self.lock = make_lock("shard")
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.inflight: dict = {}
-
-
 class PlanCacheLoadError(ValueError):
     """A plan-cache dump could not be parsed or decoded.
 
     Raised by :meth:`PlanCache.load` for *corruption* — truncated or
-    invalid JSON, missing header fields, a ``capacity``, ``quantum`` or
-    ``shards`` of the wrong type or range, an ``entries`` field that is
-    not a list, undecodable entries — as distinct
-    from the plain :class:`ValueError` it raises for a well-formed dump
-    that is merely incompatible (unknown format version, foreign TileDB
-    identity).  Subclasses ``ValueError`` so existing callers that guard
-    ``load`` with one ``except`` keep working.
+    invalid JSON, missing header fields, a ``capacity`` or ``quantum`` of
+    the wrong type or range, an ``entries`` field that is not a list,
+    undecodable entries — as distinct from the plain :class:`ValueError`
+    it raises for a well-formed dump that is merely incompatible (unknown
+    format version, foreign TileDB identity).  Subclasses ``ValueError``
+    so existing callers that guard ``load`` with one ``except`` keep
+    working.
     """
 
 
 class PlanCache:
-    """Sharded, thread-safe LRU memo of kernel plans.
+    """Thread-safe LRU memo of kernel plans.
 
     The deployed PIT keeps its online search at 30-100us by reusing cover
     grids and pre-profiled tiles; a serving process goes one step further and
@@ -502,36 +470,28 @@ class PlanCache:
     plan (arbitrary plan objects are accepted — the PIT backend memoizes its
     activation-cover workloads here too, so one cache serves one process).
 
-    Keys are routed to one of ``shards`` lock domains by their
-    ``(plan kind, sparsity signature)`` so that concurrent replicas serving
-    different traffic classes never contend on one lock, and
-    :meth:`get_or_compute` runs cold searches *outside* the shard lock with
-    single-flight deduplication — a cold Algorithm 1 search neither stalls
-    warm lookups on other shards nor on its own shard, and concurrent
+    One lock guards the entries, the searches in flight and the counters,
+    and it is never held across a search: :meth:`get_or_compute` runs a
+    cold search *outside* the lock with single-flight deduplication, so a
+    cold Algorithm 1 search never stalls a warm lookup, and concurrent
     requests for the same plan run the search exactly once.
 
-    ``capacity`` bounds the total entry count; eviction pops the LRU entry
-    of the shard an insert lands on (never the entry just inserted), so
-    with entries spread across shards the cache can transiently exceed
-    ``capacity`` by at most ``shards - 1``.  ``shards=1`` reproduces the
-    pre-sharding cache decision-for-decision.
+    ``capacity`` bounds the entry count exactly; an insert past it evicts
+    the least recently used entry.
     """
 
     def __init__(
-        self,
-        capacity: int = 256,
-        *,
-        quantum: float = SIGNATURE_QUANTUM,
-        shards: int = DEFAULT_PLAN_CACHE_SHARDS,
+        self, capacity: int = 256, *, quantum: float = SIGNATURE_QUANTUM
     ):
         # bool is an Integral, but a dump header saying `true` is corrupt.
-        for name, value in (("capacity", capacity), ("shards", shards)):
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)
-                or value < 1
-            ):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if (
+            isinstance(capacity, bool)
+            or not isinstance(capacity, numbers.Integral)
+            or capacity < 1
+        ):
+            raise ValueError(
+                f"capacity must be an integer >= 1, got {capacity!r}"
+            )
         if (
             isinstance(quantum, bool)
             or not isinstance(quantum, numbers.Real)
@@ -543,183 +503,108 @@ class PlanCache:
             )
         self.capacity = capacity
         self.quantum = quantum
-        self.shards = shards
-        self._shard_list = [_PlanCacheShard() for _ in range(shards)]
-        self._stamp = itertools.count()
+        #: key -> value, least recently used first.
+        self._entries: OrderedDict = OrderedDict()
+        #: key -> :class:`threading.Event` of the search in flight for it.
+        self._inflight: dict = {}
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._lock = make_lock("plan_cache")
 
     def __len__(self) -> int:
-        # Sequential per-shard locking (never nested): the total is a
-        # consistent-enough snapshot, and no cross-shard lock order exists.
-        total = 0
-        for s in self._shard_list:
-            with s.lock:
-                total += len(s.entries)
-        return total
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key) -> bool:
-        shard = self._shard_for(key)
-        with shard.lock:
-            return key in shard.entries
+        with self._lock:
+            return key in self._entries
 
     # -- counters ---------------------------------------------------------
 
     @property
     def hits(self) -> int:
-        total = 0
-        for s in self._shard_list:
-            with s.lock:
-                total += s.hits
-        return total
+        with self._lock:
+            return self._hits
 
     @property
     def misses(self) -> int:
-        total = 0
-        for s in self._shard_list:
-            with s.lock:
-                total += s.misses
-        return total
-
-    @property
-    def evictions(self) -> int:
-        total = 0
-        for s in self._shard_list:
-            with s.lock:
-                total += s.evictions
-        return total
-
-    # -- shard routing ----------------------------------------------------
-
-    @staticmethod
-    def _shard_token(key):
-        """The (plan kind, signature) portion of a cache key.
-
-        Recognizes the two key layouts :meth:`PlanSpec.cache_key
-        <repro.core.plan.PlanSpec.cache_key>` produces — the 9-tuple
-        ``("plan", kind, m, k, n, operand, signature, fallback, db)`` and
-        the 11-tuple nm-sparse specs emit (same prefix, then ``pattern``
-        and ``permutation`` before the db key), either optionally wrapped
-        in a ``("memo", ...)`` namespace — and falls back to the whole key
-        for ad-hoc entries.  A spec and its memos co-shard, which is what
-        makes "different traffic never contends" hold.
-        """
-        body = key
-        if isinstance(body, tuple) and body and body[0] == "memo":
-            body = body[1:]
-        if isinstance(body, tuple) and len(body) in (9, 11) and body[0] == "plan":
-            return (body[1], body[6])
-        return key
-
-    def _shard_for(self, key) -> _PlanCacheShard:
-        if self.shards == 1:
-            return self._shard_list[0]
-        token = self._shard_token(key)
-        index = zlib.crc32(repr(token).encode("utf-8")) % self.shards
-        return self._shard_list[index]
+        with self._lock:
+            return self._misses
 
     # -- lookups ----------------------------------------------------------
 
     def get(self, key):
         """Look up a plan; counts a hit or a miss and refreshes recency."""
-        shard = self._shard_for(key)
-        with shard.lock:
+        with self._lock:
             try:
-                slot = shard.entries[key]
+                value = self._entries[key]
             except KeyError:
-                shard.misses += 1
+                self._misses += 1
                 return None
-            shard.entries.move_to_end(key)
-            slot[1] = next(self._stamp)
-            shard.hits += 1
-            return slot[0]
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return value
 
     def put(self, key, value) -> None:
-        shard = self._shard_for(key)
-        # Snapshot the other shards' sizes *before* taking the target
-        # shard's lock: calling `len(self)` while holding it would nest
-        # shard locks, and two inserts landing on different shards could
-        # then deadlock by nesting in opposite order.  The snapshot may be
-        # stale by the time we evict — the cache already tolerates a
-        # transient overshoot of up to `shards - 1` entries (class
-        # docstring), and single-threaded behavior is unchanged.
-        other_entries = 0
-        for s in self._shard_list:
-            if s is not shard:
-                with s.lock:
-                    other_entries += len(s.entries)
-        with shard.lock:
-            shard.entries[key] = [value, next(self._stamp)]
-            shard.entries.move_to_end(key)
-            while (
-                other_entries + len(shard.entries) > self.capacity
-                and len(shard.entries) > 1
-            ):
-                shard.entries.popitem(last=False)
-                shard.evictions += 1
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._evictions += 1
 
     def entries(self):
-        """Snapshot of ``(key, value)`` pairs in global LRU order.
+        """Snapshot of ``(key, value)`` pairs, least recently used first.
 
-        Sequential per-shard locking (never nested), same as ``__len__``:
-        the stamps let the per-shard slices merge into one oldest-first
-        order without any cross-shard lock.  This is the in-memory analogue
-        of :meth:`save` — the cluster layer uses it to seed a new worker
-        process with everything the host already knows.
+        The in-memory analogue of :meth:`save` — the cluster layer uses it
+        to seed a new worker process with everything the host already
+        knows.
         """
-        stamped = []
-        for s in self._shard_list:
-            with s.lock:
-                for key, (value, stamp) in s.entries.items():
-                    stamped.append((stamp, key, value))
-        stamped.sort(key=lambda item: item[0])
-        return [(key, value) for _, key, value in stamped]
+        with self._lock:
+            return list(self._entries.items())
 
     def get_or_compute(self, key, compute):
         """Single-flight lookup-or-search; returns ``(value, hit)``.
 
         On a hit, behaves exactly like :meth:`get`.  On a miss, the caller
-        becomes the *owner* of the search for ``key``: the shard lock is
-        released while ``compute()`` runs, so warm lookups — even on the
-        same shard — proceed during a cold Algorithm 1 search.  Concurrent
-        callers for the same key wait on the owner's result and count a hit
-        (the search ran once), so hit/miss totals match the sequential
-        schedule.  If the owner's ``compute`` raises, waiters retry —
-        exactly one of them becomes the next owner.
+        becomes the *owner* of the search for ``key``: the lock is released
+        while ``compute()`` runs, so warm lookups proceed during a cold
+        Algorithm 1 search.  Concurrent callers for the same key wait on
+        the owner's result and count a hit (the search ran once), so
+        hit/miss totals match the sequential schedule.  If the owner's
+        ``compute`` raises, waiters retry — exactly one of them becomes the
+        next owner.
         """
-        shard = self._shard_for(key)
         while True:
-            with shard.lock:
-                slot = shard.entries.get(key)
-                if slot is not None:
-                    shard.entries.move_to_end(key)
-                    slot[1] = next(self._stamp)
-                    shard.hits += 1
-                    return slot[0], True
-                waiter = shard.inflight.get(key)
-                if waiter is None:
-                    shard.inflight[key] = threading.Event()
-                    shard.misses += 1
-                    break
+            with self._lock:
+                try:
+                    value = self._entries[key]
+                except KeyError:
+                    waiter = self._inflight.get(key)
+                    if waiter is None:
+                        self._inflight[key] = threading.Event()
+                        self._misses += 1
+                        break
+                else:
+                    self._entries.move_to_end(key)
+                    self._hits += 1
+                    return value, True
             # Another thread owns the search for this key; wait and re-check.
             waiter.wait()
         try:
             value = compute()
-        except BaseException:
-            with shard.lock:
-                event = shard.inflight.pop(key, None)
-            if event is not None:
-                event.set()
-            raise
-        self.put(key, value)
-        with shard.lock:
-            event = shard.inflight.pop(key, None)
-        if event is not None:
+            self.put(key, value)
+        finally:
+            with self._lock:
+                event = self._inflight.pop(key)
             event.set()
         return value, False
 
-    #: On-disk dump format version; bumped whenever key/value encoding
-    #: changes.  Format 2 added the ``shards`` and multi-class
-    #: ``tiledb_keys`` headers; it is the only format :meth:`load` reads.
-    DUMP_FORMAT = 2
+    #: On-disk dump format version; bumped whenever key/value encoding or
+    #: the header changes.  Format 3 dropped format 2's ``shards`` header;
+    #: it is the only format :meth:`load` reads.
+    DUMP_FORMAT = 3
 
     @staticmethod
     def _embedded_tiledb_key(key):
@@ -751,29 +636,20 @@ class PlanCache:
         records ``tiledb_keys`` — every class identity found among the
         saved entries — and :meth:`load` can validate against the full set.
 
-        Entries are written oldest first (global LRU order across shards).
-        Entries whose key or value cannot be serialized (ad-hoc objects a
-        caller memoized) are skipped, not fatal.  Returns
-        ``{"entries": saved, "skipped": skipped}``.
+        Entries are written oldest first (LRU order); those whose key or
+        value cannot be serialized (ad-hoc objects a caller memoized) are
+        skipped, not fatal.  Returns ``{"entries": saved, "skipped":
+        skipped}``.
         """
         import json
 
         from .plan import encode_value
 
-        items = []
-        for shard in self._shard_list:
-            with shard.lock:
-                items.extend(
-                    (slot[1], key, slot[0])
-                    for key, slot in shard.entries.items()
-                )
-        items.sort(key=lambda item: item[0])  # oldest first
-
         primary = tuple(tiledb_key)
         class_keys = {primary: None}  # insertion-ordered set, primary first
         entries = []
         skipped = 0
-        for _, key, value in items:
+        for key, value in self.entries():
             try:
                 entries.append(
                     {"key": encode_value(key), "value": encode_value(value)}
@@ -788,7 +664,6 @@ class PlanCache:
             "format": self.DUMP_FORMAT,
             "capacity": self.capacity,
             "quantum": self.quantum,
-            "shards": self.shards,
             "tiledb_key": encode_value(primary),
             "tiledb_keys": [encode_value(k) for k in class_keys],
             "entries": entries,
@@ -829,8 +704,9 @@ class PlanCache:
         expected set; a dump carrying plans for a foreign device class
         raises and names the offending class.
 
-        The revived cache keeps the dump header's capacity, quantum and
-        shard count.
+        The revived cache keeps the dump header's capacity and quantum.
+        A dump holding more entries than its capacity revives with the
+        ``capacity`` newest; the trimmed ones count as evictions.
         """
         import json
 
@@ -888,7 +764,6 @@ class PlanCache:
         try:
             capacity = payload["capacity"]
             quantum = payload["quantum"]
-            shards = payload["shards"]
             raw_entries = payload["entries"]
         except KeyError as exc:
             raise PlanCacheLoadError(
@@ -901,13 +776,14 @@ class PlanCache:
                 f"{type(raw_entries).__name__}, expected a list"
             )
         try:
-            cache = cls(capacity, quantum=quantum, shards=shards)
+            cache = cls(capacity, quantum=quantum)
         except ValueError as exc:
             raise PlanCacheLoadError(
                 f"plan-cache dump {path} cannot be revived: {exc}"
             ) from exc
-        # Entries were dumped oldest-first, so inserting in file order
-        # rebuilds the global recency order exactly.
+        # Entries were dumped oldest first, so inserting them in file order
+        # through the LRU path rebuilds the recency order and keeps the
+        # newest `capacity` of them.
         for position, entry in enumerate(raw_entries):
             try:
                 key = decode_value(entry["key"])
@@ -917,28 +793,19 @@ class PlanCache:
                     f"plan-cache dump {path} entry {position} is "
                     f"undecodable: {exc!r}"
                 ) from exc
-            shard = cache._shard_for(key)
-            with shard.lock:
-                shard.entries[key] = [value, next(cache._stamp)]
+            cache.put(key, value)
         return cache
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict:
-        return {
-            "size": len(self),
-            "capacity": self.capacity,
-            "shards": self.shards,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-    def clear(self) -> None:
-        for shard in self._shard_list:
-            with shard.lock:
-                shard.entries.clear()
+        """One consistent snapshot of the size and counters."""
+        with self._lock:
+            hits, misses = self._hits, self._misses
+            stats = {
+                "size": len(self._entries),
+                "capacity": self.capacity,
+                "hits": hits,
+                "misses": misses,
+                "evictions": self._evictions,
+            }
+        stats["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
+        return stats

@@ -88,7 +88,6 @@ class ClusterFrontend(AsyncServingFrontend):
                 charge_selection=engine.charge_selection,
                 resilience=engine.resilience,
                 cache_capacity=plan_cache.capacity,
-                cache_shards=plan_cache.shards,
                 quantum=plan_cache.quantum,
             ))
             proc.start()

@@ -51,7 +51,6 @@ class WorkerConfig:
     charge_selection: bool = True
     resilience: Optional[ResilienceConfig] = None
     cache_capacity: int = 256
-    cache_shards: int = 8
     quantum: float = SIGNATURE_QUANTUM
 
 
@@ -88,11 +87,7 @@ def make_worker_engine(config: WorkerConfig) -> ServingEngine:
     class, same resilience config (so the deterministic fault injector
     reaches identical decisions at identical coordinates), but a
     process-private :class:`RecordingPlanCache`."""
-    cache = RecordingPlanCache(
-        config.cache_capacity,
-        quantum=config.quantum,
-        shards=config.cache_shards,
-    )
+    cache = RecordingPlanCache(config.cache_capacity, quantum=config.quantum)
     return ServingEngine(
         config.spec,
         dtype=config.dtype,

@@ -5,7 +5,7 @@ An asyncio **admission loop** accepts streaming
 applies **backpressure / load-shedding** when the in-flight depth exceeds
 the SLO-feasible bound, and **replica workers** pull closed batches from
 per-replica queues and execute them concurrently (each worker on its own
-model-backend instance, all sharing the engine's one sharded
+model-backend instance, all sharing the engine's one
 :class:`~repro.core.selection.PlanCache`).
 
 The front end makes *no scheduling decisions of its own*: every admission,
@@ -159,7 +159,7 @@ class AsyncServingFrontend:
     clock each replica's batches run through ``asyncio.to_thread`` on a
     per-worker model backend, so batches on different replicas genuinely
     execute concurrently and all plan traffic converges on the shared
-    sharded :class:`~repro.core.selection.PlanCache`.
+    :class:`~repro.core.selection.PlanCache`.
     """
 
     #: Exceptions an inline (virtual-clock) execution routes to failure

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from ..baselines import PITBackend
-from ..core.plan import Planner, PlanSpec, ResolvedPlan
+from ..core.plan import PlanSpec, ResolvedPlan
 from ..core.selection import KernelChoice, PlanCache
 from ..core.tiledb import TileDB
 from ..hw.spec import GPUSpec
@@ -186,8 +186,9 @@ class DeviceClass:
     """One distinct device type of a (possibly heterogeneous) replica fleet.
 
     Replicas of the same :class:`~repro.hw.spec.GPUSpec` share everything
-    device-specific: the backend, the profiled :class:`TileDB`, the
-    :class:`~repro.core.plan.Planner` and the analytical pricing model.
+    device-specific: the backend (and with it the class's one
+    :class:`~repro.core.plan.Planner`), the profiled :class:`TileDB` and
+    the analytical pricing model.
     Plans for different classes coexist in the engine's one
     :class:`PlanCache` because the TileDB key — which embeds the full
     ``GPUSpec`` — is part of every plan key, so adding a replica of an
@@ -199,7 +200,6 @@ class DeviceClass:
     spec: GPUSpec
     backend: PITBackend
     tiledb: TileDB
-    planner: Planner
     #: A second backend of the same device *not* attached to the shared
     #: plan cache: cost-aware placement prices candidate workloads through
     #: it, and pricing must not perturb the serving cache's hit/miss
@@ -688,25 +688,15 @@ class ServingEngine:
                 spec=dev_spec,
                 backend=dev_backend,
                 tiledb=dev_backend.tiledb,
-                planner=Planner(dev_backend.tiledb, self.plan_cache),
                 pricing_backend=PITBackend(dev_spec, dtype),
             )
-        primary = self._device_classes[spec]
         #: DeviceClass serving each replica id, in lineup order.
         self.replica_devices = [
             self._device_classes[s] for s in replica_specs
         ]
-        # Compatibility surface: `engine.backend/tiledb/planner` name the
-        # engine's own device class.  (Execution always targets a replica's
-        # class — the drain policy runs on replica 0's, which differs from
-        # this surface only when `spec` is absent from `replica_specs`.)
-        self.backend = primary.backend
-        self.tiledb = primary.tiledb
-        #: The single Algorithm 1 entry point for every serving-path plan —
-        #: proj, ffn-act, attention and moe-grouped specs all resolve here
-        #: (per device class in a heterogeneous lineup), against the one
-        #: shared PlanCache.
-        self.planner = primary.planner
+        #: The engine's own device class's TileDB: the identity a saved
+        #: plan cache is stamped with (:meth:`save_plan_cache`).
+        self.tiledb = self._device_classes[spec].tiledb
         #: Memoized analytical exec-time estimates for cost-aware placement,
         #: keyed by (batch signature, device spec): the first batch of a
         #: traffic shape prices one simulated run per device class, and
@@ -1008,7 +998,7 @@ class ServingEngine:
         ):
             return self._degraded_plan(device, spec)
         try:
-            return device.planner.resolve(spec, make_samples)
+            return device.backend.planner.resolve(spec, make_samples)
         except Exception:
             if self.resilience is None:
                 raise

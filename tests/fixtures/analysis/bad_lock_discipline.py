@@ -1,7 +1,10 @@
-"""Known-bad: shard state and guarded registries touched without locks,
-plus an inconsistent lock-order pair.  Never imported — parsed only."""
+"""Known-bad: a lock-owning cache's state and a guarded registry touched
+without their locks, plus an inconsistent lock-order pair.  Never
+imported — parsed only."""
 
 import threading
+
+from repro.analysis.runtime_checks import make_lock
 
 _REG: dict = {}
 _REG_LOCK = threading.Lock()
@@ -10,13 +13,18 @@ _A_LOCK = threading.Lock()
 _B_LOCK = threading.Lock()
 
 
-def put_unlocked(cache, key, value):
-    shard = cache._shard_for(key)
-    shard.entries[key] = value  # expect[lock-discipline]
+class Cache:
+    def __init__(self):
+        self._entries = {}
+        self._hits = 0
+        self._lock = make_lock("plan_cache")
 
+    def put_unlocked(self, key, value):
+        self._entries[key] = value  # expect[lock-discipline]
 
-def total_hits(cache):
-    return sum(s.hits for s in cache._shard_list)  # expect[lock-discipline]
+    @property
+    def hits(self):
+        return self._hits  # expect[lock-discipline]
 
 
 def register_unlocked(name, value):

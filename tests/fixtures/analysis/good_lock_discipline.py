@@ -2,6 +2,8 @@
 
 import threading
 
+from repro.analysis.runtime_checks import make_lock
+
 _REG: dict = {}
 _REG_LOCK = threading.Lock()
 
@@ -9,18 +11,20 @@ _A_LOCK = threading.Lock()
 _B_LOCK = threading.Lock()
 
 
-def put_locked(cache, key, value):
-    shard = cache._shard_for(key)
-    with shard.lock:
-        shard.entries[key] = value
+class Cache:
+    def __init__(self):
+        self._entries = {}
+        self._hits = 0
+        self._lock = make_lock("plan_cache")
 
+    def put_locked(self, key, value):
+        with self._lock:
+            self._entries[key] = value
 
-def total_hits(cache):
-    total = 0
-    for s in cache._shard_list:
-        with s.lock:
-            total += s.hits
-    return total
+    @property
+    def hits(self):
+        with self._lock:
+            return self._hits
 
 
 def register_locked(name, value):

@@ -167,6 +167,71 @@ class TestSuppressions:
         assert extract_suppressions(source, "f.py") == []
 
 
+class TestInstanceLocks:
+    def lint(self, tmp_path, source):
+        path = tmp_path / "mod.py"
+        path.write_text(textwrap.dedent(source))
+        corpus = load_corpus([str(path)], root=str(tmp_path))
+        return analyze(corpus).findings, static_lock_order(corpus)
+
+    def test_only_self_lock_guards_private_state(self, tmp_path):
+        """A lock attribute other than ``_lock`` names a graph node by its
+        ``make_lock`` tag but declares no guarded state."""
+        findings, graph = self.lint(
+            tmp_path,
+            """\
+            from repro.analysis.runtime_checks import make_lock
+
+
+            class Channel:
+                def __init__(self, sock):
+                    self._sock = sock
+                    self._send_lock = make_lock("transport")
+
+                def send(self, frame):
+                    with self._send_lock:
+                        self._sock.sendall(frame)
+
+                def recv(self):
+                    return self._sock.recv(4)
+            """,
+        )
+        assert findings == []
+        assert graph["nodes"] == ["transport"]
+
+    def test_other_instances_need_their_own_lock(self, tmp_path):
+        """Inside the class, state reached through another name must hold
+        that name's lock; holding ``self._lock`` is not enough."""
+        findings, graph = self.lint(
+            tmp_path,
+            """\
+            from repro.analysis.runtime_checks import make_lock
+
+
+            class Cache:
+                def __init__(self):
+                    self._entries = {}
+                    self._lock = make_lock("plan_cache")
+
+                @classmethod
+                def revive(cls, items):
+                    cache = cls()
+                    with cache._lock:
+                        cache._entries.update(items)
+                    return cache
+
+                def merge_into(self, other):
+                    with self._lock:
+                        other._entries.update(self._entries)
+            """,
+        )
+        assert [(f.rule, f.line) for f in findings] == [
+            ("lock-discipline", 18)
+        ]
+        assert "other._entries" in findings[0].message
+        assert graph["nodes"] == ["plan_cache"]
+
+
 class TestLiveRepo:
     def test_src_is_finding_free(self):
         """The CI gate: the shipped tree carries no violations and no
@@ -177,7 +242,7 @@ class TestLiveRepo:
     def test_static_lock_graph_shape(self):
         corpus = load_corpus([str(SRC)], root=str(REPO_ROOT))
         graph = static_lock_order(corpus)
-        assert {"shard", "instance_cache"} <= set(graph["nodes"])
+        assert {"plan_cache", "instance_cache"} <= set(graph["nodes"])
         # The serving stack's strongest concurrency claim: no code path
         # holds one lock while taking another, so ordering deadlocks are
         # impossible by construction.
@@ -214,10 +279,10 @@ class TestDebugLock:
 
     def test_same_class_nesting_is_a_self_cycle(self):
         reset_observed()
-        shard_a, shard_b = DebugLock("shard"), DebugLock("shard")
-        with pytest.raises(LockOrderError, match="shard"):
-            with shard_a:
-                with shard_b:
+        cache_a, cache_b = DebugLock("plan_cache"), DebugLock("plan_cache")
+        with pytest.raises(LockOrderError, match="plan_cache"):
+            with cache_a:
+                with cache_b:
                     pass
 
     def test_reentrant_reacquisition_records_nothing(self):
@@ -230,11 +295,11 @@ class TestDebugLock:
 
     def test_make_lock_is_env_gated(self, monkeypatch):
         monkeypatch.delenv("REPRO_DEBUG_LOCKS", raising=False)
-        assert not isinstance(make_lock("shard"), DebugLock)
+        assert not isinstance(make_lock("plan_cache"), DebugLock)
         monkeypatch.setenv("REPRO_DEBUG_LOCKS", "1")
-        audited = make_lock("shard")
+        audited = make_lock("plan_cache")
         assert isinstance(audited, DebugLock)
-        assert audited.order_class == "shard"
+        assert audited.order_class == "plan_cache"
 
     def test_verify_against_static_reports_extras(self):
         reset_observed()
@@ -248,14 +313,14 @@ class TestDebugLock:
 
 class TestStaticDynamicAgreement:
     def test_threaded_workload_observes_no_unpredicted_edge(self):
-        """Hammer the sharded cache and the TileDB registry under debug
+        """Hammer the plan cache and the TileDB registry under debug
         locks; every observed acquisition-order edge must be predicted by
         the static graph (which predicts none at all)."""
         corpus = load_corpus([str(SRC)], root=str(REPO_ROOT))
         static_edges = static_lock_order(corpus)["edges"]
 
         with debug_locks_installed():
-            cache = PlanCache(capacity=8, shards=4)
+            cache = PlanCache(capacity=8)
             keys = [
                 ("plan", "proj", 1, 1, 1, "A", (s,), True, "db")
                 for s in range(16)
@@ -282,6 +347,7 @@ class TestStaticDynamicAgreement:
             assert not any(t.is_alive() for t in threads)
             violations = verify_against_static(static_edges)
         assert violations == []
+        assert len(cache) <= 8
 
 
 class TestCLI:

@@ -347,8 +347,6 @@ class TestPlanCachePersistence:
             ("quantum", float("nan")),
             ("capacity", "256"),
             ("capacity", 0),
-            ("shards", 0),
-            ("shards", 2.5),
             ("entries", 5),
             ("entries", None),
         ],

@@ -398,7 +398,7 @@ class TestPlanCache:
         for n in (128, 256, 512):
             planned(planner, [masks[n]], 256, 256, n)
         assert len(cache) == 2
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         # The oldest entry (n=128) was evicted: looking it up misses again.
         misses = cache.misses
         planned(planner, [masks[128]], 256, 256, 128)

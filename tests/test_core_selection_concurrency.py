@@ -1,19 +1,20 @@
-"""Tests for the sharded, thread-safe PlanCache.
+"""Tests for the thread-safe PlanCache.
 
 The concurrency contract the live serving front end rests on:
 
-* a cold Algorithm 1 search never head-of-line-blocks warm lookups — not
-  on other shards (per-shard locks) and not even on its own shard (the
-  single-flight protocol releases the shard lock around ``compute``);
+* a cold Algorithm 1 search never head-of-line-blocks warm lookups (the
+  single-flight protocol releases the cache's one lock around
+  ``compute``);
 * concurrent resolves of one key run the search exactly once, and the
   hit/miss totals match the sequential schedule;
+* ``capacity`` holds exactly and eviction is least recently used first;
 * the shared-cache registry survives being hammered from threads;
-* persistence: LRU age-out caps a dump without losing the zero-cold-search
-  replay property for what remains, and multi-class dumps validate against
-  every device class they contain.
+* persistence: a revived dump keeps its newest ``capacity`` entries, and
+  multi-class dumps validate against every device class they contain.
 """
 
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from repro.analysis.runtime_checks import (
 )
 from repro.core import PlanCache, PlanCacheLoadError, Planner, TileDB
 from repro.core.plan import encode_value
-from repro.core.selection import DEFAULT_PLAN_CACHE_SHARDS
 from repro.hw import A100, V100
 from repro.sparsity import granular_mask
 
@@ -55,28 +55,15 @@ def lock_order_audit(static_lock_edges):
         assert verify_against_static(static_lock_edges) == []
 
 
-def keys_on_distinct_shards(cache, count=2):
-    """Generate plan-style keys until ``count`` land on distinct shards."""
-    picked = []
-    shards_seen = set()
-    signature = 0
-    while len(picked) < count:
-        key = ("plan", "proj", 128, 64, 64, "A", (signature,), True, "db")
-        shard = cache._shard_for(key)
-        if id(shard) not in shards_seen:
-            shards_seen.add(id(shard))
-            picked.append(key)
-        signature += 1
-        assert signature < 1000, "shard routing is degenerate"
-    return picked
-
-
 @pytest.mark.usefixtures("lock_order_audit")
-class TestShardContention:
-    def test_cold_search_does_not_block_other_shards(self):
-        """A get on shard B completes while a cold search holds shard A."""
-        cache = PlanCache(shards=8)
-        cold_key, warm_key = keys_on_distinct_shards(cache)
+class TestPlanCacheContention:
+    def test_cold_search_does_not_block_warm_hits(self):
+        """Single-flight releases the cache's lock during compute, so warm
+        lookups, inserts and size reads all proceed during a cold search."""
+        cache = PlanCache()
+        cold_key = ("plan", "proj", 128, 64, 64, "A", (1,), True, "db")
+        warm_key = ("plan", "proj", 128, 64, 64, "A", (2,), True, "db")
+        other_key = ("plan", "proj", 128, 64, 64, "A", (3,), True, "db")
         cache.put(warm_key, "warm-value")
 
         in_search = threading.Event()
@@ -93,59 +80,27 @@ class TestShardContention:
         owner.start()
         try:
             assert in_search.wait(timeout=30.0)
-            # The cold search is in flight right now.  A warm lookup on the
-            # other shard must complete without waiting for it — if the two
-            # serialized on one lock, this join would time out.
+            # The cold search is in flight right now.  Warm traffic must
+            # complete without waiting for it — if the lock were held
+            # across the search, this join would time out.
             warm_result = []
-            reader = threading.Thread(
-                target=lambda: warm_result.append(cache.get(warm_key))
-            )
+
+            def warm_traffic():
+                warm_result.append(cache.get(warm_key))
+                cache.put(other_key, "other-value")
+                warm_result.append(len(cache))
+
+            reader = threading.Thread(target=warm_traffic)
             reader.start()
             reader.join(timeout=30.0)
             assert not reader.is_alive(), (
-                "warm lookup blocked behind a cold search on another shard"
+                "warm lookup blocked behind a cold search"
             )
-            assert warm_result == ["warm-value"]
+            assert warm_result == ["warm-value", 2]
         finally:
             release_search.set()
             owner.join(timeout=30.0)
         assert cache.get(cold_key) == "cold-value"
-
-    def test_cold_search_does_not_block_same_shard_warm_hits(self):
-        """Single-flight releases the shard lock during compute, so even
-        same-shard warm traffic proceeds during a cold search."""
-        cache = PlanCache(shards=1)  # everything on one shard by force
-        cold_key = ("plan", "proj", 128, 64, 64, "A", (1,), True, "db")
-        warm_key = ("plan", "proj", 128, 64, 64, "A", (2,), True, "db")
-        cache.put(warm_key, "warm-value")
-
-        in_search = threading.Event()
-        release_search = threading.Event()
-
-        def slow_search():
-            in_search.set()
-            assert release_search.wait(timeout=30.0)
-            return "cold-value"
-
-        owner = threading.Thread(
-            target=lambda: cache.get_or_compute(cold_key, slow_search)
-        )
-        owner.start()
-        try:
-            assert in_search.wait(timeout=30.0)
-            warm_result = []
-            reader = threading.Thread(
-                target=lambda: warm_result.append(cache.get(warm_key))
-            )
-            reader.start()
-            reader.join(timeout=30.0)
-            assert not reader.is_alive(), (
-                "warm lookup blocked behind a same-shard cold search"
-            )
-            assert warm_result == ["warm-value"]
-        finally:
-            release_search.set()
-            owner.join(timeout=30.0)
 
     def test_single_flight_runs_the_search_once(self):
         """N concurrent resolvers of one key: one search, N-1 hits."""
@@ -174,6 +129,50 @@ class TestShardContention:
         assert cache.misses == 1
         assert cache.hits == 7
 
+    def test_counters_and_capacity_survive_a_thread_storm(self):
+        """More threads than cores, a tiny switch interval, and more keys
+        than capacity: a lost update on an entry or a counter would break
+        the books below."""
+        cache = PlanCache(capacity=8)
+        keys = [
+            ("plan", "proj", 1, 1, 1, "A", (signature,), True, "db")
+            for signature in range(24)
+        ]
+        barrier = threading.Barrier(8)
+        tallies = []
+
+        def storm(offset):
+            hits = misses = 0
+            barrier.wait()
+            for i in range(200):
+                key = keys[(7 * i + offset) % len(keys)]
+                value, hit = cache.get_or_compute(key, lambda k=key: k[6])
+                assert value == key[6]
+                hits, misses = hits + hit, misses + (not hit)
+            tallies.append((hits, misses))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=storm, args=(i,)) for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert len(tallies) == 8
+        stats = cache.stats()
+        assert stats["hits"] == sum(h for h, _ in tallies)
+        assert stats["misses"] == sum(m for _, m in tallies)
+        assert stats["hits"] + stats["misses"] == 8 * 200
+        # Every miss inserted one new key; every eviction removed one.
+        assert stats["size"] == 8
+        assert stats["misses"] - stats["evictions"] == stats["size"]
+
     def test_failed_search_propagates_and_releases_waiters(self):
         cache = PlanCache()
         key = ("plan", "proj", 128, 64, 64, "A", (9,), True, "db")
@@ -187,9 +186,39 @@ class TestShardContention:
         value, hit = cache.get_or_compute(key, lambda: "ok")
         assert value == "ok" and not hit
 
+    def test_failed_insert_releases_the_search_claim(self):
+        """An owner whose insert raises after a successful search still
+        drops its in-flight claim: a later resolve of the key searches
+        again instead of waiting forever on the dead owner."""
+
+        class FailingPut(PlanCache):
+            fail = True
+
+            def put(self, key, value):
+                if self.fail:
+                    raise MemoryError("insert failed")
+                super().put(key, value)
+
+        cache = FailingPut()
+        key = ("plan", "proj", 128, 64, 64, "A", (10,), True, "db")
+        with pytest.raises(MemoryError):
+            cache.get_or_compute(key, lambda: "lost")
+        cache.fail = False
+        result = []
+        retry = threading.Thread(
+            target=lambda: result.append(
+                cache.get_or_compute(key, lambda: "ok")
+            ),
+            daemon=True,
+        )
+        retry.start()
+        retry.join(timeout=30.0)
+        assert not retry.is_alive(), "resolve waited on a dead owner"
+        assert result == [("ok", False)]
+
     def test_sequential_counters_match_legacy(self):
         """get/put/get_or_compute counting is unchanged single-threaded."""
-        cache = PlanCache(shards=DEFAULT_PLAN_CACHE_SHARDS)
+        cache = PlanCache()
         key = ("plan", "proj", 128, 64, 64, "A", (3,), True, "db")
         assert cache.get(key) is None
         value, hit = cache.get_or_compute(key, lambda: "v")
@@ -199,14 +228,19 @@ class TestShardContention:
         # from the warm get.
         assert (cache.hits, cache.misses) == (1, 2)
 
-    def test_eviction_spreads_no_worse_than_capacity_plus_shards(self):
-        cache = PlanCache(capacity=4, shards=8)
-        for signature in range(32):
-            cache.put(
-                ("plan", "proj", 1, 1, 1, "A", (signature,), True, "db"), signature
-            )
-        assert len(cache) <= 4 + 8 - 1
-        assert cache.evictions >= 32 - (4 + 8 - 1)
+    def test_eviction_is_exact_lru(self):
+        """Capacity holds exactly, and what survives is the newest entries
+        in recency order."""
+        cache = PlanCache(capacity=4)
+        keys = [
+            ("plan", "proj", 1, 1, 1, "A", (signature,), True, "db")
+            for signature in range(32)
+        ]
+        for signature, key in enumerate(keys):
+            cache.put(key, signature)
+        assert len(cache) == 4
+        assert cache.stats()["evictions"] == 28
+        assert cache.entries() == [(key, 28 + i) for i, key in enumerate(keys[28:])]
 
 
 @pytest.mark.usefixtures("lock_order_audit")
@@ -287,8 +321,37 @@ class TestPersistence:
             PlanCache.load(path, expected_tiledb_key=tiledb.cache_key)
         assert not isinstance(excinfo.value, PlanCacheLoadError)
 
-    def test_load_respects_dump_shards(self, tiledb, tmp_path):
-        cache = PlanCache(shards=3)
+    def test_format_2_dump_is_unsupported(self, tiledb, tmp_path):
+        """The sharded cache's dumps (format 2, with a ``shards`` header)
+        fail as an unsupported format, like format 1."""
+        path = tmp_path / "plans.json"
+        PlanCache().save(path, tiledb_key=tiledb.cache_key)
+        payload = json.loads(path.read_text())
+        payload.update(format=2, shards=8)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported") as excinfo:
+            PlanCache.load(path, expected_tiledb_key=tiledb.cache_key)
+        assert not isinstance(excinfo.value, PlanCacheLoadError)
+
+    def test_load_keeps_the_newest_capacity_entries(self, tiledb, tmp_path):
+        """A dump holding more entries than its header's capacity revives
+        with the newest ``capacity`` of them (the file is oldest first),
+        and stays at capacity after another insert."""
+        keys = [
+            ("plan", "proj", 1, 1, 1, "A", (signature,), True, "db")
+            for signature in range(8)
+        ]
+        cache = PlanCache(capacity=8)
+        for signature, key in enumerate(keys):
+            cache.put(key, signature)
         path = tmp_path / "plans.json"
         cache.save(path, tiledb_key=tiledb.cache_key)
-        assert PlanCache.load(path).shards == 3
+        payload = json.loads(path.read_text())
+        payload["capacity"] = 3
+        path.write_text(json.dumps(payload))
+
+        revived = PlanCache.load(path)
+        assert revived.capacity == 3
+        assert revived.entries() == [(key, 5 + i) for i, key in enumerate(keys[5:])]
+        revived.put(("plan", "proj", 1, 1, 1, "A", (8,), True, "db"), 8)
+        assert len(revived) == 3

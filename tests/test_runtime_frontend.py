@@ -255,7 +255,7 @@ class TestLiveServing:
     def test_live_serving_zero_extra_cold_searches(self):
         """The same workloads served live (real workers, real clock) run
         exactly as many cold Algorithm 1 searches as the simulated
-        schedule: the sharded cache's single-flight resolve never
+        schedule: the plan cache's single-flight resolve never
         duplicates a search across concurrent workers."""
         workloads = [bert_workload("mnli", 2, seed=i % 3) for i in range(10)]
 

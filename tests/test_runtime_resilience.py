@@ -437,11 +437,7 @@ class TestDegradedPlanning:
         # The process-wide cache also holds the backend's cover-workload
         # memos; what must never appear is an Algorithm 1 outcome — every
         # search was injected to fail, so every plan was degraded.
-        cached = [
-            slot[0]
-            for shard in engine.plan_cache._shard_list
-            for slot in shard.entries.values()
-        ]
+        cached = [value for _, value in engine.plan_cache.entries()]
         assert not any(isinstance(value, KernelChoice) for value in cached)
 
 

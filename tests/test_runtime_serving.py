@@ -298,7 +298,7 @@ class TestServingRun:
 
     def test_legacy_resolve_plan_shim_removed(self):
         """The one-release deprecation shim is gone: serving plans resolve
-        only through ``ServingEngine.planner`` as PlanSpecs."""
+        only through each device class's planner as PlanSpecs."""
         assert not hasattr(ServingEngine, "_resolve_plan")
 
 
@@ -352,7 +352,9 @@ class TestPlanPersistence:
 
     def test_pit_backend_shares_engine_plan_cache(self):
         engine = make_engine()
-        assert engine.backend.plan_cache is engine.plan_cache
+        backend = engine.device_for_replica(0).backend
+        assert backend.plan_cache is engine.plan_cache
+        assert backend.planner.cache is engine.plan_cache
 
     def test_describe_mentions_hit_rate(self):
         engine = make_engine()
@@ -575,7 +577,10 @@ class TestHeterogeneousEngine:
         assert engine.replicas == 3
         assert [d.spec for d in engine.replica_devices] == [V100, V100, V100]
         assert engine.device_for_replica(2) is engine.device_for_replica(0)
-        assert engine.device_for_replica(1).backend is engine.backend
+        assert (
+            engine.device_for_replica(1).backend
+            is engine.device_for_replica(0).backend
+        )
 
     def test_conflicting_replica_counts_rejected(self):
         from repro.hw import A100

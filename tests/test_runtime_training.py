@@ -93,9 +93,8 @@ class TestTrainingPlanSpecs:
                      tiledb_key=tiledb.cache_key)
 
     def test_legacy_cache_key_layout_unchanged(self, tiledb):
-        """Kinds without pattern/permutation keep the 9-tuple key, so old
-        dumps and the shard router keep working; nm-sparse grows to 11
-        with the tiledb key still last."""
+        """Kinds without pattern/permutation keep the 9-tuple key;
+        nm-sparse grows to 11 with the tiledb key still last."""
         legacy = PlanSpec(kind="proj", m=128, k=64, n=64,
                           signature=(7, 20, 20), tiledb_key=tiledb.cache_key)
         assert len(legacy.cache_key()) == 9
