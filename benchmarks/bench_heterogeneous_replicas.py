@@ -25,6 +25,12 @@ model.  This benchmark gates the three properties that design exists for:
    classes must add exactly zero cold Algorithm 1 searches — plans are
    keyed per class, not per replica.
 
+Every engine here excludes measured selection wall time from the simulated
+schedule (``charge_selection=False``, as the goldens and perfbench do), so
+gate 2 compares simulated latencies that do not depend on host load; a
+fourth check serves the mixed cost-aware lineup twice and requires
+bit-identical reports.
+
 Each run appends a record to the ``BENCH_serving.json`` trajectory (a JSON
 list, like the ``BENCH_selection.json`` perf trajectory but cumulative), so
 future PRs can regress against the serving-layer history.
@@ -59,7 +65,8 @@ NUM_REQUESTS = 31
 GAP_US = 4000.0
 BATCH_WINDOW_US = 500.0
 #: Cost-aware placement must cut mean latency at least this much on the
-#: mixed lineup (observed: ~1.3x; the fp16 A100/V100 exec gap is ~1.45x).
+#: mixed lineup (observed: 1.20x, with makespan 1.008x; the fp16 A100/V100
+#: exec gap is ~1.45x).
 LATENCY_GATE = 1.15
 
 IDENTICAL_LINEUP = [V100, V100, V100]
@@ -87,6 +94,7 @@ def serve(cache, *, lineup, placement, gap_us=GAP_US):
         batch_window_us=BATCH_WINDOW_US,
         plan_cache=cache,
         enforce_memory=False,
+        charge_selection=False,
     )
     engine.submit_many(stream(), interarrival_us=gap_us)
     return engine.run(policy="continuous")
@@ -158,6 +166,19 @@ def main():
 
     mixed_ll = serve_mixed("least-loaded")
     mixed_ca = serve_mixed("cost-aware")
+    # The simulated clock reads no wall time, so a second serve of the
+    # same lineup must report the same schedule, bit for bit.
+    mixed_again = serve_mixed("cost-aware")
+    repeatable = (
+        mixed_again.mean_latency_us == mixed_ca.mean_latency_us
+        and canonical(mixed_again) == canonical(mixed_ca)
+    )
+    if not repeatable:
+        failures.append(
+            f"mixed lineup: two cost-aware serves differ (mean latency "
+            f"{mixed_ca.mean_latency_us:.1f} vs "
+            f"{mixed_again.mean_latency_us:.1f} us)"
+        )
     speedup = (
         mixed_ll.makespan_us / mixed_ca.makespan_us
         if mixed_ca.makespan_us > 0
@@ -223,6 +244,10 @@ def main():
         f"makespan gate: cost-aware = {speedup:.3f}x least-loaded "
         f"(mean latency {latency_cut:.2f}x better)"
     )
+    print(
+        f"determinism gate: a second cost-aware serve is "
+        f"{'bit-identical' if repeatable else 'DIFFERENT'}"
+    )
 
     # --- Gate 3: scale-out of seen classes adds zero cold searches -------
     shared = PlanCache()
@@ -255,6 +280,7 @@ def main():
             "makespan_cost_aware_us": mixed_ca.makespan_us,
             "makespan_speedup": speedup,
             "mean_latency_cut": latency_cut,
+            "repeatable": repeatable,
             "p95_latency_least_loaded_us": mixed_ll.p95_latency_us,
             "p95_latency_cost_aware_us": mixed_ca.p95_latency_us,
             "extra_cold_searches": extra_cold,

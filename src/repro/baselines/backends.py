@@ -72,10 +72,12 @@ class ModelBackend:
             )
         self.spec = spec
         self.dtype = dtype
+        #: Bytes per element of ``dtype``: every booking multiplies by it.
+        self._dsize = dtype_bytes(dtype)
         self.tensor_core = dtype == "float16" and spec.has_tensor_cores
         self.tiledb = TileDB.shared(spec, dtype, tensor_core=self.tensor_core)
         self._fusion_active = False
-        #: (tile, load_efficiency) -> (step, fixed) times: device constants.
+        #: (tm, tk, tn, load_efficiency) -> (step, fixed) times: device constants.
         self._tile_times: dict = {}
 
     def set_fusion(self, active: bool, lengths=None) -> None:
@@ -91,9 +93,6 @@ class ModelBackend:
     # ------------------------------------------------------------------
     # Shared cost helpers
     # ------------------------------------------------------------------
-    def _dsize(self) -> int:
-        return dtype_bytes(self.dtype)
-
     def _matmul_us(self, m: int, k: int, n: int, *, batch: int = 1) -> float:
         """Dense matmul latency with the best profiled tile."""
         if m <= 0 or k <= 0 or n <= 0 or batch <= 0:
@@ -122,9 +121,12 @@ class ModelBackend:
         """Latency of a fused kernel given its tile workload."""
         if total_steps <= 0:
             return self.spec.kernel_launch_us
-        times = self._tile_times.get((tile, load_efficiency))
+        # Keyed by the extents: a tuple of numbers hashes without calling
+        # the dataclass's Python-level __hash__.
+        key = (tile.tm, tile.tk, tile.tn, load_efficiency)
+        times = self._tile_times.get(key)
         if times is None:
-            times = self._tile_times[tile, load_efficiency] = (
+            times = self._tile_times[key] = (
                 matmul_step_time_us(
                     tile, self.dtype, self.spec,
                     tensor_core=self.tensor_core,
@@ -145,7 +147,7 @@ class ModelBackend:
             return
         if self._fusion_active and label in self.INTERMEDIATE_LABELS:
             return  # fused kernels never materialize these
-        mem.alloc(int(num_elems) * self._dsize(), label, category=category)
+        mem.alloc(int(num_elems) * self._dsize, label, category=category)
 
     # ------------------------------------------------------------------
     # Token accounting (padding semantics)
@@ -272,10 +274,6 @@ class ModelBackend:
         self._alloc(mem, routing.num_tokens * d_model, "moe.out")
         reports.append(ExecReport(op="moe.sequential", latency_us=total))
         return reports
-
-    # ------------------------------------------------------------------
-    def weight_bytes(self, num_params: int) -> int:
-        return num_params * self._dsize()
 
 
 class TVMBackend(ModelBackend):

@@ -27,10 +27,11 @@ from ..core.kernels import kernel_from_choice
 from ..core.plan import Planner, PlanSpec, ResolvedPlan
 from ..core.selection import PermutedChoice
 from ..hw.costmodel import elementwise_time_us, layernorm_time_us
+from ..hw.memory import stream_time_us
 from ..hw.memtracker import MemoryTracker
-from ..hw.spec import dtype_bytes
 from ..hw.timeline import ExecReport
 from ..sparsity.activation import relu_activation_mask
+from ..sparsity.attention import as_mask_stats
 from .backends import ModelBackend
 
 
@@ -82,10 +83,12 @@ class PITBackend(ModelBackend):
         """(real tokens, batch size, max length) of ``lengths``."""
         if self._run_facts is not None and self._run_facts[0] is lengths:
             return self._run_facts[1]
-        lengths = np.asarray(lengths)
-        if not lengths.size:
+        # Python ints: a batch holds at most a few hundred sequences, and
+        # the builtins reduce them without numpy's per-call overhead.
+        values = np.asarray(lengths).tolist()
+        if not values:
             return 0, 0, 0
-        return int(lengths.sum()), int(lengths.size), int(lengths.max())
+        return int(sum(values)), len(values), int(max(values))
 
     # ------------------------------------------------------------------
     def padded_tokens(self, lengths) -> int:
@@ -107,7 +110,7 @@ class PITBackend(ModelBackend):
 
     def layernorm(self, lengths, d_model: int) -> list:
         latency = layernorm_time_us(
-            self.padded_tokens(lengths), d_model, self.dtype, self.spec
+            self._token_facts(lengths)[0], d_model, self.dtype, self.spec
         )
         return [ExecReport(
             op="layernorm", latency_us=latency * self.FUSION_LAUNCH_SAVING
@@ -115,7 +118,7 @@ class PITBackend(ModelBackend):
 
     def pointwise(self, lengths, d_model: int, *, label: str = "residual") -> list:
         latency = elementwise_time_us(
-            self.padded_tokens(lengths) * d_model, self.dtype, self.spec,
+            self._token_facts(lengths)[0] * d_model, self.dtype, self.spec,
             num_inputs=2,
         )
         return [ExecReport(
@@ -243,7 +246,7 @@ class PITBackend(ModelBackend):
         seed: int = 0, mem: Optional[MemoryTracker] = None,
     ) -> list:
         reports = self.linear(lengths, d_model, d_ff, label="ffn.in", mem=mem)
-        tokens = self.padded_tokens(lengths)
+        tokens = self._token_facts(lengths)[0]
         reports.append(
             ExecReport(
                 op=f"ffn.{activation}",
@@ -320,8 +323,6 @@ class PITBackend(ModelBackend):
     def _attention_masked(self, lengths, heads, head_dim, attn_mask, mem) -> list:
         """Dynamic sparse attention: cover the [s, s] mask with (1, 32)
         micro-tiles; compute QK^T/softmax/PV only on covered positions."""
-        from ..sparsity.attention import as_mask_stats
-
         batch = int(np.asarray(lengths).size)
         stats = as_mask_stats(attn_mask, micro_w=self.MICRO_W)
         # Micro-tile selection: the finest transaction-sized micro-tile
@@ -356,9 +357,7 @@ class PITBackend(ModelBackend):
         return self._tiled_matmul_us(steps, out_tiles, tile)
 
     def _stream_scores_us(self, score_elems: float, *, passes: int) -> float:
-        from ..hw.memory import stream_time_us
-
-        nbytes = int(score_elems) * dtype_bytes(self.dtype)
+        nbytes = int(score_elems) * self._dsize
         return passes * stream_time_us(nbytes, self.spec) + self.spec.kernel_launch_us
 
     # ------------------------------------------------------------------
@@ -368,12 +367,12 @@ class PITBackend(ModelBackend):
     ) -> list:
         """Grouped sparse expert FFN: SRead tokens per expert, dense tiles,
         SWrite back — cost follows total tokens, not the busiest expert."""
-        tokens = routing.num_tokens
-        key = ("moe", tokens, routing.num_experts, d_model, d_ff)
+        tokens, experts = routing.num_tokens, routing.counts.size
+        key = ("moe", tokens, experts, d_model, d_ff)
         consts = self._run_consts.get(key)
         if consts is None:
             tile = self.tiledb.best_dense_tile(
-                max(32, tokens // max(1, routing.num_experts)), d_model, d_ff,
+                max(32, tokens // max(1, experts)), d_model, d_ff,
             ).tile
             consts = (
                 tile,
@@ -388,7 +387,7 @@ class PITBackend(ModelBackend):
         tile, cols_up, k_up, cols_down, k_down, detector, act, name = consts
         # Every expert's row tiles times the same column tiles and k-steps:
         # sum the row tiles once (exact integers), then scale.
-        m_tiles = int((-(-routing.counts // tile.tm)).sum())
+        m_tiles = sum(((routing.counts + (tile.tm - 1)) // tile.tm).tolist())
         tiles_up = m_tiles * cols_up
         tiles_down = m_tiles * cols_down
         up = self._tiled_matmul_us(tiles_up * k_up, tiles_up, tile)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 from ..hw.costmodel import TileConfig
@@ -220,11 +221,14 @@ class PlanSpec:
                 f"sparse_operand must be A or B, got {self.sparse_operand!r}"
             )
         # Normalize sequences so equality/hashing don't depend on whether a
-        # caller passed a list or a tuple.
-        object.__setattr__(self, "signature", _freeze(self.signature))
-        object.__setattr__(self, "tiledb_key", _freeze(self.tiledb_key))
-        object.__setattr__(self, "pattern", _freeze(self.pattern))
-        object.__setattr__(self, "permutation", _freeze(self.permutation))
+        # caller passed a list or a tuple.  A tuple holding no list or tuple
+        # (every spec the serving path builds) is already normal.
+        for name in ("signature", "tiledb_key", "pattern", "permutation"):
+            value = getattr(self, name)
+            if type(value) is not tuple or any(
+                map(isinstance, value, repeat((list, tuple)))
+            ):
+                object.__setattr__(self, name, _freeze(value))
         if self.kind in ("weight-sparse", "nm-sparse"):
             if self.sparse_operand != "B":
                 raise ValueError(
@@ -364,6 +368,9 @@ class Planner:
     def __init__(self, tiledb: TileDB, cache: Optional[PlanCache] = None):
         self.tiledb = tiledb
         self.cache = cache if cache is not None else PlanCache()
+        #: The database's identity as a spec stores it; every resolve
+        #: compares against it.
+        self._tiledb_key = _freeze(tiledb.cache_key)
 
     def make_spec(
         self,
@@ -392,7 +399,7 @@ class Planner:
             n=n,
             sparse_operand=sparse_operand,
             signature=sig,
-            tiledb_key=self.tiledb.cache_key,
+            tiledb_key=self._tiledb_key,
             include_dense_fallback=include_dense_fallback,
             pattern=pattern,
             permutation=permutation,
@@ -414,7 +421,7 @@ class Planner:
         Algorithm 1 exactly once — one caller searches while the rest wait
         on its result and report a hit.
         """
-        if _freeze(spec.tiledb_key) != _freeze(self.tiledb.cache_key):
+        if spec.tiledb_key != self._tiledb_key:
             raise ValueError(
                 f"spec was built against tile database {spec.tiledb_key!r}, "
                 f"but this planner serves {self.tiledb.cache_key!r}"

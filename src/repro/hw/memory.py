@@ -20,7 +20,7 @@ def stream_time_us(num_bytes: int, spec: GPUSpec) -> float:
     """Time to stream ``num_bytes`` through DRAM at full coalesced bandwidth."""
     if num_bytes <= 0:
         return 0.0
-    return num_bytes / spec.bandwidth_bytes_us()
+    return num_bytes / spec._bytes_per_us  # bandwidth_bytes_us(), cached
 
 
 def gather_efficiency(contig_bytes: int, spec: GPUSpec) -> float:

@@ -19,7 +19,7 @@ bytes unless a name says otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 
 #: Bytes per element for the precisions used in the paper's evaluation.
@@ -88,6 +88,21 @@ class GPUSpec:
     #: "negligible overhead" claim for SRead/SWrite, Section 5.3).
     gather_efficiency: float = 0.95
 
+    def __post_init__(self) -> None:
+        # A frozen spec keys every plan-cache lookup and prices every
+        # bandwidth-bound op: hash it and derive its bandwidth once.
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+        object.__setattr__(self, "_bytes_per_us", self.mem_bandwidth_gbs * 1e9 / 1e6)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle the fields alone: the cached hash covers ``name``, whose str
+        # hash differs between interpreters, so the receiving side rebuilds
+        # it through __init__.
+        return (type(self), astuple(self))
+
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
@@ -105,7 +120,7 @@ class GPUSpec:
 
     def bandwidth_bytes_us(self) -> float:
         """DRAM bandwidth in bytes per microsecond (whole device)."""
-        return self.mem_bandwidth_gbs * 1e9 / 1e6
+        return self._bytes_per_us
 
     def bandwidth_per_sm_us(self) -> float:
         """Fair-share DRAM bandwidth of one SM, bytes per microsecond."""

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExecReport:
     """Result of one simulated kernel (or fused op) execution.
 
@@ -32,14 +33,24 @@ class ExecReport:
     #: Free-form breakdown for debugging and ablations.
     detail: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.latency_us < 0:
+    # Written by hand: pricing builds one report per priced op, and the
+    # generated frozen __init__ pays an object.__setattr__ per field.
+    def __init__(self, op: str, latency_us: float, convert_us: float = 0.0,
+                 wasted_fraction: float = 0.0,
+                 detail: Optional[dict] = None) -> None:
+        if latency_us < 0:
             raise ValueError("latency must be non-negative")
-        if self.convert_us < 0 or self.convert_us > self.latency_us + 1e-9:
+        if convert_us < 0 or convert_us > latency_us + 1e-9:
             raise ValueError(
-                f"convert_us ({self.convert_us}) must be within "
-                f"[0, latency_us={self.latency_us}]"
+                f"convert_us ({convert_us}) must be within "
+                f"[0, latency_us={latency_us}]"
             )
+        fields = self.__dict__
+        fields["op"] = op
+        fields["latency_us"] = latency_us
+        fields["convert_us"] = convert_us
+        fields["wasted_fraction"] = wasted_fraction
+        fields["detail"] = {} if detail is None else detail
 
 
 @dataclass
@@ -54,7 +65,9 @@ class Timeline:
 
     def record(self, op: str, latency_us: float, **kwargs) -> ExecReport:
         """Convenience: build and append a report."""
-        return self.add(ExecReport(op=op, latency_us=latency_us, **kwargs))
+        report = ExecReport(op, latency_us, **kwargs)
+        self.reports.append(report)
+        return report
 
     @property
     def total_us(self) -> float:

@@ -46,13 +46,15 @@ class Workload:
     def batch_size(self) -> int:
         return int(self.lengths.size)
 
+    # Python ints: a batch holds at most a few hundred sequences, and the
+    # builtins reduce them without numpy's per-call overhead.
     @property
     def total_tokens(self) -> int:
-        return int(self.lengths.sum())
+        return int(sum(self.lengths.tolist()))
 
     @property
     def max_len(self) -> int:
-        return int(self.lengths.max()) if self.lengths.size else 0
+        return int(max(self.lengths.tolist(), default=0))
 
 def _route_moe_layers(config: ModelConfig, padded_tokens: int, seed: int) -> dict:
     """Build per-layer routing for every MoE layer of the stack.

@@ -14,10 +14,13 @@ lines).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import repeat
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from ..baselines.backends import ModelBackend, UnsupportedModelError
+from ..hw.costmodel import elementwise_time_us
 from ..hw.memtracker import MemoryTracker, OutOfMemoryError
 from ..hw.spec import dtype_bytes
 from ..hw.timeline import ExecReport, Timeline
@@ -65,7 +68,7 @@ NVLINK_GBS = 130.0
 
 
 class _AllocRecorder:
-    """Records an op's allocations in call order, booking each into a
+    """Records a run's allocations in call order, booking each into a
     tracker first when given one."""
 
     def __init__(self, mem: Optional[MemoryTracker]):
@@ -84,8 +87,7 @@ def _book(mem: MemoryTracker, allocs) -> None:
         mem.alloc(num_bytes, label, category)
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """One priced block of a layer: per op, its reports (tensor-parallel
     division already applied) and the allocations it made; and both
     flattened, in op order."""
@@ -95,57 +97,53 @@ class _Block:
     allocs: tuple
 
 
-def _attention_ops(backend: ModelBackend, workload: Workload) -> list:
-    """The attention block as ``[(op, sharded)]``, where ``op(mem)`` prices
-    one backend op: LN, q/k/v, attention, output projection, residual and
-    LN."""
+def _attention_ops(backend: ModelBackend, workload: Workload,
+                   recorder: _AllocRecorder) -> list:
+    """The attention block as ``[(op, sharded)]``, where ``op()`` prices one
+    backend op: LN, q/k/v, attention, output projection, residual and LN.
+    The sharded ops are the ones that allocate, through ``recorder``."""
     cfg, lengths = workload.config, workload.lengths
     d = cfg.d_model
-
-    def linear(name):
-        return lambda mem: backend.linear(lengths, d, d, label=name, mem=mem)
-
-    def attention(mem):
-        return backend.attention(
-            lengths, cfg.heads, cfg.head_dim, attn_mask=workload.attn_stats,
-            causal=cfg.causal, mem=mem,
-        )
-
-    layernorm = (lambda mem: backend.layernorm(lengths, d), False)
+    linear = partial(backend.linear, lengths, d, d, mem=recorder)
+    attention = partial(
+        backend.attention, lengths, cfg.heads, cfg.head_dim,
+        attn_mask=workload.attn_stats, causal=cfg.causal, mem=recorder,
+    )
+    layernorm = (partial(backend.layernorm, lengths, d), False)
     return [
         layernorm,
-        *((linear(name), True) for name in ("attn.q", "attn.k", "attn.v")),
+        (partial(linear, label="attn.q"), True),
+        (partial(linear, label="attn.k"), True),
+        (partial(linear, label="attn.v"), True),
         (attention, True),
-        (linear("attn.proj"), True),
-        (lambda mem: backend.pointwise(lengths, d), False),
+        (partial(linear, label="attn.proj"), True),
+        (partial(backend.pointwise, lengths, d), False),
         layernorm,
     ]
 
 
 def _ffn_ops(backend: ModelBackend, workload: Workload, layer: int,
-             routing) -> list:
+             routing, recorder: _AllocRecorder) -> list:
     """The FFN block as ``[(op, sharded)]``: the dense FFN or the MoE
     experts (``routing`` already rescaled to the backend's token count),
     then the residual."""
     cfg, lengths = workload.config, workload.lengths
     d = cfg.d_model
     if routing is not None:
-        def ffn(mem):
-            return backend.moe_ffn(routing, d, cfg.d_ff, mem=mem)
+        ffn = partial(backend.moe_ffn, routing, d, cfg.d_ff, mem=recorder)
     else:
-        def ffn(mem):
-            return backend.ffn(
-                lengths, d, cfg.d_ff, activation=cfg.activation,
-                act_sparsity=workload.act_sparsity,
-                seed=workload.seed * 31 + layer, mem=mem,
-            )
-    return [(ffn, True), (lambda mem: backend.pointwise(lengths, d), False)]
+        ffn = partial(
+            backend.ffn, lengths, d, cfg.d_ff, activation=cfg.activation,
+            act_sparsity=workload.act_sparsity,
+            seed=workload.seed * 31 + layer, mem=recorder,
+        )
+    return [(ffn, True), (partial(backend.pointwise, lengths, d), False)]
 
 
 def _price(op, sharded: bool, recorder: _AllocRecorder,
            devices: int) -> tuple:
-    """``(reports, allocs)`` of one op, its allocations made through
-    ``recorder``.
+    """``(reports, allocs)`` of one op, whose allocations ``recorder``
+    records.
 
     Megatron-style TP shards only the weight-bearing matmuls (column/row-
     parallel projections, per-head attention, the FFN or MoE experts);
@@ -153,7 +151,7 @@ def _price(op, sharded: bool, recorder: _AllocRecorder,
     size on every rank.  The division happens here, once per priced op.
     """
     start = len(recorder.allocs)
-    reports = op(recorder)
+    reports = op()
     if sharded and devices > 1:
         reports = [replace(r, latency_us=r.latency_us / devices,
                            convert_us=r.convert_us / devices) for r in reports]
@@ -161,8 +159,9 @@ def _price(op, sharded: bool, recorder: _AllocRecorder,
 
 
 def _source(blocks: dict, key: str, ops: list, mem: MemoryTracker,
-            devices: int, layer: int) -> _Block:
-    """This layer's ``key`` block of ``ops``, booked into ``mem``.
+            recorder: _AllocRecorder, devices: int, layer: int) -> _Block:
+    """This layer's ``key`` block of ``ops``, booked into ``mem`` and
+    recorded by ``recorder`` (the one the ops allocate through).
 
     The block priced at a layer >= 1 is final: every later layer replays
     it.  It is priced from the block layer 0 priced, if any: only the ops
@@ -174,17 +173,17 @@ def _source(blocks: dict, key: str, ops: list, mem: MemoryTracker,
     if final:
         _book(mem, source.allocs)
         return source
-    recorder = _AllocRecorder(mem)
+    start = len(recorder.allocs)
     priced, reports = [], []
     for (op, sharded), old in zip(ops, source.ops if source else repeat(None)):
-        if old and not any(r.convert_us for r in old[0]):
-            for alloc in old[1]:
-                recorder.alloc(*alloc)
+        if old and not any(map(attrgetter("convert_us"), old[0])):
+            _book(mem, old[1])  # and record them again
+            recorder.allocs += old[1]
         else:
             old = _price(op, sharded, recorder, devices)
         priced.append(old)
         reports += old[0]
-    block = _Block(tuple(priced), tuple(reports), tuple(recorder.allocs))
+    block = _Block(tuple(priced), tuple(reports), tuple(recorder.allocs[start:]))
     blocks[key] = (block, layer > 0)
     return block
 
@@ -244,8 +243,6 @@ def run_transformer(
         total_layers = cfg.n_layers + cfg.decoder_layers
 
         # Embedding lookup (bandwidth-bound; identical across backends).
-        from ..hw.costmodel import elementwise_time_us
-
         tokens = backend.padded_tokens(workload.lengths)
         timeline.record(
             "embedding",
@@ -271,7 +268,10 @@ def run_transformer(
             workload.routing_by_layer,
             scale_routings(workload.routing_by_layer.values(), tokens),
         ))
-        attn_ops = _attention_ops(backend, workload)
+        # Every op allocates through ``recorder``, but a later MoE layer's
+        # routed op records without booking, through ``unbooked``.
+        recorder, unbooked = _AllocRecorder(mem), _AllocRecorder(None)
+        attn_ops = _attention_ops(backend, workload, recorder)
         blocks = {}  # see _source; "moe" is the first MoE block
         # Inference only: per layer kind, the start bytes and FFN-or-MoE
         # allocations of the last layer >= 1 that booked in full.  A later
@@ -291,8 +291,9 @@ def run_transformer(
             if moe:
                 # A later MoE layer prices only its routed op and reuses the
                 # first MoE block's residual; it books only if the layer does.
-                op = _ffn_ops(backend, workload, layer, routing)[0][0]
-                routed = _price(op, True, _AllocRecorder(None), devices)
+                op = partial(backend.moe_ffn, routing, d, cfg.d_ff,
+                             mem=unbooked)
+                routed = _price(op, True, unbooked, devices)
                 residual = ffn.ops[1]
                 ffn = _Block((routed, residual), routed[0] + residual[0],
                              routed[1] + residual[1])
@@ -308,12 +309,14 @@ def run_transformer(
                 layer = end
                 continue
 
-            attn = _source(blocks, "attn", attn_ops, mem, devices, layer)
+            attn = _source(blocks, "attn", attn_ops, mem, recorder, devices,
+                           layer)
             if moe:
                 _book(mem, ffn.allocs)
             else:
-                ffn_ops = _ffn_ops(backend, workload, layer, routing)
-                ffn = _source(blocks, kind, ffn_ops, mem, devices, layer)
+                ffn_ops = _ffn_ops(backend, workload, layer, routing, recorder)
+                ffn = _source(blocks, kind, ffn_ops, mem, recorder, devices,
+                              layer)
             timeline.reports.extend(attn.reports + ffn.reports + tail)
 
             if mode == "inference":

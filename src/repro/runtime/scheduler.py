@@ -311,7 +311,7 @@ class SchedulingPolicy:
         """
         replicas = self._placeable_replicas(close_us, exclude)
         if self.engine.placement == "least-loaded" or len(
-            {r.device.spec for r in replicas}
+            {r.device.class_id for r in replicas}
         ) == 1:
             # Least-loaded, or a single device class: with one class the
             # estimate is a constant, the predicted-finish ordering

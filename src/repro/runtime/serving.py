@@ -31,7 +31,7 @@ import numpy as np
 
 from ..baselines import PITBackend
 from ..core.plan import PlanSpec, ResolvedPlan
-from ..core.selection import KernelChoice, PlanCache
+from ..core.selection import SIGNATURE_QUANTUM, KernelChoice, PlanCache
 from ..core.tiledb import TileDB
 from ..hw.spec import GPUSpec
 from ..models.workloads import Workload
@@ -84,8 +84,6 @@ class InferenceRequest:
         another would silently defeat speculation.  Defaults to
         :data:`~repro.core.selection.SIGNATURE_QUANTUM` for standalone use.
         """
-        from ..core.selection import SIGNATURE_QUANTUM
-
         if quantum is None:
             quantum = SIGNATURE_QUANTUM
         cfg = self.workload.config
@@ -874,8 +872,8 @@ class ServingEngine:
     def _quantize(self, x: float) -> int:
         return int(round(x / self.plan_cache.quantum))
 
-    def _plan_requests(self, workload: Workload, tiledb_key: tuple):
-        """Yield ``(PlanSpec, make_samples)`` for every plan a batch of this
+    def _plan_requests(self, workload: Workload, tiledb_key: tuple) -> list:
+        """``[(PlanSpec, make_samples)]`` for every plan a batch of this
         workload needs, against the tile database named by ``tiledb_key``.
 
         Specs are derived from the workload's *summary statistics*, so the
@@ -894,18 +892,18 @@ class ServingEngine:
         density = workload.total_tokens / max(1, padded)
         m = self.SAMPLE_ROWS
         k = min(cfg.d_model, self.SAMPLE_COLS)
-        yield (
+        requests = [(
             PlanSpec(
                 kind="proj", m=m, k=k, n=k,
                 signature=(self._quantize(density),), tiledb_key=tiledb_key,
             ),
             lambda: [self._token_mask(workload)],
-        )
+        )]
         if workload.act_sparsity is not None:
             rows = self.ACT_SAMPLE_ROWS
             cols = min(cfg.d_ff, self.ACT_SAMPLE_COLS)
             sparsity = workload.act_sparsity
-            yield (
+            requests.append((
                 PlanSpec(
                     kind="ffn-act", m=rows, k=cols, n=k,
                     signature=(self._quantize(1.0 - sparsity),),
@@ -914,12 +912,12 @@ class ServingEngine:
                 lambda: [
                     relu_activation_mask(rows, cols, sparsity, seed=workload.seed)
                 ],
-            )
+            ))
         if workload.attn_stats is not None:
             stats = workload.attn_stats
             arows = min(stats.seq, self.SAMPLE_ROWS)
             acols = min(stats.seq, self.SAMPLE_ROWS)
-            yield (
+            requests.append((
                 PlanSpec(
                     kind="attention", m=arows, k=acols,
                     n=max(1, cfg.head_dim),
@@ -927,22 +925,26 @@ class ServingEngine:
                     tiledb_key=tiledb_key,
                 ),
                 lambda: [representative_attention_mask(stats, arows, acols)],
-            )
+            ))
         if workload.routing_by_layer:
             routings = list(workload.routing_by_layer.values())
-            counts = np.sum([np.asarray(r.counts) for r in routings], axis=0)
             mrows = self.SAMPLE_ROWS
-            yield (
+            requests.append((
                 PlanSpec(
-                    kind="moe-grouped", m=mrows, k=max(1, int(counts.size)),
+                    kind="moe-grouped", m=mrows,
+                    k=max(1, int(routings[0].counts.size)),
                     n=min(cfg.d_ff, self.ACT_SAMPLE_COLS),
                     signature=routing_signature(
                         routings, quantum=self.plan_cache.quantum
                     ),
                     tiledb_key=tiledb_key,
                 ),
-                lambda: [routing_sample_mask(counts, mrows)],
-            )
+                lambda: [routing_sample_mask(
+                    np.sum([np.asarray(r.counts) for r in routings], axis=0),
+                    mrows,
+                )],
+            ))
+        return requests
 
     def _select_plans(
         self, workload: Workload, device: Optional[DeviceClass] = None
@@ -957,25 +959,24 @@ class ServingEngine:
         """
         device = device if device is not None else self.device_for_replica(0)
         plans = {}
-        start = time.perf_counter()
-        for spec, make_samples in self._plan_requests(
-            workload, device.tiledb.cache_key
-        ):
-            plans[spec.kind] = self._resolve_with_fallback(
-                device, spec, make_samples
-            )
-        wall_us = (time.perf_counter() - start) * 1e6
         # Count hits/misses from each resolve's own provenance rather than
         # global-counter deltas: concurrent replicas resolve through the
         # same cache, and a delta would attribute their traffic to this
         # batch.  Sequentially the two accountings are identical (each
         # resolve is exactly one hit or one miss).  Degraded fallbacks are
         # neither: no search ran and no cached plan served.
-        hits = sum(1 for plan in plans.values() if plan.cache_hit)
-        misses = sum(
-            1 for plan in plans.values()
-            if not plan.cache_hit and not plan.degraded
-        )
+        hits = misses = 0
+        start = time.perf_counter()
+        for spec, make_samples in self._plan_requests(
+            workload, device.tiledb.cache_key
+        ):
+            plan = self._resolve_with_fallback(device, spec, make_samples)
+            plans[spec.kind] = plan
+            if plan.cache_hit:
+                hits += 1
+            elif not plan.degraded:
+                misses += 1
+        wall_us = (time.perf_counter() - start) * 1e6
         return plans, wall_us, hits, misses
 
     def _resolve_with_fallback(self, device, spec, make_samples):
@@ -1136,6 +1137,7 @@ class ServingEngine:
             injector.exec_fault(replica_id, batch_id, attempt, start_us)
             slowdown = injector.slowdown(replica_id, batch_id, attempt)
         plans, residual_us, hits, misses = self._select_plans(workload, device)
+        degraded = len(plans) - hits - misses  # neither a hit nor a search
         plan_kinds = {kind: plan.cold for kind, plan in plans.items()}
         selection_us = residual_us
         serial_us = residual_us
@@ -1173,9 +1175,7 @@ class ServingEngine:
             plan_kinds=plan_kinds,
             attempt=attempt,
             compute_us=compute_us,
-            degraded_plans=sum(
-                1 for plan in plans.values() if plan.degraded
-            ),
+            degraded_plans=degraded,
         )
         share = selection_us / len(batch)
         request_reports = [

@@ -65,12 +65,12 @@ def scale_routings(routings, num_tokens: int) -> list:
     if num_tokens < 0:
         raise ValueError("num_tokens must be non-negative")
     routings = list(routings)
-    if len({r.num_experts for r in routings}) > 1:
+    if len({r.counts.size for r in routings}) > 1:
         return [r.scaled_to(num_tokens) for r in routings]
     rows = [i for i, r in enumerate(routings) if r.num_tokens != num_tokens]
     if not rows:
         return routings
-    counts = np.stack([routings[i].counts for i in rows])
+    counts = np.array([routings[i].counts for i in rows])
     old = np.array([routings[i].num_tokens for i in rows])
     empty = old == 0
     old[empty] = 1
@@ -90,11 +90,11 @@ def _apportion(counts: np.ndarray, scale, total) -> np.ndarray:
     axis, one row per ``scale`` and ``total``: every expert gets
     ``deficit // n`` more and the first ``deficit % n`` of its row's
     largest-first order one more (the largest experts absorb rounding)."""
-    share = np.floor(counts * np.expand_dims(scale, -1)).astype(int)
-    deficit = np.expand_dims(np.maximum(total - share.sum(axis=-1), 0), -1)
+    share = np.floor(counts * np.asarray(scale)[..., None]).astype(int)
+    deficit = np.maximum(total - share.sum(axis=-1), 0)[..., None]
     n = counts.shape[-1]
     # Each expert's place in its row's largest-first order.
-    rank = np.argsort(np.argsort(-counts, axis=-1), axis=-1)
+    rank = (-counts).argsort(axis=-1).argsort(axis=-1)
     return share + deficit // n + (rank < deficit % n)
 
 
@@ -144,17 +144,16 @@ def routing_signature(routings, *, quantum: float = 0.05) -> tuple:
     routings = list(routings)
     if not routings:
         raise ValueError("routing signature needs at least one routing table")
-    counts = np.sum([np.asarray(r.counts) for r in routings], axis=0)
-    total = counts.sum()
-    mean = counts.mean() if counts.size else 0.0
-    imbalance = float(counts.max() / mean) if mean > 0 else 0.0
-    live = float((counts > 0).mean()) if total > 0 else 0.0
+    counts = np.add.reduce([np.asarray(r.counts) for r in routings])
+    # The statistics of at most a few hundred experts, in Python ints: the
+    # same quotients numpy's reductions give, without their per-call cost.
+    values = counts.tolist()
+    total, experts = sum(values), len(values)
+    mean = total / experts if experts else 0.0
+    imbalance = max(values) / mean if mean > 0 else 0.0
+    live = len([v for v in values if v > 0]) / experts if total > 0 else 0.0
     q = 1.0 / quantum
-    return (
-        int(counts.size),
-        int(round(imbalance * q)),
-        int(round(live * q)),
-    )
+    return (experts, int(round(imbalance * q)), int(round(live * q)))
 
 
 def routing_sample_mask(counts, rows: int) -> np.ndarray:

@@ -68,6 +68,19 @@ class TestPlanSpec:
         b = make_spec(tiledb, signature=(7, 20, 20))
         assert a == b and hash(a) == hash(b)
 
+    def test_lists_nested_in_tuples_normalize_too(self, tiledb):
+        """A tuple is kept as is only when nothing inside it is a sequence:
+        a list one level down still normalizes."""
+        a = make_spec(tiledb, signature=(7, [20, 20]))
+        b = make_spec(tiledb, signature=(7, (20, 20)))
+        assert a == b and hash(a) == hash(b)
+        assert a.signature == (7, (20, 20))
+        assert a.cache_key() == b.cache_key()
+        nm = dict(kind="nm-sparse", sparse_operand="B")
+        c = make_spec(tiledb, pattern=[2, 4], permutation=["learned", 3, 1], **nm)
+        d = make_spec(tiledb, pattern=(2, 4), permutation=("learned", 3, 1), **nm)
+        assert c == d and hash(c) == hash(d)
+
     def test_invalid_kind_rejected(self, tiledb):
         with pytest.raises(ValueError, match="kind"):
             make_spec(tiledb, kind="conv")

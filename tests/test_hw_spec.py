@@ -1,11 +1,18 @@
 """Tests for the device specification model."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.hw import (
     A100,
     V100,
     V100_16GB,
+    TileConfig,
     dtype_bytes,
     get_gpu,
     parse_lineup,
@@ -52,6 +59,44 @@ class TestGPUSpec:
 
     def test_mem_capacity_bytes(self):
         assert V100.mem_capacity_bytes() == 32 * (1 << 30)
+
+    def test_hash_agrees_with_equality_after_replace(self):
+        renamed = dataclasses.replace(V100, name="V100-renamed")
+        assert renamed != V100 and hash(renamed) != hash(V100)
+        back = dataclasses.replace(renamed, name=V100.name)
+        assert back == V100 and hash(back) == hash(V100)
+        assert back.bandwidth_bytes_us() == V100.bandwidth_bytes_us()
+        faster = dataclasses.replace(V100, mem_bandwidth_gbs=1800.0)
+        assert faster.bandwidth_bytes_us() == 2 * V100.bandwidth_bytes_us()
+        tile = TileConfig(32, 16, 64)
+        assert dataclasses.replace(tile, tk=32) == TileConfig(32, 32, 64)
+        assert hash(dataclasses.replace(tile, tk=32)) == hash(TileConfig(32, 32, 64))
+        assert {V100: 1}[back] == 1
+
+    def test_pickled_hash_is_rebuilt_by_the_receiver(self):
+        """A spec's hash covers its name, a str, whose hash differs between
+        interpreters: a spec hashed and pickled in a child under another
+        hash seed must unpickle to this interpreter's hash."""
+        src_dir = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        code = (
+            "import pickle, sys\n"
+            "from repro.hw import V100\n"
+            "hash(V100)\n"
+            "sys.stdout.buffer.write(pickle.dumps(V100))\n"
+        )
+        seed = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"
+        env = dict(os.environ, PYTHONPATH=src_dir, PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        revived = pickle.loads(out.stdout)
+        fresh = dataclasses.replace(V100)
+        assert revived == fresh and hash(revived) == hash(fresh)
+        assert {fresh: "v100"}[revived] == "v100"
 
 class TestRegistry:
     def test_lookup_case_insensitive(self):

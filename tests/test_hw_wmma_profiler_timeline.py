@@ -1,5 +1,7 @@
 """Tests for the wmma model, offline profiler, and execution timeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,25 @@ class TestTimeline:
             ExecReport(op="x", latency_us=-1.0)
         with pytest.raises(ValueError):
             ExecReport(op="x", latency_us=1.0, convert_us=2.0)
+
+    def test_replace_validates_the_copy(self):
+        report = ExecReport("x", 2.0, convert_us=1.0, detail={"k": 1})
+        halved = dataclasses.replace(report, latency_us=1.0, convert_us=0.5)
+        assert halved == ExecReport("x", 1.0, 0.5, detail={"k": 1})
+        with pytest.raises(ValueError, match="convert_us"):
+            dataclasses.replace(report, convert_us=3.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            dataclasses.replace(report, latency_us=-1.0)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "op", "latency_us", "convert_us", "wasted_fraction", "detail",
+        ]
+
+    def test_reports_without_detail_own_their_dicts(self):
+        a, b = ExecReport("x", 1.0), ExecReport("y", 1.0)
+        assert a.detail == b.detail == {}
+        assert a.detail is not b.detail
+        a.detail["k"] = 1
+        assert b.detail == {}
 
     def test_extend(self):
         a, b = Timeline(), Timeline()
