@@ -20,10 +20,7 @@ See ``docs/static-analysis.md`` for the rule catalog and how to add a
 rule.
 """
 
-from .engine import Corpus, analyze, analyze_paths, load_corpus
-from .findings import Finding, Report, Suppression, extract_suppressions
-from .lockgraph import build_lock_graph, find_cycles, static_lock_order
-from .registry import RuleInfo, all_rules, get_rule, known_rule_ids, rule
+from .. import _lazy_exports
 
 __all__ = [
     "Corpus",
@@ -43,3 +40,12 @@ __all__ = [
     "rule",
     "static_lock_order",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "engine": ("Corpus", "analyze", "analyze_paths", "load_corpus"),
+    "findings": ("Finding", "Report", "Suppression", "extract_suppressions"),
+    "lockgraph": ("build_lock_graph", "find_cycles", "static_lock_order"),
+    "registry": (
+        "RuleInfo", "all_rules", "get_rule", "known_rule_ids", "rule",
+    ),
+})

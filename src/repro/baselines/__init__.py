@@ -7,21 +7,7 @@ Model level (Figures 8-15, 19): PyTorch, PyTorch-S, Tutel, DeepSpeed,
 MegaBlocks, TurboTransformers, Longformer-S, TVM, and the PIT backend.
 """
 
-from .backends import ModelBackend, TVMBackend, UnsupportedModelError
-from .base import DenseKernelBaseline, SpmmKernel, SpmmResult
-from .cusparse import CuSparseKernel
-from .longformer_s import LongformerSBackend
-from .moe_systems import DeepSpeedBackend, MegaBlocksBackend, TutelBackend
-from .pit_adapter import PITSpmmKernel
-from .pit_backend import PITBackend
-from .pytorch_s import PyTorchSBackend
-from .sparta import SPARTA_COMPILE_US, SparTAKernel
-from .sputnik import SputnikKernel, mean_run_length
-from .triton_block import TritonBlockSparseKernel, triton_convert_passes
-from .turbo import TURBO_MAX_SEQ, TurboTransformerBackend, length_buckets
-
-#: PyTorch semantics == the dense base backend.
-PyTorchBackend = ModelBackend
+from .. import _lazy_exports
 
 __all__ = [
     "CuSparseKernel",
@@ -49,3 +35,20 @@ __all__ = [
     "mean_run_length",
     "triton_convert_passes",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "backends": (
+        "ModelBackend", "PyTorchBackend", "TVMBackend", "UnsupportedModelError",
+    ),
+    "base": ("DenseKernelBaseline", "SpmmKernel", "SpmmResult"),
+    "cusparse": ("CuSparseKernel",),
+    "longformer_s": ("LongformerSBackend",),
+    "moe_systems": ("DeepSpeedBackend", "MegaBlocksBackend", "TutelBackend"),
+    "pit_adapter": ("PITSpmmKernel",),
+    "pit_backend": ("PITBackend",),
+    "pytorch_s": ("PyTorchSBackend",),
+    "sparta": ("SPARTA_COMPILE_US", "SparTAKernel"),
+    "sputnik": ("SputnikKernel", "mean_run_length"),
+    "triton_block": ("TritonBlockSparseKernel", "triton_convert_passes"),
+    "turbo": ("TURBO_MAX_SEQ", "TurboTransformerBackend", "length_buckets"),
+})

@@ -276,6 +276,10 @@ class ModelBackend:
         return reports
 
 
+#: PyTorch semantics == the dense base backend.
+PyTorchBackend = ModelBackend
+
+
 class TVMBackend(ModelBackend):
     """TVM + Ansor: an AOT-tuned dense compiler (Figure 19's extra baseline).
 

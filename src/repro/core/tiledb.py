@@ -174,6 +174,3 @@ class TileDB:
                     best, best_cost = entry, cost
             self._best_dense[key] = best
         return best
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -11,36 +11,7 @@ Public surface:
 * :mod:`repro.hw.timeline` — per-op execution reports.
 """
 
-from .costmodel import (
-    TileConfig,
-    compute_efficiency,
-    dense_matmul_time_us,
-    elementwise_time_us,
-    kernel_time_us,
-    layernorm_time_us,
-    matmul_step_time_us,
-    matmul_tile_fixed_time_us,
-    matmul_tile_time_us,
-    predicted_finish_us,
-    reduction_time_us,
-    softmax_time_us,
-    sparse_matmul_time_us,
-)
-from .memory import (
-    gather_efficiency,
-    stream_time_us,
-    tensor_bytes,
-)
-from .memtracker import MemoryTracker, OutOfMemoryError
-from .profiler import TileProfile, profile_matmul_tiles
-from .spec import A100, V100, V100_16GB, GPUSpec, dtype_bytes, get_gpu, parse_lineup
-from .timeline import ExecReport, Timeline
-from .wmma import (
-    WMMA_FP16_SHAPES,
-    SparseTensorCore,
-    is_two_four_eligible,
-    wmma_supports,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "A100",
@@ -77,3 +48,25 @@ __all__ = [
     "tensor_bytes",
     "wmma_supports",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "costmodel": (
+        "TileConfig", "compute_efficiency", "dense_matmul_time_us",
+        "elementwise_time_us", "kernel_time_us", "layernorm_time_us",
+        "matmul_step_time_us", "matmul_tile_fixed_time_us",
+        "matmul_tile_time_us", "predicted_finish_us", "reduction_time_us",
+        "softmax_time_us", "sparse_matmul_time_us",
+    ),
+    "memory": ("gather_efficiency", "stream_time_us", "tensor_bytes"),
+    "memtracker": ("MemoryTracker", "OutOfMemoryError"),
+    "profiler": ("TileProfile", "profile_matmul_tiles"),
+    "spec": (
+        "A100", "V100", "V100_16GB", "GPUSpec", "dtype_bytes", "get_gpu",
+        "parse_lineup",
+    ),
+    "timeline": ("ExecReport", "Timeline"),
+    "wmma": (
+        "WMMA_FP16_SHAPES", "SparseTensorCore", "is_two_four_eligible",
+        "wmma_supports",
+    ),
+})

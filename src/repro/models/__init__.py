@@ -1,36 +1,7 @@
 """The evaluated models (Table 2): configurations, functional reference
 blocks, and per-figure workload builders."""
 
-from .config import (
-    TABLE2,
-    AttentionSpec,
-    ModelConfig,
-    MoESpec,
-    bert_base,
-    longformer,
-    museformer,
-    opt,
-    swin_moe,
-    switch_transformer,
-)
-from .functional import (
-    LayerWeights,
-    attention_block,
-    encoder_layer,
-    ffn_block,
-    moe_layer_grouped,
-    moe_layer_reference,
-)
-from .workloads import (
-    Workload,
-    bert_workload,
-    longformer_workload,
-    museformer_workload,
-    opt_inference_workload,
-    opt_training_workload,
-    swin_moe_workload,
-    switch_workload,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "AttentionSpec",
@@ -56,4 +27,21 @@ __all__ = [
     "swin_moe",
     "swin_moe_workload",
     "switch_transformer",
+    "switch_workload",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "config": (
+        "TABLE2", "AttentionSpec", "ModelConfig", "MoESpec", "bert_base",
+        "longformer", "museformer", "opt", "swin_moe", "switch_transformer",
+    ),
+    "functional": (
+        "LayerWeights", "attention_block", "encoder_layer", "ffn_block",
+        "moe_layer_grouped", "moe_layer_reference",
+    ),
+    "workloads": (
+        "Workload", "bert_workload", "longformer_workload",
+        "museformer_workload", "opt_inference_workload",
+        "opt_training_workload", "swin_moe_workload", "switch_workload",
+    ),
+})

@@ -1,60 +1,6 @@
 """Runtime: the execution engine, sessions, serving, training, reporting."""
 
-from .cluster import (
-    ClusterFrontend,
-    WorkerConfig,
-    WorkerLostError,
-    WorkerProcess,
-    cluster_replay_trace,
-)
-from .engine import (
-    TRAINING_STATE_MULTIPLIER,
-    RunReport,
-    run_transformer,
-)
-from .frontend import (
-    AsyncServingFrontend,
-    RealClock,
-    VirtualClock,
-    decision_trace,
-    replay_trace,
-    serve_async,
-    serve_workloads,
-)
-from .report import format_table
-from .resilience import (
-    FaultInjector,
-    FaultSpec,
-    HealthTracker,
-    InjectedFault,
-    ReplicaDownFault,
-    ResilienceConfig,
-    TransientExecFault,
-    WorkerCrashFault,
-)
-from .scheduler import ContinuousScheduler, SchedulingPolicy
-from .serving import (
-    BatchReport,
-    DeviceClass,
-    InferenceRequest,
-    ReplicaStats,
-    RequestReport,
-    ServingEngine,
-    ServingReport,
-    SpeculativeSelection,
-    merge_workloads,
-)
-from .session import (
-    BACKENDS_BY_NAME,
-    make_backend,
-    run_lineup,
-    validate_backend_kwargs,
-)
-from .training import (
-    SparseTrainingReport,
-    sparse_training_run,
-    sparse_training_step,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "BACKENDS_BY_NAME",
@@ -100,3 +46,34 @@ __all__ = [
     "sparse_training_step",
     "validate_backend_kwargs",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "cluster": (
+        "ClusterFrontend", "WorkerConfig", "WorkerLostError", "WorkerProcess",
+        "cluster_replay_trace",
+    ),
+    "engine": ("TRAINING_STATE_MULTIPLIER", "RunReport", "run_transformer"),
+    "frontend": (
+        "AsyncServingFrontend", "RealClock", "VirtualClock", "decision_trace",
+        "replay_trace", "serve_async", "serve_workloads",
+    ),
+    "report": ("format_table",),
+    "resilience": (
+        "FaultInjector", "FaultSpec", "HealthTracker", "InjectedFault",
+        "ReplicaDownFault", "ResilienceConfig", "TransientExecFault",
+        "WorkerCrashFault",
+    ),
+    "scheduler": ("ContinuousScheduler", "SchedulingPolicy"),
+    "serving": (
+        "BatchReport", "DeviceClass", "InferenceRequest", "ReplicaStats",
+        "RequestReport", "ServingEngine", "ServingReport",
+        "SpeculativeSelection", "merge_workloads",
+    ),
+    "session": (
+        "BACKENDS_BY_NAME", "make_backend", "run_lineup",
+        "validate_backend_kwargs",
+    ),
+    "training": (
+        "SparseTrainingReport", "sparse_training_run", "sparse_training_step",
+    ),
+})

@@ -21,10 +21,7 @@ Layers:
   over the pool), plan-cache delta sync, and :func:`cluster_replay_trace`.
 """
 
-from .codec import decode_wire, encode_wire
-from .frontend import ClusterFrontend, cluster_replay_trace
-from .transport import Channel, WorkerLostError, channel_pair
-from .worker import WorkerConfig, WorkerProcess, worker_main
+from ... import _lazy_exports
 
 __all__ = [
     "Channel",
@@ -38,3 +35,10 @@ __all__ = [
     "encode_wire",
     "worker_main",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "codec": ("decode_wire", "encode_wire"),
+    "frontend": ("ClusterFrontend", "cluster_replay_trace"),
+    "transport": ("Channel", "WorkerLostError", "channel_pair"),
+    "worker": ("WorkerConfig", "WorkerProcess", "worker_main"),
+})

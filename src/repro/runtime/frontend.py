@@ -33,11 +33,13 @@ computes its report; it does not sleep), while *selection* remains real
 measured wall time — under real concurrency the cold Algorithm 1 searches
 genuinely overlap with other replicas' work, which is what the contention
 benchmark measures.
+
+Only the live path (:class:`RealClock` and the coroutines) imports asyncio,
+at its use sites, so a process that serves in virtual time never loads it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import itertools
 from typing import Optional
@@ -109,6 +111,8 @@ class RealClock:
 
     def _ensure_loop(self):
         if self._loop is None:
+            import asyncio
+
             self._loop = asyncio.get_running_loop()
             self._base = self._loop.time()
         return self._loop
@@ -211,6 +215,8 @@ class AsyncServingFrontend:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Spin up the replica workers (none on a virtual clock)."""
+        import asyncio
+
         if self._started:
             return
         self._started = True
@@ -237,6 +243,8 @@ class AsyncServingFrontend:
         those chains to land too (each chain is statically bounded by
         ``max_retries``, so this terminates).
         """
+        import asyncio
+
         self.finish(self.clock.now_us())
         for queue in self._queues:
             await queue.join()
@@ -252,6 +260,8 @@ class AsyncServingFrontend:
         futures resolve to refused reports) so a shutdown never strands a
         caller awaiting capacity that will no longer free up.
         """
+        import asyncio
+
         self._closing = True
         if self._completion is not None:
             self._completion.set()
@@ -283,6 +293,8 @@ class AsyncServingFrontend:
         ``deadline_us`` is the request's completion budget relative to its
         arrival (see :class:`~repro.runtime.resilience.ResilienceConfig`).
         """
+        import asyncio
+
         if not self._started:
             await self.start()
         if self.max_queue_depth is not None and self.overload == "block":
@@ -535,6 +547,8 @@ class AsyncServingFrontend:
 
     async def _worker(self, replica_id: int, queue: asyncio.Queue) -> None:
         """One replica's execution loop: pull, execute off-loop, account."""
+        import asyncio
+
         while True:
             item = await queue.get()
             if item is _STOP:
@@ -655,6 +669,8 @@ async def serve_async(
 ) -> ServingReport:
     """Serve ``workloads`` through a live front end on the running loop;
     past ``max_queue_depth`` arrivals are shed."""
+    import asyncio
+
     frontend = AsyncServingFrontend(engine, max_queue_depth=max_queue_depth)
     await frontend.start()
     futures = [await frontend.submit(w) for w in workloads]
@@ -672,6 +688,8 @@ def serve_workloads(
     max_queue_depth: Optional[int] = None,
 ) -> ServingReport:
     """Synchronous wrapper: run :func:`serve_async` on a private loop."""
+    import asyncio
+
     return asyncio.run(
         serve_async(engine, workloads, max_queue_depth=max_queue_depth)
     )

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..baselines import PITBackend
+from ..baselines.pit_backend import PITBackend
 from ..core.plan import PlanSpec, ResolvedPlan
 from ..core.selection import SIGNATURE_QUANTUM, KernelChoice, PlanCache
 from ..core.tiledb import TileDB

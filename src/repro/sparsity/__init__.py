@@ -2,40 +2,7 @@
 (dynamic attention, MoE routing, varying sequence lengths, sparse training)
 plus activation sparsity and the pattern-repetition study."""
 
-from .activation import relu_activation_mask
-from .attention import (
-    MaskStats,
-    as_mask_stats,
-    global_token_positions,
-    longformer_mask,
-    longformer_mask_rows,
-    longformer_mask_stats,
-    museformer_mask_rows,
-    museformer_mask_stats,
-    museformer_summary_positions,
-)
-from .generators import (
-    PatternHitCounter,
-    pattern_fingerprint,
-    relu_pattern_stream,
-    seqlen_pattern_stream,
-)
-from .masks import (
-    MagnitudePruner,
-    PruningSchedule,
-    granular_mask,
-    mask_sparsity,
-    nm_prune_mask,
-    two_four_mask,
-)
-from .moe import Router, RoutingResult, capacity_tokens
-from .seqlen import (
-    BERT_DATASETS,
-    DATASETS,
-    GLUE_TASKS,
-    LengthDistribution,
-    get_dataset,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "BERT_DATASETS",
@@ -67,3 +34,26 @@ __all__ = [
     "seqlen_pattern_stream",
     "two_four_mask",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "activation": ("relu_activation_mask",),
+    "attention": (
+        "MaskStats", "as_mask_stats", "global_token_positions",
+        "longformer_mask", "longformer_mask_rows", "longformer_mask_stats",
+        "museformer_mask_rows", "museformer_mask_stats",
+        "museformer_summary_positions",
+    ),
+    "generators": (
+        "PatternHitCounter", "pattern_fingerprint", "relu_pattern_stream",
+        "seqlen_pattern_stream",
+    ),
+    "masks": (
+        "MagnitudePruner", "PruningSchedule", "granular_mask", "mask_sparsity",
+        "nm_prune_mask", "two_four_mask",
+    ),
+    "moe": ("Router", "RoutingResult", "capacity_tokens"),
+    "seqlen": (
+        "BERT_DATASETS", "DATASETS", "GLUE_TASKS", "LengthDistribution",
+        "get_dataset",
+    ),
+})

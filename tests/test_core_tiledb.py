@@ -83,7 +83,7 @@ class TestBestDenseTileMemo:
         assert db.best_dense_tile(155, 768, 3072) is first
         assert costed == []
         db.best_dense_tile(156, 768, 3072)
-        assert len(costed) == len(db)
+        assert len(costed) == len(db.tiles())
 
     def test_databases_do_not_share_entries(self):
         small = dataclasses.replace(V100, name="V100-8sm", num_sms=8)
