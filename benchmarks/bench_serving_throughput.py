@@ -10,12 +10,17 @@ single-sequence requests with dynamic global attention — and reports:
 * the amortization headline: steady-state kernel-selection overhead per
   request vs the cold-start cost of running Algorithm 1 (the acceptance
   criterion is at least 10x; the deployed system's Section 5.5 equivalent
-  is reusing its 30-100us search across invocations).
+  is reusing its 30-100us search across invocations).  The gate compares
+  the *medians* of the per-request shares, as the selection fast-path gate
+  does: a few warm lookups slowed by a loaded host move the mean ratio
+  (printed next to it) but not the median one.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serving_throughput.py
 """
 
 from __future__ import annotations
+
+import statistics
 
 from repro.core import PlanCache
 from repro.hw import V100
@@ -101,8 +106,6 @@ def main():
     )
 
     mean = lambda xs: sum(xs) / len(xs) if xs else 0.0  # noqa: E731
-    cold = mean(per_request_cold)
-    warm = mean(per_request_warm)
     if not warm_us:
         # Zero warm batches would make the amortization ratio inf and the
         # >=10x gate below pass vacuously without measuring anything.
@@ -111,14 +114,23 @@ def main():
             "amortization gate would be vacuous; the PlanCache is not "
             "amortizing across requests"
         )
+    cold = statistics.median(per_request_cold)
+    warm = statistics.median(per_request_warm)
     amortization = cold / warm if warm > 0 else float("inf")
+    mean_warm = mean(per_request_warm)
+    mean_ratio = (
+        mean(per_request_cold) / mean_warm if mean_warm > 0 else float("inf")
+    )
     print()
     print(
         format_table(
-            ["phase", "batches", "selection us/batch", "selection us/request"],
+            ["phase", "batches", "selection us/batch",
+             "us/request (mean)", "us/request (median)"],
             [
-                ["cold (Algorithm 1 runs)", len(cold_us), mean(cold_us), cold],
-                ["steady (PlanCache hits)", len(warm_us), mean(warm_us), warm],
+                ["cold (Algorithm 1 runs)", len(cold_us), mean(cold_us),
+                 mean(per_request_cold), cold],
+                ["steady (PlanCache hits)", len(warm_us), mean(warm_us),
+                 mean_warm, warm],
             ],
             title="Kernel-selection overhead: cold start vs steady state",
         )
@@ -131,7 +143,8 @@ def main():
         f"{stats['size']}/{stats['capacity']} entries)"
     )
     print(f"amortization: steady-state selection is {amortization:.1f}x "
-          f"cheaper per request than cold start")
+          f"cheaper per request than cold start (median ratio; mean ratio "
+          f"{mean_ratio:.1f}x)")
     if amortization < 10:
         raise SystemExit(
             f"FAIL: expected >= 10x selection amortization, got {amortization:.1f}x"

@@ -77,7 +77,7 @@ class ModelBackend:
         self.tensor_core = dtype == "float16" and spec.has_tensor_cores
         self.tiledb = TileDB.shared(spec, dtype, tensor_core=self.tensor_core)
         self._fusion_active = False
-        #: (tm, tk, tn, load_efficiency) -> (step, fixed) times: device constants.
+        #: (tm, tk, tn) -> (step, fixed) times: device constants.
         self._tile_times: dict = {}
 
     def set_fusion(self, active: bool, lengths=None) -> None:
@@ -115,22 +115,19 @@ class ModelBackend:
         )
 
     def _tiled_matmul_us(
-        self, total_steps: int, out_tiles: int, tile: TileConfig,
-        *, load_efficiency: float = 1.0,
+        self, total_steps: int, out_tiles: int, tile: TileConfig
     ) -> float:
         """Latency of a fused kernel given its tile workload."""
         if total_steps <= 0:
             return self.spec.kernel_launch_us
         # Keyed by the extents: a tuple of numbers hashes without calling
         # the dataclass's Python-level __hash__.
-        key = (tile.tm, tile.tk, tile.tn, load_efficiency)
+        key = (tile.tm, tile.tk, tile.tn)
         times = self._tile_times.get(key)
         if times is None:
             times = self._tile_times[key] = (
                 matmul_step_time_us(
-                    tile, self.dtype, self.spec,
-                    tensor_core=self.tensor_core,
-                    load_efficiency=load_efficiency,
+                    tile, self.dtype, self.spec, tensor_core=self.tensor_core
                 ),
                 matmul_tile_fixed_time_us(tile, self.dtype, self.spec),
             )

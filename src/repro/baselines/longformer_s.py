@@ -36,12 +36,10 @@ class LongformerSBackend(ModelBackend):
     """Pattern-decomposed window+global attention."""
 
     name = "Longformer-S"
-
-    def __init__(self, spec, dtype: str = "float32", *, window: int = 512,
-                 num_global: int = 64):
-        super().__init__(spec, dtype)
-        self.window = window
-        self.num_global = num_global
+    #: One-sided sliding-window width and global-token count the
+    #: decomposed kernels are built for.
+    WINDOW = 512
+    NUM_GLOBAL = 64
 
     def attention(
         self, lengths, heads: int, head_dim: int,
@@ -52,7 +50,7 @@ class LongformerSBackend(ModelBackend):
         batch = int(lengths.size)
         s = int(lengths.max()) if batch else 0
         bh = batch * heads
-        w, g = self.window, self.num_global
+        w, g = self.WINDOW, self.NUM_GLOBAL
 
         tile = TileConfig(32, min(64, max(8, head_dim)), 32)
         # Banded part: the chunked-diagonal implementation computes a full

@@ -34,11 +34,6 @@ class SparTAKernel(SpmmKernel):
 
     name = "SparTA"
 
-    def __init__(self, spec, dtype: str = "float32", *, include_compile: bool = False):
-        super().__init__(spec, dtype)
-        #: Whether spmm() charges the AOT compilation (dynamic-pattern use).
-        self.include_compile = include_compile
-
     def _cover_cost_us(self, mask: np.ndarray, tile, n: int) -> float:
         """Cost of covering the mask in place with (tm, tk) blocks."""
         grid = cover_grid(mask, (tile.tm, tile.tk))
@@ -62,9 +57,4 @@ class SparTAKernel(SpmmKernel):
 
     def spmm(self, mask: np.ndarray, n: int) -> SpmmResult:
         tile, compute = self.best_tile_for(mask, n)
-        convert = SPARTA_COMPILE_US if self.include_compile else 0.0
-        return SpmmResult(
-            compute_us=compute,
-            convert_us=convert,
-            detail={"tile": tile.describe()},
-        )
+        return SpmmResult(compute_us=compute, detail={"tile": tile.describe()})

@@ -38,8 +38,8 @@ class TritonBlockSparseKernel(SpmmKernel):
 
     name = "OpenAI Block (Triton)"
 
-    def __init__(self, spec, dtype: str = "float32", *, block: int = 32):
-        super().__init__(spec, dtype)
+    def __init__(self, spec, *, block: int = 32):
+        super().__init__(spec)
         if block < 8:
             raise ValueError("Triton block-sparse supports blocks >= 8")
         self.block = block

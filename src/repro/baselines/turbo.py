@@ -29,12 +29,13 @@ TURBO_MAX_SEQ = 512
 TURBO_BUCKETS = 4
 
 
-def length_buckets(lengths, num_buckets: int = TURBO_BUCKETS) -> list:
-    """Split lengths into sorted sub-batches (each padded to its own max)."""
+def length_buckets(lengths) -> list:
+    """Split lengths into ``TURBO_BUCKETS`` sorted sub-batches (each padded
+    to its own max)."""
     lengths = np.sort(np.asarray(lengths))
     if lengths.size == 0:
         return []
-    splits = np.array_split(lengths, min(num_buckets, lengths.size))
+    splits = np.array_split(lengths, min(TURBO_BUCKETS, lengths.size))
     return [s for s in splits if s.size]
 
 

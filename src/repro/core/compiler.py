@@ -33,7 +33,7 @@ from .kernels import (
     kernel_from_choice,
 )
 from .plan import Planner, PlanSpec
-from .selection import KernelChoice, PlanCache
+from .selection import KernelChoice
 from .tiledb import TileDB
 
 
@@ -59,44 +59,19 @@ class CompiledMatmul:
 class PITCompiler:
     """JIT compiler for dynamically sparse operators on one device."""
 
-    def __init__(
-        self,
-        spec: GPUSpec,
-        dtype: str = "float32",
-        *,
-        tensor_core: bool = False,
-        max_tiles: int = 24,
-        plan_cache: Optional[PlanCache] = None,
-    ):
+    def __init__(self, spec: GPUSpec, dtype: str = "float32"):
         self.spec = spec
         self.dtype = dtype
-        self.tensor_core = tensor_core
-        self.tiledb = TileDB.shared(
-            spec, dtype, tensor_core=tensor_core, max_tiles=max_tiles
-        )
-        #: The single Algorithm 1 entry point.  When a shared
-        #: :class:`PlanCache` is supplied (the serving engine threads one
-        #: through compiler, backend and scheduler) selection outcomes are
-        #: shared across all of them; otherwise the planner owns a private
-        #: cache so statistically alike sample sets still skip the search.
-        self.planner = Planner(self.tiledb, plan_cache)
-        self.plan_cache = self.planner.cache
+        self.tiledb = TileDB.shared(spec, dtype)
+        #: The single Algorithm 1 entry point; its private cache lets
+        #: statistically alike sample sets skip the search.
+        self.planner = Planner(self.tiledb)
         self._cache: dict = {}  # PlanSpec -> CompiledMatmul
 
-    def plan_spec(
-        self,
-        sparsity_samples,
-        m: int,
-        k: int,
-        n: int,
-        *,
-        sparse_operand: str = "A",
-        kind: str = "proj",
-    ) -> PlanSpec:
-        """The :class:`PlanSpec` these samples of an ``[m,k,n]`` matmul name."""
-        return self.planner.make_spec(
-            kind, sparsity_samples, m, k, n, sparse_operand=sparse_operand
-        )
+    def plan_spec(self, sparsity_samples, m: int, k: int, n: int) -> PlanSpec:
+        """The ``proj`` :class:`PlanSpec` these samples of a sparse-A
+        ``[m,k,n]`` matmul name."""
+        return self.planner.make_spec("proj", sparsity_samples, m, k, n)
 
     def compile(self, spec: PlanSpec, sparsity_samples=None) -> CompiledMatmul:
         """Resolve ``spec`` through the planner and instantiate its kernel.
@@ -117,7 +92,6 @@ class PITCompiler:
             self.spec,
             self.dtype,
             sparse_operand=spec.sparse_operand,
-            tensor_core=self.tensor_core,
         )
         compiled = CompiledMatmul(
             m=spec.m,

@@ -82,20 +82,21 @@ def build_index(
     microtile: MicroTile,
     spec: GPUSpec,
     *,
-    dtype: str = "float32",
     seed: int = 0,
 ) -> SparseIndex:
     """Detect non-empty micro-tiles of ``mask`` and build the unordered index.
 
-    ``dtype`` is the dtype of the *values* tensor being scanned (it sets the
-    scan bytes; the mask itself is not materialized on a real device).
+    The scan is priced over an fp32 *values* tensor of the mask's shape
+    (the mask itself is not materialized on a real device).
     """
     grid = cover_grid(mask, microtile.shape)
     coords = np.argwhere(grid)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(coords.shape[0])
     coords = coords[perm]
-    construct = index_construction_time_us(mask.shape, dtype, spec, coords.shape[0])
+    construct = index_construction_time_us(
+        mask.shape, "float32", spec, coords.shape[0]
+    )
     return SparseIndex(
         microtile=microtile,
         grid_shape=grid.shape,

@@ -312,12 +312,10 @@ class GroupedMatmulKernel:
     pass (MegaBlocks).
     """
 
-    def __init__(self, tile: TileConfig, spec: GPUSpec, dtype: str = "float32",
-                 *, tensor_core: bool = False):
+    def __init__(self, tile: TileConfig, spec: GPUSpec, dtype: str = "float32"):
         self.tile = tile
         self.spec = spec
         self.dtype = dtype
-        self.tensor_core = tensor_core
 
     def estimate_us(
         self,
@@ -352,7 +350,6 @@ class GroupedMatmulKernel:
             self.tile,
             self.dtype,
             self.spec,
-            tensor_core=self.tensor_core,
             sread_contig_bytes=self.tile.tk * dtype_bytes(self.dtype),
             detector_us=detector,
         )

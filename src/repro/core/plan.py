@@ -194,7 +194,6 @@ class PlanSpec:
     #: :attr:`TileDB.cache_key` of the database the plan must be selected
     #: against; plans are only valid for equal keys.
     tiledb_key: tuple = ()
-    include_dense_fallback: bool = True
     #: ``nm-sparse`` only: the (n, m) structured pattern — keep ``n`` of
     #: every aligned ``m``-group along the weight's k-axis.  Empty for
     #: every other kind.
@@ -268,10 +267,8 @@ class PlanSpec:
         Stable across processes: every component is a primitive, a tuple, or
         a frozen value-compared dataclass (:class:`GPUSpec`).
 
-        Kinds without pattern/permutation keep the original 9-tuple layout;
-        nm-sparse emits an 11-tuple with the two extra fields ahead of the
-        tiledb key — the key stays *last* so
-        :meth:`PlanCache._embedded_tiledb_key` finds it in either layout.
+        nm-sparse specs add their pattern and permutation policy ahead of
+        the tiledb key, which stays last in either layout.
         """
         head = (
             "plan",
@@ -281,7 +278,6 @@ class PlanSpec:
             self.n,
             self.sparse_operand,
             self.signature,
-            self.include_dense_fallback,
         )
         if self.pattern or self.permutation:
             head = head + (self.pattern, self.permutation)
@@ -296,7 +292,6 @@ class PlanSpec:
             "sparse_operand": self.sparse_operand,
             "signature": encode_value(self.signature),
             "tiledb_key": encode_value(self.tiledb_key),
-            "include_dense_fallback": self.include_dense_fallback,
         }
         if self.pattern or self.permutation:
             data["pattern"] = encode_value(self.pattern)
@@ -313,8 +308,7 @@ class PlanSpec:
             sparse_operand=data["sparse_operand"],
             signature=decode_value(data["signature"]),
             tiledb_key=decode_value(data["tiledb_key"]),
-            include_dense_fallback=data["include_dense_fallback"],
-            # Absent in dumps written before the nm-sparse kind existed.
+            # to_json writes these for nm-sparse specs only.
             pattern=decode_value(data.get("pattern", [])),
             permutation=decode_value(data.get("permutation", [])),
         )
@@ -381,17 +375,15 @@ class Planner:
         n: int,
         *,
         sparse_operand: str = "A",
-        include_dense_fallback: bool = True,
         pattern: tuple = (),
         permutation: tuple = (),
     ) -> PlanSpec:
         """Build the spec for ``sparsity_samples`` of an ``[m,k,n]`` matmul.
 
-        The signature is the quantized sparsity signature of the samples
-        (quantized with the cache's quantum, so specs and cache agree).
+        The signature is the quantized sparsity signature of the samples.
         ``pattern``/``permutation`` only apply to nm-sparse specs.
         """
-        sig = sparsity_signature(sparsity_samples, quantum=self.cache.quantum)
+        sig = sparsity_signature(sparsity_samples)
         return PlanSpec(
             kind=kind,
             m=m,
@@ -400,7 +392,6 @@ class Planner:
             sparse_operand=sparse_operand,
             signature=sig,
             tiledb_key=self._tiledb_key,
-            include_dense_fallback=include_dense_fallback,
             pattern=pattern,
             permutation=permutation,
         )
@@ -445,7 +436,6 @@ class Planner:
                     self.tiledb,
                     pattern=spec.pattern,
                     permutation=spec.permutation,
-                    include_dense_fallback=spec.include_dense_fallback,
                 )
             return kernel_selection(
                 make_samples(),
@@ -454,7 +444,6 @@ class Planner:
                 spec.n,
                 self.tiledb,
                 sparse_operand=spec.sparse_operand,
-                include_dense_fallback=spec.include_dense_fallback,
             )
 
         choice, hit = self.cache.get_or_compute(key, search)

@@ -15,7 +15,6 @@ avoiding redundant passes over the samples.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 import time
@@ -27,7 +26,7 @@ import numpy as np
 
 from ..analysis.runtime_checks import make_lock
 from ..hw.costmodel import TileConfig, sparse_matmul_time_us
-from ..hw.spec import GPUSpec
+from ..sparsity.attention import SIGNATURE_QUANTUM
 from .cover import SampleStack, dense_matmul_workload
 from .kernels import _RuleTable
 from .microtile import MicroTile
@@ -154,13 +153,13 @@ def _covered_sparsity(counts: tuple) -> np.ndarray:
 
 
 def _profile_stages(profile, rules, mean_costs, start: float, covered: float,
-                    choice: KernelChoice, **counts) -> None:
+                    choice: KernelChoice, num_samples: int) -> None:
     """Fill a search's ``profile``: the cover stage (pyramid and pooled
     counts), the score stage (array pricing, argmin, dense candidate) and
     each rule's mean cost."""
     cover_us = (covered - start) * 1e6
     profile.update(
-        num_rules=len(rules), **counts, cover_us=cover_us,
+        num_rules=len(rules), num_samples=num_samples, cover_us=cover_us,
         score_us=choice.search_time_us - cover_us,
         total_us=choice.search_time_us,
         rules=[{"tile": r.tile.describe(), "pit_axis": r.pit_axis,
@@ -169,8 +168,9 @@ def _profile_stages(profile, rules, mean_costs, start: float, covered: float,
     )
 
 
-def _dense_candidate(m: int, k: int, n: int, tiledb: TileDB) -> tuple:
-    """The dense fallback's ``(tile, cost)``.
+def dense_candidate(m: int, k: int, n: int, tiledb: TileDB) -> tuple:
+    """The dense fallback's ``(tile, cost)``: Algorithm 1's dense
+    candidate, and the serving engine's degraded plan when a search fails.
 
     Priced with the same wave-quantized formula as the sparse candidates so
     that rounding differences cannot flip the comparison; a dense-ish input
@@ -198,7 +198,7 @@ def _settle(best, best_cost: float, best_cov: float, m: int, k: int, n: int,
     candidate then wins, or the search fails if the fallback is disabled.
     """
     if include_dense_fallback:
-        tile, cost = _dense_candidate(m, k, n, tiledb)
+        tile, cost = dense_candidate(m, k, n, tiledb)
         if cost <= best_cost:
             return KernelChoice(
                 tile=tile,
@@ -331,8 +331,6 @@ def nm_kernel_selection(
     *,
     pattern: tuple,
     permutation: tuple = (),
-    include_dense_fallback: bool = True,
-    profile: Optional[dict] = None,
 ) -> PermutedChoice:
     """Algorithm 1 composed with a channel-permutation search (nm-sparse).
 
@@ -372,7 +370,6 @@ def nm_kernel_selection(
 
     rules, table = _rule_table(tiledb, "B")
     counts = table.count(SampleStack(stacked))
-    covered = time.perf_counter()
     costs = table.price(counts, (k, n), m)
     num_samples = len(samples)
     shape = (len(rules), len(candidates), num_samples)
@@ -387,13 +384,8 @@ def nm_kernel_selection(
 
     choice = _settle(
         best_rule, best_cost, best_cov, m, k, n, tiledb,
-        include_dense_fallback, "B", start,
+        include_dense_fallback=True, sparse_operand="B", start=start,
     )
-    if profile is not None:
-        _profile_stages(
-            profile, rules, _mean_in_sample_order(costs), start, covered,
-            choice, num_samples=num_samples, num_candidates=len(candidates),
-        )
     # A dense kernel has no channel order; None is the identity candidate.
     winning = None if choice.is_dense_fallback else candidates[best_perm_idx]
     return PermutedChoice(
@@ -401,27 +393,17 @@ def nm_kernel_selection(
     )
 
 
-#: Default width of one sparsity-signature quantization bucket.  Masks whose
-#: density statistics agree to within one bucket share a cached plan: the
-#: selection landscape is flat at that resolution (neighbouring candidates'
-#: costs differ by far more than a few percent of density), while patterns
-#: that drift past it genuinely can flip the winning rule.
-SIGNATURE_QUANTUM = 0.05
-
-
-def sparsity_signature(sparsity_samples, *, quantum: float = SIGNATURE_QUANTUM):
+def sparsity_signature(sparsity_samples):
     """Quantized sparsity signature of a sample set (a hashable tuple).
 
     Captures the three statistics Algorithm 1's outcome actually depends on:
     overall density, live-row fraction and live-column fraction (the latter
     two discriminate m-axis from k-axis granularity).  Each is quantized to
-    ``quantum``-wide buckets so that invocation-to-invocation noise in a
-    dynamic pattern maps to the same signature — the key property the
-    :class:`PlanCache` needs (Figure 20: exact patterns almost never repeat,
-    but their *statistics* are stable).
+    :data:`SIGNATURE_QUANTUM`-wide buckets so that invocation-to-invocation
+    noise in a dynamic pattern maps to the same signature — the key
+    property the :class:`PlanCache` needs (Figure 20: exact patterns almost
+    never repeat, but their *statistics* are stable).
     """
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
     samples = [np.asarray(s, dtype=bool) for s in sparsity_samples]
     if not samples:
         raise ValueError("sparsity signature needs at least one sample")
@@ -437,7 +419,7 @@ def sparsity_signature(sparsity_samples, *, quantum: float = SIGNATURE_QUANTUM):
     density = float(np.mean(densities))
     row_live = float(np.mean(row_lives))
     col_live = float(np.mean(col_lives))
-    q = 1.0 / quantum
+    q = 1.0 / SIGNATURE_QUANTUM
     return (
         int(round(density * q)),
         int(round(row_live * q)),
@@ -449,13 +431,12 @@ class PlanCacheLoadError(ValueError):
     """A plan-cache dump could not be parsed or decoded.
 
     Raised by :meth:`PlanCache.load` for *corruption* — truncated or
-    invalid JSON, missing header fields, a ``capacity`` or ``quantum`` of
-    the wrong type or range, an ``entries`` field that is not a list,
-    undecodable entries — as distinct from the plain :class:`ValueError`
-    it raises for a well-formed dump that is merely incompatible (unknown
-    format version, foreign TileDB identity).  Subclasses ``ValueError``
-    so existing callers that guard ``load`` with one ``except`` keep
-    working.
+    invalid JSON, missing header fields, an ``entries`` field that is not
+    a list, undecodable entries — as distinct from the plain
+    :class:`ValueError` it raises for a well-formed dump that is merely
+    incompatible (unknown format version, foreign TileDB identity).
+    Subclasses ``ValueError`` so existing callers that guard ``load`` with
+    one ``except`` keep working.
     """
 
 
@@ -476,33 +457,13 @@ class PlanCache:
     cold Algorithm 1 search never stalls a warm lookup, and concurrent
     requests for the same plan run the search exactly once.
 
-    ``capacity`` bounds the entry count exactly; an insert past it evicts
-    the least recently used entry.
+    :attr:`CAPACITY` bounds the entry count exactly; an insert past it
+    evicts the least recently used entry.
     """
 
-    def __init__(
-        self, capacity: int = 256, *, quantum: float = SIGNATURE_QUANTUM
-    ):
-        # bool is an Integral, but a dump header saying `true` is corrupt.
-        if (
-            isinstance(capacity, bool)
-            or not isinstance(capacity, numbers.Integral)
-            or capacity < 1
-        ):
-            raise ValueError(
-                f"capacity must be an integer >= 1, got {capacity!r}"
-            )
-        if (
-            isinstance(quantum, bool)
-            or not isinstance(quantum, numbers.Real)
-            or not math.isfinite(quantum)
-            or quantum <= 0
-        ):
-            raise ValueError(
-                f"quantum must be a finite number > 0, got {quantum!r}"
-            )
-        self.capacity = capacity
-        self.quantum = quantum
+    CAPACITY = 256
+
+    def __init__(self):
         #: key -> value, least recently used first.
         self._entries: OrderedDict = OrderedDict()
         #: key -> :class:`threading.Event` of the search in flight for it.
@@ -550,7 +511,7 @@ class PlanCache:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
+            while len(self._entries) > self.CAPACITY:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
@@ -602,39 +563,19 @@ class PlanCache:
         return value, False
 
     #: On-disk dump format version; bumped whenever key/value encoding or
-    #: the header changes.  Format 3 dropped format 2's ``shards`` header;
-    #: it is the only format :meth:`load` reads.
-    DUMP_FORMAT = 3
-
-    @staticmethod
-    def _embedded_tiledb_key(key):
-        """The TileDB identity a cache key carries, if any.
-
-        Every plan and memo key ends in a
-        :attr:`~repro.core.tiledb.TileDB.cache_key` — a 4-tuple led by a
-        :class:`~repro.hw.spec.GPUSpec`.  Ad-hoc keys return ``None``.
-        """
-        if isinstance(key, tuple) and key:
-            last = key[-1]
-            if (
-                isinstance(last, tuple)
-                and len(last) == 4
-                and isinstance(last[0], GPUSpec)
-            ):
-                return last
-        return None
+    #: the header changes.  Format 4 dropped format 3's ``capacity``,
+    #: ``quantum`` and ``tiledb_keys`` header fields; it is the only format
+    #: :meth:`load` reads.
+    DUMP_FORMAT = 4
 
     def save(self, path, *, tiledb_key) -> dict:
         """Persist the cache to ``path`` as JSON.
 
         ``tiledb_key`` is the :attr:`~repro.core.tiledb.TileDB.cache_key`
-        of the *primary* tile database the cached plans were selected
-        against; it is recorded in the dump header so :meth:`load` can
-        refuse a dump that was built over different tiles (such plans would
-        silently misprice).  Mixed lineups cache plans for several device
-        classes in one process-wide cache, so the header additionally
-        records ``tiledb_keys`` — every class identity found among the
-        saved entries — and :meth:`load` can validate against the full set.
+        of the tile database the cached plans were selected against; it is
+        recorded in the dump header so :meth:`load` can refuse a dump that
+        was built over different tiles (such plans would silently
+        misprice).
 
         Entries are written oldest first (LRU order); those whose key or
         value cannot be serialized (ad-hoc objects a caller memoized) are
@@ -645,8 +586,6 @@ class PlanCache:
 
         from .plan import encode_value
 
-        primary = tuple(tiledb_key)
-        class_keys = {primary: None}  # insertion-ordered set, primary first
         entries = []
         skipped = 0
         for key, value in self.entries():
@@ -656,16 +595,9 @@ class PlanCache:
                 )
             except TypeError:
                 skipped += 1
-                continue
-            embedded = self._embedded_tiledb_key(key)
-            if embedded is not None:
-                class_keys.setdefault(embedded, None)
         payload = {
             "format": self.DUMP_FORMAT,
-            "capacity": self.capacity,
-            "quantum": self.quantum,
-            "tiledb_key": encode_value(primary),
-            "tiledb_keys": [encode_value(k) for k in class_keys],
+            "tiledb_key": encode_value(tuple(tiledb_key)),
             "entries": entries,
         }
         # Write-then-rename so a crash (or a json.dump failure) mid-save
@@ -685,28 +617,16 @@ class PlanCache:
         return {"entries": len(entries), "skipped": skipped}
 
     @classmethod
-    def load(
-        cls,
-        path,
-        *,
-        expected_tiledb_key=None,
-        expected_tiledb_keys=None,
-    ) -> "PlanCache":
+    def load(cls, path, *, expected_tiledb_key=None) -> "PlanCache":
         """Revive a cache saved by :meth:`save` (fresh hit/miss counters).
 
-        When ``expected_tiledb_key`` is given, the dump's recorded *primary*
-        TileDB identity must match it exactly — a dump built against a
-        different device/dtype/tile budget raises ``ValueError`` instead of
-        silently serving plans that were selected over other tiles.
+        When ``expected_tiledb_key`` is given, the dump's recorded TileDB
+        identity must match it exactly — a dump built against a different
+        device/dtype/tile budget raises ``ValueError`` instead of silently
+        serving plans that were selected over other tiles.
 
-        When ``expected_tiledb_keys`` is given (a mixed lineup's full set of
-        class identities), *every* class the dump contains must be in the
-        expected set; a dump carrying plans for a foreign device class
-        raises and names the offending class.
-
-        The revived cache keeps the dump header's capacity and quantum.
-        A dump holding more entries than its capacity revives with the
-        ``capacity`` newest; the trimmed ones count as evictions.
+        A dump holding more than :attr:`CAPACITY` entries revives with the
+        newest; the trimmed ones count as evictions.
         """
         import json
 
@@ -745,25 +665,6 @@ class PlanCache:
                 f"plans selected over different tiles are not transferable"
             )
         try:
-            dump_keys = [decode_value(k) for k in payload["tiledb_keys"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PlanCacheLoadError(
-                f"plan-cache dump {path} has an undecodable tiledb_keys "
-                f"header: {exc!r}"
-            ) from exc
-        if expected_tiledb_keys is not None:
-            allowed = {tuple(k) for k in expected_tiledb_keys}
-            foreign = [k for k in dump_keys if tuple(k) not in allowed]
-            if foreign:
-                raise ValueError(
-                    f"plan-cache dump contains plans selected against TileDB "
-                    f"{foreign[0]!r}, which does not match any expected device "
-                    f"class; plans selected over different tiles are not "
-                    f"transferable"
-                )
-        try:
-            capacity = payload["capacity"]
-            quantum = payload["quantum"]
             raw_entries = payload["entries"]
         except KeyError as exc:
             raise PlanCacheLoadError(
@@ -775,15 +676,10 @@ class PlanCache:
                 f"plan-cache dump {path} has an entries field of type "
                 f"{type(raw_entries).__name__}, expected a list"
             )
-        try:
-            cache = cls(capacity, quantum=quantum)
-        except ValueError as exc:
-            raise PlanCacheLoadError(
-                f"plan-cache dump {path} cannot be revived: {exc}"
-            ) from exc
+        cache = cls()
         # Entries were dumped oldest first, so inserting them in file order
         # through the LRU path rebuilds the recency order and keeps the
-        # newest `capacity` of them.
+        # newest `CAPACITY` of them.
         for position, entry in enumerate(raw_entries):
             try:
                 key = decode_value(entry["key"])
@@ -802,7 +698,7 @@ class PlanCache:
             hits, misses = self._hits, self._misses
             stats = {
                 "size": len(self._entries),
-                "capacity": self.capacity,
+                "capacity": self.CAPACITY,
                 "hits": hits,
                 "misses": misses,
                 "evictions": self._evictions,

@@ -29,24 +29,21 @@ def sread_rows(data: np.ndarray, row_index: np.ndarray) -> np.ndarray:
 
 
 def swrite_rows(
-    out_shape: tuple,
-    row_index: np.ndarray,
-    rows: np.ndarray,
-    *,
-    dtype=None,
+    out_shape: tuple, row_index: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """Scatter computed rows back to their original coordinates.
 
     The inverse permutation is implicit: row ``i`` of ``rows`` goes to
     ``out[row_index[i]]``, so any SRead order round-trips correctly.
-    Unindexed rows stay zero (they correspond to all-zero inputs).
+    Unindexed rows stay zero (they correspond to all-zero inputs).  The
+    output takes ``rows``' dtype.
     """
     idx = np.asarray(row_index, dtype=np.int64)
     if idx.size != rows.shape[0]:
         raise ValueError(
             f"row_index has {idx.size} entries but rows has {rows.shape[0]}"
         )
-    out = np.zeros(out_shape, dtype=dtype if dtype is not None else rows.dtype)
+    out = np.zeros(out_shape, dtype=rows.dtype)
     out[idx] = rows
     return out
 
@@ -57,11 +54,7 @@ def sread_cols(data: np.ndarray, col_index: np.ndarray) -> np.ndarray:
 
 
 def swrite_cols(
-    out_shape: tuple,
-    col_index: np.ndarray,
-    cols: np.ndarray,
-    *,
-    dtype=None,
+    out_shape: tuple, col_index: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Scatter computed columns back — n-axis SWrite."""
     idx = np.asarray(col_index, dtype=np.int64)
@@ -69,6 +62,6 @@ def swrite_cols(
         raise ValueError(
             f"col_index has {idx.size} entries but cols has {cols.shape[1]} columns"
         )
-    out = np.zeros(out_shape, dtype=dtype if dtype is not None else cols.dtype)
+    out = np.zeros(out_shape, dtype=cols.dtype)
     out[:, idx] = cols
     return out

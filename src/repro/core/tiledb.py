@@ -43,7 +43,7 @@ class TileEntry:
         return steps * self.step_us + self.fixed_us
 
 
-#: Shared TileDB instances per (device, dtype, tensor_core, max_tiles) — see
+#: Shared TileDB instances per (device, dtype, tensor_core) — see
 #: :meth:`TileDB.shared`.
 _INSTANCE_CACHE: dict = {}
 _INSTANCE_CACHE_LOCK = make_lock("instance_cache", reentrant=False)
@@ -73,20 +73,17 @@ def _reset_shared_after_fork() -> None:
 class TileDB:
     """Profiled dense-tile database for one (device, dtype) pair."""
 
+    #: Profiled tiles kept, best efficiency first.
+    MAX_TILES = 24
+
     def __init__(
-        self,
-        spec: GPUSpec,
-        dtype: str = "float32",
-        *,
-        tensor_core: bool = False,
-        max_tiles: int = 24,
+        self, spec: GPUSpec, dtype: str = "float32", *, tensor_core: bool = False
     ):
         self.spec = spec
         self.dtype = dtype
         self.tensor_core = tensor_core
-        self.max_tiles = max_tiles
         profiles = profile_matmul_tiles(spec, dtype, tensor_core=tensor_core)
-        self._entries = [self._to_entry(p) for p in profiles[: max(1, max_tiles)]]
+        self._entries = [self._to_entry(p) for p in profiles[:self.MAX_TILES]]
         #: ``best_dense_tile`` results per ``(m, k, n)``; see there.
         self._best_dense: dict = {}
         #: Algorithm 1's rule tables per sparse operand; see ``_rule_table``.
@@ -107,16 +104,11 @@ class TileDB:
         keys.  The full (frozen, hashable) :class:`GPUSpec` participates, so
         two same-named specs with different parameters never collide.
         """
-        return (self.spec, self.dtype, self.tensor_core, self.max_tiles)
+        return (self.spec, self.dtype, self.tensor_core, self.MAX_TILES)
 
     @classmethod
     def shared(
-        cls,
-        spec: GPUSpec,
-        dtype: str = "float32",
-        *,
-        tensor_core: bool = False,
-        max_tiles: int = 24,
+        cls, spec: GPUSpec, dtype: str = "float32", *, tensor_core: bool = False
     ) -> "TileDB":
         """The process-wide instance for this configuration.
 
@@ -128,12 +120,10 @@ class TileDB:
         all of them must observe one profiled instance.
         """
         _reset_shared_after_fork()
-        key = (spec, dtype, tensor_core, max_tiles)
+        key = (spec, dtype, tensor_core)
         with _INSTANCE_CACHE_LOCK:
             if key not in _INSTANCE_CACHE:
-                _INSTANCE_CACHE[key] = cls(
-                    spec, dtype, tensor_core=tensor_core, max_tiles=max_tiles
-                )
+                _INSTANCE_CACHE[key] = cls(spec, dtype, tensor_core=tensor_core)
             return _INSTANCE_CACHE[key]
 
     def _to_entry(self, profile: TileProfile) -> TileEntry:

@@ -117,7 +117,6 @@ def matmul_tile_time_us(
     spec: GPUSpec,
     *,
     tensor_core: bool = False,
-    load_efficiency: float = 1.0,
 ) -> float:
     """Latency of one output tile accumulating over ``k_extent``.
 
@@ -127,9 +126,7 @@ def matmul_tile_time_us(
     if k_extent < 1:
         raise ValueError("k_extent must be >= 1")
     steps = math.ceil(k_extent / tile.tk)
-    step = matmul_step_time_us(
-        tile, dtype, spec, tensor_core=tensor_core, load_efficiency=load_efficiency
-    )
+    step = matmul_step_time_us(tile, dtype, spec, tensor_core=tensor_core)
     return steps * step + matmul_tile_fixed_time_us(tile, dtype, spec)
 
 
@@ -157,12 +154,11 @@ def dense_matmul_time_us(
     spec: GPUSpec,
     *,
     tensor_core: bool = False,
-    batch: int = 1,
 ) -> float:
-    """Latency of a dense (possibly batched) matmul with the given tile."""
+    """Latency of a dense matmul with the given tile."""
     tiles_m = math.ceil(m / tile.tm)
     tiles_n = math.ceil(n / tile.tn)
-    num_tiles = tiles_m * tiles_n * batch
+    num_tiles = tiles_m * tiles_n
     t_tile = matmul_tile_time_us(tile, k, dtype, spec, tensor_core=tensor_core)
     return kernel_time_us(num_tiles, t_tile, spec)
 
@@ -203,39 +199,25 @@ def sparse_matmul_time_us(
 
 
 def predicted_finish_us(
-    close_us: float, free_at_us: float, est_exec_us: float
+    close_us: float, free_at_us: float, est_exec_us: float, penalty_us: float
 ) -> float:
-    """Predicted completion time of a batch placed on one replica.
+    """Predicted completion time of a batch placed on one replica, plus
+    the replica's health penalty.
 
     The cost-aware placement objective: a batch closed at ``close_us`` can
     start no earlier than the replica frees up, then runs for the device
     model's estimated execution time.  ``inf`` estimates (a batch the device
     cannot serve, e.g. predicted OOM) propagate, pushing placement toward
-    replicas that can finish at all.
+    replicas that can finish at all.  A suspect replica's finite
+    ``penalty_us`` makes healthy peers win ties without excluding it, while
+    a quarantined or dead replica's ``inf`` penalty excludes it whenever
+    any alternative exists; a healthy replica's penalty is zero.
     """
     if est_exec_us < 0:
         raise ValueError("est_exec_us must be >= 0")
-    return max(close_us, free_at_us) + est_exec_us
-
-
-def health_adjusted_finish_us(
-    close_us: float,
-    free_at_us: float,
-    est_exec_us: float,
-    health_penalty_us: float = 0.0,
-) -> float:
-    """:func:`predicted_finish_us` plus a replica-health placement penalty.
-
-    The resilience layer's placement objective: a suspect replica's finite
-    penalty makes healthy peers win ties without excluding it, while a
-    quarantined or dead replica's ``inf`` penalty excludes it whenever any
-    alternative exists.  A zero penalty reduces exactly to
-    :func:`predicted_finish_us`, so health-aware and legacy placement agree
-    bit-for-bit on an all-healthy fleet.
-    """
-    if health_penalty_us < 0:
-        raise ValueError("health_penalty_us must be >= 0")
-    return predicted_finish_us(close_us, free_at_us, est_exec_us) + health_penalty_us
+    if penalty_us < 0:
+        raise ValueError("penalty_us must be >= 0")
+    return max(close_us, free_at_us) + est_exec_us + penalty_us
 
 
 def elementwise_time_us(

@@ -69,24 +69,24 @@ class GPUSpec:
     mem_capacity_gib: float
     #: Shared memory per SM in KiB.
     shared_mem_per_sm_kib: int
+
+    # Parameters every modeled GPU shares: class attributes, not fields.
     #: Global-memory read/write transaction granularity in bytes.
-    transaction_bytes: int = 32
+    transaction_bytes = 32
     #: Fixed cost of launching one kernel, in microseconds.
-    kernel_launch_us: float = 5.0
+    kernel_launch_us = 5.0
     #: Per-thread-block scheduling overhead, in microseconds.  Small tiles pay
     #: this relatively more, which is the root of the tile-shape dilemma in
     #: Figure 3a.
-    tile_overhead_us: float = 0.25
-    #: Maximum resident thread blocks per SM (occupancy ceiling).
-    max_blocks_per_sm: int = 4
+    tile_overhead_us = 0.25
     #: Whether the device has Tensor Cores usable through wmma.
-    has_tensor_cores: bool = True
+    has_tensor_cores = True
     #: Relative efficiency of scattered (transaction-granular) global memory
     #: access vs. fully coalesced streaming access.  SRead/SWrite at
     #: micro-tile granularity run at this fraction of peak bandwidth — near
     #: unity once each micro-tile fills a whole transaction (the paper's
     #: "negligible overhead" claim for SRead/SWrite, Section 5.3).
-    gather_efficiency: float = 0.95
+    gather_efficiency = 0.95
 
     def __post_init__(self) -> None:
         # A frozen spec keys every plan-cache lookup and prices every

@@ -46,17 +46,18 @@ class SparseTensorCore:
     """Model of the A100 ``mma.sp`` 2:4 structured-sparsity path.
 
     Eligible fragments (every 1x4 run containing exactly two zeros) execute at
-    ``speedup`` times the dense Tensor Core rate; ineligible fragments must
+    ``SPEEDUP`` times the dense Tensor Core rate; ineligible fragments must
     take the dense path.  PIT's augmentation (Section 6) routes all-zero
     micro-tiles away entirely and feeds only the 2:4-eligible ones here.
     """
 
+    SPEEDUP = 2.0
+
     spec: GPUSpec
-    speedup: float = 2.0
 
     def fragment_time_ratio(self, eligible: bool) -> float:
         """Relative per-fragment time vs. the dense Tensor Core path."""
-        return 1.0 / self.speedup if eligible else 1.0
+        return 1.0 / self.SPEEDUP if eligible else 1.0
 
 
 def is_two_four_eligible(block) -> bool:

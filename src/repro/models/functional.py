@@ -96,15 +96,13 @@ def moe_layer_reference(
     expert_w1: np.ndarray,
     expert_w2: np.ndarray,
     assignment: np.ndarray,
-    *,
-    activation: str = "relu",
 ) -> np.ndarray:
-    """Per-token expert FFN (the semantic ground truth of MoE dispatch)."""
-    act = relu if activation == "relu" else gelu
+    """Per-token ReLU expert FFN (the semantic ground truth of MoE
+    dispatch)."""
     out = np.zeros((tokens.shape[0], expert_w2.shape[2]))
     for t in range(tokens.shape[0]):
         e = assignment[t]
-        out[t] = act(tokens[t] @ expert_w1[e]) @ expert_w2[e]
+        out[t] = relu(tokens[t] @ expert_w1[e]) @ expert_w2[e]
     return out
 
 
@@ -114,12 +112,10 @@ def moe_layer_grouped(
     expert_w2: np.ndarray,
     assignment: np.ndarray,
     *,
-    activation: str = "relu",
     seed: int = 0,
 ) -> np.ndarray:
     """PIT-style grouped execution: gather each expert's tokens (unordered),
-    run dense matmuls per expert, scatter back."""
-    act = relu if activation == "relu" else gelu
+    run the ReLU expert FFN per expert, scatter back."""
     rng = np.random.default_rng(seed)
     out = np.zeros((tokens.shape[0], expert_w2.shape[2]))
     for e in range(expert_w1.shape[0]):
@@ -127,5 +123,5 @@ def moe_layer_grouped(
         if idx.size == 0:
             continue
         idx = idx[rng.permutation(idx.size)]
-        out[idx] = act(tokens[idx] @ expert_w1[e]) @ expert_w2[e]
+        out[idx] = relu(tokens[idx] @ expert_w1[e]) @ expert_w2[e]
     return out

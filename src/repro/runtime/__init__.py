@@ -35,7 +35,6 @@ __all__ = [
     "cluster_replay_trace",
     "decision_trace",
     "format_table",
-    "make_backend",
     "merge_workloads",
     "replay_trace",
     "run_lineup",
@@ -44,7 +43,6 @@ __all__ = [
     "serve_workloads",
     "sparse_training_run",
     "sparse_training_step",
-    "validate_backend_kwargs",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
@@ -69,10 +67,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "RequestReport", "ServingEngine", "ServingReport",
         "SpeculativeSelection", "merge_workloads",
     ),
-    "session": (
-        "BACKENDS_BY_NAME", "make_backend", "run_lineup",
-        "validate_backend_kwargs",
-    ),
+    "session": ("BACKENDS_BY_NAME", "run_lineup"),
     "training": (
         "SparseTrainingReport", "sparse_training_run", "sparse_training_step",
     ),

@@ -128,7 +128,6 @@ def encode_wire(obj):
                 "request_id": obj.request_id,
                 "workload": encode_wire(obj.workload),
                 "arrival_us": obj.arrival_us,
-                "deadline_us": obj.deadline_us,
             }
         }
     if isinstance(obj, RequestReport):
@@ -203,7 +202,6 @@ def decode_wire(data):
                 request_id=body["request_id"],
                 workload=decode_wire(body["workload"]),
                 arrival_us=body["arrival_us"],
-                deadline_us=body["deadline_us"],
             )
         if "__reqreport__" in data:
             return RequestReport(**data["__reqreport__"])

@@ -76,8 +76,7 @@ class ClusterFrontend(AsyncServingFrontend):
         """Spawn one worker process per policy replica, seed each with the
         plans the host already knows, and wait for readiness."""
         engine = self.engine
-        plan_cache = engine.plan_cache
-        snapshot = encode_delta_entries(plan_cache.entries())
+        snapshot = encode_delta_entries(engine.plan_cache.entries())
         for replica in self.policy.replicas:
             proc = WorkerProcess(WorkerConfig(
                 spec=replica.device.spec,
@@ -87,8 +86,6 @@ class ClusterFrontend(AsyncServingFrontend):
                 enforce_memory=engine.enforce_memory,
                 charge_selection=engine.charge_selection,
                 resilience=engine.resilience,
-                cache_capacity=plan_cache.capacity,
-                quantum=plan_cache.quantum,
             ))
             proc.start()
             self._procs[replica.replica_id] = proc

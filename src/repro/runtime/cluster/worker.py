@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ...core.selection import SIGNATURE_QUANTUM, PlanCache
+from ...core.selection import PlanCache
 from ...hw.spec import GPUSpec
 from ..resilience import ResilienceConfig
 from ..serving import ServingEngine
@@ -50,8 +50,6 @@ class WorkerConfig:
     enforce_memory: bool = False
     charge_selection: bool = True
     resilience: Optional[ResilienceConfig] = None
-    cache_capacity: int = 256
-    quantum: float = SIGNATURE_QUANTUM
 
 
 class RecordingPlanCache(PlanCache):
@@ -64,8 +62,8 @@ class RecordingPlanCache(PlanCache):
     *without* recording it (the fleet already knows those entries).
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self):
+        super().__init__()
         self._delta: list = []
 
     def put(self, key, value) -> None:
@@ -87,7 +85,7 @@ def make_worker_engine(config: WorkerConfig) -> ServingEngine:
     class, same resilience config (so the deterministic fault injector
     reaches identical decisions at identical coordinates), but a
     process-private :class:`RecordingPlanCache`."""
-    cache = RecordingPlanCache(config.cache_capacity, quantum=config.quantum)
+    cache = RecordingPlanCache()
     return ServingEngine(
         config.spec,
         dtype=config.dtype,

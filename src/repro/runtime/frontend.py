@@ -2,7 +2,7 @@
 
 An asyncio **admission loop** accepts streaming
 :meth:`AsyncServingFrontend.submit` calls (each resolved by a future),
-applies **backpressure / load-shedding** when the in-flight depth exceeds
+applies **load shedding** when the in-flight depth exceeds
 the SLO-feasible bound, and **replica workers** pull closed batches from
 per-replica queues and execute them concurrently (each worker on its own
 model-backend instance, all sharing the engine's one
@@ -66,8 +66,8 @@ class VirtualClock:
     exactly the event time.
     """
 
-    def __init__(self, start_us: float = 0.0):
-        self._now_us = float(start_us)
+    def __init__(self):
+        self._now_us = 0.0
         self._timers: list = []
         self._seq = itertools.count()
 
@@ -149,11 +149,9 @@ class AsyncServingFrontend:
     """Streaming admission + concurrent replica workers over one policy.
 
     ``max_queue_depth`` bounds the number of admitted-but-unfinished
-    requests; past it, ``overload="shed"`` refuses new arrivals immediately
-    (the request's future resolves to a ``shed`` :class:`RequestReport` —
-    reported, never silently dropped) while ``overload="block"`` applies
-    backpressure by making :meth:`submit` await capacity.  ``None`` means
-    unbounded.
+    requests; past it, new arrivals are shed immediately (the request's
+    future resolves to a ``shed`` :class:`RequestReport` — reported, never
+    silently dropped).  ``None`` means unbounded.
 
     On a :class:`VirtualClock` (the simulated driver, :func:`serve_virtual`)
     each batch executes synchronously at dispatch instead of going to a
@@ -176,26 +174,14 @@ class AsyncServingFrontend:
         engine,
         *,
         max_queue_depth: Optional[int] = None,
-        overload: str = "shed",
         clock=None,
     ):
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1 (or None)")
-        if overload not in ("shed", "block"):
-            raise ValueError(
-                f"overload must be shed|block, got {overload!r}"
-            )
         self.clock = clock if clock is not None else RealClock()
         self._inline = isinstance(self.clock, VirtualClock)
-        if self._inline and overload == "block":
-            raise ValueError(
-                "overload='block' needs workers to drain capacity; a "
-                "virtual-clock front end executes inline and cannot await "
-                "— use overload='shed'"
-            )
         self.engine = engine
         self.max_queue_depth = max_queue_depth
-        self.overload = overload
         self.policy = SchedulingPolicy(engine)
         self._report = ServingReport(policy="live")
         self._request_ids = itertools.count()
@@ -205,7 +191,6 @@ class AsyncServingFrontend:
         self._queues: list = []
         self._workers: list = []
         self._worker_backends: dict = {}
-        self._completion = None  # asyncio.Event, created at start()
         self._started = False
         self._closing = False
         self._pending_retries = 0
@@ -220,7 +205,6 @@ class AsyncServingFrontend:
         if self._started:
             return
         self._started = True
-        self._completion = asyncio.Event()
         if self._inline:
             return
         for replica in self.policy.replicas:
@@ -254,17 +238,11 @@ class AsyncServingFrontend:
                 await queue.join()
 
     async def stop(self) -> None:
-        """Drain, then shut the workers down.
-
-        Submitters blocked on backpressure are released first (their
-        futures resolve to refused reports) so a shutdown never strands a
-        caller awaiting capacity that will no longer free up.
-        """
+        """Drain, then shut the workers down; later submissions are
+        refused."""
         import asyncio
 
         self._closing = True
-        if self._completion is not None:
-            self._completion.set()
         await self.drain()
         for queue in self._queues:
             queue.put_nowait(_STOP)
@@ -282,27 +260,17 @@ class AsyncServingFrontend:
         workload,
         *,
         arrival_us: Optional[float] = None,
-        deadline_us: Optional[float] = None,
     ):
         """Admit one workload; returns a future of its RequestReport.
 
         The future resolves when the request's batch completes — or
         immediately with a ``shed`` report when the front end is over its
-        queue-depth bound in shed mode.  In block mode the *call* awaits
-        capacity instead (backpressure propagates to the submitter).
-        ``deadline_us`` is the request's completion budget relative to its
-        arrival (see :class:`~repro.runtime.resilience.ResilienceConfig`).
+        queue-depth bound.
         """
         import asyncio
 
         if not self._started:
             await self.start()
-        if self.max_queue_depth is not None and self.overload == "block":
-            while (
-                not self._closing and self._inflight >= self.max_queue_depth
-            ):
-                self._completion.clear()
-                await self._completion.wait()
         request_id = next(self._request_ids)
         future = asyncio.get_running_loop().create_future()
         self._futures[request_id] = future
@@ -319,10 +287,7 @@ class AsyncServingFrontend:
         now = arrival_us if arrival_us is not None else self.clock.now_us()
         self.ingest(
             InferenceRequest(
-                request_id=request_id,
-                workload=workload,
-                arrival_us=now,
-                deadline_us=deadline_us,
+                request_id=request_id, workload=workload, arrival_us=now
             )
         )
         return future
@@ -353,7 +318,6 @@ class AsyncServingFrontend:
         """
         if (
             self.max_queue_depth is not None
-            and self.overload == "shed"
             and self._inflight >= self.max_queue_depth
         ):
             self._resolve(
@@ -446,8 +410,6 @@ class AsyncServingFrontend:
     def _release(self, count: int) -> None:
         """``count`` admitted requests reached a terminal outcome."""
         self._inflight -= count
-        if count and self._completion is not None:
-            self._completion.set()
 
     def _account(self, item, batch_report, request_reports) -> None:
         """Fold one executed batch into policy state, report and futures.

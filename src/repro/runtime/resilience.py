@@ -31,13 +31,13 @@ across worker processes.  Four pieces live here:
 * :class:`ResilienceConfig` — the retry/deadline/breaker policy:
   ``max_retries`` bounds every retry chain statically (the ``bounded-retry``
   pitlint rule enforces the idiom repo-wide), backoff is exponential and
-  capped *in clock time* (simulated microseconds, never wall time), and
-  per-request deadlines keep retries from resurrecting a request past its
+  capped *in clock time* (simulated microseconds, never wall time), and a
+  deadline budget keeps retries from resurrecting a request past its
   SLO — such requests report ``deadline_exceeded``, distinct from ``shed``
   and from a plain failure.
 
 * :func:`resolve_failure` — the one failure-handling decision the front
-  end calls, on any clock: detect at ``start + failure_detect_us``, trip
+  end calls, on any clock: detect at ``start + FAILURE_DETECT_US``, trip
   the breaker, split the batch's requests into expired (deadline) and
   retryable, and name the backoff'd retry time and the replica to avoid.
 """
@@ -189,65 +189,60 @@ class FaultInjector:
         return self._draw(_STREAM_SEARCH, token) < self.spec.search_fail_prob
 
 
+#: Cap of the exponential retry backoff (simulated microseconds).
+RETRY_BACKOFF_CAP_US = 8000.0
+#: How long after dispatch a failure is detected; the failed attempt
+#: occupies the replica until then.
+FAILURE_DETECT_US = 200.0
+#: Consecutive failures that trip a replica from suspect to quarantined.
+QUARANTINE_AFTER = 3
+#: First quarantine window; a failed half-open probe doubles it, capped.
+QUARANTINE_US = 20000.0
+QUARANTINE_CAP_US = 160000.0
+#: Placement penalty of a suspect (or probing) replica.
+SUSPECT_PENALTY_US = 1000.0
+#: A batch whose compute exceeds this multiple of its placement estimate
+#: marks its replica suspect.
+STRAGGLER_THRESHOLD = 2.0
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Retry, deadline and circuit-breaker policy for a serving engine."""
+    """Retry, deadline and circuit-breaker policy for a serving engine.
+
+    The breaker's tunables are the module constants above it.
+    """
 
     #: Static bound on retries per batch: a batch executes at most
     #: ``1 + max_retries`` times, then its requests fail terminally.
     max_retries: int = 2
     #: First retry backoff (simulated microseconds, never wall time);
-    #: doubles per attempt up to the cap.
+    #: doubles per attempt up to :data:`RETRY_BACKOFF_CAP_US`.
     retry_backoff_us: float = 500.0
-    retry_backoff_cap_us: float = 8000.0
-    #: How long after dispatch a failure is detected; the failed attempt
-    #: occupies the replica until then.
-    failure_detect_us: float = 200.0
-    #: Consecutive failures that trip a replica from suspect to quarantined.
-    quarantine_after: int = 3
-    #: First quarantine window; a failed half-open probe doubles it, capped.
-    quarantine_us: float = 20000.0
-    quarantine_cap_us: float = 160000.0
-    #: Placement penalty of a suspect (or probing) replica.
-    suspect_penalty_us: float = 1000.0
-    #: A batch whose compute exceeds this multiple of its placement estimate
-    #: marks its replica suspect.
-    straggler_threshold: float = 2.0
-    #: SLO budget (from arrival) for requests that carry no deadline of
-    #: their own; ``None`` means no default deadline.
+    #: SLO budget of every request, from its arrival; ``None`` means no
+    #: deadline.
     default_deadline_us: Optional[float] = None
     fault: Optional[FaultSpec] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        for name in ("retry_backoff_us", "retry_backoff_cap_us",
-                     "failure_detect_us", "quarantine_us",
-                     "quarantine_cap_us", "suspect_penalty_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.quarantine_after < 1:
-            raise ValueError("quarantine_after must be >= 1")
-        if self.straggler_threshold < 1.0:
-            raise ValueError("straggler_threshold must be >= 1")
+        if self.retry_backoff_us < 0:
+            raise ValueError("retry_backoff_us must be >= 0")
         if self.default_deadline_us is not None and self.default_deadline_us <= 0:
             raise ValueError("default_deadline_us must be > 0 (or None)")
 
     def backoff_us(self, attempt: int) -> float:
         """Backoff before retry ``attempt + 1``, exponential and capped."""
         return min(
-            self.retry_backoff_us * (2.0 ** attempt),
-            self.retry_backoff_cap_us,
+            self.retry_backoff_us * (2.0 ** attempt), RETRY_BACKOFF_CAP_US
         )
 
     def deadline_for(self, request) -> Optional[float]:
         """Absolute deadline of ``request`` on the serving clock, if any."""
-        budget = getattr(request, "deadline_us", None)
-        if budget is None:
-            budget = self.default_deadline_us
-        if budget is None:
+        if self.default_deadline_us is None:
             return None
-        return request.arrival_us + budget
+        return request.arrival_us + self.default_deadline_us
 
 
 @dataclass
@@ -273,9 +268,8 @@ class HealthTracker:
     transitions are recorded on a timeline for ``ServingReport.describe()``.
     """
 
-    def __init__(self, num_replicas: int, config: ResilienceConfig,
+    def __init__(self, num_replicas: int,
                  injector: Optional[FaultInjector] = None):
-        self.config = config
         self.injector = injector
         self._replicas = [_ReplicaHealth(i) for i in range(num_replicas)]
         #: ``(us, replica_id, state)`` per transition, in observation order.
@@ -311,8 +305,8 @@ class HealthTracker:
 
         ``inf`` excludes the replica outright (dead, quarantined, or
         half-open with its one probe already in flight); suspects and
-        probe-admitting replicas pay ``suspect_penalty_us`` so healthy peers
-        win ties but a degraded fleet still serves.
+        probe-admitting replicas pay :data:`SUSPECT_PENALTY_US` so healthy
+        peers win ties but a degraded fleet still serves.
         """
         state = self.state(replica_id, now_us)
         if state in (DEAD, QUARANTINED):
@@ -320,9 +314,9 @@ class HealthTracker:
         if state == HALF_OPEN:
             if self._replicas[replica_id].probe_inflight:
                 return float("inf")
-            return self.config.suspect_penalty_us
+            return SUSPECT_PENALTY_US
         if state == SUSPECT:
-            return self.config.suspect_penalty_us
+            return SUSPECT_PENALTY_US
         return 0.0
 
     def on_dispatch(self, replica_id: int, now_us: float) -> None:
@@ -354,17 +348,13 @@ class HealthTracker:
         state = self.state(replica_id, now_us)
         if state == DEAD:
             return
-        if was_probing or (
-            health.consecutive_failures >= self.config.quarantine_after
-        ):
+        if was_probing or health.consecutive_failures >= QUARANTINE_AFTER:
             # Tripped the breaker (or failed the half-open probe): quarantine
             # with a doubled, capped window.
             if health.window_us > 0.0:
-                health.window_us = min(
-                    health.window_us * 2.0, self.config.quarantine_cap_us
-                )
+                health.window_us = min(health.window_us * 2.0, QUARANTINE_CAP_US)
             else:
-                health.window_us = self.config.quarantine_us
+                health.window_us = QUARANTINE_US
             health.quarantined_until_us = now_us + health.window_us
             self._set_state(health, QUARANTINED, now_us)
         else:
@@ -404,7 +394,7 @@ def resolve_failure(config: ResilienceConfig, health: HealthTracker,
     one that failed.
     """
     replica_id = placement.replica.replica_id
-    detect_us = placement.start_us + config.failure_detect_us
+    detect_us = placement.start_us + FAILURE_DETECT_US
     health.on_failure(replica_id, detect_us)
     outcome = FailureOutcome(detect_us=detect_us, failed_replica=replica_id)
     if attempt >= config.max_retries:

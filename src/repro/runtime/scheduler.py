@@ -20,12 +20,12 @@ two mechanisms a serving system actually runs:
   on every replica's analytical device model — memoized per
   ``(batch signature, device class)``, so the hot path is a dictionary
   lookup — and placed to minimize predicted finish time
-  ``max(close_us, free_at_us) + est_exec_us``
-  (:func:`~repro.hw.costmodel.predicted_finish_us`; ties break toward the
-  replica that frees earliest, then the lowest id, making placement
-  deterministic — an all-identical lineup therefore reproduces the legacy
-  least-loaded placement exactly, and ``placement="least-loaded"`` forces
-  it outright).  Every replica executes through its device class's
+  ``max(close_us, free_at_us) + est_exec_us`` plus the replica's health
+  penalty (:func:`~repro.hw.costmodel.predicted_finish_us`; ties break
+  toward the replica that frees earliest, then the lowest id, making
+  placement deterministic — an all-identical lineup therefore reproduces
+  the legacy least-loaded placement exactly, and
+  ``placement="least-loaded"`` forces it outright).  Every replica executes through its device class's
   backend, and all classes share one
   :class:`~repro.core.selection.PlanCache`: the first cold Algorithm 1
   search for a (traffic signature, device class) pair warms every replica
@@ -74,8 +74,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..hw.costmodel import health_adjusted_finish_us
-from .resilience import HealthTracker
+from ..hw.costmodel import predicted_finish_us
+from .resilience import STRAGGLER_THRESHOLD, HealthTracker
 from .serving import (
     ReplicaStats,
     ServingReport,
@@ -161,11 +161,7 @@ class SchedulingPolicy:
         #: resilience config — every replica then places with a zero health
         #: penalty).
         self.health = (
-            HealthTracker(
-                engine.replicas,
-                engine.resilience,
-                injector=engine.fault_injector,
-            )
+            HealthTracker(engine.replicas, injector=engine.fault_injector)
             if engine.resilience is not None
             else None
         )
@@ -191,7 +187,7 @@ class SchedulingPolicy:
         opens under a batching window; the driver must eventually call
         :meth:`close_due` with that (signature, token).
         """
-        signature = request.batch_signature(self.engine.plan_cache.quantum)
+        signature = request.batch_signature()
         batch = self._open.get(signature)
         if batch is not None and not self.engine._fits(batch.requests, request):
             # The arrival does not fit: the open batch closes now and the
@@ -339,7 +335,7 @@ class SchedulingPolicy:
         return min(
             replicas,
             key=lambda r: (
-                health_adjusted_finish_us(
+                predicted_finish_us(
                     close_us,
                     r.free_at_us,
                     est_by_class[r.device.spec],
@@ -420,7 +416,7 @@ class SchedulingPolicy:
             estimate is not None
             and 0.0 < estimate < float("inf")
             and batch_report.compute_us
-            > self.engine.resilience.straggler_threshold * estimate
+            > STRAGGLER_THRESHOLD * estimate
         ):
             self.health.on_straggler(replica.replica_id, finish_us)
         else:

@@ -31,12 +31,16 @@ import numpy as np
 
 from ..baselines.pit_backend import PITBackend
 from ..core.plan import PlanSpec, ResolvedPlan
-from ..core.selection import SIGNATURE_QUANTUM, KernelChoice, PlanCache
+from ..core.selection import KernelChoice, PlanCache, dense_candidate
 from ..core.tiledb import TileDB
 from ..hw.spec import GPUSpec
 from ..models.workloads import Workload
 from ..sparsity.activation import relu_activation_mask
-from ..sparsity.attention import MaskStats, representative_attention_mask
+from ..sparsity.attention import (
+    SIGNATURE_QUANTUM,
+    MaskStats,
+    representative_attention_mask,
+)
 from ..sparsity.moe import merge_routing, routing_sample_mask, routing_signature
 from .engine import RunReport, run_transformer
 from .resilience import FaultInjector, ResilienceConfig
@@ -50,10 +54,6 @@ class InferenceRequest:
     workload: Workload
     #: Arrival time on the engine's simulated clock (microseconds).
     arrival_us: float = 0.0
-    #: SLO budget from arrival (microseconds): a retry may not resurrect
-    #: this request past ``arrival_us + deadline_us``.  ``None`` falls back
-    #: to the engine's :attr:`ResilienceConfig.default_deadline_us`.
-    deadline_us: Optional[float] = None
 
     @property
     def tokens(self) -> int:
@@ -63,7 +63,7 @@ class InferenceRequest:
     def max_len(self) -> int:
         return self.workload.max_len
 
-    def batch_signature(self, quantum: Optional[float] = None) -> tuple:
+    def batch_signature(self) -> tuple:
         """Requests sharing a signature may execute in one batch.
 
         Compatible means: same model architecture, same activation-sparsity
@@ -77,22 +77,17 @@ class InferenceRequest:
         :func:`~repro.sparsity.moe.merge_routing`: the grouped kernel's
         cost follows the total token count, so co-batching is sound.
 
-        ``quantum`` is the bucket width; it must be the *engine's* plan-cache
-        quantum (the engine's batching paths thread it through), so that
-        requests judged batch-compatible also quantize to one plan
-        signature — co-batching at one tolerance while caching plans at
-        another would silently defeat speculation.  Defaults to
-        :data:`~repro.core.selection.SIGNATURE_QUANTUM` for standalone use.
+        The bucket width is the plans' own
+        :data:`~repro.sparsity.attention.SIGNATURE_QUANTUM`, so requests
+        judged batch-compatible also quantize to one plan signature.
         """
-        if quantum is None:
-            quantum = SIGNATURE_QUANTUM
         cfg = self.workload.config
         stats = self.workload.attn_stats
         attn_key = None
         if stats is not None:
             attn_key = (
                 stats.seq,
-                int(round(stats.density / quantum)),
+                int(round(stats.density / SIGNATURE_QUANTUM)),
                 stats.micro_w,
                 stats.block,
             )
@@ -101,7 +96,7 @@ class InferenceRequest:
         if routing:
             moe_key = (
                 tuple(sorted(routing)),
-                routing_signature(routing.values(), quantum=quantum),
+                routing_signature(routing.values()),
             )
         return (cfg.name, self.workload.act_sparsity, attn_key, moe_key)
 
@@ -777,14 +772,10 @@ class ServingEngine:
         workload: Workload,
         *,
         arrival_us: float = 0.0,
-        deadline_us: Optional[float] = None,
     ) -> InferenceRequest:
         """Enqueue one workload; returns its request handle."""
         request = InferenceRequest(
-            request_id=self._next_id,
-            workload=workload,
-            arrival_us=arrival_us,
-            deadline_us=deadline_us,
+            request_id=self._next_id, workload=workload, arrival_us=arrival_us
         )
         self._next_id += 1
         self._queue.append(request)
@@ -836,7 +827,7 @@ class ServingEngine:
         open_batches: dict = {}
         closed: list = []
         for request in order:
-            sig = request.batch_signature(self.plan_cache.quantum)
+            sig = request.batch_signature()
             batch = open_batches.get(sig)
             if batch is not None and not self._fits(batch, request):
                 closed.append(batch)
@@ -870,7 +861,7 @@ class ServingEngine:
         return mask
 
     def _quantize(self, x: float) -> int:
-        return int(round(x / self.plan_cache.quantum))
+        return int(round(x / SIGNATURE_QUANTUM))
 
     def _plan_requests(self, workload: Workload, tiledb_key: tuple) -> list:
         """``[(PlanSpec, make_samples)]`` for every plan a batch of this
@@ -921,7 +912,7 @@ class ServingEngine:
                 PlanSpec(
                     kind="attention", m=arows, k=acols,
                     n=max(1, cfg.head_dim),
-                    signature=stats.plan_signature(self.plan_cache.quantum),
+                    signature=stats.plan_signature(),
                     tiledb_key=tiledb_key,
                 ),
                 lambda: [representative_attention_mask(stats, arows, acols)],
@@ -934,9 +925,7 @@ class ServingEngine:
                     kind="moe-grouped", m=mrows,
                     k=max(1, int(routings[0].counts.size)),
                     n=min(cfg.d_ff, self.ACT_SAMPLE_COLS),
-                    signature=routing_signature(
-                        routings, quantum=self.plan_cache.quantum
-                    ),
+                    signature=routing_signature(routings),
                     tiledb_key=tiledb_key,
                 ),
                 lambda: [routing_sample_mask(
@@ -1006,17 +995,14 @@ class ServingEngine:
             return self._degraded_plan(device, spec)
 
     def _degraded_plan(self, device, spec) -> ResolvedPlan:
-        """The conservative dense fallback for a failed plan search."""
-        entry = device.tiledb.best_dense_tile(spec.m, spec.k, spec.n)
-        tiles = math.ceil(spec.m / entry.tile.tm) * math.ceil(
-            spec.n / entry.tile.tn
-        )
-        waves = math.ceil(tiles / device.spec.num_sms)
+        """The conservative dense fallback for a failed plan search: the
+        dense candidate Algorithm 1 itself prices for the spec's shape."""
+        tile, cost = dense_candidate(spec.m, spec.k, spec.n, device.tiledb)
         choice = KernelChoice(
-            tile=entry.tile,
+            tile=tile,
             pit_axis=None,
             microtile=None,
-            est_cost_us=waves * entry.tile_cost_us(spec.k),
+            est_cost_us=cost,
             covered_sparsity=0.0,
             search_time_us=0.0,
         )
@@ -1037,14 +1023,11 @@ class ServingEngine:
         traffic with zero cold searches — every serving-path plan kind is
         keyed by a serializable :class:`~repro.core.plan.PlanSpec`.
 
-        The dump header records the *primary* device class's TileDB key
-        (the coarse transfer guard ``PlanCache.load`` validates) plus the
-        full set of class identities found among the entries
-        (``tiledb_keys``) — a heterogeneous engine's cache holds entries
-        for every class, each carrying its own ``tiledb_key`` inside the
-        plan key.  A reviving mixed lineup validates the whole set with
-        ``expected_tiledb_keys=`` its classes' TileDB keys; per-entry keys,
-        not the header, remain what planners match at resolve time.
+        The dump header records the engine's own device class's TileDB key,
+        the transfer guard ``PlanCache.load`` validates.  A heterogeneous
+        engine's cache holds entries for every class, each carrying its own
+        ``tiledb_key`` inside the plan key; those per-entry keys are what
+        planners match at resolve time.
         """
         return self.plan_cache.save(path, tiledb_key=self.tiledb.cache_key)
 

@@ -139,17 +139,16 @@ def sparse_training_step(
     backend: str,
     spec: GPUSpec,
     *,
-    config: ModelConfig = None,
     block: tuple = (32, 64),
     sparsity: float = 0.9,
     batch_tokens: int = 32 * 128,
-    dtype: str = "float32",
     seed: int = 0,
     plan_cache: Optional[PlanCache] = None,
     pattern: tuple = (),
     permutation: tuple = (),
 ) -> SparseTrainingReport:
-    """Price one forward+backward batch of iterative-pruning BERT training.
+    """Price one forward+backward batch of iterative-pruning fp32
+    BERT-base training.
 
     ``backend`` is one of ``pytorch``, ``pytorch-s``, ``pit``.  The weight
     masks are regenerated by magnitude pruning at the requested sparsity,
@@ -166,8 +165,7 @@ def sparse_training_step(
     kind (N:M projection composed with a channel-permutation search,
     ``permutation`` being the search policy).
     """
-    if config is None:
-        config = bert_base()
+    config, dtype = bert_base(), "float32"
     if backend not in ("pytorch", "pytorch-s", "pit"):
         raise ValueError(f"unknown sparse-training backend {backend!r}")
     d, d_ff = config.d_model, config.d_ff
@@ -262,7 +260,6 @@ def sparse_training_run(
     sparsities,
     block: tuple = (32, 64),
     seed: int = 0,
-    seed_stride: int = 0,
     plan_cache: Optional[PlanCache] = None,
 ) -> list:
     """Price a multi-step pruning run of fp32 BERT-base at the default
@@ -276,11 +273,6 @@ def sparse_training_run(
     the next — a restarted pruning run (or a second epoch) then resolves
     with *zero* cold searches, which is exactly what
     ``benchmarks/bench_training_warmstart.py`` gates in CI.
-
-    ``seed_stride`` regenerates the weights with ``seed + i * seed_stride``
-    at step ``i`` — nonzero strides model drifting weights whose masks
-    change every step yet (at equal sparsity) still share plans through
-    the quantized signature.
     """
     cache = plan_cache if plan_cache is not None else PlanCache()
     return [
@@ -289,8 +281,8 @@ def sparse_training_run(
             spec,
             block=block,
             sparsity=s,
-            seed=seed + i * seed_stride,
+            seed=seed,
             plan_cache=cache,
         )
-        for i, s in enumerate(sparsities)
+        for s in sparsities
     ]

@@ -15,6 +15,7 @@ __all__ = [
     "PruningSchedule",
     "Router",
     "RoutingResult",
+    "SIGNATURE_QUANTUM",
     "as_mask_stats",
     "capacity_tokens",
     "get_dataset",
@@ -38,7 +39,7 @@ __all__ = [
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "activation": ("relu_activation_mask",),
     "attention": (
-        "MaskStats", "as_mask_stats", "global_token_positions",
+        "MaskStats", "SIGNATURE_QUANTUM", "as_mask_stats", "global_token_positions",
         "longformer_mask", "longformer_mask_rows", "longformer_mask_stats",
         "museformer_mask_rows", "museformer_mask_stats",
         "museformer_summary_positions",

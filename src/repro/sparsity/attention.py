@@ -16,6 +16,14 @@ import numpy as np
 #: Rows a chunked statistics pass materializes at once.
 _CHUNK_ROWS = 2048
 
+#: Width of one sparsity-signature quantization bucket, shared by every
+#: plan and batch signature.  Masks whose density statistics agree to
+#: within one bucket share a cached plan: the selection landscape is flat
+#: at that resolution (neighbouring candidates' costs differ by far more
+#: than a few percent of density), while patterns that drift past it
+#: genuinely can flip the winning rule.
+SIGNATURE_QUANTUM = 0.05
+
 
 @dataclass(frozen=True)
 class MaskStats:
@@ -64,7 +72,7 @@ class MaskStats:
     def covered_block_elems(self) -> int:
         return self.covered_blocks * self.block * self.block
 
-    def plan_signature(self, quantum: float = 0.05) -> tuple:
+    def plan_signature(self) -> tuple:
         """Quantized signature of this mask for plan-cache keying (hashable).
 
         Captures what an attention plan depends on: the sequence extent,
@@ -74,9 +82,7 @@ class MaskStats:
         maps to the same signature; structural changes (wider windows, more
         global tokens) move a bucket and genuinely re-plan.
         """
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
-        q = 1.0 / quantum
+        q = 1.0 / SIGNATURE_QUANTUM
         cells = max(1, self.seq * ((self.seq + self.micro_w - 1) // self.micro_w))
         cover = self.covered_micro / cells
         return (

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tensor.ops import softmax
+from .attention import SIGNATURE_QUANTUM
 
 
 @dataclass
@@ -130,7 +131,7 @@ def merge_routing(results) -> RoutingResult:
     )
 
 
-def routing_signature(routings, *, quantum: float = 0.05) -> tuple:
+def routing_signature(routings) -> tuple:
     """Quantized signature of one or more routing tables (hashable).
 
     Captures the statistics a grouped-dispatch plan depends on: expert
@@ -139,8 +140,6 @@ def routing_signature(routings, *, quantum: float = 0.05) -> tuple:
     router's load *shape* is stable — the same property the plan cache
     exploits for attention masks.
     """
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
     routings = list(routings)
     if not routings:
         raise ValueError("routing signature needs at least one routing table")
@@ -152,7 +151,7 @@ def routing_signature(routings, *, quantum: float = 0.05) -> tuple:
     mean = total / experts if experts else 0.0
     imbalance = max(values) / mean if mean > 0 else 0.0
     live = len([v for v in values if v > 0]) / experts if total > 0 else 0.0
-    q = 1.0 / quantum
+    q = 1.0 / SIGNATURE_QUANTUM
     return (experts, int(round(imbalance * q)), int(round(live * q)))
 
 

@@ -26,24 +26,27 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def masked_softmax(x: np.ndarray, mask: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax over positions where ``mask`` is True; 0 elsewhere.
+def masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis at positions where ``mask`` is True; 0
+    elsewhere.
 
     Fully masked rows produce all-zero outputs (attention to nothing).
     """
     mask = np.asarray(mask, dtype=bool)
-    row_has_any = mask.any(axis=axis, keepdims=True)
-    raw_max = np.where(mask, x, -np.inf).max(axis=axis, keepdims=True)
+    row_has_any = mask.any(axis=-1, keepdims=True)
+    raw_max = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
     row_max = np.where(row_has_any, raw_max, 0.0)
     exp = np.where(mask, np.exp(np.where(mask, x, 0.0) - row_max), 0.0)
-    denom = exp.sum(axis=axis, keepdims=True)
+    denom = exp.sum(axis=-1, keepdims=True)
     return np.divide(exp, denom, out=np.zeros_like(exp), where=denom > 0)
 
 
-def layernorm(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
+#: Variance floor of :func:`layernorm`.
+LAYERNORM_EPS = 1e-5
+
+
+def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Row-wise layer normalization over the last axis."""
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    return (x - mean) / np.sqrt(var + LAYERNORM_EPS) * gamma + beta

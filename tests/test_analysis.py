@@ -320,17 +320,20 @@ class TestStaticDynamicAgreement:
         static_edges = static_lock_order(corpus)["edges"]
 
         with debug_locks_installed():
-            cache = PlanCache(capacity=8)
+            cache = PlanCache()
             keys = [
-                ("plan", "proj", 1, 1, 1, "A", (s,), True, "db")
-                for s in range(16)
+                ("plan", "proj", 1, 1, 1, "A", (s,), "db")
+                for s in range(PlanCache.CAPACITY + 16)
             ]
+            # A full cache, so the workers' misses evict under contention.
+            for key in keys[16:]:
+                cache.put(key, "v")
             barrier = threading.Barrier(6)
 
             def worker(offset):
                 barrier.wait()
                 for i in range(40):
-                    key = keys[(i + offset) % len(keys)]
+                    key = keys[(7 * i + offset) % len(keys)]
                     cache.get_or_compute(key, lambda: "v")
                     cache.put(key, "v2")
                     len(cache)
@@ -347,7 +350,7 @@ class TestStaticDynamicAgreement:
             assert not any(t.is_alive() for t in threads)
             violations = verify_against_static(static_edges)
         assert violations == []
-        assert len(cache) <= 8
+        assert len(cache) == PlanCache.CAPACITY
 
 
 class TestCLI:

@@ -19,6 +19,7 @@ from repro.baselines import (
     UnsupportedModelError,
     length_buckets,
 )
+from repro.baselines.turbo import TURBO_BUCKETS
 from repro.hw import A100, V100, MemoryTracker
 from repro.hw.costmodel import elementwise_time_us
 from repro.sparsity import Router, RoutingResult, longformer_mask_stats
@@ -46,8 +47,11 @@ class TestPaddingSemantics:
         assert PITBackend(V100).padded_tokens(LENGTHS) == int(LENGTHS.sum())
 
     def test_turbo_buckets(self):
-        buckets = length_buckets(LENGTHS, 2)
-        assert len(buckets) == 2
+        lengths = np.array([9, 3, 7, 1, 10, 5, 2, 8, 4, 6])
+        buckets = length_buckets(lengths)
+        assert len(buckets) == TURBO_BUCKETS
+        assert np.concatenate(buckets).tolist() == sorted(lengths.tolist())
+        assert len(length_buckets(LENGTHS[:2])) == 2
         assert TurboTransformerBackend(V100).padded_tokens(LENGTHS) < 4 * 128
 
 
@@ -125,7 +129,7 @@ class TestAttention:
 
     def test_longformer_s_no_waste_but_rearranges(self):
         lengths = np.array([2048])
-        lf = LongformerSBackend(V100, window=512, num_global=16)
+        lf = LongformerSBackend(V100)
         reports = lf.attention(lengths, 12, 64)
         assert convert_us(reports) > 0  # the rearrangement cost
 

@@ -79,10 +79,10 @@ class TestSReadSWrite:
 
     def test_swrite_leaves_unindexed_rows_zero(self):
         """Rows no micro-tile covered were all-zero inputs; SWrite leaves
-        their outputs zero and keeps the requested dtype."""
+        their outputs zero and keeps the rows' dtype."""
         rows = np.ones((2, 3), dtype=np.float32)
-        out = swrite_rows((5, 3), np.array([4, 1]), rows, dtype=np.float64)
-        assert out.dtype == np.float64
+        out = swrite_rows((5, 3), np.array([4, 1]), rows)
+        assert out.dtype == np.float32
         np.testing.assert_array_equal(out.sum(axis=1), [0, 3, 0, 0, 3])
 
 class TestSparseMatmulKernel:

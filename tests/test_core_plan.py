@@ -57,11 +57,10 @@ class TestPlanSpec:
     def test_round_trip_preserves_every_field(self, tiledb):
         spec = make_spec(
             tiledb, kind="attention", sparse_operand="B",
-            signature=(2048, 3, ("nested", 1)), include_dense_fallback=False,
+            signature=(2048, 3, ("nested", 1)),
         )
         revived = PlanSpec.from_json(spec.to_json())
         assert revived == spec
-        assert revived.include_dense_fallback is False
 
     def test_signature_lists_normalize_to_tuples(self, tiledb):
         a = make_spec(tiledb, signature=[7, 20, 20])
@@ -193,8 +192,7 @@ class TestChoiceSerialization:
                 '{"__planspec__": {"kind": "proj", "m": 128, "k": 64, '
                 '"n": 64, "sparse_operand": "A", '
                 '"signature": {"__tuple__": [7, 20, 20]}, '
-                '"tiledb_key": {"__tuple__": ["db", 1]}, '
-                '"include_dense_fallback": true}}'
+                '"tiledb_key": {"__tuple__": ["db", 1]}}}'
             ),
         }
         for obj, text in expected.items():
@@ -272,6 +270,9 @@ class TestPlanCachePersistence:
         path = tmp_path / "plans.json"
         stats = planner.cache.save(path, tiledb_key=tiledb.cache_key)
         assert stats == {"entries": 2, "skipped": 0}
+        payload = json.loads(path.read_text())
+        assert list(payload) == ["format", "tiledb_key", "entries"]
+        assert payload["format"] == PlanCache.DUMP_FORMAT == 4
 
         loaded = PlanCache.load(path, expected_tiledb_key=tiledb.cache_key)
         assert len(loaded) == 2
@@ -306,14 +307,6 @@ class TestPlanCachePersistence:
         stats = planner.cache.save(path, tiledb_key=tiledb.cache_key)
         assert stats["skipped"] == 1
         assert len(PlanCache.load(path)) == 2
-
-    def test_dump_preserves_capacity_and_quantum(self, tiledb, tmp_path):
-        cache = PlanCache(capacity=17, quantum=0.1)
-        path = tmp_path / "plans.json"
-        cache.save(path, tiledb_key=tiledb.cache_key)
-        loaded = PlanCache.load(path)
-        assert loaded.capacity == 17
-        assert loaded.quantum == 0.1
 
     def test_load_raises_load_error_on_truncated_dump(self, tiledb, tmp_path):
         planner, _, _ = self._populated(tiledb)
@@ -354,22 +347,29 @@ class TestPlanCachePersistence:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("quantum", 0),
-            ("quantum", -0.05),
-            ("quantum", "x"),
-            ("quantum", float("nan")),
-            ("capacity", "256"),
-            ("capacity", 0),
+            pytest.param(
+                "tiledb_key", {"__tuple__": 5}, id="tiledb_key-tuple-of-int"
+            ),
+            pytest.param(
+                "tiledb_key", {"__unknown__": [1]}, id="tiledb_key-unknown-tag"
+            ),
+            pytest.param(
+                "tiledb_key", {"__gpuspec__": {"no_such_field": 1}},
+                id="tiledb_key-bad-gpuspec",
+            ),
             ("entries", 5),
             ("entries", None),
+            ("entries", "x"),
+            pytest.param(
+                "entries", {"key": 1, "value": 2}, id="entries-object"
+            ),
         ],
     )
     def test_load_raises_load_error_on_bad_header_value(
         self, tiledb, tmp_path, field, value
     ):
-        """A header that parses but cannot configure a cache fails at load,
-        naming the field — not later, in the engine's quantizer or at the
-        first cold resolve."""
+        """A header that parses but cannot be decoded, or cannot fill a
+        cache, fails at load, naming the field."""
         path = tmp_path / "plans.json"
         PlanCache().save(path, tiledb_key=tiledb.cache_key)
         payload = json.loads(path.read_text())
@@ -377,13 +377,6 @@ class TestPlanCachePersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(PlanCacheLoadError, match=field):
             PlanCache.load(path)
-
-    @pytest.mark.parametrize(
-        "quantum", [0, -0.05, float("nan"), float("inf"), "x", True]
-    )
-    def test_quantum_must_be_a_finite_positive_number(self, quantum):
-        with pytest.raises(ValueError, match="quantum"):
-            PlanCache(quantum=quantum)
 
     def test_incompatible_but_wellformed_dumps_stay_plain_valueerror(
         self, tiledb, tmp_path

@@ -17,6 +17,7 @@ from repro.core import (
     matmul_rules,
     sparsity_signature,
 )
+from repro.sparsity.attention import SIGNATURE_QUANTUM
 from repro.core.cover import SampleStack, covered_sparsity
 from repro.core.detector import index_construction_time_us
 from repro.core.selection import _covered_sparsity, _rule_table
@@ -286,14 +287,13 @@ class TestSignatureSinglePass:
         rng = np.random.default_rng(17)
         for _ in range(10):
             s = rng.random((63, 41)) < rng.uniform(0.0, 0.5)
-            q = 0.05
-            qinv = 1.0 / q
+            qinv = 1.0 / SIGNATURE_QUANTUM
             ref = (
                 int(round(float(np.mean([s.mean()])) * qinv)),
                 int(round(float(np.mean([s.any(axis=1).mean()])) * qinv)),
                 int(round(float(np.mean([s.any(axis=0).mean()])) * qinv)),
             )
-            assert sparsity_signature([s], quantum=q) == ref
+            assert sparsity_signature([s]) == ref
 
 
 class _NoRulesTileDB:
@@ -365,20 +365,6 @@ class TestPlanCache:
         planned(planner, [denser], 512, 512, 512)
         assert cache.misses == 2 and cache.hits == 0
 
-    def test_fallback_flag_is_part_of_plan_identity(self, tiledb):
-        """A plan cached with the dense fallback enabled must not be served
-        to a caller that disabled it (and vice versa)."""
-        cache = PlanCache()
-        planner = Planner(tiledb, cache)
-        mask = granular_mask((256, 256), (8, 1), 0.9)
-        with_fallback = planned(planner, [mask], 256, 256, 256)
-        without = planned(
-            planner, [mask], 256, 256, 256, include_dense_fallback=False
-        )
-        assert cache.misses == 2
-        assert not without.is_dense_fallback
-        assert with_fallback is not without
-
     def test_miss_on_shape_or_operand_change(self, tiledb):
         cache = PlanCache()
         planner = Planner(tiledb, cache)
@@ -389,30 +375,30 @@ class TestPlanCache:
         assert cache.misses == 3 and cache.hits == 0
 
     def test_lru_eviction_bound(self, tiledb):
-        cache = PlanCache(capacity=2)
-        planner = Planner(tiledb, cache)
-        masks = {
-            n: granular_mask((256, 256), (8, 1), 0.95)
-            for n in (128, 256, 512)
-        }
-        for n in (128, 256, 512):
-            planned(planner, [masks[n]], 256, 256, n)
-        assert len(cache) == 2
-        assert cache.stats()["evictions"] == 1
-        # The oldest entry (n=128) was evicted: looking it up misses again.
-        misses = cache.misses
-        planned(planner, [masks[128]], 256, 256, 128)
-        assert cache.misses == misses + 1
-
-    def test_lru_refresh_on_hit(self, tiledb):
-        cache = PlanCache(capacity=2)
+        cache = PlanCache()
         planner = Planner(tiledb, cache)
         mask = granular_mask((256, 256), (8, 1), 0.95)
         planned(planner, [mask], 256, 256, 128)
-        planned(planner, [mask], 256, 256, 256)
-        planned(planner, [mask], 256, 256, 128)  # hit
-        planned(planner, [mask], 256, 256, 512)
-        # n=256 was least recently used, so n=128 must still be cached.
+        for i in range(PlanCache.CAPACITY):
+            cache.put(("ad-hoc", i), i)
+        assert len(cache) == PlanCache.CAPACITY
+        assert cache.stats()["evictions"] == 1
+        # The oldest entry (the plan) was evicted: resolving it misses again.
+        misses = cache.misses
+        planned(planner, [mask], 256, 256, 128)
+        assert cache.misses == misses + 1
+
+    def test_lru_refresh_on_hit(self, tiledb):
+        cache = PlanCache()
+        planner = Planner(tiledb, cache)
+        mask = granular_mask((256, 256), (8, 1), 0.95)
+        planned(planner, [mask], 256, 256, 128)
+        for i in range(PlanCache.CAPACITY - 1):
+            cache.put(("ad-hoc", i), i)
+        planned(planner, [mask], 256, 256, 128)  # hit: now most recent
+        cache.put(("ad-hoc", "one more"), 0)
+        # ("ad-hoc", 0) was least recently used, so the plan stays cached.
+        assert ("ad-hoc", 0) not in cache
         hits = cache.hits
         planned(planner, [mask], 256, 256, 128)
         assert cache.hits == hits + 1
@@ -453,14 +439,14 @@ class TestPlanCache:
         )
         assert kernel.estimate_us(mask, extent) == choice.est_cost_us
 
-    def test_compiler_uses_plan_cache(self):
-        cache = PlanCache()
+    def test_compiler_resolves_through_its_planner(self):
+        compiler = PITCompiler(V100)
         mask = granular_mask((256, 256), (8, 1), 0.99)
-        for _ in range(2):
-            compiler = PITCompiler(V100, plan_cache=cache)
-            spec = compiler.plan_spec([mask], 256, 256, 256)
-            compiler.compile(spec, [mask])
-        assert cache.hits == 1 and cache.misses == 1
+        spec = compiler.plan_spec([mask], 256, 256, 256)
+        compiled = compiler.compile(spec, [mask])
+        cache = compiler.planner.cache
+        assert cache.misses == 1 and spec.cache_key() in cache
+        assert compiler.compile(spec) is compiled
 
 
 class TestSharedPlanCache:

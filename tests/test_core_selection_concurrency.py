@@ -133,10 +133,10 @@ class TestPlanCacheContention:
         """More threads than cores, a tiny switch interval, and more keys
         than capacity: a lost update on an entry or a counter would break
         the books below."""
-        cache = PlanCache(capacity=8)
+        cache = PlanCache()
         keys = [
-            ("plan", "proj", 1, 1, 1, "A", (signature,), True, "db")
-            for signature in range(24)
+            ("plan", "proj", 1, 1, 1, "A", (signature,), "db")
+            for signature in range(PlanCache.CAPACITY + 16)
         ]
         barrier = threading.Barrier(8)
         tallies = []
@@ -170,7 +170,7 @@ class TestPlanCacheContention:
         assert stats["misses"] == sum(m for _, m in tallies)
         assert stats["hits"] + stats["misses"] == 8 * 200
         # Every miss inserted one new key; every eviction removed one.
-        assert stats["size"] == 8
+        assert stats["size"] == PlanCache.CAPACITY
         assert stats["misses"] - stats["evictions"] == stats["size"]
 
     def test_failed_search_propagates_and_releases_waiters(self):
@@ -231,14 +231,14 @@ class TestPlanCacheContention:
     def test_eviction_is_exact_lru(self):
         """Capacity holds exactly, and what survives is the newest entries
         in recency order."""
-        cache = PlanCache(capacity=4)
+        cache = PlanCache()
         keys = [
-            ("plan", "proj", 1, 1, 1, "A", (signature,), True, "db")
-            for signature in range(32)
+            ("plan", "proj", 1, 1, 1, "A", (signature,), "db")
+            for signature in range(PlanCache.CAPACITY + 28)
         ]
         for signature, key in enumerate(keys):
             cache.put(key, signature)
-        assert len(cache) == 4
+        assert len(cache) == PlanCache.CAPACITY
         assert cache.stats()["evictions"] == 28
         assert cache.entries() == [(key, 28 + i) for i, key in enumerate(keys[28:])]
 
@@ -269,41 +269,22 @@ class TestPersistence:
         resolved = planner.resolve(spec, lambda: [mask])
         return planner, spec, resolved
 
-    def test_multi_class_dump_header_lists_every_class(self, tiledb, tmp_path):
+    def test_multi_class_dump_serves_every_class_warm(self, tiledb, tmp_path):
+        """A mixed lineup's cache is stamped with its primary class only;
+        each entry keeps its own class's TileDB key, so every class
+        resolves warm from the revived cache."""
         other = TileDB.shared(A100, "float32")
         cache = PlanCache()
-        self._planner_with_plan(tiledb, cache, seed=0)
-        self._planner_with_plan(other, cache, seed=0)
+        _, spec, _ = self._planner_with_plan(tiledb, cache, seed=0)
+        _, other_spec, _ = self._planner_with_plan(other, cache, seed=0)
         path = tmp_path / "plans.json"
         cache.save(path, tiledb_key=tiledb.cache_key)
         payload = json.loads(path.read_text())
-        assert payload["format"] == PlanCache.DUMP_FORMAT
-        assert len(payload["tiledb_keys"]) == 2
-        # Primary first, then every other class found among the entries.
-        assert payload["tiledb_keys"][0] == encode_value(tuple(tiledb.cache_key))
-        assert encode_value(tuple(other.cache_key)) in payload["tiledb_keys"]
-
-    def test_multi_class_load_validates_full_set(self, tiledb, tmp_path):
-        other = TileDB.shared(A100, "float32")
-        cache = PlanCache()
-        self._planner_with_plan(tiledb, cache, seed=0)
-        self._planner_with_plan(other, cache, seed=0)
-        path = tmp_path / "plans.json"
-        cache.save(path, tiledb_key=tiledb.cache_key)
-        # The full lineup loads fine.
-        loaded = PlanCache.load(
-            path,
-            expected_tiledb_keys=[tiledb.cache_key, other.cache_key],
-        )
-        assert len(loaded) == len(cache)
-        # A lineup missing the A100 class must refuse the dump even though
-        # the primary header matches.
-        with pytest.raises(ValueError, match="does not match any expected"):
-            PlanCache.load(
-                path,
-                expected_tiledb_key=tiledb.cache_key,
-                expected_tiledb_keys=[tiledb.cache_key],
-            )
+        assert payload["tiledb_key"] == encode_value(tuple(tiledb.cache_key))
+        loaded = PlanCache.load(path, expected_tiledb_key=tiledb.cache_key)
+        assert not Planner(tiledb, loaded).resolve(spec).cold
+        assert not Planner(other, loaded).resolve(other_spec).cold
+        assert loaded.misses == 0
 
     def test_format_1_dump_is_unsupported(self, tiledb, tmp_path):
         """Dumps written before sharding (format 1) fail as an unsupported
@@ -334,24 +315,24 @@ class TestPersistence:
         assert not isinstance(excinfo.value, PlanCacheLoadError)
 
     def test_load_keeps_the_newest_capacity_entries(self, tiledb, tmp_path):
-        """A dump holding more entries than its header's capacity revives
-        with the newest ``capacity`` of them (the file is oldest first),
-        and stays at capacity after another insert."""
+        """A dump holding more than ``CAPACITY`` entries revives with the
+        newest ``CAPACITY`` of them (the file is oldest first), and stays
+        at capacity after another insert."""
         keys = [
-            ("plan", "proj", 1, 1, 1, "A", (signature,), True, "db")
-            for signature in range(8)
+            ("plan", "proj", 1, 1, 1, "A", (signature,), "db")
+            for signature in range(PlanCache.CAPACITY + 3)
         ]
-        cache = PlanCache(capacity=8)
-        for signature, key in enumerate(keys):
-            cache.put(key, signature)
         path = tmp_path / "plans.json"
-        cache.save(path, tiledb_key=tiledb.cache_key)
+        PlanCache().save(path, tiledb_key=tiledb.cache_key)
         payload = json.loads(path.read_text())
-        payload["capacity"] = 3
+        payload["entries"] = [
+            {"key": encode_value(key), "value": signature}
+            for signature, key in enumerate(keys)
+        ]
         path.write_text(json.dumps(payload))
 
         revived = PlanCache.load(path)
-        assert revived.capacity == 3
-        assert revived.entries() == [(key, 5 + i) for i, key in enumerate(keys[5:])]
-        revived.put(("plan", "proj", 1, 1, 1, "A", (8,), True, "db"), 8)
-        assert len(revived) == 3
+        assert revived.entries() == [(key, 3 + i) for i, key in enumerate(keys[3:])]
+        assert revived.stats()["evictions"] == 3
+        revived.put(("plan", "proj", 1, 1, 1, "A", ("new",), "db"), 0)
+        assert len(revived) == PlanCache.CAPACITY

@@ -117,12 +117,6 @@ class TestKernelTime:
         with pytest.raises(ValueError):
             kernel_time_us(-1, 10.0, V100)
 
-    def test_dense_matmul_scales_with_batch(self):
-        t = TileConfig(32, 32, 32)
-        single = dense_matmul_time_us(1024, 1024, 1024, t, "float32", V100)
-        batched = dense_matmul_time_us(1024, 1024, 1024, t, "float32", V100, batch=4)
-        assert batched > 3 * single
-
 
 class TestSparseMatmulTime:
     def test_matches_dense_when_workload_equal(self):
@@ -182,14 +176,24 @@ class TestBandwidthBoundOps:
 
 class TestPredictedFinish:
     def test_busy_replica_waits_then_runs(self):
-        assert predicted_finish_us(100.0, 250.0, 40.0) == pytest.approx(290.0)
+        assert predicted_finish_us(100.0, 250.0, 40.0, 0.0) == 290.0
 
     def test_idle_replica_starts_at_close(self):
-        assert predicted_finish_us(100.0, 0.0, 40.0) == pytest.approx(140.0)
+        assert predicted_finish_us(100.0, 0.0, 40.0, 0.0) == 140.0
 
-    def test_unservable_batch_prices_infinite(self):
-        assert predicted_finish_us(100.0, 0.0, float("inf")) == float("inf")
+    def test_health_penalty_adds_last(self):
+        """The penalty is added after the finish time, left to right, so a
+        zero penalty leaves the finish time bit-identical."""
+        assert predicted_finish_us(100.0, 0.0, 40.0, 1000.0) == 1140.0
+        assert predicted_finish_us(0.0, 0.1, 0.2, 0.3) == (0.1 + 0.2) + 0.3
+        assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
 
-    def test_negative_estimate_rejected(self):
+    def test_unservable_batch_or_excluded_replica_prices_infinite(self):
+        inf = float("inf")
+        assert predicted_finish_us(100.0, 0.0, inf, 0.0) == inf
+        assert predicted_finish_us(100.0, 0.0, 40.0, inf) == inf
+
+    @pytest.mark.parametrize("est,penalty", [(-1.0, 0.0), (0.0, -1.0)])
+    def test_negative_inputs_rejected(self, est, penalty):
         with pytest.raises(ValueError):
-            predicted_finish_us(0.0, 0.0, -1.0)
+            predicted_finish_us(0.0, 0.0, est, penalty)

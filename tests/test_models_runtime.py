@@ -86,16 +86,14 @@ class TestFunctionalEquivalence:
         grouped = moe_layer_grouped(tokens, w1, w2, assignment, seed=11)
         np.testing.assert_allclose(ref, grouped, atol=1e-10)
 
-    def test_moe_grouped_gelu_with_an_idle_expert(self):
+    def test_moe_grouped_with_an_idle_expert(self):
         rng = np.random.default_rng(6)
         tokens = rng.standard_normal((30, 8))
         w1 = rng.standard_normal((5, 8, 16))
         w2 = rng.standard_normal((5, 16, 8))
         assignment = rng.integers(0, 4, size=30)  # expert 4 gets no token
-        ref = moe_layer_reference(tokens, w1, w2, assignment, activation="gelu")
-        grouped = moe_layer_grouped(
-            tokens, w1, w2, assignment, activation="gelu", seed=3
-        )
+        ref = moe_layer_reference(tokens, w1, w2, assignment)
+        grouped = moe_layer_grouped(tokens, w1, w2, assignment, seed=3)
         np.testing.assert_allclose(ref, grouped, atol=1e-10)
 
     @pytest.mark.parametrize("mask_kind", ["none", "causal", "longformer", "random"])
@@ -287,30 +285,16 @@ class TestTensorParallel:
             assert ops4[op] == pytest.approx(ops1[op] / 4)
 
 
-class TestLineupKwargs:
-    def test_stale_kwargs_do_not_abort_lineup(self):
-        """A stale backend_kwargs entry (renamed/removed constructor arg)
-        must cost one failure report, not the whole lineup."""
+class TestLineupBackends:
+    def test_unknown_backend_costs_one_report(self):
+        """An unknown backend name must cost one failure report, not the
+        whole lineup."""
         wl = bert_workload("cola", 4, seed=0)
-        reports = run_lineup(
-            wl,
-            ["PyTorch", "PIT"],
-            V100,
-            backend_kwargs={"PyTorch": {"bogus_flag": True}},
-        )
+        reports = run_lineup(wl, ["NoSuchBackend", "PIT"], V100)
         by_name = {r.backend: r for r in reports}
-        assert by_name["PyTorch"].unsupported
-        assert "bogus_flag" in by_name["PyTorch"].error
+        assert by_name["NoSuchBackend"].unsupported
+        assert "unknown backend" in by_name["NoSuchBackend"].error
         assert by_name["PIT"].ok
-
-    def test_valid_kwargs_still_bind(self):
-        from repro.runtime import validate_backend_kwargs
-
-        assert validate_backend_kwargs("PIT", {"plan_cache": None}) is None
-        assert validate_backend_kwargs("PyTorch", {}) is None
-        error = validate_backend_kwargs("PyTorch", {"nope": 1})
-        assert error is not None and "nope" in error
-        assert validate_backend_kwargs("NoSuchBackend", {}) is not None
 
     def test_plan_cache_threads_to_accepting_backends(self):
         """A lineup-level plan cache reaches backends whose constructor
@@ -319,17 +303,11 @@ class TestLineupKwargs:
 
         wl = opt_inference_workload("125m", 2, seed=0)
         cache = PlanCache()
-        reports = run_lineup(
-            wl, ["PyTorch", "PIT"], V100, enforce_memory=False,
-            plan_cache=cache,
-        )
+        reports = run_lineup(wl, ["PyTorch", "PIT"], V100, plan_cache=cache)
         assert all(r.ok for r in reports)
         assert cache.misses > 0  # PIT memoized its plans in the shared cache
         misses = cache.misses
-        run_lineup(
-            wl, ["PyTorch", "PIT"], V100, enforce_memory=False,
-            plan_cache=cache,
-        )
+        run_lineup(wl, ["PyTorch", "PIT"], V100, plan_cache=cache)
         assert cache.misses == misses  # second lineup fully warm
         assert cache.hits > 0
 

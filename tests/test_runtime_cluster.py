@@ -140,12 +140,10 @@ class TestCodec:
             request_id=11,
             workload=switch_workload(8, batch_size=2, seed=1),
             arrival_us=1234.5,
-            deadline_us=99999.0,
         )
         restored = decode_wire(encode_wire(request))
         assert restored.request_id == request.request_id
         assert restored.arrival_us == request.arrival_us
-        assert restored.deadline_us == request.deadline_us
         assert_workload_equal(restored.workload, request.workload)
 
     def test_plan_cache_entries_round_trip(self):
@@ -421,7 +419,7 @@ class TestWorkerFailure:
         monkeypatch.setattr(cluster_worker, "_run_dispatch", exit_on_replica_1)
         engine = make_engine(
             max_batch_size=1,
-            resilience=ResilienceConfig(max_retries=2, quarantine_after=1),
+            resilience=ResilienceConfig(max_retries=2),
         )
         engine.submit_many(
             [bert_workload("mnli", 2)] * 4, interarrival_us=100.0

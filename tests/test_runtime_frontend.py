@@ -7,9 +7,9 @@ Three properties carry the real-concurrency refactor:
   and each reproduces the golden decision trace
   (``tests/fixtures/decision_goldens.json``) recorded from the event-heap
   scheduler that preceded them, timings included.
-* **Backpressure** — over the queue-depth bound, shed requests are
-  reported (never silently dropped) and block mode bounds in-flight depth
-  without losing requests.
+* **Load shedding** — over the queue-depth bound, shed requests are
+  reported (never silently dropped), and so is a submission after
+  ``stop()``.
 * **Liveness** — the real asyncio worker path serves complete, correct
   reports with zero extra cold Algorithm 1 searches versus the simulated
   schedule of the same trace.
@@ -175,8 +175,8 @@ class TestRealClock:
 
 class TestBackpressure:
     def test_shed_requests_reported_not_dropped(self):
-        """Past the depth bound in shed mode, every refused request still
-        produces a (failed, shed) report and resolves its future."""
+        """Past the depth bound, every refused request still produces a
+        (failed, shed) report and resolves its future."""
         engine = make_engine(
             replicas=2,
             batch_window_us=500000.0,  # batches stay open during the burst
@@ -186,9 +186,7 @@ class TestBackpressure:
         workloads = [bert_workload("mnli", 2, seed=i) for i in range(8)]
 
         async def main():
-            frontend = AsyncServingFrontend(
-                engine, max_queue_depth=3, overload="shed"
-            )
+            frontend = AsyncServingFrontend(engine, max_queue_depth=3)
             await frontend.start()
             futures = [await frontend.submit(w) for w in workloads]
             await frontend.stop()
@@ -206,49 +204,9 @@ class TestBackpressure:
         # Shed requests count toward failures; served ones completed.
         assert report.failed_requests == 5
 
-    def test_block_mode_bounds_inflight_and_serves_everything(self):
-        engine = make_engine(
-            replicas=2,
-            batch_window_us=2000.0,
-            max_batch_size=1,  # dispatch at admission: capacity recycles
-            charge_selection=True,
-        )
-        workloads = [bert_workload("mnli", 2, seed=i) for i in range(6)]
-        max_seen = 0
-
-        async def main():
-            nonlocal max_seen
-            frontend = AsyncServingFrontend(
-                engine, max_queue_depth=2, overload="block"
-            )
-            await frontend.start()
-            futures = []
-            for w in workloads:
-                futures.append(await frontend.submit(w))
-                max_seen = max(max_seen, frontend._inflight)
-            await frontend.stop()
-            await asyncio.gather(*futures)
-            return frontend.report()
-
-        report = asyncio.run(main())
-        assert len(report.requests) == len(workloads)
-        assert report.shed_requests == 0
-        assert report.failed_requests == 0
-        assert max_seen <= 2
-
-    def test_depth_and_overload_validation(self):
-        engine = make_engine()
+    def test_depth_validation(self):
         with pytest.raises(ValueError, match="max_queue_depth"):
-            AsyncServingFrontend(engine, max_queue_depth=0)
-        with pytest.raises(ValueError, match="overload"):
-            AsyncServingFrontend(engine, overload="drop")
-        with pytest.raises(ValueError, match="block"):
-            AsyncServingFrontend(
-                engine,
-                max_queue_depth=1,
-                overload="block",
-                clock=VirtualClock(),
-            )
+            AsyncServingFrontend(make_engine(), max_queue_depth=0)
 
 
 class TestLiveServing:
@@ -357,41 +315,22 @@ class TestWorkerFailure:
         assert report.failed_requests == 1
 
 
-class TestShutdownWhileBlocked:
-    def test_blocked_submitters_are_released_on_stop(self):
-        """stop() must never strand a submitter awaiting capacity: blocked
-        callers resolve to refused (shed-style) reports, admitted requests
-        still complete."""
-        engine = make_engine(
-            replicas=2,
-            batch_window_us=500000.0,  # batches stay open: capacity never
-            max_batch_size=64,  # recycles, so late submitters block forever
-            charge_selection=True,
-        )
-        workloads = [bert_workload("mnli", 2, seed=i) for i in range(5)]
+class TestShutdown:
+    def test_submissions_after_stop_are_refused(self):
+        """stop() serves what was admitted; a later submission resolves at
+        once to a refused (shed-style) report instead of hanging."""
+        engine = make_engine(replicas=2, charge_selection=True)
+        workloads = [bert_workload("mnli", 2, seed=i) for i in range(3)]
 
         async def main():
-            frontend = AsyncServingFrontend(
-                engine, max_queue_depth=2, overload="block"
-            )
-            await frontend.start()
+            frontend = AsyncServingFrontend(engine)
             admitted = [await frontend.submit(w) for w in workloads[:2]]
-            blocked = [
-                asyncio.create_task(frontend.submit(w))
-                for w in workloads[2:]
-            ]
-            await asyncio.sleep(0.05)  # let every submitter reach the wait
-            assert all(not task.done() for task in blocked)
             await frontend.stop()
-            released = await asyncio.gather(*blocked)
-            results = await asyncio.gather(*admitted, *released)
+            late = await frontend.submit(workloads[2])
+            results = await asyncio.gather(*admitted, late)
             return frontend.report(), results
 
         report, results = asyncio.run(asyncio.wait_for(main(), timeout=30))
-        assert len(results) == len(workloads)
-        completed = [r for r in results if r.ok]
-        refused = [r for r in results if r.shed]
-        assert len(completed) == 2  # the admitted requests still served
-        assert len(refused) == 3
-        assert all("shutdown" in r.error for r in refused)
+        assert [r.ok for r in results] == [True, True, False]
+        assert results[2].shed and "shutdown" in results[2].error
         assert len(report.requests) == len(workloads)

@@ -16,11 +16,12 @@ Four properties carry the resilience layer:
   injection seed (``tests/fixtures/decision_goldens.json``).
 """
 
+import numpy as np
 import pytest
 
 import decision_goldens
-from repro.core import KernelChoice
-from repro.hw import V100
+from repro.core import KernelChoice, PlanSpec, kernel_selection
+from repro.hw import A100, V100
 from repro.models import bert_workload, switch_workload
 from repro.models.workloads import opt_inference_workload
 from repro.runtime import (
@@ -38,8 +39,13 @@ from repro.runtime.resilience import (
     DEAD,
     HALF_OPEN,
     HEALTHY,
+    QUARANTINE_AFTER,
+    QUARANTINE_CAP_US,
+    QUARANTINE_US,
     QUARANTINED,
+    RETRY_BACKOFF_CAP_US,
     SUSPECT,
+    SUSPECT_PENALTY_US,
     TransientExecFault,
     WorkerCrashFault,
 )
@@ -166,76 +172,83 @@ class TestInjectorDeterminism:
 
 
 class TestHealthTracker:
-    CONFIG = ResilienceConfig(
-        quarantine_after=3, quarantine_us=10000.0, quarantine_cap_us=40000.0,
-        suspect_penalty_us=1000.0,
-    )
+    @staticmethod
+    def trip(health, start_us=100.0):
+        """``QUARANTINE_AFTER`` consecutive failures, 100us apart; returns
+        the time of the last one."""
+        times = [start_us + 100.0 * i for i in range(QUARANTINE_AFTER)]
+        for t in times:
+            health.on_failure(0, t)
+        return times[-1]
 
     def test_breaker_trips_after_consecutive_failures(self):
-        health = HealthTracker(2, self.CONFIG)
-        health.on_failure(0, 100.0)
-        health.on_failure(0, 200.0)
-        assert health.state(0, 250.0) == SUSPECT
-        assert health.placement_penalty_us(0, 250.0) == 1000.0
-        health.on_failure(0, 300.0)
-        assert health.state(0, 350.0) == QUARANTINED
-        assert health.placement_penalty_us(0, 350.0) == float("inf")
+        health = HealthTracker(2)
+        for i in range(QUARANTINE_AFTER - 1):
+            health.on_failure(0, 100.0 * (i + 1))
+        now = 100.0 * QUARANTINE_AFTER
+        assert health.state(0, now) == SUSPECT
+        assert health.placement_penalty_us(0, now) == SUSPECT_PENALTY_US
+        health.on_failure(0, now)
+        assert health.state(0, now + 50.0) == QUARANTINED
+        assert health.placement_penalty_us(0, now + 50.0) == float("inf")
         # The untouched replica is unaffected.
-        assert health.state(1, 350.0) == HEALTHY
+        assert health.state(1, now + 50.0) == HEALTHY
 
     def test_success_resets_the_failure_streak(self):
-        health = HealthTracker(1, self.CONFIG)
-        health.on_failure(0, 100.0)
-        health.on_failure(0, 200.0)
-        health.on_success(0, 300.0)
-        assert health.state(0, 300.0) == HEALTHY
-        health.on_failure(0, 400.0)
-        health.on_failure(0, 500.0)
-        assert health.state(0, 500.0) == SUSPECT  # streak restarted
+        health = HealthTracker(1)
+        for i in range(QUARANTINE_AFTER - 1):
+            health.on_failure(0, 100.0 * (i + 1))
+        health.on_success(0, 1000.0)
+        assert health.state(0, 1000.0) == HEALTHY
+        for i in range(QUARANTINE_AFTER - 1):
+            health.on_failure(0, 1100.0 + 100.0 * i)
+        assert health.state(0, 2000.0) == SUSPECT  # streak restarted
 
     def test_quarantine_expiry_admits_one_probe(self):
-        health = HealthTracker(1, self.CONFIG)
-        for t in (100.0, 200.0, 300.0):
-            health.on_failure(0, t)
-        assert health.state(0, 300.0) == QUARANTINED
+        health = HealthTracker(1)
+        tripped = self.trip(health)
+        assert health.state(0, tripped) == QUARANTINED
+        assert health.state(0, tripped + QUARANTINE_US - 1.0) == QUARANTINED
         # Window expired: half-open, priced like a suspect until the one
         # probe is dispatched, then excluded until the probe resolves.
-        assert health.state(0, 10300.0) == HALF_OPEN
-        assert health.placement_penalty_us(0, 10300.0) == 1000.0
-        health.on_dispatch(0, 10300.0)
-        assert health.placement_penalty_us(0, 10400.0) == float("inf")
-        health.on_success(0, 10500.0)
-        assert health.state(0, 10500.0) == HEALTHY
+        expiry = tripped + QUARANTINE_US
+        assert health.state(0, expiry) == HALF_OPEN
+        assert health.placement_penalty_us(0, expiry) == SUSPECT_PENALTY_US
+        health.on_dispatch(0, expiry)
+        assert health.placement_penalty_us(0, expiry + 100.0) == float("inf")
+        health.on_success(0, expiry + 200.0)
+        assert health.state(0, expiry + 200.0) == HEALTHY
 
     def test_failed_probe_doubles_the_window_up_to_the_cap(self):
-        health = HealthTracker(1, self.CONFIG)
-        for t in (100.0, 200.0, 300.0):
-            health.on_failure(0, t)
+        expected = [QUARANTINE_US]
+        while expected[-1] < QUARANTINE_CAP_US:
+            expected.append(min(2.0 * expected[-1], QUARANTINE_CAP_US))
+        expected.append(QUARANTINE_CAP_US)  # a capped window stays capped
+        health = HealthTracker(1)
+        now = self.trip(health)
         windows = []
-        now = 300.0
-        for _ in range(4):
+        for _ in expected:
             until = health._replicas[0].quarantined_until_us
             windows.append(until - now)
             now = until
             assert health.state(0, now) == HALF_OPEN
             health.on_dispatch(0, now)
             health.on_failure(0, now)
-        assert windows == [10000.0, 20000.0, 40000.0, 40000.0]
+        assert windows == expected
 
     def test_straggler_demotes_healthy_only(self):
-        health = HealthTracker(1, self.CONFIG)
+        health = HealthTracker(1)
         health.on_straggler(0, 100.0)
         assert health.state(0, 100.0) == SUSPECT
-        for t in (200.0, 300.0, 400.0):
-            health.on_failure(0, t)
-        health.on_straggler(0, 500.0)  # must not un-quarantine
-        assert health.state(0, 500.0) == QUARANTINED
+        tripped = self.trip(health, start_us=200.0)
+        health.on_straggler(0, tripped + 100.0)  # must not un-quarantine
+        assert health.state(0, tripped + 100.0) == QUARANTINED
 
     def test_outage_makes_a_replica_dead_then_half_open(self):
         injector = FaultInjector(
             FaultSpec(1, outages=((0, 1000.0, 2000.0),))
         )
-        health = HealthTracker(1, self.CONFIG, injector=injector)
+        health = HealthTracker(1, injector=injector)
         assert health.state(0, 500.0) == HEALTHY
         assert health.state(0, 1500.0) == DEAD
         assert health.placement_penalty_us(0, 1500.0) == float("inf")
@@ -260,7 +273,7 @@ class TestHealthAwarePlacement:
         for replica_id, us in failures:
             policy.health.on_failure(replica_id, us)
         return policy.select_replica(
-            request.batch_signature(engine.plan_cache.quantum),
+            request.batch_signature(),
             request.workload,
             200.0,
             exclude=exclude,
@@ -274,11 +287,11 @@ class TestHealthAwarePlacement:
         assert self.select(exclude=(0, 1)) == 0
 
     def test_suspect_penalty_adds_to_free_at(self):
-        config = ResilienceConfig(suspect_penalty_us=1000.0)
+        config = ResilienceConfig()
         suspect = ((0, 100.0),)
         assert self.select(config, failures=suspect) == 1
         # A healthy peer busy past the penalty still loses to the suspect.
-        busy_peer = (0.0, 1500.0)
+        busy_peer = (0.0, SUSPECT_PENALTY_US + 500.0)
         assert self.select(config, free_at=busy_peer, failures=suspect) == 0
 
     def test_down_replicas_are_out_while_any_is_open(self):
@@ -301,33 +314,25 @@ class TestHealthAwarePlacement:
 
 class TestResilienceConfig:
     def test_backoff_is_exponential_and_capped(self):
-        config = ResilienceConfig(
-            retry_backoff_us=500.0, retry_backoff_cap_us=1600.0
-        )
+        config = ResilienceConfig(retry_backoff_us=3000.0)
+        assert 6000.0 < RETRY_BACKOFF_CAP_US < 12000.0
         assert [config.backoff_us(a) for a in range(4)] == [
-            500.0, 1000.0, 1600.0, 1600.0,
+            3000.0, 6000.0, RETRY_BACKOFF_CAP_US, RETRY_BACKOFF_CAP_US,
         ]
 
-    def test_deadline_prefers_the_request_budget(self):
-        config = ResilienceConfig(default_deadline_us=5000.0)
-
+    def test_deadline_is_the_default_budget_from_arrival(self):
         class Req:
             arrival_us = 100.0
-            deadline_us = 700.0
 
-        class Bare:
-            arrival_us = 100.0
-            deadline_us = None
-
-        assert config.deadline_for(Req()) == 800.0
-        assert config.deadline_for(Bare()) == 5100.0
-        assert ResilienceConfig().deadline_for(Bare()) is None
+        config = ResilienceConfig(default_deadline_us=5000.0)
+        assert config.deadline_for(Req()) == 5100.0
+        assert ResilienceConfig().deadline_for(Req()) is None
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_retries"):
             ResilienceConfig(max_retries=-1)
-        with pytest.raises(ValueError, match="quarantine_after"):
-            ResilienceConfig(quarantine_after=0)
+        with pytest.raises(ValueError, match="retry_backoff_us"):
+            ResilienceConfig(retry_backoff_us=-1.0)
         with pytest.raises(ValueError, match="default_deadline_us"):
             ResilienceConfig(default_deadline_us=0.0)
 
@@ -399,12 +404,6 @@ class TestSimulatedChaos:
         assert all("retries exhausted" in r.error for r in failed)
         assert all(r.retries == 1 for r in failed)
 
-    def test_per_request_deadline_threads_through_submit(self):
-        engine = make_engine(resilience=ResilienceConfig())
-        workload = bert_workload("mnli", 2, seed=0)
-        request = engine.submit(workload, arrival_us=0.0, deadline_us=750.0)
-        assert request.deadline_us == 750.0
-
     def test_without_resilience_behavior_is_unchanged(self):
         plain = make_engine()
         mixed_trace(plain)
@@ -439,6 +438,30 @@ class TestDegradedPlanning:
         # search was injected to fail, so every plan was degraded.
         cached = [value for _, value in engine.plan_cache.entries()]
         assert not any(isinstance(value, KernelChoice) for value in cached)
+
+    @pytest.mark.parametrize("replica", [0, 1], ids=["V100", "A100"])
+    @pytest.mark.parametrize("m,k,n", [(512, 256, 256), (256, 1024, 256)])
+    def test_degraded_plan_is_algorithm_1s_dense_candidate(
+        self, m, k, n, replica
+    ):
+        """A degraded plan names the tile and the cost of the dense
+        fallback Algorithm 1 returns for an all-ones sample of its spec,
+        over the TileDB of the replica's own device class."""
+        engine = make_engine(
+            resilience=ResilienceConfig(), replicas=2,
+            replica_specs=[V100, A100],
+        )
+        device = engine.device_for_replica(replica)
+        spec = PlanSpec(
+            kind="proj", m=m, k=k, n=n, tiledb_key=device.tiledb.cache_key
+        )
+        degraded = engine._degraded_plan(device, spec)
+        dense = kernel_selection(
+            [np.ones((m, k), dtype=bool)], m, k, n, device.tiledb
+        )
+        assert degraded.degraded and dense.is_dense_fallback
+        assert degraded.choice.tile == dense.tile
+        assert degraded.choice.est_cost_us == dense.est_cost_us
 
 
 class TestChaosEquivalence:

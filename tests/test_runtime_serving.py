@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PlanCache
+from repro.core import PlanCache, sparsity_signature
 from repro.hw import V100
 from repro.models import (
     bert_workload,
@@ -14,6 +14,8 @@ from repro.models import (
 from repro.models.config import opt
 from repro.models.workloads import Workload
 from repro.runtime import InferenceRequest, ServingEngine, merge_workloads
+from repro.sparsity import SIGNATURE_QUANTUM, MaskStats, RoutingResult
+from repro.sparsity.moe import routing_signature
 
 
 def make_engine(**kwargs):
@@ -473,14 +475,9 @@ class TestFailureMetrics:
 
 
 class TestSignatureQuantum:
-    """The engine's plan-cache quantum governs co-batching tolerance.
-
-    Regression: ``batch_signature`` used to hardcode ``SIGNATURE_QUANTUM``
-    while plan specs quantized with ``plan_cache.quantum`` — an engine
-    built with a non-default quantum co-batched at one tolerance and
-    cached plans at another, so "compatible" requests could resolve to
-    divergent plan signatures and silently defeat speculation.
-    """
+    """Batching and plan caching bucket at one width,
+    ``SIGNATURE_QUANTUM``, so requests judged batch-compatible also
+    quantize to one plan signature."""
 
     @staticmethod
     def _attn_request(request_id, density):
@@ -497,37 +494,61 @@ class TestSignatureQuantum:
         b = self._attn_request(1, 0.306)
         assert a.batch_signature() == b.batch_signature()
 
-    def test_finer_quantum_splits_the_bucket(self):
+    def test_a_bucket_apart_splits_batches_and_plans_alike(self):
         a = self._attn_request(0, 0.300)
-        b = self._attn_request(1, 0.306)
-        assert a.batch_signature(0.01) != b.batch_signature(0.01)
+        b = self._attn_request(1, 0.300 + SIGNATURE_QUANTUM)
+        assert a.batch_signature() != b.batch_signature()
+        plan_density = [
+            r.workload.attn_stats.plan_signature()[1] for r in (a, b)
+        ]
+        assert plan_density[0] != plan_density[1]
+        engine = make_engine()
+        assert [len(batch) for batch in engine.plan_batches([a, b])] == [1, 1]
 
-    def test_engine_threads_its_quantum_into_batching(self):
-        """With ``PlanCache(quantum=0.01)`` the engine must batch at the
-        same 0.01 tolerance its plan specs quantize with: densities 0.300
-        and 0.306 land in one bucket at the default 0.05 but different
-        buckets at 0.01, so a fine-quantum engine keeps them apart."""
-        coarse = make_engine(plan_cache=PlanCache())
-        fine = make_engine(plan_cache=PlanCache(quantum=0.01))
-        requests = [self._attn_request(0, 0.300), self._attn_request(1, 0.306)]
-        assert [len(b) for b in coarse.plan_batches(requests)] == [2]
-        assert sorted(
-            len(b) for b in fine.plan_batches(requests)
-        ) == [1, 1]
-
-    def test_continuous_scheduler_uses_engine_quantum(self):
-        import dataclasses
-
-        engine = make_engine(
-            plan_cache=PlanCache(quantum=0.01), batch_window_us=4000.0
-        )
-        for rid, density in ((0, 0.300), (1, 0.306)):
-            w = longformer_workload(seq_len=2048, batch_size=1, seed=0)
-            nnz = int(round(density * w.attn_stats.seq ** 2))
-            w.attn_stats = dataclasses.replace(w.attn_stats, nnz=nnz)
-            engine.submit(w, arrival_us=rid * 100.0)
+    @pytest.mark.parametrize(
+        "offset,sizes",
+        [(SIGNATURE_QUANTUM / 5, [2]), (SIGNATURE_QUANTUM, [1, 1])],
+        ids=["same-bucket", "a-bucket-apart"],
+    )
+    def test_continuous_scheduler_batches_at_the_quantum(self, offset, sizes):
+        """The continuous policy admits by the same signature: densities
+        in one bucket share a batch, densities a bucket apart do not."""
+        engine = make_engine(batch_window_us=4000.0)
+        for rid, density in ((0, 0.300), (1, 0.300 + offset)):
+            request = self._attn_request(rid, density)
+            engine.submit(request.workload, arrival_us=rid * 100.0)
         report = engine.run(policy="continuous")
-        assert sorted(b.size for b in report.batches) == [1, 1]
+        assert sorted(b.size for b in report.batches) == sizes
+
+    @staticmethod
+    def _bucket(kind, share):
+        """The bucket index one signature gives a share in ``[0, 1]``."""
+        if kind == "batch":
+            request = TestSignatureQuantum._attn_request(0, share)
+            return request.batch_signature()[2][1]
+        if kind == "plan":
+            stats = MaskStats(
+                seq=64, nnz=int(round(share * 64 * 64)), micro_w=32,
+                covered_micro=64, block=32, covered_blocks=4,
+                row_blocks_nonzero=2,
+            )
+            return stats.plan_signature()[1]
+        if kind == "routing":
+            live = int(round(share * 100))
+            counts = np.array([1] * live + [0] * (100 - live))
+            return routing_signature([RoutingResult(counts, live)])[2]
+        mask = np.zeros(100 * 100, dtype=bool)
+        mask[: int(round(share * mask.size))] = True
+        return sparsity_signature([mask.reshape(100, 100)])[0]
+
+    @pytest.mark.parametrize("kind", ["batch", "plan", "routing", "sparsity"])
+    def test_every_signature_buckets_at_one_width(self, kind):
+        """Batching, attention and MoE plans and Algorithm 1's sample
+        signature all quantize a share into ``SIGNATURE_QUANTUM``-wide
+        buckets, so no two of them disagree on what is alike."""
+        base = self._bucket(kind, 0.30)
+        assert self._bucket(kind, 0.30 + SIGNATURE_QUANTUM / 5) == base
+        assert self._bucket(kind, 0.30 + SIGNATURE_QUANTUM) == base + 1
 
 
 class TestTokenMask:
@@ -619,9 +640,7 @@ class TestHeterogeneousEngine:
 
         engine = make_engine(replica_specs=[V100, A100])
         w = bert_workload("mnli", 4, seed=0)
-        sig = InferenceRequest(0, w).batch_signature(
-            engine.plan_cache.quantum
-        )
+        sig = InferenceRequest(0, w).batch_signature()
         slow = engine.estimate_exec_us(sig, w, engine.device_for_replica(0))
         fast = engine.estimate_exec_us(sig, w, engine.device_for_replica(1))
         # A100 beats V100 on every axis, so the analytical estimate must
@@ -637,9 +656,7 @@ class TestHeterogeneousEngine:
         dispatch-time merged-batch pricing would then reuse."""
         engine = make_engine(replicas=2)
         w = bert_workload("mnli", 4, seed=0)
-        sig = InferenceRequest(0, w).batch_signature(
-            engine.plan_cache.quantum
-        )
+        sig = InferenceRequest(0, w).batch_signature()
         solo = engine.estimate_exec_us(
             sig, w, engine.device_for_replica(0), memoize=False
         )
@@ -659,7 +676,7 @@ class TestHeterogeneousEngine:
         cache = PlanCache()
         engine = make_engine(replica_specs=[V100, A100], plan_cache=cache)
         w = bert_workload("mnli", 4, seed=0)
-        sig = InferenceRequest(0, w).batch_signature(cache.quantum)
+        sig = InferenceRequest(0, w).batch_signature()
         before = (cache.hits, cache.misses, len(cache))
         for i in range(2):
             engine.estimate_exec_us(sig, w, engine.device_for_replica(i))

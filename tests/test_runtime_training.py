@@ -42,7 +42,7 @@ from repro.core.kernels import SparseMatmulKernel
 from repro.core.plan import decode_value, encode_value
 from repro.hw import V100
 from repro.hw.costmodel import dense_matmul_time_us
-from repro.runtime import sparse_training_run, sparse_training_step
+from repro.runtime import sparse_training_step
 from repro.runtime.cluster.codec import decode_wire, encode_wire
 from repro.runtime.training import _family_masks
 from repro.sparsity import MagnitudePruner, nm_prune_mask
@@ -92,19 +92,19 @@ class TestTrainingPlanSpecs:
             PlanSpec(kind="proj", m=128, k=64, n=64, pattern=(2, 4),
                      tiledb_key=tiledb.cache_key)
 
-    def test_legacy_cache_key_layout_unchanged(self, tiledb):
-        """Kinds without pattern/permutation keep the 9-tuple key;
-        nm-sparse grows to 11 with the tiledb key still last."""
+    def test_cache_key_layout(self, tiledb):
+        """Kinds without pattern/permutation key an 8-tuple; nm-sparse
+        grows to 10 with the tiledb key still last."""
         legacy = PlanSpec(kind="proj", m=128, k=64, n=64,
                           signature=(7, 20, 20), tiledb_key=tiledb.cache_key)
-        assert len(legacy.cache_key()) == 9
+        assert len(legacy.cache_key()) == 8
         nm = PlanSpec(kind="nm-sparse", m=128, k=64, n=64,
                       sparse_operand="B", pattern=(2, 4),
                       signature=(7, 20, 20), tiledb_key=tiledb.cache_key)
         key = nm.cache_key()
-        assert len(key) == 11
+        assert len(key) == 10
         assert key[-1] == tiledb.cache_key
-        assert key[8] == (2, 4)
+        assert key[7] == (2, 4)
 
 
 # ----------------------------------------------------------------------
@@ -298,12 +298,16 @@ class TestTrainingWarmStart:
             assert r.search_us == 0.0
 
     def test_drifting_masks_share_plans(self):
-        """seed_stride regenerates the weights each step; equal-sparsity
-        steps still hit through the quantized signature."""
-        reports = sparse_training_run(
-            "pit", V100, sparsities=(0.9, 0.9, 0.9), block=(32, 1),
-            seed=0, seed_stride=1,
-        )
+        """Steps over re-drawn weights (a new seed each) still hit at equal
+        sparsity through the quantized signature."""
+        cache = PlanCache()
+        reports = [
+            sparse_training_step(
+                "pit", V100, block=(32, 1), sparsity=0.9, seed=seed,
+                plan_cache=cache,
+            )
+            for seed in range(3)
+        ]
         assert reports[0].plan_misses == 3
         assert sum(r.plan_hits for r in reports[1:]) > 0
 

@@ -309,9 +309,6 @@ class TestMaskStats:
         stats = MaskStats(nnz=1024, **base)
         assert stats.plan_signature() == (64, 5, 10, 32, 32)
         assert MaskStats(nnz=1050, **base).plan_signature() == stats.plan_signature()
-        assert stats.plan_signature(quantum=0.25) == (64, 1, 2, 32, 32)
-        with pytest.raises(ValueError, match="quantum"):
-            stats.plan_signature(quantum=0)
 
     def test_plan_signature_moves_with_the_mask_structure(self):
         base = longformer_mask_stats(1024, 128, num_global=8, seed=0)
@@ -440,10 +437,7 @@ class TestMoE:
         """Loads [6, 2, 0, 0]: imbalance 6 / 2 = 3.0, half the experts live."""
         routing = RoutingResult(np.array([6, 2, 0, 0]), 8)
         assert routing_signature([routing]) == (4, 60, 10)
-        assert routing_signature([routing], quantum=0.5) == (4, 6, 1)
         assert routing_signature([RoutingResult(np.zeros(4, int), 0)]) == (4, 0, 0)
-        with pytest.raises(ValueError, match="quantum"):
-            routing_signature([routing], quantum=0)
         with pytest.raises(ValueError, match="at least one"):
             routing_signature([])
 
