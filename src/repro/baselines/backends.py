@@ -37,6 +37,15 @@ class UnsupportedModelError(RuntimeError):
     """Raised when a baseline cannot run a model (missing ops, crashes)."""
 
 
+class AllocLog(list):
+    """An op's allocations as ``(bytes, label, category)`` records, in call
+    order: a :class:`~repro.hw.MemoryTracker` stand-in that books nothing,
+    so the engine can book them later."""
+
+    def alloc(self, num_bytes: int, label: str, category: str) -> None:
+        self.append((num_bytes, label, category))
+
+
 class ModelBackend:
     """Base backend: dense padded execution (PyTorch semantics).
 
@@ -52,7 +61,8 @@ class ModelBackend:
       (``convert_us``) on the op that pays it;
     * an op with no Convert time in layer 0 prices identically in every
       later layer;
-    * in an MoE block, only :meth:`moe_ffn` reads the routing.
+    * in an MoE block, only :meth:`moe_ffn` reads the routing, and it
+      prices every MoE layer of the run in one call.
     """
 
     name = "PyTorch"
@@ -249,15 +259,31 @@ class ModelBackend:
     #: so sharply as the expert count grows (Figure 8).
     MOE_EXPERT_SYNC_US = 150.0
 
-    def moe_ffn(
-        self, routing, d_model: int, d_ff: int,
-        *, mem: Optional[MemoryTracker] = None,
-    ) -> list:
+    def moe_ffn(self, routing, d_model: int, d_ff: int) -> list:
+        """The expert FFNs of every MoE layer of ``routing`` (a
+        :class:`~repro.sparsity.moe.RoutingTable` already rescaled to this
+        backend's token count), priced in one call.
+
+        Returns, per row, that layer's ``(reports, allocs)``: its reports
+        and its allocations as ``(bytes, label, category)`` records in call
+        order, which the engine books layer by layer.  Each layer prices
+        through :meth:`_moe_layer`.
+        """
+        layers = []
+        for counts in routing.counts:
+            allocs = AllocLog()
+            reports = self._moe_layer(
+                counts, routing.num_tokens, d_model, d_ff, allocs
+            )
+            layers.append((tuple(reports), tuple(allocs)))
+        return layers
+
+    def _moe_layer(self, counts, num_tokens: int, d_model: int, d_ff: int,
+                   mem: AllocLog) -> list:
         """PyTorch MoE: a Python loop over experts, one pair of small
         matmuls per expert (plus gather/scatter and a device sync each)."""
-        reports = []
         total = 0.0
-        for count in routing.counts:
+        for count in counts:
             count = int(count)
             if count == 0:
                 continue
@@ -267,10 +293,9 @@ class ModelBackend:
             down = self._matmul_us(count, d_ff, d_model)
             scatter = elementwise_time_us(count * d_model, self.dtype, self.spec)
             total += gather + up + act + down + scatter + self.MOE_EXPERT_SYNC_US
-        self._alloc(mem, routing.num_tokens * d_ff, "moe.hidden")
-        self._alloc(mem, routing.num_tokens * d_model, "moe.out")
-        reports.append(ExecReport(op="moe.sequential", latency_us=total))
-        return reports
+        self._alloc(mem, num_tokens * d_ff, "moe.hidden")
+        self._alloc(mem, num_tokens * d_model, "moe.out")
+        return [ExecReport(op="moe.sequential", latency_us=total)]
 
 
 #: PyTorch semantics == the dense base backend.

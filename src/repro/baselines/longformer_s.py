@@ -90,7 +90,7 @@ class LongformerSBackend(ModelBackend):
             ExecReport(op="attn.pv", latency_us=pv),
         ]
 
-    def moe_ffn(self, routing, d_model: int, d_ff: int, *, mem=None) -> list:
+    def moe_ffn(self, routing, d_model: int, d_ff: int) -> list:
         raise UnsupportedModelError(
             "Longformer-S is attention-specific; it has no MoE operators"
         )

@@ -26,7 +26,7 @@ from ..hw.memtracker import MemoryTracker
 from ..hw.spec import dtype_bytes
 from ..hw.timeline import ExecReport
 from ..sparsity.moe import capacity_tokens
-from .backends import ModelBackend
+from .backends import AllocLog, ModelBackend
 
 
 class TutelBackend(ModelBackend):
@@ -39,23 +39,21 @@ class TutelBackend(ModelBackend):
     #: cannot reuse.  Together ~2x the nominal buffer bytes.
     WORKSPACE_RETENTION = 2.0
 
-    def moe_ffn(
-        self, routing, d_model: int, d_ff: int,
-        *, mem: Optional[MemoryTracker] = None,
-    ) -> list:
-        cap = routing.max_tokens_per_expert
-        e = routing.num_experts
+    def _moe_layer(self, counts, num_tokens: int, d_model: int, d_ff: int,
+                   mem: AllocLog) -> list:
+        cap = int(counts.max(initial=0))
+        e = counts.size
         if cap == 0:
             return [ExecReport(op="moe.tutel", latency_us=self.spec.kernel_launch_us)]
         # Dispatch: scatter tokens into the [E, cap, d_model] buffer.
         dispatch = 2 * elementwise_time_us(
-            routing.num_tokens * d_model, self.dtype, self.spec
+            num_tokens * d_model, self.dtype, self.spec
         )
         up = self._matmul_us(cap, d_model, d_ff, batch=e)
         act = elementwise_time_us(e * cap * d_ff, self.dtype, self.spec)
         down = self._matmul_us(cap, d_ff, d_model, batch=e)
         combine = 2 * elementwise_time_us(
-            routing.num_tokens * d_model, self.dtype, self.spec
+            num_tokens * d_model, self.dtype, self.spec
         )
         # Memory: the padded dispatch buffers dominate (E x cap x dims).
         # Because every batch's capacity differs, the caching allocator
@@ -66,7 +64,7 @@ class TutelBackend(ModelBackend):
         self._alloc(mem, int(e * cap * d_model * retained), "moe.dispatch", "moe-workspace")
         self._alloc(mem, int(e * cap * d_ff * retained), "moe.hidden", "moe-workspace")
         self._alloc(mem, int(e * cap * d_model * retained), "moe.combine", "moe-workspace")
-        waste = 1.0 - routing.num_tokens / max(1, e * cap)
+        waste = 1.0 - num_tokens / max(1, e * cap)
         return [
             ExecReport(
                 op="moe.tutel",
@@ -120,28 +118,26 @@ class DeepSpeedBackend(ModelBackend):
             lengths, heads, head_dim, attn_mask=None, causal=causal, mem=mem
         )
 
-    def moe_ffn(
-        self, routing, d_model: int, d_ff: int,
-        *, mem: Optional[MemoryTracker] = None,
-    ) -> list:
-        e = routing.num_experts
-        cap = capacity_tokens(routing.num_tokens, e, self.CAPACITY_FACTOR)
+    def _moe_layer(self, counts, num_tokens: int, d_model: int, d_ff: int,
+                   mem: AllocLog) -> list:
+        e = counts.size
+        cap = capacity_tokens(num_tokens, e, self.CAPACITY_FACTOR)
         dispatch = 2 * elementwise_time_us(
-            routing.num_tokens * d_model, self.dtype, self.spec
+            num_tokens * d_model, self.dtype, self.spec
         )
         up = self._matmul_us(cap, d_model, d_ff, batch=e)
         act = elementwise_time_us(e * cap * d_ff, self.dtype, self.spec)
         down = self._matmul_us(cap, d_ff, d_model, batch=e)
         combine = 2 * elementwise_time_us(
-            routing.num_tokens * d_model, self.dtype, self.spec
+            num_tokens * d_model, self.dtype, self.spec
         )
         # Same allocator-retention behaviour as Tutel (see there), at the
         # smaller capacity-factor buffer sizes.
         retained = self.WORKSPACE_RETENTION
         self._alloc(mem, int(e * cap * d_model * retained), "moe.dispatch", "moe-workspace")
         self._alloc(mem, int(e * cap * d_ff * retained), "moe.hidden", "moe-workspace")
-        dropped = int(np.maximum(routing.counts - cap, 0).sum())
-        waste = 1.0 - routing.num_tokens / max(1, e * cap)
+        dropped = int(np.maximum(counts - cap, 0).sum())
+        waste = 1.0 - num_tokens / max(1, e * cap)
         return [
             ExecReport(
                 op="moe.deepspeed",
@@ -159,14 +155,12 @@ class MegaBlocksBackend(ModelBackend):
     supported_dtypes = ("float16",)
     BLOCK = 32
 
-    def moe_ffn(
-        self, routing, d_model: int, d_ff: int,
-        *, mem: Optional[MemoryTracker] = None,
-    ) -> list:
+    def _moe_layer(self, counts, num_tokens: int, d_model: int, d_ff: int,
+                   mem: AllocLog) -> list:
         tile = TileConfig(self.BLOCK, self.BLOCK, self.BLOCK * 2)
         steps_up = steps_down = tiles_up = tiles_down = 0
         padded_tokens = 0
-        for count in routing.counts:
+        for count in counts:
             count = int(count)
             if count == 0:
                 continue
@@ -182,11 +176,11 @@ class MegaBlocksBackend(ModelBackend):
         # Token reorganization: histogram + sort + gather into the
         # expert-sorted layout, and the scatter back — four passes over the
         # token tensor (the cost PIT's SRead/SWrite piggybacking removes).
-        token_bytes = routing.num_tokens * d_model * dtype_bytes(self.dtype)
+        token_bytes = num_tokens * d_model * dtype_bytes(self.dtype)
         reorg = 4 * stream_time_us(token_bytes, self.spec) + 4 * self.spec.kernel_launch_us
         self._alloc(mem, padded_tokens * d_model, "moe.sorted", "conversion")
         self._alloc(mem, padded_tokens * d_ff, "moe.hidden")
-        waste = 1.0 - routing.num_tokens / max(1, padded_tokens)
+        waste = 1.0 - num_tokens / max(1, padded_tokens)
         return [
             ExecReport(
                 op="moe.megablocks",

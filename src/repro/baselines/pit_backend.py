@@ -32,7 +32,7 @@ from ..hw.memtracker import MemoryTracker
 from ..hw.timeline import ExecReport
 from ..sparsity.activation import relu_activation_mask
 from ..sparsity.attention import as_mask_stats
-from .backends import ModelBackend
+from .backends import AllocLog, ModelBackend
 
 
 class PITBackend(ModelBackend):
@@ -66,8 +66,8 @@ class PITBackend(ModelBackend):
         #: within a forward pass).
         self._detected: set = set()
         self._run_facts = None
-        #: Op constants of the current run (MoE constants, variable-length
-        #: attention terms): later calls in the run look them up.
+        #: Op constants of the current run (variable-length attention
+        #: terms): later calls in the run look them up.
         self._run_consts: dict = {}
 
     def set_fusion(self, active: bool, lengths=None) -> None:
@@ -361,44 +361,39 @@ class PITBackend(ModelBackend):
         return passes * stream_time_us(nbytes, self.spec) + self.spec.kernel_launch_us
 
     # ------------------------------------------------------------------
-    def moe_ffn(
-        self, routing, d_model: int, d_ff: int,
-        *, mem: Optional[MemoryTracker] = None,
-    ) -> list:
+    def moe_ffn(self, routing, d_model: int, d_ff: int) -> list:
         """Grouped sparse expert FFN: SRead tokens per expert, dense tiles,
-        SWrite back — cost follows total tokens, not the busiest expert."""
-        tokens, experts = routing.num_tokens, routing.counts.size
-        key = ("moe", tokens, experts, d_model, d_ff)
-        consts = self._run_consts.get(key)
-        if consts is None:
-            tile = self.tiledb.best_dense_tile(
-                max(32, tokens // max(1, experts)), d_model, d_ff,
-            ).tile
-            consts = (
-                tile,
-                math.ceil(d_ff / tile.tn), math.ceil(d_model / tile.tk),
-                math.ceil(d_model / tile.tn), math.ceil(d_ff / tile.tk),
-                self._detector_us(tokens, 1, tokens),
-                elementwise_time_us(tokens * d_ff, self.dtype, self.spec),
-                tile.describe(),
-            )
-            if self._run_facts is not None:
-                self._run_consts[key] = consts
-        tile, cols_up, k_up, cols_down, k_down, detector, act, name = consts
-        # Every expert's row tiles times the same column tiles and k-steps:
-        # sum the row tiles once (exact integers), then scale.
-        m_tiles = sum(((routing.counts + (tile.tm - 1)) // tile.tm).tolist())
-        tiles_up = m_tiles * cols_up
-        tiles_down = m_tiles * cols_down
-        up = self._tiled_matmul_us(tiles_up * k_up, tiles_up, tile)
-        down = self._tiled_matmul_us(tiles_down * k_down, tiles_down, tile)
-        self._alloc(mem, tokens * d_ff, "moe.hidden")
-        self._alloc(mem, tokens * d_model, "moe.out")
-        return [
-            ExecReport(
+        SWrite back — cost follows total tokens, not the busiest expert.
+
+        Every layer of the table runs the same tile over the same token
+        count, so the tile, its column and k-step factors, the detector and
+        the activation are derived once, and every layer's row tiles are
+        summed in one array op (exact integers)."""
+        tokens, experts = routing.num_tokens, routing.num_experts
+        tile = self.tiledb.best_dense_tile(
+            max(32, tokens // max(1, experts)), d_model, d_ff,
+        ).tile
+        cols_up = math.ceil(d_ff / tile.tn)
+        cols_down = math.ceil(d_model / tile.tn)
+        k_up, k_down = math.ceil(d_model / tile.tk), math.ceil(d_ff / tile.tk)
+        detector = self._detector_us(tokens, 1, tokens)
+        act = elementwise_time_us(tokens * d_ff, self.dtype, self.spec)
+        name = tile.describe()
+        allocs = AllocLog()
+        self._alloc(allocs, tokens * d_ff, "moe.hidden")
+        self._alloc(allocs, tokens * d_model, "moe.out")
+        allocs = tuple(allocs)
+        # Every expert's row tiles times the same column tiles and k-steps.
+        m_tiles = ((routing.counts + (tile.tm - 1)) // tile.tm).sum(axis=1)
+        layers = []
+        for m in m_tiles.tolist():
+            tiles_up, tiles_down = m * cols_up, m * cols_down
+            up = self._tiled_matmul_us(tiles_up * k_up, tiles_up, tile)
+            down = self._tiled_matmul_us(tiles_down * k_down, tiles_down, tile)
+            layers.append(((ExecReport(
                 op="moe.pit_grouped",
                 latency_us=up + act + down + detector,
                 convert_us=detector,
                 detail={"tile": name},
-            )
-        ]
+            ),), allocs))
+        return layers

@@ -28,7 +28,7 @@ from ..hw.memory import stream_time_us
 from ..hw.memtracker import MemoryTracker
 from ..hw.spec import dtype_bytes
 from ..hw.timeline import ExecReport
-from .backends import ModelBackend
+from .backends import AllocLog, ModelBackend
 from .triton_block import triton_convert_passes
 
 #: Host synchronization + layout rebuild of the Triton sparse-attention
@@ -260,17 +260,15 @@ class PyTorchSBackend(ModelBackend):
             ExecReport(op="attn.pv", latency_us=pv),
         ]
 
-    def moe_ffn(
-        self, routing, d_model: int, d_ff: int,
-        *, mem: Optional[MemoryTracker] = None,
-    ) -> list:
+    def _moe_layer(self, counts, num_tokens: int, d_model: int, d_ff: int,
+                   mem: AllocLog) -> list:
         """PyTorch-S MoE: the same sequential expert loop as PyTorch (it is
         PyTorch with sparse kernels substituted, not a grouped-GEMM system),
         with a per-expert sparse-format conversion on top.  This is why the
         Figure 8 speedups over PyTorch-S track those over PyTorch."""
         total = 0.0
         convert_total = 0.0
-        for count in routing.counts:
+        for count in counts:
             count = int(count)
             if count == 0:
                 continue
@@ -286,8 +284,8 @@ class PyTorchSBackend(ModelBackend):
                 + self.MOE_EXPERT_SYNC_US
             )
             convert_total += convert
-        self._alloc(mem, routing.num_tokens * d_ff, "moe.hidden")
-        self._alloc(mem, routing.num_tokens * d_model, "moe.converted", "conversion")
+        self._alloc(mem, num_tokens * d_ff, "moe.hidden")
+        self._alloc(mem, num_tokens * d_model, "moe.converted", "conversion")
         return [
             ExecReport(
                 op="moe.sequential_sparse",

@@ -104,5 +104,5 @@ class TurboTransformerBackend(ModelBackend):
             ExecReport(op="attn.pv", latency_us=pv),
         ]
 
-    def moe_ffn(self, routing, d_model: int, d_ff: int, *, mem=None) -> list:
+    def moe_ffn(self, routing, d_model: int, d_ff: int) -> list:
         raise UnsupportedModelError("TurboTransformers has no MoE operators")

@@ -43,10 +43,6 @@ class SparseIndex:
     def num_microtiles(self) -> int:
         return int(self.positions.shape[0])
 
-    def index_bytes(self) -> int:
-        """Device bytes of the index array (one int32 offset per coordinate)."""
-        return self.num_microtiles * 8
-
     def ordered(self) -> "SparseIndex":
         """A row-major-sorted copy (the ablation baseline: ordered index
         construction would require a sort or ordered atomics)."""

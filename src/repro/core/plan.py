@@ -6,7 +6,7 @@ pattern (Algorithm 1, Section 3.2).  Every layer of this repo that wants a
 plan — the JIT compiler, the model backend, the serving engine — therefore
 asks the same question, and this module gives the question itself a name:
 
-* :class:`PlanSpec` — a frozen, hashable, JSON-round-trippable description
+* :class:`PlanSpec` — a frozen, hashable description
   of "the plan I need": op kind, problem dims, sparse operand, the quantized
   sparsity signature, and the identity of the tile database the plan must be
   valid against.  The spec *is* the cache key.
@@ -74,10 +74,10 @@ def encode_value(obj):
     """Encode a plan-cache key or value into JSON-compatible data.
 
     Tuples, :class:`GPUSpec`, :class:`TileConfig`, :class:`MicroTile`,
-    :class:`KernelChoice`, :class:`PermutedChoice` and :class:`PlanSpec`
-    are tagged so :func:`decode_value` can rebuild objects that compare
-    (and hash) equal to the originals — the property cache keys need to
-    survive a process boundary.  A revived choice names the same kernel
+    :class:`KernelChoice` and :class:`PermutedChoice` are tagged so
+    :func:`decode_value` can rebuild objects that compare (and hash) equal
+    to the originals — the property cache keys need to survive a process
+    boundary.  A revived choice names the same kernel
     through :func:`~repro.core.kernels.kernel_from_choice`, so it prices
     and executes identically; an nm-sparse plan keeps its concrete
     permutation, so it replays the channel order bit for bit.  Raises
@@ -102,8 +102,6 @@ def encode_value(obj):
             "permutation": list(obj.permutation),
             "pattern": list(obj.pattern),
         }}
-    if isinstance(obj, PlanSpec):
-        return {"__planspec__": obj.to_json()}
     raise TypeError(f"cannot serialize {type(obj).__name__} into a plan dump")
 
 
@@ -131,8 +129,6 @@ def decode_value(data):
                 permutation=tuple(fields["permutation"]),
                 pattern=tuple(fields["pattern"]),
             )
-        if "__planspec__" in data:
-            return PlanSpec.from_json(data["__planspec__"])
     raise TypeError(f"cannot decode {data!r} from a plan dump")
 
 
@@ -178,9 +174,9 @@ class PlanSpec:
     Two specs are interchangeable exactly when they compare equal: same op
     kind, same problem shape, same sparse operand, same quantized sparsity
     signature, and same tile-database identity.  The spec is hashable, so
-    it keys caches directly, and JSON-round-trippable
-    (:meth:`to_json`/:meth:`from_json` is an identity), so plans survive
-    process boundaries.
+    it keys caches directly, and its :meth:`cache_key` holds only
+    primitives and tuples, so plan dumps keyed on it survive process
+    boundaries.
     """
 
     kind: str
@@ -282,36 +278,6 @@ class PlanSpec:
         if self.pattern or self.permutation:
             head = head + (self.pattern, self.permutation)
         return head + (self.tiledb_key,)
-
-    def to_json(self) -> dict:
-        data = {
-            "kind": self.kind,
-            "m": self.m,
-            "k": self.k,
-            "n": self.n,
-            "sparse_operand": self.sparse_operand,
-            "signature": encode_value(self.signature),
-            "tiledb_key": encode_value(self.tiledb_key),
-        }
-        if self.pattern or self.permutation:
-            data["pattern"] = encode_value(self.pattern)
-            data["permutation"] = encode_value(self.permutation)
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PlanSpec":
-        return cls(
-            kind=data["kind"],
-            m=data["m"],
-            k=data["k"],
-            n=data["n"],
-            sparse_operand=data["sparse_operand"],
-            signature=decode_value(data["signature"]),
-            tiledb_key=decode_value(data["tiledb_key"]),
-            # to_json writes these for nm-sparse specs only.
-            pattern=decode_value(data.get("pattern", [])),
-            permutation=decode_value(data.get("permutation", [])),
-        )
 
     def describe(self) -> str:
         return (

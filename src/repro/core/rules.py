@@ -30,12 +30,6 @@ class PITRule:
     #: Which operand the rule reads sparsely ("A" or "B" for matmul).
     sparse_operand: str
 
-    def describe(self) -> str:
-        return (
-            f"{self.operator}: axis={self.pit_axis}, micro-tile={self.microtile}, "
-            f"tile={self.tile.describe()}, sparse={self.sparse_operand}"
-        )
-
 
 #: Matmul PIT-axes that touch each operand; an axis not indexing the sparse
 #: operand cannot drive its rearrangement.

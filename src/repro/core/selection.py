@@ -100,23 +100,6 @@ class PermutedChoice:
     def is_dense_fallback(self) -> bool:
         return self.choice.is_dense_fallback
 
-    @property
-    def tile(self):
-        return self.choice.tile
-
-    @property
-    def pit_axis(self):
-        return self.choice.pit_axis
-
-    @property
-    def microtile(self):
-        return self.choice.microtile
-
-    def describe(self) -> str:
-        perm = "identity" if not self.permutation else f"{len(self.permutation)}-perm"
-        n, m = self.pattern
-        return f"{n}:{m} {perm}, {self.choice.describe()}"
-
 
 def _rule_table(tiledb: TileDB, sparse_operand: str) -> tuple:
     """``(rules, table)`` of a TileDB over one sparse operand, built at the
@@ -481,12 +464,7 @@ class PlanCache:
         with self._lock:
             return key in self._entries
 
-    # -- counters ---------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        with self._lock:
-            return self._hits
+    # -- counters (all of them in :meth:`stats`) --------------------------
 
     @property
     def misses(self) -> int:

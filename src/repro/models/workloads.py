@@ -8,13 +8,13 @@ and prices every op against a backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..sparsity.attention import MaskStats, longformer_mask_stats, museformer_mask_stats
-from ..sparsity.moe import Router
+from ..sparsity.moe import Router, RoutingTable
 from ..sparsity.seqlen import get_dataset
 from .config import (
     ModelConfig,
@@ -38,8 +38,8 @@ class Workload:
     act_sparsity: Optional[float] = None
     #: Attention mask statistics shared across layers (None = dense).
     attn_stats: Optional[MaskStats] = None
-    #: layer index -> RoutingResult for MoE layers (None elsewhere).
-    routing_by_layer: dict = field(default_factory=dict)
+    #: The MoE layers' routing, one row per MoE layer (None = no MoE).
+    routing: Optional[RoutingTable] = None
     seed: int = 0
 
     @property
@@ -56,26 +56,31 @@ class Workload:
     def max_len(self) -> int:
         return int(max(self.lengths.tolist(), default=0))
 
-def _route_moe_layers(config: ModelConfig, padded_tokens: int, seed: int) -> dict:
-    """Build per-layer routing for every MoE layer of the stack.
+def _route_moe_layers(
+    config: ModelConfig, padded_tokens: int, seed: int
+) -> Optional[RoutingTable]:
+    """The routing table of every MoE layer of the stack (None if it has
+    none).
 
     Routing is sampled over the *padded* token count (the canonical view a
-    padding system sees); the engine rescales it to each backend's effective
-    token count via :meth:`RoutingResult.scaled_to`.
+    padding system sees); the engine rescales the table to each backend's
+    effective token count via :meth:`RoutingTable.scaled`.
     """
     if config.moe is None:
-        return {}
+        return None
+    total_layers = config.n_layers + config.decoder_layers
+    layers = tuple(
+        layer for layer in range(total_layers)
+        if (layer + 1) % config.moe.every == 0
+    )
+    if not layers:
+        return None
     router = Router(
         config.moe.num_experts,
         concentration=config.moe.concentration,
         seed=seed,
     )
-    routing = {}
-    total_layers = config.n_layers + config.decoder_layers
-    for layer in range(total_layers):
-        if (layer + 1) % config.moe.every == 0:
-            routing[layer] = router.route(padded_tokens, seed=seed * 131 + layer)
-    return routing
+    return router.route(padded_tokens, layers, seed=seed)
 
 
 def bert_workload(
@@ -122,7 +127,7 @@ def switch_workload(
     padded = int(lengths.max()) * int(lengths.size)
     routing = _route_moe_layers(config, padded, seed)
     return Workload(
-        config=config, lengths=lengths, routing_by_layer=routing, seed=seed
+        config=config, lengths=lengths, routing=routing, seed=seed
     )
 
 
@@ -134,7 +139,7 @@ def swin_moe_workload(
     lengths = np.full(batch_size, config.max_seq, dtype=int)
     routing = _route_moe_layers(config, int(lengths.sum()), seed)  # no padding: fixed lengths
     return Workload(
-        config=config, lengths=lengths, routing_by_layer=routing, seed=seed
+        config=config, lengths=lengths, routing=routing, seed=seed
     )
 
 

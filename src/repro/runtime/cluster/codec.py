@@ -28,7 +28,7 @@ from ...core.plan import decode_value, encode_value
 from ...models.config import AttentionSpec, ModelConfig, MoESpec
 from ...models.workloads import Workload
 from ...sparsity.attention import MaskStats
-from ...sparsity.moe import RoutingResult
+from ...sparsity.moe import RoutingTable
 from ..engine import RunReport
 from ..resilience import (
     InjectedFault,
@@ -88,10 +88,11 @@ def encode_wire(obj):
         return out
     if isinstance(obj, MaskStats):
         return {"__maskstats__": dataclasses.asdict(obj)}
-    if isinstance(obj, RoutingResult):
+    if isinstance(obj, RoutingTable):
         return {
             "__routing__": {
-                "counts": _encode_ndarray(np.asarray(obj.counts)),
+                "layers": list(obj.layers),
+                "counts": _encode_ndarray(obj.counts),
                 "num_tokens": int(obj.num_tokens),
             }
         }
@@ -113,12 +114,7 @@ def encode_wire(obj):
                 "lengths": _encode_ndarray(np.asarray(obj.lengths)),
                 "act_sparsity": obj.act_sparsity,
                 "attn_stats": encode_wire(obj.attn_stats),
-                # JSON keys are strings; layer indices are ints — carry the
-                # routing table as explicit (layer, routing) pairs.
-                "routing_by_layer": [
-                    [int(layer), encode_wire(routing)]
-                    for layer, routing in sorted(obj.routing_by_layer.items())
-                ],
+                "routing": encode_wire(obj.routing),
                 "seed": obj.seed,
             }
         }
@@ -151,9 +147,9 @@ def encode_wire(obj):
         fields["run"] = encode_wire(obj.run)
         return {"__batchreport__": fields}
     # Everything the plan dump codec covers: tuples, GPUSpec, TileConfig,
-    # MicroTile, KernelChoice, PlanSpec.  Recursion re-enters encode_wire
-    # only for tuples, which encode_value handles itself (tuple members in
-    # plan keys/values are always plan-codec types).
+    # MicroTile, KernelChoice, PermutedChoice.  Recursion re-enters
+    # encode_wire only for tuples, which encode_value handles itself (tuple
+    # members in plan keys/values are always plan-codec types).
     return encode_value(obj)
 
 
@@ -170,9 +166,10 @@ def decode_wire(data):
             return MaskStats(**data["__maskstats__"])
         if "__routing__" in data:
             body = data["__routing__"]
-            return RoutingResult(
-                counts=_decode_ndarray(body["counts"]),
-                num_tokens=body["num_tokens"],
+            return RoutingTable(
+                tuple(body["layers"]),
+                _decode_ndarray(body["counts"]),
+                body["num_tokens"],
             )
         if "__moespec__" in data:
             return MoESpec(**data["__moespec__"])
@@ -190,10 +187,7 @@ def decode_wire(data):
                 lengths=_decode_ndarray(body["lengths"]),
                 act_sparsity=body["act_sparsity"],
                 attn_stats=decode_wire(body["attn_stats"]),
-                routing_by_layer={
-                    int(layer): decode_wire(routing)
-                    for layer, routing in body["routing_by_layer"]
-                },
+                routing=decode_wire(body["routing"]),
                 seed=body["seed"],
             )
         if "__request__" in data:

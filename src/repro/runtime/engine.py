@@ -19,13 +19,12 @@ from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from ..baselines.backends import ModelBackend, UnsupportedModelError
+from ..baselines.backends import AllocLog, ModelBackend, UnsupportedModelError
 from ..hw.costmodel import elementwise_time_us
 from ..hw.memtracker import MemoryTracker, OutOfMemoryError
 from ..hw.spec import dtype_bytes
 from ..hw.timeline import ExecReport, Timeline
 from ..models.workloads import Workload
-from ..sparsity.moe import scale_routings
 
 
 @dataclass
@@ -47,16 +46,6 @@ class RunReport:
     def ok(self) -> bool:
         return not (self.oom or self.unsupported)
 
-    def describe(self) -> str:
-        if self.oom:
-            return f"{self.backend:18s} OOM ({self.error})"
-        if self.unsupported:
-            return f"{self.backend:18s} unsupported ({self.error})"
-        return (
-            f"{self.backend:18s} {self.latency_ms:10.2f} ms "
-            f"(convert {self.convert_ms:8.2f} ms)  mem {self.peak_mem_gib:6.2f} GiB"
-        )
-
 
 #: Optimizer-state multiplier for training: gradients + Adam m/v, all at the
 #: weight dtype (the paper fine-tunes without ZeRO sharding on one GPU).
@@ -67,18 +56,17 @@ TRAINING_STATE_MULTIPLIER = 3
 NVLINK_GBS = 130.0
 
 
-class _AllocRecorder:
-    """Records a run's allocations in call order, booking each into a
-    tracker first when given one."""
+class _AllocRecorder(AllocLog):
+    """Books a run's allocations into a tracker and records them, in call
+    order."""
 
-    def __init__(self, mem: Optional[MemoryTracker]):
+    def __init__(self, mem: MemoryTracker):
+        super().__init__()
         self._mem = mem
-        self.allocs: list = []
 
-    def alloc(self, num_bytes: int, label: str = "", category: str = "other") -> None:
-        if self._mem is not None:
-            self._mem.alloc(num_bytes, label, category)
-        self.allocs.append((num_bytes, label, category))
+    def alloc(self, num_bytes: int, label: str, category: str) -> None:
+        self._mem.alloc(num_bytes, label, category)
+        self.append((num_bytes, label, category))
 
 
 def _book(mem: MemoryTracker, allocs) -> None:
@@ -88,13 +76,13 @@ def _book(mem: MemoryTracker, allocs) -> None:
 
 
 class _Block(NamedTuple):
-    """One priced block of a layer: per op, its reports (tensor-parallel
-    division already applied) and the allocations it made; and both
-    flattened, in op order."""
+    """One priced block of a layer: its reports (tensor-parallel division
+    already applied) and the allocations it made, in op order; and both
+    per op."""
 
-    ops: tuple  # ((reports, allocs), ...)
     reports: tuple
     allocs: tuple
+    ops: tuple  # ((reports, allocs), ...)
 
 
 def _attention_ops(backend: ModelBackend, workload: Workload,
@@ -123,39 +111,59 @@ def _attention_ops(backend: ModelBackend, workload: Workload,
 
 
 def _ffn_ops(backend: ModelBackend, workload: Workload, layer: int,
-             routing, recorder: _AllocRecorder) -> list:
-    """The FFN block as ``[(op, sharded)]``: the dense FFN or the MoE
-    experts (``routing`` already rescaled to the backend's token count),
-    then the residual."""
+             recorder: _AllocRecorder) -> list:
+    """The dense FFN block as ``[(op, sharded)]``: the FFN, then the
+    residual."""
     cfg, lengths = workload.config, workload.lengths
     d = cfg.d_model
-    if routing is not None:
-        ffn = partial(backend.moe_ffn, routing, d, cfg.d_ff, mem=recorder)
-    else:
-        ffn = partial(
-            backend.ffn, lengths, d, cfg.d_ff, activation=cfg.activation,
-            act_sparsity=workload.act_sparsity,
-            seed=workload.seed * 31 + layer, mem=recorder,
-        )
+    ffn = partial(
+        backend.ffn, lengths, d, cfg.d_ff, activation=cfg.activation,
+        act_sparsity=workload.act_sparsity,
+        seed=workload.seed * 31 + layer, mem=recorder,
+    )
     return [(ffn, True), (partial(backend.pointwise, lengths, d), False)]
+
+
+def _moe_blocks(backend: ModelBackend, workload: Workload, routing,
+                devices: int) -> list:
+    """Every MoE layer's FFN block as ``(reports, allocs)``, one per row of
+    ``routing`` (already rescaled to the backend's token count): the
+    experts of every layer priced in one ``moe_ffn`` call, then the
+    residual, which allocates nothing."""
+    cfg = workload.config
+    layers = backend.moe_ffn(routing, cfg.d_model, cfg.d_ff)
+    residual = tuple(backend.pointwise(workload.lengths, cfg.d_model))
+    if devices > 1:
+        return [(_shard(reports, devices) + residual, allocs)
+                for reports, allocs in layers]
+    return [(reports + residual, allocs) for reports, allocs in layers]
+
+
+def _shard(reports, devices: int) -> tuple:
+    """``reports`` of a weight-bearing op on each of ``devices`` ranks.
+
+    Megatron-style TP shards only the weight-bearing matmuls (column/row-
+    parallel projections, per-head attention, the FFN or MoE experts);
+    layernorm, residual adds and other pointwise ops run replicated at full
+    size on every rank.  The division happens once per priced op.
+    """
+    return tuple(
+        replace(r, latency_us=r.latency_us / devices,
+                convert_us=r.convert_us / devices)
+        for r in reports
+    )
 
 
 def _price(op, sharded: bool, recorder: _AllocRecorder,
            devices: int) -> tuple:
     """``(reports, allocs)`` of one op, whose allocations ``recorder``
-    records.
-
-    Megatron-style TP shards only the weight-bearing matmuls (column/row-
-    parallel projections, per-head attention, the FFN or MoE experts);
-    layernorm, residual adds and other pointwise ops run replicated at full
-    size on every rank.  The division happens here, once per priced op.
-    """
-    start = len(recorder.allocs)
+    books and records; a ``sharded`` op's reports are divided by
+    :func:`_shard`."""
+    start = len(recorder)
     reports = op()
     if sharded and devices > 1:
-        reports = [replace(r, latency_us=r.latency_us / devices,
-                           convert_us=r.convert_us / devices) for r in reports]
-    return tuple(reports), tuple(recorder.allocs[start:])
+        reports = _shard(reports, devices)
+    return tuple(reports), tuple(recorder[start:])
 
 
 def _source(blocks: dict, key: str, ops: list, mem: MemoryTracker,
@@ -173,17 +181,17 @@ def _source(blocks: dict, key: str, ops: list, mem: MemoryTracker,
     if final:
         _book(mem, source.allocs)
         return source
-    start = len(recorder.allocs)
+    start = len(recorder)
     priced, reports = [], []
     for (op, sharded), old in zip(ops, source.ops if source else repeat(None)):
         if old and not any(map(attrgetter("convert_us"), old[0])):
             _book(mem, old[1])  # and record them again
-            recorder.allocs += old[1]
+            recorder += old[1]
         else:
             old = _price(op, sharded, recorder, devices)
         priced.append(old)
         reports += old[0]
-    block = _Block(tuple(priced), tuple(reports), tuple(recorder.allocs[start:]))
+    block = _Block(tuple(reports), tuple(recorder[start:]), tuple(priced))
     blocks[key] = (block, layer > 0)
     return block
 
@@ -210,10 +218,11 @@ def run_transformer(
     :class:`~repro.baselines.backends.ModelBackend` docstring).  Layer 0's
     blocks are the replay sources.  At the first layer >= 1, only the ops
     whose layer-0 reports carry Convert time are priced again; the block
-    that results is replayed by every later layer.  An MoE layer prices
-    its routed op and reuses the rest of the first MoE block.  At
-    inference, a layer that would book what the last layer of its kind
-    booked, from the same bytes, only extends the timeline.
+    that results is replayed by every later layer.  The first MoE layer
+    prices the experts of every MoE layer in one ``moe_ffn`` call over the
+    run's routing table.  At inference, a layer that would book what the
+    last layer of its kind booked, from the same bytes, only extends the
+    timeline.
     """
     if mode not in ("inference", "training"):
         raise ValueError(f"mode must be inference|training, got {mode!r}")
@@ -262,17 +271,16 @@ def run_transformer(
             tail = (ExecReport(op="tp.allreduce", latency_us=comm_us),)
 
         # Padding systems route every padded position; PIT routes only real
-        # tokens.  Every MoE layer's canonical routing is rescaled to this
-        # backend's token count at once.
-        routings = dict(zip(
-            workload.routing_by_layer,
-            scale_routings(workload.routing_by_layer.values(), tokens),
-        ))
-        # Every op allocates through ``recorder``, but a later MoE layer's
-        # routed op records without booking, through ``unbooked``.
-        recorder, unbooked = _AllocRecorder(mem), _AllocRecorder(None)
+        # tokens.  The request's routing table is rescaled to this backend's
+        # token count once; ``rows`` maps each MoE layer to its row.
+        routing, rows = workload.routing, {}
+        if routing is not None:
+            routing = routing.scaled(tokens)
+            rows = dict(zip(routing.layers, range(len(routing.layers))))
+        recorder = _AllocRecorder(mem)  # every priced op allocates through it
         attn_ops = _attention_ops(backend, workload, recorder)
-        blocks = {}  # see _source; "moe" is the first MoE block
+        blocks = {}  # see _source
+        moe = None  # per MoE layer, its FFN block (see _moe_blocks)
         # Inference only: per layer kind, the start bytes and FFN-or-MoE
         # allocations of the last layer >= 1 that booked in full.  A later
         # layer of that kind booking the same from the same bytes reaches
@@ -283,45 +291,41 @@ def run_transformer(
         booked = {}
         layer = 0
         while layer < total_layers:
-            routing = routings.get(layer)
-            kind = "ffn" if routing is None else "moe"
+            row = rows.get(layer)
             start = mem.current_bytes
-            ffn = blocks.get(kind, (None,))[0]
-            moe = routing is not None and ffn is not None
-            if moe:
-                # A later MoE layer prices only its routed op and reuses the
-                # first MoE block's residual; it books only if the layer does.
-                op = partial(backend.moe_ffn, routing, d, cfg.d_ff,
-                             mem=unbooked)
-                routed = _price(op, True, unbooked, devices)
-                residual = ffn.ops[1]
-                ffn = _Block((routed, residual), routed[0] + residual[0],
-                             routed[1] + residual[1])
-            if booked.get(kind) == (start, ffn and ffn.allocs):
+            # This layer's FFN block, ``(reports, allocs)``, if priced.
+            if row is None:
+                kind, ffn = "ffn", blocks.get("ffn", (None,))[0]
+            else:
+                kind, ffn = "moe", moe and moe[row]
+            if booked.get(kind) == (start, ffn and ffn[1]):
                 end = layer + 1
-                if routing is None:  # the whole run of dense layers
-                    while end < total_layers and end not in routings:
+                if row is None:  # the whole run of dense layers
+                    while end < total_layers and end not in rows:
                         end += 1
                 attn = blocks["attn"][0]
                 timeline.reports.extend(
-                    (attn.reports + ffn.reports + tail) * (end - layer)
+                    (attn.reports + ffn[0] + tail) * (end - layer)
                 )
                 layer = end
                 continue
 
             attn = _source(blocks, "attn", attn_ops, mem, recorder, devices,
                            layer)
-            if moe:
-                _book(mem, ffn.allocs)
-            else:
-                ffn_ops = _ffn_ops(backend, workload, layer, routing, recorder)
+            if row is None:
+                ffn_ops = _ffn_ops(backend, workload, layer, recorder)
                 ffn = _source(blocks, kind, ffn_ops, mem, recorder, devices,
                               layer)
-            timeline.reports.extend(attn.reports + ffn.reports + tail)
+            else:
+                if moe is None:  # the first MoE layer prices them all
+                    moe = _moe_blocks(backend, workload, routing, devices)
+                ffn = moe[row]
+                _book(mem, ffn[1])
+            timeline.reports.extend(attn.reports + ffn[0] + tail)
 
             if mode == "inference":
                 if layer:
-                    booked[kind] = (start, ffn.allocs)
+                    booked[kind] = (start, ffn[1])
                 # Intra-layer activations die once the layer output exists.
                 mem.free_category("activations")
                 mem.free_category("conversion")

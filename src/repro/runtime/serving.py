@@ -41,7 +41,7 @@ from ..sparsity.attention import (
     MaskStats,
     representative_attention_mask,
 )
-from ..sparsity.moe import merge_routing, routing_sample_mask, routing_signature
+from ..sparsity.moe import RoutingTable, routing_sample_mask
 from .engine import RunReport, run_transformer
 from .resilience import FaultInjector, ResilienceConfig
 
@@ -73,9 +73,10 @@ class InferenceRequest:
         load statistics agree to within one bucket.  Merged batches price
         with merged statistics (:func:`merge_workloads`), so members must
         be statistically alike — the same tolerance the plan cache uses.
-        MoE routing tables add up through
-        :func:`~repro.sparsity.moe.merge_routing`: the grouped kernel's
-        cost follows the total token count, so co-batching is sound.
+        MoE routing tables add up
+        (:meth:`~repro.sparsity.moe.RoutingTable.merged`): the grouped
+        kernel's cost follows the total token count, so co-batching is
+        sound.
 
         The bucket width is the plans' own
         :data:`~repro.sparsity.attention.SIGNATURE_QUANTUM`, so requests
@@ -92,12 +93,9 @@ class InferenceRequest:
                 stats.block,
             )
         moe_key = None
-        routing = self.workload.routing_by_layer
-        if routing:
-            moe_key = (
-                tuple(sorted(routing)),
-                routing_signature(routing.values()),
-            )
+        routing = self.workload.routing
+        if routing is not None:
+            moe_key = (routing.layers, routing.signature)
         return (cfg.name, self.workload.act_sparsity, attn_key, moe_key)
 
 
@@ -108,8 +106,8 @@ def merge_workloads(workloads) -> Workload:
     the first member's: ``act_sparsity`` is token-weight-averaged,
     ``attn_stats`` are sequence-weight-averaged
     (:meth:`~repro.sparsity.attention.MaskStats.merged`) and MoE routing
-    tables add up per layer
-    (:func:`~repro.sparsity.moe.merge_routing`).  Irreconcilable metadata —
+    tables add up (:meth:`~repro.sparsity.moe.RoutingTable.merged`).
+    Irreconcilable metadata —
     different architectures, an activation-sparse member next to a dense
     one, mismatched attention shapes, differing MoE layer sets — raises
     ``ValueError`` instead of being silently dropped.
@@ -154,22 +152,21 @@ def merge_workloads(workloads) -> Workload:
             stats, weights=[w.batch_size for w in workloads]
         )
 
-    layer_sets = [frozenset(w.routing_by_layer) for w in workloads]
-    if any(ls != layer_sets[0] for ls in layer_sets[1:]):
-        raise ValueError(
-            "cannot merge MoE workloads routing different layer sets"
-        )
-    routing_by_layer = {
-        layer: merge_routing([w.routing_by_layer[layer] for w in workloads])
-        for layer in base.routing_by_layer
-    }
+    tables = [w.routing for w in workloads]
+    routing = None
+    if any(t is not None for t in tables):
+        if any(t is None for t in tables):
+            raise ValueError(
+                "cannot merge MoE workloads routing different layer sets"
+            )
+        routing = RoutingTable.merged(tables)
 
     return Workload(
         config=base.config,
         lengths=lengths,
         act_sparsity=act_sparsity,
         attn_stats=attn_stats,
-        routing_by_layer=routing_by_layer,
+        routing=routing,
         seed=base.seed,
     )
 
@@ -917,21 +914,20 @@ class ServingEngine:
                 ),
                 lambda: [representative_attention_mask(stats, arows, acols)],
             ))
-        if workload.routing_by_layer:
-            routings = list(workload.routing_by_layer.values())
+        routing = workload.routing
+        if routing is not None:
             mrows = self.SAMPLE_ROWS
             requests.append((
                 PlanSpec(
                     kind="moe-grouped", m=mrows,
-                    k=max(1, int(routings[0].counts.size)),
+                    k=max(1, routing.num_experts),
                     n=min(cfg.d_ff, self.ACT_SAMPLE_COLS),
-                    signature=routing_signature(routings),
+                    signature=routing.signature,
                     tiledb_key=tiledb_key,
                 ),
-                lambda: [routing_sample_mask(
-                    np.sum([np.asarray(r.counts) for r in routings], axis=0),
-                    mrows,
-                )],
+                lambda: [
+                    routing_sample_mask(routing.counts.sum(axis=0), mrows)
+                ],
             ))
         return requests
 

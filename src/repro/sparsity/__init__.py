@@ -14,7 +14,7 @@ __all__ = [
     "PatternHitCounter",
     "PruningSchedule",
     "Router",
-    "RoutingResult",
+    "RoutingTable",
     "SIGNATURE_QUANTUM",
     "as_mask_stats",
     "capacity_tokens",
@@ -52,7 +52,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "MagnitudePruner", "PruningSchedule", "granular_mask", "mask_sparsity",
         "nm_prune_mask", "two_four_mask",
     ),
-    "moe": ("Router", "RoutingResult", "capacity_tokens"),
+    "moe": ("Router", "RoutingTable", "capacity_tokens"),
     "seqlen": (
         "BERT_DATASETS", "DATASETS", "GLUE_TASKS", "LengthDistribution",
         "get_dataset",

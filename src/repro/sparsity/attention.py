@@ -51,10 +51,6 @@ class MaskStats:
     covered_micro_fine: int = 0
 
     @property
-    def shape(self) -> tuple:
-        return (self.seq, self.seq)
-
-    @property
     def density(self) -> float:
         return self.nnz / float(self.seq * self.seq) if self.seq else 0.0
 

@@ -10,7 +10,7 @@ busiest expert while PIT's follows the total token count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -18,141 +18,131 @@ from ..tensor.ops import softmax
 from .attention import SIGNATURE_QUANTUM
 
 
-@dataclass
-class RoutingResult:
-    """Per-expert token loads of one batch's top-1 routing.
+class RoutingTable:
+    """One MoE request's top-1 routing: the per-expert token loads of every
+    MoE layer, one row per layer.
 
     Every MoE pricing path reads only these statistics; the numeric path
-    draws per-token expert ids from :meth:`Router.assign` instead.
+    draws per-token expert ids from :meth:`Router.assign` instead.  A table
+    is the unit every stage works on: a backend prices all of its rows in
+    one :meth:`~repro.baselines.backends.ModelBackend.moe_ffn` call, co-
+    batched requests add their tables (:meth:`merged`), and the quantized
+    :attr:`signature` is computed once per table.
     """
 
-    #: [num_experts] token count per expert.
-    counts: np.ndarray
-    #: Tokens routed, including any a capacity cap dropped (then
-    #: ``num_tokens`` exceeds ``counts.sum()``).
-    num_tokens: int
+    def __init__(self, layers: tuple, counts: np.ndarray, num_tokens: int):
+        #: The MoE layer indices, ascending: row ``i`` is layer ``layers[i]``.
+        self.layers = layers
+        #: ``[layers, experts]`` token count per MoE layer and expert.
+        self.counts = counts
+        #: Tokens routed at each layer, including any a capacity cap dropped
+        #: (then ``num_tokens`` exceeds that row's sum).
+        self.num_tokens = num_tokens
 
     @property
     def num_experts(self) -> int:
-        return int(self.counts.size)
+        return self.counts.shape[1]
 
-    @property
-    def max_tokens_per_expert(self) -> int:
-        return int(self.counts.max()) if self.counts.size else 0
+    def scaled(self, num_tokens: int) -> "RoutingTable":
+        """The same routing over ``num_tokens`` tokens, every row in one
+        apportioning pass.
 
-    def imbalance(self) -> float:
-        """Max/mean token load — 1.0 is perfectly even."""
-        mean = self.counts.mean() if self.counts.size else 0.0
-        return float(self.counts.max() / mean) if mean > 0 else 0.0
-
-    def scaled_to(self, num_tokens: int) -> "RoutingResult":
-        """The same routing distribution over a different token count.
-
-        Systems disagree on how many tokens reach the MoE layer: padding
+        Systems disagree on how many tokens reach the MoE layers: padding
         systems route every padded position, PIT routes only real tokens.
-        This rescales the per-expert counts proportionally (largest experts
+        Each row's counts are rescaled proportionally (largest experts
         absorb rounding) so all backends see the same load *shape*.  A
-        capped routing (one that dropped tokens) keeps dropping the same
-        share: only the scaled *routed* total is apportioned.
+        capped row (one that dropped tokens) keeps dropping the same share:
+        only its scaled *routed* total is apportioned.  A table of no tokens
+        has no shape to keep: expert 0 takes them all.  A table that already
+        has ``num_tokens`` tokens is returned as is.
         """
-        return scale_routings([self], num_tokens)[0]
+        if num_tokens < 0:
+            raise ValueError("num_tokens must be non-negative")
+        old = self.num_tokens
+        if old == num_tokens:
+            return self
+        if old == 0:
+            counts = np.zeros(self.counts.shape, dtype=int)
+            counts[:, 0] = num_tokens
+        else:
+            counts = _apportion(
+                self.counts, num_tokens / old,
+                self.counts.sum(axis=1) * num_tokens // old,
+            )
+        return RoutingTable(self.layers, counts, num_tokens)
+
+    @classmethod
+    def merged(cls, tables) -> "RoutingTable":
+        """Several requests' tables as one grouped dispatch.
+
+        Tables drawn for separate batches combine meaningfully at the
+        *grouped-kernel* level: per layer and expert the counts add, and so
+        do the token counts, and the grouped FFN's cost still follows the
+        total token count (the property padding systems lack).  This is
+        what lets a serving engine co-batch MoE requests instead of refusing
+        them.
+
+        Raises ``ValueError`` on zero tables, or on tables over different
+        MoE layers or expert counts: those describe different models and
+        must never be silently combined.
+        """
+        tables = list(tables)
+        if not tables:
+            raise ValueError("cannot merge zero routing tables")
+        base = tables[0]
+        if len(tables) == 1:
+            return base
+        for table in tables[1:]:
+            if table.layers != base.layers:
+                raise ValueError(
+                    "cannot merge MoE workloads routing different layer sets"
+                )
+            if table.num_experts != base.num_experts:
+                raise ValueError(
+                    f"cannot merge routing tables over {base.num_experts} "
+                    f"and {table.num_experts} experts"
+                )
+        return cls(
+            base.layers,
+            np.add.reduce([table.counts for table in tables]),
+            sum(table.num_tokens for table in tables),
+        )
+
+    @functools.cached_property
+    def signature(self) -> tuple:
+        """Quantized signature of the table (hashable), computed once.
+
+        Captures the statistics a grouped-dispatch plan depends on, over the
+        loads summed across layers: expert count, quantized load imbalance
+        (max/mean) and quantized live-expert fraction.  Per-batch
+        assignments vary draw to draw, but a trained router's load *shape*
+        is stable — the same property the plan cache exploits for attention
+        masks.
+        """
+        # The statistics of at most a few hundred experts, in Python ints:
+        # the same quotients numpy's reductions give, without their
+        # per-call cost.
+        values = self.counts.sum(axis=0).tolist()
+        total, experts = sum(values), len(values)
+        mean = total / experts if experts else 0.0
+        imbalance = max(values) / mean if mean > 0 else 0.0
+        live = (len([v for v in values if v > 0]) / experts
+                if total > 0 else 0.0)
+        q = 1.0 / SIGNATURE_QUANTUM
+        return (experts, int(round(imbalance * q)), int(round(live * q)))
 
 
-def scale_routings(routings, num_tokens: int) -> list:
-    """Every routing :meth:`~RoutingResult.scaled_to` ``num_tokens``, in one
-    apportioning pass over the stacked ``[layers, experts]`` counts (one
-    at a time when expert counts differ).  A routing that already has
-    ``num_tokens`` tokens is returned as is."""
-    if num_tokens < 0:
-        raise ValueError("num_tokens must be non-negative")
-    routings = list(routings)
-    if len({r.counts.size for r in routings}) > 1:
-        return [r.scaled_to(num_tokens) for r in routings]
-    rows = [i for i, r in enumerate(routings) if r.num_tokens != num_tokens]
-    if not rows:
-        return routings
-    counts = np.array([routings[i].counts for i in rows])
-    old = np.array([routings[i].num_tokens for i in rows])
-    empty = old == 0
-    old[empty] = 1
-    scaled = _apportion(
-        counts, num_tokens / old, counts.sum(axis=1) * num_tokens // old
-    )
-    # A routing of no tokens has no shape to keep: expert 0 takes them all.
-    scaled[empty] = 0
-    scaled[empty, 0] = num_tokens
-    for i, row in zip(rows, scaled):
-        routings[i] = RoutingResult(counts=row, num_tokens=num_tokens)
-    return routings
-
-
-def _apportion(counts: np.ndarray, scale, total) -> np.ndarray:
+def _apportion(counts: np.ndarray, scale: float, total) -> np.ndarray:
     """``floor(counts * scale)``, topped up to ``total`` along the last
-    axis, one row per ``scale`` and ``total``: every expert gets
-    ``deficit // n`` more and the first ``deficit % n`` of its row's
-    largest-first order one more (the largest experts absorb rounding)."""
-    share = np.floor(counts * np.asarray(scale)[..., None]).astype(int)
+    axis, one row per ``total``: every expert gets ``deficit // n`` more and
+    the first ``deficit % n`` of its row's largest-first order one more (the
+    largest experts absorb rounding)."""
+    share = np.floor(counts * scale).astype(int)
     deficit = np.maximum(total - share.sum(axis=-1), 0)[..., None]
     n = counts.shape[-1]
     # Each expert's place in its row's largest-first order.
     rank = (-counts).argsort(axis=-1).argsort(axis=-1)
     return share + deficit // n + (rank < deficit % n)
-
-
-def merge_routing(results) -> RoutingResult:
-    """Merge several batches' routing tables into one grouped dispatch.
-
-    Routing tables drawn for separate batches combine meaningfully at the
-    *grouped-kernel* level: the per-expert counts and the token counts add,
-    and the grouped FFN's cost still follows the total token count (the
-    property padding systems lack).  This is what lets a serving engine
-    co-batch MoE requests instead of refusing them.
-
-    Raises ``ValueError`` on zero inputs or mismatched expert counts —
-    tables over different expert populations describe different layers and
-    must never be silently combined.
-    """
-    results = list(results)
-    if not results:
-        raise ValueError("cannot merge zero routing tables")
-    base = results[0]
-    if len(results) == 1:
-        return base
-    num_experts = base.num_experts
-    for r in results[1:]:
-        if r.num_experts != num_experts:
-            raise ValueError(
-                f"cannot merge routing tables over {num_experts} and "
-                f"{r.num_experts} experts"
-            )
-    return RoutingResult(
-        counts=np.sum([r.counts for r in results], axis=0),
-        num_tokens=sum(r.num_tokens for r in results),
-    )
-
-
-def routing_signature(routings) -> tuple:
-    """Quantized signature of one or more routing tables (hashable).
-
-    Captures the statistics a grouped-dispatch plan depends on: expert
-    count, quantized load imbalance (max/mean) and quantized live-expert
-    fraction.  Per-batch assignments vary draw to draw, but a trained
-    router's load *shape* is stable — the same property the plan cache
-    exploits for attention masks.
-    """
-    routings = list(routings)
-    if not routings:
-        raise ValueError("routing signature needs at least one routing table")
-    counts = np.add.reduce([np.asarray(r.counts) for r in routings])
-    # The statistics of at most a few hundred experts, in Python ints: the
-    # same quotients numpy's reductions give, without their per-call cost.
-    values = counts.tolist()
-    total, experts = sum(values), len(values)
-    mean = total / experts if experts else 0.0
-    imbalance = max(values) / mean if mean > 0 else 0.0
-    live = len([v for v in values if v > 0]) / experts if total > 0 else 0.0
-    q = 1.0 / SIGNATURE_QUANTUM
-    return (experts, int(round(imbalance * q)), int(round(live * q)))
 
 
 def routing_sample_mask(counts, rows: int) -> np.ndarray:
@@ -209,14 +199,17 @@ class Router:
         logits += np.log(self.popularity + 1e-12)  # popularity bias
         return softmax(logits, axis=-1).argmax(axis=-1)
 
-    def route(self, num_tokens: int, *, seed: int = 0) -> RoutingResult:
-        """Route ``num_tokens`` tokens (top-1) and keep their per-expert
-        loads — the same draw as :meth:`assign` with the same seed."""
-        assignment = self.assign(num_tokens, seed=seed)
-        return RoutingResult(
-            counts=np.bincount(assignment, minlength=self.num_experts),
-            num_tokens=int(num_tokens),
-        )
+    def route(self, num_tokens: int, layers: tuple, *,
+              seed: int = 0) -> RoutingTable:
+        """Route ``num_tokens`` tokens (top-1) at each MoE layer of
+        ``layers`` and keep their per-expert loads: layer ``l``'s row counts
+        the :meth:`assign` draw seeded ``seed * 131 + l``."""
+        counts = np.array([
+            np.bincount(self.assign(num_tokens, seed=seed * 131 + layer),
+                        minlength=self.num_experts)
+            for layer in layers
+        ])
+        return RoutingTable(layers, counts, int(num_tokens))
 
 
 def capacity_tokens(num_tokens: int, num_experts: int, capacity_factor: float) -> int:

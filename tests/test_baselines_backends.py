@@ -1,7 +1,5 @@
 """Tests for the model-level backends (padding/conversion/fusion semantics)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +17,12 @@ from repro.baselines import (
     UnsupportedModelError,
     length_buckets,
 )
+from repro.baselines.backends import AllocLog
 from repro.baselines.turbo import TURBO_BUCKETS
 from repro.hw import A100, V100, MemoryTracker
-from repro.hw.costmodel import elementwise_time_us
-from repro.sparsity import Router, RoutingResult, longformer_mask_stats
+from repro.sparsity import Router, RoutingTable, longformer_mask_stats
+
+from moe_oracle import layer_routings, moe_layer
 
 
 LENGTHS = np.array([16, 40, 100, 128])
@@ -134,95 +134,108 @@ class TestAttention:
         assert convert_us(reports) > 0  # the rearrangement cost
 
 
+def one_layer(backend, routing, d_model, d_ff) -> list:
+    """The reports of a one-row table's only MoE layer."""
+    ((reports, _),) = backend.moe_ffn(routing, d_model, d_ff)
+    return reports
+
+
 class TestMoE:
     @pytest.fixture()
     def routing(self):
-        return Router(64, concentration=0.4, seed=0).route(4096, seed=1)
+        return Router(64, concentration=0.4, seed=0).route(4096, (1,), seed=0)
 
     def test_ordering_matches_figure8(self, routing):
         """PIT < MegaBlocks < DeepSpeed < Tutel; PyTorch worst or near."""
         d, f = 768, 3072
-        pit = total_us(PITBackend(A100, "float16").moe_ffn(routing, d, f))
-        mb = total_us(MegaBlocksBackend(A100, "float16").moe_ffn(routing, d, f))
-        ds = total_us(DeepSpeedBackend(A100, "float16").moe_ffn(routing, d, f))
-        tu = total_us(TutelBackend(A100, "float16").moe_ffn(routing, d, f))
-        pt = total_us(PyTorchBackend(A100, "float16").moe_ffn(routing, d, f))
+        pit = total_us(one_layer(PITBackend(A100, "float16"), routing, d, f))
+        mb = total_us(one_layer(MegaBlocksBackend(A100, "float16"), routing, d, f))
+        ds = total_us(one_layer(DeepSpeedBackend(A100, "float16"), routing, d, f))
+        tu = total_us(one_layer(TutelBackend(A100, "float16"), routing, d, f))
+        pt = total_us(one_layer(PyTorchBackend(A100, "float16"), routing, d, f))
         assert pit < mb < tu
         assert pit < ds < tu
         assert pit < pt
 
     def test_tutel_memory_scales_with_imbalance(self, routing):
-        mem = MemoryTracker(A100)
-        TutelBackend(A100, "float16").moe_ffn(routing, 768, 3072, mem=mem)
-        padded = routing.num_experts * routing.max_tokens_per_expert
-        assert mem.current_bytes >= padded * 3072 * 2  # fp16 hidden buffer
+        ((_, allocs),) = TutelBackend(A100, "float16").moe_ffn(routing, 768, 3072)
+        padded = routing.num_experts * int(routing.counts.max())
+        assert sum(b for b, _, _ in allocs) >= padded * 3072 * 2  # fp16 hidden
 
     def test_megablocks_fp32_unsupported(self):
         with pytest.raises(UnsupportedModelError):
             MegaBlocksBackend(A100, "float32")
 
     def test_pit_cost_tracks_total_tokens_not_max(self):
-        even = Router(8, concentration=100.0, seed=0).route(4096, seed=0)
-        skew = Router(8, concentration=0.05, seed=4).route(4096, seed=0)
+        even = Router(8, concentration=100.0, seed=0).route(4096, (1,), seed=0)
+        skew = Router(8, concentration=0.05, seed=4).route(4096, (1,), seed=0)
         pit = PITBackend(A100, "float16")
-        t_even = total_us(pit.moe_ffn(even, 768, 3072))
-        t_skew = total_us(pit.moe_ffn(skew, 768, 3072))
+        t_even = total_us(one_layer(pit, even, 768, 3072))
+        t_skew = total_us(one_layer(pit, skew, 768, 3072))
         assert t_skew < 2.0 * t_even
         tutel = TutelBackend(A100, "float16")
-        assert total_us(tutel.moe_ffn(skew, 768, 3072)) > 2.0 * total_us(
-            tutel.moe_ffn(even, 768, 3072)
+        assert total_us(one_layer(tutel, skew, 768, 3072)) > 2.0 * total_us(
+            one_layer(tutel, even, 768, 3072)
         )
 
 
-def pit_moe_ffn_oracle(backend, routing, d_model, d_ff):
-    """``PITBackend.moe_ffn``'s latency, convert time and tile before its
-    tile sums were vectorized: one Python step per live expert."""
-    tile = backend.tiledb.best_dense_tile(
-        max(32, routing.num_tokens // max(1, routing.num_experts)),
-        d_model, d_ff,
-    ).tile
-    steps_up = steps_down = tiles_up = tiles_down = 0
-    for count in routing.counts:
-        count = int(count)
-        if count == 0:
-            continue
-        m_tiles = math.ceil(count / tile.tm)
-        tiles_up += m_tiles * math.ceil(d_ff / tile.tn)
-        steps_up += m_tiles * math.ceil(d_ff / tile.tn) * math.ceil(d_model / tile.tk)
-        tiles_down += m_tiles * math.ceil(d_model / tile.tn)
-        steps_down += m_tiles * math.ceil(d_model / tile.tn) * math.ceil(d_ff / tile.tk)
-    detector = backend._detector_us(routing.num_tokens, 1, routing.num_tokens)
-    up = backend._tiled_matmul_us(steps_up, tiles_up, tile)
-    act = elementwise_time_us(
-        routing.num_tokens * d_ff, backend.dtype, backend.spec
+@st.composite
+def routing_tables(draw):
+    """Routing tables of 1-12 MoE layers over 8-256 experts: idle experts,
+    rows nothing reached, tied loads, and token counts above every row's
+    sum (a capacity cap dropped tokens)."""
+    layers = draw(st.integers(1, 12))
+    experts = draw(st.integers(8, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, draw(st.sampled_from([3, 3000])),
+                          size=(layers, experts))
+    counts[rng.random(counts.shape) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0
+    if draw(st.booleans()):
+        counts[rng.integers(layers)] = 0
+    dropped = draw(st.sampled_from([0, 0, 1, 500]))
+    num_tokens = int(counts.sum(axis=1).max()) + dropped
+    return RoutingTable(tuple(range(1, 2 * layers, 2)), counts, num_tokens)
+
+
+class TestMoEOneCall:
+    """``moe_ffn`` prices every row of a routing table in one call; each
+    row's reports and allocation records are its layer's under the
+    backend's per-layer body (``moe_oracle``), fused or not."""
+
+    BACKENDS = (
+        PITBackend(V100), PITBackend(A100, "float16"), PITBackend(A100),
+        PyTorchBackend(V100), PyTorchSBackend(V100), TutelBackend(V100),
+        DeepSpeedBackend(V100), MegaBlocksBackend(A100, "float16"),
     )
-    down = backend._tiled_matmul_us(steps_down, tiles_down, tile)
-    return up + act + down + detector, detector, tile.describe()
 
-
-class TestPITMoEOracle:
-    #: Devices and precisions with different profiled tile sets.
-    BACKENDS = (PITBackend(V100), PITBackend(A100, "float16"), PITBackend(A100))
-
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        st.lists(st.integers(0, 3000), min_size=1, max_size=128),
-        st.integers(0, 500),
+        routing_tables(),
         st.sampled_from(BACKENDS),
         st.sampled_from([(768, 3072), (1024, 4096), (96, 200), (512, 1000)]),
+        st.booleans(),
     )
-    def test_moe_ffn_matches_the_per_expert_loop(
-        self, counts, dropped, backend, dims
+    def test_one_call_matches_the_per_layer_bodies(
+        self, table, backend, dims, fused
     ):
-        """Zero and single-expert routings, capped routings (tokens that
-        reached the layer but no expert) and assorted tile shapes."""
-        counts = np.array(counts)
-        routing = RoutingResult(counts, int(counts.sum()) + dropped)
-        (report,) = backend.moe_ffn(routing, *dims)
-        latency, convert, tile = pit_moe_ffn_oracle(backend, routing, *dims)
-        assert report.latency_us == latency
-        assert report.convert_us == convert
-        assert report.detail == {"tile": tile}
+        backend.set_fusion(fused)
+        try:
+            layers = backend.moe_ffn(table, *dims)
+            assert len(layers) == len(table.layers)
+            for (reports, allocs), routing in zip(layers, layer_routings(table)):
+                log = AllocLog()
+                assert list(reports) == moe_layer(backend, routing, *dims, mem=log)
+                assert allocs == tuple(log)
+        finally:
+            backend.set_fusion(False)
+
+    @pytest.mark.parametrize(
+        "cls", [TurboTransformerBackend, LongformerSBackend]
+    )
+    def test_systems_without_moe_operators_refuse(self, cls):
+        table = Router(8, seed=0).route(64, (1, 3), seed=0)
+        with pytest.raises(UnsupportedModelError, match="MoE"):
+            cls(V100).moe_ffn(table, 64, 128)
 
 
 class TestFusionMemory:
@@ -256,6 +269,6 @@ class TestTurbo:
 
     def test_no_moe(self):
         t = TurboTransformerBackend(V100)
-        routing = Router(4, seed=0).route(64, seed=0)
+        routing = Router(4, seed=0).route(64, (1,), seed=0)
         with pytest.raises(UnsupportedModelError):
             t.moe_ffn(routing, 64, 128)

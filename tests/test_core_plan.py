@@ -47,20 +47,19 @@ def make_spec(tiledb, **overrides):
 
 
 class TestPlanSpec:
-    def test_json_round_trip_is_identity(self, tiledb):
-        spec = make_spec(tiledb)
-        revived = PlanSpec.from_json(json.loads(json.dumps(spec.to_json())))
-        assert revived == spec
-        assert hash(revived) == hash(spec)
-        assert revived.cache_key() == spec.cache_key()
-
-    def test_round_trip_preserves_every_field(self, tiledb):
-        spec = make_spec(
-            tiledb, kind="attention", sparse_operand="B",
-            signature=(2048, 3, ("nested", 1)),
-        )
-        revived = PlanSpec.from_json(spec.to_json())
-        assert revived == spec
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(kind="attention", sparse_operand="B",
+             signature=(2048, 3, ("nested", 1))),
+        dict(kind="nm-sparse", sparse_operand="B", pattern=(2, 4),
+             permutation=("learned", 2, 11)),
+    ], ids=["proj", "nested-signature", "nm-sparse"])
+    def test_cache_key_round_trips_the_plan_codec(self, tiledb, overrides):
+        """Plan dumps key on ``cache_key()``: through JSON it decodes to an
+        equal, equally hashing key."""
+        key = make_spec(tiledb, **overrides).cache_key()
+        revived = decode_value(json.loads(json.dumps(encode_value(key))))
+        assert revived == key and hash(revived) == hash(key)
 
     def test_signature_lists_normalize_to_tuples(self, tiledb):
         a = make_spec(tiledb, signature=[7, 20, 20])
@@ -166,10 +165,6 @@ class TestChoiceSerialization:
         permuted = PermutedChoice(
             choice=choice, permutation=(2, 0, 1, 3), pattern=(2, 4)
         )
-        spec = PlanSpec(
-            kind="proj", m=128, k=64, n=64, signature=(7, 20, 20),
-            tiledb_key=("db", 1),
-        )
         choice_json = (
             '{"tile": [32, 8, 64], "pit_axis": "m", "microtile": [1, 8], '
             '"est_cost_us": 12.5, "covered_sparsity": 0.75, '
@@ -188,12 +183,6 @@ class TestChoiceSerialization:
                 '{"__permchoice__": {"choice": ' + choice_json + ', '
                 '"permutation": [2, 0, 1, 3], "pattern": [2, 4]}}'
             ),
-            spec: (
-                '{"__planspec__": {"kind": "proj", "m": 128, "k": 64, '
-                '"n": 64, "sparse_operand": "A", '
-                '"signature": {"__tuple__": [7, 20, 20]}, '
-                '"tiledb_key": {"__tuple__": ["db", 1]}}}'
-            ),
         }
         for obj, text in expected.items():
             assert json.dumps(encode_value(obj)) == text
@@ -210,7 +199,7 @@ class TestPlanner:
         assert isinstance(cold, ResolvedPlan)
         assert cold.cold and not warm.cold
         assert warm.choice is cold.choice
-        assert planner.cache.hits == 1 and planner.cache.misses == 1
+        assert planner.cache.stats()["hits"] == 1 and planner.cache.misses == 1
         assert cold.search_us > warm.search_us
 
     def test_cold_resolve_without_samples_raises(self, tiledb):
@@ -276,7 +265,7 @@ class TestPlanCachePersistence:
 
         loaded = PlanCache.load(path, expected_tiledb_key=tiledb.cache_key)
         assert len(loaded) == 2
-        assert loaded.hits == 0 and loaded.misses == 0
+        assert loaded.stats()["hits"] == 0 and loaded.misses == 0
         warm = Planner(tiledb, loaded)
         revived = warm.resolve(spec)
         assert not revived.cold

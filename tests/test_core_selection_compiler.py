@@ -352,7 +352,7 @@ class TestPlanCache:
         c1 = planned(planner, [m1], 512, 512, 512)
         c2 = planned(planner, [m2], 512, 512, 512)
         assert c1 is c2
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.stats()["hits"] == 1 and cache.misses == 1
 
     def test_miss_on_sparsity_drift(self, tiledb):
         """Density drifting past the quantization threshold is a new plan."""
@@ -363,7 +363,7 @@ class TestPlanCache:
         assert sparsity_signature([sparse]) != sparsity_signature([denser])
         planned(planner, [sparse], 512, 512, 512)
         planned(planner, [denser], 512, 512, 512)
-        assert cache.misses == 2 and cache.hits == 0
+        assert cache.misses == 2 and cache.stats()["hits"] == 0
 
     def test_miss_on_shape_or_operand_change(self, tiledb):
         cache = PlanCache()
@@ -372,7 +372,7 @@ class TestPlanCache:
         planned(planner, [mask], 256, 256, 256)
         planned(planner, [mask], 256, 256, 512)
         planned(planner, [mask], 256, 256, 256, sparse_operand="B")
-        assert cache.misses == 3 and cache.hits == 0
+        assert cache.misses == 3 and cache.stats()["hits"] == 0
 
     def test_lru_eviction_bound(self, tiledb):
         cache = PlanCache()
@@ -399,9 +399,9 @@ class TestPlanCache:
         cache.put(("ad-hoc", "one more"), 0)
         # ("ad-hoc", 0) was least recently used, so the plan stays cached.
         assert ("ad-hoc", 0) not in cache
-        hits = cache.hits
+        hits = cache.stats()["hits"]
         planned(planner, [mask], 256, 256, 128)
-        assert cache.hits == hits + 1
+        assert cache.stats()["hits"] == hits + 1
 
     def test_stats_and_hit_rate(self, tiledb):
         cache = PlanCache()
@@ -459,7 +459,7 @@ class TestSharedPlanCache:
         planned(Planner(tiledb, cache), [mask], 512, 512, 512)
         assert cache.misses == 1
         planned(Planner(tiledb, cache), [mask], 512, 512, 512)
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.stats()["hits"] == 1 and cache.misses == 1
 
 
 class TestCompiler:

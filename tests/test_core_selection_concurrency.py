@@ -127,7 +127,7 @@ class TestPlanCacheContention:
         # Exactly one caller owned the miss; everyone else hit.
         assert sum(1 for _, hit in results if not hit) == 1
         assert cache.misses == 1
-        assert cache.hits == 7
+        assert cache.stats()["hits"] == 7
 
     def test_counters_and_capacity_survive_a_thread_storm(self):
         """More threads than cores, a tiny switch interval, and more keys
@@ -226,7 +226,7 @@ class TestPlanCacheContention:
         assert cache.get(key) == "v"
         # One miss from the empty get, one from the owning compute, one hit
         # from the warm get.
-        assert (cache.hits, cache.misses) == (1, 2)
+        assert (cache.stats()["hits"], cache.misses) == (1, 2)
 
     def test_eviction_is_exact_lru(self):
         """Capacity holds exactly, and what survives is the newest entries

@@ -2,12 +2,14 @@
 
 ``run_transformer`` prices layer 0's blocks, prices again at layer 1 only
 the ops that paid Convert time there, and replays the result for every
-later layer; a later MoE layer prices only its routed op.
+later layer; the first MoE layer prices every MoE layer's experts in one
+``moe_ffn`` call over the run's routing table.
 ``reference_run_transformer`` below is the engine's original loop, which
-prices every op of every layer;
-the only edit is that tensor parallelism builds divided copies with
-``dataclasses.replace``, because :class:`ExecReport` is frozen.  Every
-observable field of the two runs must be bit-identical.
+prices every op of every layer, each MoE layer through its backend's
+per-layer body in ``moe_oracle`` with its routing rescaled one layer at a
+time; the only other edit is that tensor parallelism builds divided copies
+with ``dataclasses.replace``, because :class:`ExecReport` is frozen.
+Every observable field of the two runs must be bit-identical.
 """
 
 from __future__ import annotations
@@ -32,11 +34,7 @@ from repro.hw.costmodel import elementwise_time_us
 from repro.hw.memtracker import MemoryTracker, OutOfMemoryError
 from repro.hw.spec import dtype_bytes
 from repro.hw.timeline import ExecReport, Timeline
-from repro.sparsity import (
-    RoutingResult,
-    capacity_tokens,
-    get_dataset,
-)
+from repro.sparsity import RoutingTable, capacity_tokens, get_dataset
 from repro.models import (
     bert_workload,
     longformer_workload,
@@ -50,6 +48,8 @@ from repro.models.config import switch_transformer
 from repro.models.workloads import Workload, _route_moe_layers
 from repro.runtime import BACKENDS_BY_NAME, RunReport, run_transformer
 from repro.runtime.engine import NVLINK_GBS, TRAINING_STATE_MULTIPLIER
+
+from moe_oracle import layer_routings, moe_layer, scaled_to
 
 
 def reference_run_transformer(
@@ -86,6 +86,10 @@ def reference_run_transformer(
             elementwise_time_us(tokens * d, backend.dtype, backend.spec),
         )
         mem.alloc(tokens * d * dsize, "embedding.out", category="activations")
+        routings = {}
+        if workload.routing is not None:
+            routings = dict(zip(workload.routing.layers,
+                                layer_routings(workload.routing)))
 
         for layer in range(total_layers):
             reports = []  # (ExecReport, sharded) in op order
@@ -112,10 +116,11 @@ def reference_run_transformer(
                  sharded=True)
             _add(backend.pointwise(lengths, d), sharded=False)
             _add(backend.layernorm(lengths, d), sharded=False)
-            routing = workload.routing_by_layer.get(layer)
+            routing = routings.get(layer)
             if routing is not None:
-                routing = routing.scaled_to(backend.padded_tokens(lengths))
-                _add(backend.moe_ffn(routing, d, d_ff, mem=mem), sharded=True)
+                routing = scaled_to(routing, backend.padded_tokens(lengths))
+                _add(moe_layer(backend, routing, d, d_ff, mem=mem),
+                     sharded=True)
             else:
                 _add(
                     backend.ffn(
@@ -295,7 +300,7 @@ class TestReplayEdgeCases:
         switch = workloads["switch"]
         assert switch.config.n_layers + switch.config.decoder_layers == 24
         workload = dataclasses.replace(
-            switch, routing_by_layer={moe_layer: switch.routing_by_layer[moe_layer]}
+            switch, routing=_lone_layer(switch.routing, moe_layer)
         )
         reference, replayed = _pair(factory, dtype, workload)
         assert reference.ok
@@ -315,6 +320,12 @@ class TestReplayEdgeCases:
                 devices=8,
             )
             assert fingerprint(replayed) == fingerprint(reference)
+
+
+def _lone_layer(table, layer) -> RoutingTable:
+    """``table``'s routing of one MoE layer, as a one-row table."""
+    row = table.layers.index(layer)
+    return RoutingTable((layer,), table.counts[row:row + 1], table.num_tokens)
 
 
 def _count_calls(backend, *names) -> Counter:
@@ -342,13 +353,27 @@ class TestPricedOncePerRun:
         assert workloads["bert"].config.n_layers == 12
         assert calls == {"attention": 2, "ffn": 1}
 
-    def test_switch_prices_every_moe_layer(self, workloads):
+    def test_switch_prices_every_moe_layer_in_one_call(self, workloads):
+        """One ``moe_ffn`` call per run prices all 12 MoE layers: one
+        report each, each MoE layer's timeline entry is its own row's."""
         backend = PITBackend(V100)
         calls = _count_calls(backend, "attention", "ffn", "moe_ffn")
-        run_transformer(workloads["switch"], backend)
+        report = run_transformer(workloads["switch"], backend)
         cfg = workloads["switch"].config
         assert cfg.n_layers + cfg.decoder_layers == 24
-        assert calls == {"attention": 2, "ffn": 1, "moe_ffn": 12}
+        assert calls == {"attention": 2, "ffn": 1, "moe_ffn": 1}
+        moe = [r for r in report.timeline.reports if r.op == "moe.pit_grouped"]
+        routing = workloads["switch"].routing.scaled(
+            backend.padded_tokens(workloads["switch"].lengths)
+        )
+        expected = [
+            moe_layer(PITBackend(V100), row, cfg.d_model, cfg.d_ff)[0]
+            for row in layer_routings(routing)
+        ]
+        assert len(moe) == len(routing.layers) == 12
+        assert [(r.latency_us, r.convert_us, r.detail) for r in moe] == [
+            (r.latency_us, r.convert_us, r.detail) for r in expected
+        ]
 
     @pytest.mark.parametrize("workload_name", ["bert", "opt-act"])
     def test_pricing_work_does_not_grow_with_depth(
@@ -380,17 +405,18 @@ class TestPricedOncePerRun:
         assert rest == 0 and per_layer == 14
         assert deep - shallow == per_layer * n_layers
 
-    def test_moe_pricing_work_grows_only_by_routed_ops(
+    def test_moe_pricing_work_grows_only_by_routed_rows(
         self, workloads, monkeypatch
     ):
-        """Doubling a Switch-64 stack to 48 layers adds one ``moe_ffn`` call
-        per added MoE layer and timeline entries only: the same other
-        backend ops, tracker allocations and category frees price it."""
+        """Doubling a Switch-64 stack to 48 layers doubles the routing
+        table's rows and adds timeline entries only: the same backend op
+        calls (one ``moe_ffn`` per run), tracker allocations and category
+        frees price it."""
         for name in ("alloc", "free_category"):  # undone after the test
             monkeypatch.setattr(MemoryTracker, name, getattr(MemoryTracker, name))
         tracker = _count_calls(MemoryTracker, "alloc", "free_category")
         switch = workloads["switch"]
-        work, report_counts, moe_layers = [], [], []
+        work, report_counts, rows = [], [], []
         for scale in (1, 2):
             cfg = dataclasses.replace(
                 switch.config,
@@ -400,24 +426,29 @@ class TestPricedOncePerRun:
             padded = int(switch.lengths.max()) * switch.batch_size
             stacked = dataclasses.replace(
                 switch, config=cfg,
-                routing_by_layer=_route_moe_layers(cfg, padded, switch.seed),
+                routing=_route_moe_layers(cfg, padded, switch.seed),
             )
             backend = PITBackend(V100)
             ops = _count_calls(backend, *PRICED_OPS)
+            priced_rows = []
+            moe_ffn = backend.moe_ffn
+            backend.moe_ffn = lambda routing, *args: (
+                priced_rows.append(len(routing.counts))
+                or moe_ffn(routing, *args)
+            )
             tracker.clear()
             report = run_transformer(stacked, backend)
             assert report.ok
             work.append((ops, Counter(tracker)))
             report_counts.append(len(report.timeline.reports))
-            moe_layers.append(len(stacked.routing_by_layer))
+            rows.append(priced_rows)
         (shallow_ops, shallow_mem), (deep_ops, deep_mem) = work
         assert deep_mem == shallow_mem
-        added = moe_layers[1] - moe_layers[0]
-        assert added == 12
-        assert deep_ops - shallow_ops == Counter(moe_ffn=added)
+        assert deep_ops == shallow_ops and shallow_ops["moe_ffn"] == 1
+        assert rows == [[12], [24]]
         # An attention block is 10 reports, a dense FFN block 4 and an MoE
         # block 2; the added layers alternate dense and MoE.
-        assert report_counts[1] - report_counts[0] == (14 + 12) * added
+        assert report_counts[1] - report_counts[0] == (14 + 12) * 12
 
 
 class TestMoEReplayProperty:
@@ -440,14 +471,14 @@ class TestMoEReplayProperty:
         routing = _route_moe_layers(config, padded, seed)
         if capacity_factor is not None:
             capacity = capacity_tokens(padded, experts, capacity_factor)
-            routing = {
-                layer: RoutingResult(np.minimum(r.counts, capacity), r.num_tokens)
-                for layer, r in routing.items()
-            }
+            routing = RoutingTable(routing.layers,
+                                   np.minimum(routing.counts, capacity),
+                                   routing.num_tokens)
         if lone is not None:
-            routing = {lone: routing[max(routing)]}
-        return Workload(config=config, lengths=lengths,
-                        routing_by_layer=routing, seed=seed)
+            routing = RoutingTable((lone,), routing.counts[-1:],
+                                   routing.num_tokens)
+        return Workload(config=config, lengths=lengths, routing=routing,
+                        seed=seed)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -491,17 +522,18 @@ class TestPerRunFacts:
     def test_ops_price_from_their_arguments(
         self, lengths, run_lengths, counts, causal
     ):
-        """PIT keeps its variable-length attention terms and MoE constants
-        for the rest of a run.  Inside the run, an op given another
-        ``lengths`` object or routing, and after the run ends, any op,
-        prices as a backend that never ran does."""
+        """PIT keeps its variable-length attention terms for the rest of a
+        run.  Inside the run, an op given another ``lengths`` object or
+        another routing table than one it priced, and after the run ends,
+        any op, prices as a backend that never ran does."""
         lengths, run_lengths = np.array(lengths), np.array(run_lengths)
-        counts = np.array(counts)
-        routing = RoutingResult(counts, int(counts.sum()))
+        counts = np.array([counts])
+        routing = RoutingTable((1,), counts, int(counts.sum()))
         backend = PITBackend(V100)
         backend.set_fusion(True, run_lengths)
         backend.attention(run_lengths, 12, 64, causal=causal)
-        other = RoutingResult(counts[::-1] + 1, int(counts.sum()) + counts.size)
+        other = RoutingTable((1,), counts[:, ::-1] + 1,
+                             int(counts.sum()) + counts.size)
         backend.moe_ffn(other, 768, 3072)
         for _ in ("in the run", "after it"):
             fresh = PITBackend(V100)

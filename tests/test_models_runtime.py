@@ -182,11 +182,12 @@ class TestWorkloads:
 
     def test_switch_workload_has_routing(self):
         wl = switch_workload(64, 8, seed=0)
-        assert len(wl.routing_by_layer) == 12
-        routing = wl.routing_by_layer.get(1)
+        routing = wl.routing
+        assert routing.layers == tuple(range(1, 24, 2))
+        assert routing.counts.shape == (12, 64)
         padded = wl.batch_size * wl.max_len
-        assert routing is not None and routing.counts.sum() == padded
-        assert 0 not in wl.routing_by_layer
+        assert routing.num_tokens == padded
+        assert (routing.counts.sum(axis=1) == padded).all()
 
     def test_opt_workload_act_sparsity(self):
         wl = opt_inference_workload("125m", 8, act_sparsity=0.99, seed=0)
@@ -309,7 +310,7 @@ class TestLineupBackends:
         misses = cache.misses
         run_lineup(wl, ["PyTorch", "PIT"], V100, plan_cache=cache)
         assert cache.misses == misses  # second lineup fully warm
-        assert cache.hits > 0
+        assert cache.stats()["hits"] > 0
 
 
 class TestSparseTraining:

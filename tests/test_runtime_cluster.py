@@ -59,7 +59,7 @@ from repro.runtime.cluster.codec import (
 )
 from repro.runtime.cluster.transport import channel_pair
 from repro.runtime.resilience import QUARANTINED, WorkerCrashFault
-from repro.sparsity import Router, RoutingResult
+from repro.sparsity import Router, RoutingTable
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -97,12 +97,13 @@ def assert_workload_equal(a, b):
     assert np.array_equal(a.lengths, b.lengths)
     assert a.act_sparsity == b.act_sparsity
     assert a.attn_stats == b.attn_stats
-    assert sorted(a.routing_by_layer) == sorted(b.routing_by_layer)
-    for layer, routing in a.routing_by_layer.items():
-        other = b.routing_by_layer[layer]
-        assert np.array_equal(routing.counts, other.counts)
-        assert routing.counts.dtype == other.counts.dtype
-        assert routing.num_tokens == other.num_tokens
+    if a.routing is None:
+        assert b.routing is None
+    else:
+        assert a.routing.layers == b.routing.layers
+        assert np.array_equal(a.routing.counts, b.routing.counts)
+        assert a.routing.counts.dtype == b.routing.counts.dtype
+        assert a.routing.num_tokens == b.routing.num_tokens
     assert a.seed == b.seed
 
 
@@ -214,11 +215,13 @@ class TestCodec:
         assert abs(large - small) <= 1024
 
     def test_capped_routing_round_trips_its_token_count(self):
-        routing = Router(8, concentration=0.2, seed=3).route(512, seed=0)
-        capped = RoutingResult(np.minimum(routing.counts, 32), routing.num_tokens)
-        assert capped.num_tokens > capped.counts.sum()
+        routing = Router(8, concentration=0.2, seed=3).route(512, (1, 3), seed=0)
+        capped = RoutingTable(routing.layers, np.minimum(routing.counts, 32),
+                              routing.num_tokens)
+        assert capped.num_tokens > capped.counts.sum(axis=1).max()
         restored = decode_wire(json.loads(json.dumps(encode_wire(capped))))
         assert restored.num_tokens == capped.num_tokens == 512
+        assert restored.layers == capped.layers == (1, 3)
         assert np.array_equal(restored.counts, capped.counts)
 
 

@@ -1,5 +1,7 @@
 """Tests for the serving layer: dynamic batching + plan-cache amortization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,7 @@ from repro.models import (
 from repro.models.config import opt
 from repro.models.workloads import Workload
 from repro.runtime import InferenceRequest, ServingEngine, merge_workloads
-from repro.sparsity import SIGNATURE_QUANTUM, MaskStats, RoutingResult
-from repro.sparsity.moe import routing_signature
+from repro.sparsity import SIGNATURE_QUANTUM, MaskStats, RoutingTable
 
 
 def make_engine(**kwargs):
@@ -64,7 +65,7 @@ class TestBatching:
     def test_moe_workloads_co_batch_on_matching_routing_stats(self):
         """Same-architecture MoE requests whose routing load statistics
         agree to within a quantization bucket share a batch — their tables
-        merge through ``merge_routing`` instead of being refused."""
+        merge (``RoutingTable.merged``) instead of being refused."""
         engine = make_engine()
         engine.submit(switch_workload(8, 4, seed=0))
         engine.submit(switch_workload(8, 4, seed=0))
@@ -156,13 +157,38 @@ class TestBatching:
     def test_merge_concatenates_moe_routing(self):
         w1 = switch_workload(8, 4, seed=0)
         w2 = switch_workload(8, 4, seed=1)
-        merged = merge_workloads([w1, w2])
-        assert set(merged.routing_by_layer) == set(w1.routing_by_layer)
-        for layer, routing in merged.routing_by_layer.items():
-            r1 = w1.routing_by_layer[layer]
-            r2 = w2.routing_by_layer[layer]
-            assert routing.num_tokens == r1.num_tokens + r2.num_tokens
-            np.testing.assert_array_equal(routing.counts, r1.counts + r2.counts)
+        merged = merge_workloads([w1, w2]).routing
+        r1, r2 = w1.routing, w2.routing
+        assert merged.layers == r1.layers == r2.layers
+        assert merged.num_tokens == r1.num_tokens + r2.num_tokens
+        np.testing.assert_array_equal(merged.counts, r1.counts + r2.counts)
+
+    def test_merge_rejects_a_routing_table_next_to_none(self):
+        w1 = switch_workload(8, 4, seed=0)
+        w2 = dataclasses.replace(switch_workload(8, 4, seed=1), routing=None)
+        with pytest.raises(ValueError, match="layer sets"):
+            merge_workloads([w1, w2])
+
+    def test_one_request_switch_batch_signs_its_table_once(self, monkeypatch):
+        """Admission's batch signature and the batch's ``moe-grouped`` plan
+        spec read the one signature of the request's routing table: a
+        one-request batch merges to that same table, so it is computed
+        once."""
+        computed = []
+        signature = RoutingTable.signature
+        monkeypatch.setattr(
+            signature, "func",
+            lambda table, _sign=signature.func: (
+                computed.append(table) or _sign(table)
+            ),
+        )
+        engine = make_engine()
+        workload = switch_workload(16, 2, seed=0)
+        engine.submit(workload)
+        report = engine.run()
+        assert len(report.batches) == 1
+        assert report.batches[0].plan_kinds.get("moe-grouped") is not None
+        assert computed == [workload.routing]
 
     def test_lone_oversized_request_still_gets_a_batch(self):
         """A request bigger than the token budget cannot wait forever for a
@@ -261,7 +287,7 @@ class TestServingRun:
         report = engine.run()
         # Steady state: the same traffic shape introduces no new plans.
         assert cache.misses == misses_after_warmup
-        assert cache.hits > 0
+        assert cache.stats()["hits"] > 0
         assert report.plan_cache_stats["hit_rate"] > 0
 
     def test_warm_batches_select_faster(self):
@@ -536,7 +562,7 @@ class TestSignatureQuantum:
         if kind == "routing":
             live = int(round(share * 100))
             counts = np.array([1] * live + [0] * (100 - live))
-            return routing_signature([RoutingResult(counts, live)])[2]
+            return RoutingTable((1,), counts[None], live).signature[2]
         mask = np.zeros(100 * 100, dtype=bool)
         mask[: int(round(share * mask.size))] = True
         return sparsity_signature([mask.reshape(100, 100)])[0]
@@ -677,10 +703,10 @@ class TestHeterogeneousEngine:
         engine = make_engine(replica_specs=[V100, A100], plan_cache=cache)
         w = bert_workload("mnli", 4, seed=0)
         sig = InferenceRequest(0, w).batch_signature()
-        before = (cache.hits, cache.misses, len(cache))
+        before = (cache.stats()["hits"], cache.misses, len(cache))
         for i in range(2):
             engine.estimate_exec_us(sig, w, engine.device_for_replica(i))
-        assert (cache.hits, cache.misses, len(cache)) == before
+        assert (cache.stats()["hits"], cache.misses, len(cache)) == before
 
 
 class TestRequestSignatures:

@@ -5,9 +5,8 @@ the same spec/cache/persistence machinery the serving stack uses.  The
 contract under test:
 
 * the two new plan kinds (``weight-sparse``, ``nm-sparse``) validate,
-  serialize, and key caches like the original four — spec -> json -> spec
-  is an identity, cache keys are stable across interpreters and hash
-  seeds, and nm-sparse plans (with their cached channel permutation)
+  serialize, and key caches like the original four — cache keys are
+  stable across interpreters and hash seeds, and nm-sparse plans (with their cached channel permutation)
   survive ``PlanCache.save``/``load`` and the cluster wire codec;
 * the full-TileDB Algorithm 1 search strictly beats the old silent
   ``tiles()[:8]`` truncation on a known case (the regression that
@@ -116,17 +115,6 @@ class TestTrainingSerialization:
                         sparse_operand="B", pattern=(2, 4),
                         permutation=("learned", 2, 11),
                         signature=(7, 18, 18), tiledb_key=tiledb.cache_key)
-
-    def test_spec_json_round_trip_identity(self, tiledb):
-        ws = PlanSpec(kind="weight-sparse", m=512, k=768, n=768,
-                      sparse_operand="B", signature=(7, 18, 18),
-                      tiledb_key=tiledb.cache_key)
-        for spec in (ws, self.nm_spec(tiledb)):
-            revived = PlanSpec.from_json(
-                json.loads(json.dumps(spec.to_json()))
-            )
-            assert revived == spec
-            assert revived.cache_key() == spec.cache_key()
 
     def test_permuted_choice_json_round_trip(self, tiledb):
         choice = nm_kernel_selection(

@@ -16,7 +16,7 @@ from repro.sparsity import (
     PatternHitCounter,
     PruningSchedule,
     Router,
-    RoutingResult,
+    RoutingTable,
     as_mask_stats,
     capacity_tokens,
     get_dataset,
@@ -35,13 +35,9 @@ from repro.sparsity import (
     two_four_mask,
 )
 from repro.sparsity.attention import representative_attention_mask
-from repro.sparsity.moe import (
-    _apportion,
-    merge_routing,
-    routing_sample_mask,
-    routing_signature,
-    scale_routings,
-)
+from repro.sparsity.moe import _apportion, routing_sample_mask
+
+from moe_oracle import deficit_loop, layer_routings, scaled_to
 
 
 def museformer_mask(seq_len, *, bar_len=256, fine_bars=2, summary_stride=4, seed=0):
@@ -72,57 +68,29 @@ STATS_MASKS = {
 }
 
 
-def deficit_loop(counts, scale, total):
-    """The apportioning loop ``scaled_to`` and ``routing_sample_mask`` ran
-    before it was vectorized: one token at a time, largest expert first."""
-    share = np.floor(counts * scale).astype(int)
-    deficit = total - int(share.sum())
-    order = np.argsort(-counts)
-    for i in range(deficit):
-        share[order[i % order.size]] += 1
-    return share
-
-
 #: Per-expert loads: zeros, a single expert and up to 64 experts.
 expert_counts = st.lists(st.integers(0, 5000), min_size=1, max_size=64).map(
     np.array
 )
 
 
-def scaled_to_oracle(routing, num_tokens):
-    """``RoutingResult.scaled_to``'s counts as it ran before the rescale
-    was vectorized, one layer at a time."""
-    if num_tokens == routing.num_tokens:
-        return routing.counts
-    if routing.num_tokens == 0:
-        counts = np.zeros_like(routing.counts)
-        counts[0] = num_tokens
-        return counts
-    routed = int(routing.counts.sum()) * num_tokens // routing.num_tokens
-    return deficit_loop(
-        routing.counts, num_tokens / routing.num_tokens, routed
-    )
-
-
 @st.composite
-def layer_routings(draw):
-    """One run's MoE routings: tied loads (counts 0-2), capped routings
-    (tokens that reached no expert), routings of zero tokens and, when
-    ``mixed``, layers over different expert counts."""
+def routing_tables(draw):
+    """One request's routing table: tied loads (counts 0-2), rows nothing
+    reached, capped rows (tokens that reached no expert) and tables of zero
+    tokens."""
     experts = draw(st.integers(1, 64))
-    mixed = draw(st.booleans())
-    routings = []
+    rows = []
     for _ in range(draw(st.integers(1, 8))):
-        n = draw(st.integers(1, 64)) if mixed else experts
         top = draw(st.sampled_from([2, 5000]))
-        counts = np.array(draw(st.lists(st.integers(0, top), min_size=n,
-                                        max_size=n)))
-        if draw(st.integers(0, 9)) == 0:
-            counts[:] = 0
-        dropped = draw(st.integers(0, 50))
-        num_tokens = int(counts.sum()) + dropped if counts.any() else 0
-        routings.append(RoutingResult(counts, num_tokens))
-    return routings
+        row = draw(st.lists(st.integers(0, top), min_size=experts,
+                            max_size=experts))
+        rows.append([0] * experts if draw(st.integers(0, 9)) == 0 else row)
+    counts = np.array(rows)
+    num_tokens = int(counts.sum(axis=1).max()) + draw(st.integers(0, 50))
+    if draw(st.integers(0, 9)) == 0:
+        counts[:] = num_tokens = 0
+    return RoutingTable(tuple(range(len(rows))), counts, num_tokens)
 
 
 class TestSeqLen:
@@ -383,14 +351,15 @@ class TestMaskStats:
 class TestMoE:
     def test_routing_conserves_tokens(self):
         router = Router(16, seed=0)
-        result = router.route(1024, seed=1)
-        assert result.counts.sum() == 1024
+        result = router.route(1024, (1, 3), seed=1)
+        assert result.counts.shape == (2, 16)
         assert result.num_experts == 16
+        assert result.counts.sum(axis=1).tolist() == [1024, 1024]
 
     def test_routing_is_imbalanced(self):
         router = Router(64, concentration=0.3, seed=0)
-        result = router.route(2048, seed=0)
-        assert result.imbalance() > 2.0
+        counts = router.route(2048, (0,), seed=0).counts
+        assert counts.max() / counts.mean() > 2.0
 
     def test_popularity_stable_assignments_vary(self):
         router = Router(8, seed=0)
@@ -398,14 +367,13 @@ class TestMoE:
         b = router.assign(256, seed=2)
         assert not np.array_equal(a, b)
 
-    def test_route_counts_the_assign_draw(self):
+    def test_route_counts_each_layers_assign_draw(self):
         router = Router(8, concentration=0.3, seed=2)
-        assignment = router.assign(300, seed=5)
-        routing = router.route(300, seed=5)
-        assert np.array_equal(
-            routing.counts, np.bincount(assignment, minlength=8)
-        )
-        assert routing.num_tokens == assignment.size == 300
+        routing = router.route(300, (1, 4), seed=5)
+        assert routing.layers == (1, 4) and routing.num_tokens == 300
+        for row, layer in zip(routing.counts, routing.layers):
+            assignment = router.assign(300, seed=5 * 131 + layer)
+            assert np.array_equal(row, np.bincount(assignment, minlength=8))
 
     def test_capacity(self):
         assert capacity_tokens(1000, 10, 1.25) == 125
@@ -415,55 +383,66 @@ class TestMoE:
             Router(0)
         with pytest.raises(ValueError):
             capacity_tokens(10, 2, 0)
+        with pytest.raises(ValueError):
+            Router(4).route(8, (1,)).scaled(-1)
 
-    def test_merge_routing_adds_counts_and_tokens(self):
-        a = RoutingResult(np.array([3, 0, 5]), 10)  # a cap dropped 2 tokens
-        b = RoutingResult(np.array([1, 4, 0]), 5)
-        merged = merge_routing([a, b])
-        np.testing.assert_array_equal(merged.counts, [4, 4, 5])
+    def test_merged_tables_add_counts_and_tokens(self):
+        a = RoutingTable((1, 3), np.array([[3, 0, 5], [0, 8, 0]]), 10)
+        b = RoutingTable((1, 3), np.array([[1, 4, 0], [5, 0, 0]]), 5)
+        merged = RoutingTable.merged([a, b])  # a cap dropped 2 of a's tokens
+        assert merged.layers == (1, 3)
+        np.testing.assert_array_equal(merged.counts, [[4, 4, 5], [5, 8, 0]])
         assert merged.num_tokens == 15
-        assert merge_routing([a]) is a
+        assert RoutingTable.merged([a]) is a
 
-    def test_merge_routing_rejects_incompatible_tables(self):
+    def test_merged_rejects_incompatible_tables(self):
+        table = RoutingTable((1, 3), np.ones((2, 3), dtype=int), 3)
         with pytest.raises(ValueError, match="zero"):
-            merge_routing([])
+            RoutingTable.merged([])
         with pytest.raises(ValueError, match="experts"):
-            merge_routing([
-                RoutingResult(np.array([1, 2, 3]), 6),
-                RoutingResult(np.array([1, 2, 3, 4]), 10),
-            ])
+            RoutingTable.merged(
+                [table, RoutingTable((1, 3), np.ones((2, 4), dtype=int), 4)]
+            )
+        with pytest.raises(ValueError, match="layer sets"):
+            RoutingTable.merged(
+                [table, RoutingTable((1,), np.ones((1, 3), dtype=int), 3)]
+            )
 
-    def test_routing_signature_quantizes_imbalance_and_live_experts(self):
+    def test_signature_quantizes_imbalance_and_live_experts(self):
         """Loads [6, 2, 0, 0]: imbalance 6 / 2 = 3.0, half the experts live."""
-        routing = RoutingResult(np.array([6, 2, 0, 0]), 8)
-        assert routing_signature([routing]) == (4, 60, 10)
-        assert routing_signature([RoutingResult(np.zeros(4, int), 0)]) == (4, 0, 0)
-        with pytest.raises(ValueError, match="at least one"):
-            routing_signature([])
+        routing = RoutingTable((1,), np.array([[6, 2, 0, 0]]), 8)
+        assert routing.signature == (4, 60, 10)
+        empty = RoutingTable((1, 3), np.zeros((2, 4), int), 0)
+        assert empty.signature == (4, 0, 0)
 
-    def test_routing_signature_of_several_tables_is_that_of_their_merge(self):
-        router = Router(16, seed=0)
-        routings = [router.route(512, seed=s) for s in range(3)]
-        assert routing_signature(routings) == routing_signature(
-            [merge_routing(routings)]
-        )
+    def test_signature_is_that_of_the_summed_rows(self):
+        """A table's signature reads the loads summed across its layers, so
+        a merge of several tables signs as their summed loads do."""
+        tables = [Router(16, seed=0).route(512, (1, 3, 5), seed=s)
+                  for s in range(3)]
+        merged = RoutingTable.merged(tables)
+        summed = RoutingTable((1,), merged.counts.sum(axis=0, keepdims=True),
+                              merged.num_tokens)
+        assert merged.signature == summed.signature
 
-    def test_routing_signature_separates_skewed_from_even_routers(self):
-        skewed = Router(16, concentration=0.3, seed=0).route(4096, seed=1)
-        even = Router(16, concentration=50.0, seed=0).route(4096, seed=1)
-        assert routing_signature([skewed]) != routing_signature([even])
-        assert skewed.imbalance() > even.imbalance()
+    def test_signature_separates_skewed_from_even_routers(self):
+        skewed = Router(16, concentration=0.3, seed=0).route(4096, (1,), seed=1)
+        even = Router(16, concentration=50.0, seed=0).route(4096, (1,), seed=1)
+        assert skewed.signature != even.signature
+        assert skewed.signature[1] > even.signature[1]  # the imbalance
 
     def test_scaled_capped_routing_keeps_dropping(self):
         """Rescaling a capped routing apportions its routed tokens only: the
         dropped share stays dropped, so the capped experts stay within one
-        token of the capacity scaled by the same factor (20 here)."""
-        routing = Router(16, seed=1).route(512, seed=3)
-        capped = RoutingResult(np.minimum(routing.counts, 40), routing.num_tokens)
-        assert capped.counts.sum() == 157
-        scaled = capped.scaled_to(256)
+        token of the capacity scaled by the same factor."""
+        routing = Router(16, seed=1).route(512, (1,), seed=3)
+        capped = RoutingTable(routing.layers, np.minimum(routing.counts, 40),
+                              routing.num_tokens)
+        routed = int(capped.counts.sum())
+        assert routed < 512
+        scaled = capped.scaled(256)
         assert scaled.num_tokens == 256
-        assert scaled.counts.sum() == 157 * 256 // 512
+        assert scaled.counts.sum() == routed * 256 // 512
         assert np.all(np.abs(scaled.counts - capped.counts * 256 / 512) <= 1)
 
     @settings(max_examples=200, deadline=None)
@@ -481,62 +460,46 @@ class TestMoE:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
-    @settings(max_examples=100, deadline=None)
-    @given(expert_counts, st.integers(0, 20000))
-    def test_scaled_to_matches_the_loop(self, counts, num_tokens):
-        routing = RoutingResult(counts=counts, num_tokens=int(counts.sum()))
-        scaled = routing.scaled_to(num_tokens)
-        assert scaled.num_tokens == num_tokens
-        if routing.num_tokens == 0 or num_tokens == routing.num_tokens:
-            return  # the loop never ran on these paths
-        expected = deficit_loop(counts, num_tokens / routing.num_tokens,
-                                num_tokens)
-        assert np.array_equal(scaled.counts, expected)
-        assert int(scaled.counts.sum()) == num_tokens
-
     @settings(max_examples=150, deadline=None)
-    @given(layer_routings(), st.data())
-    def test_scale_routings_matches_the_per_layer_loop(self, routings, data):
-        """The token count is any count, zero, or one of the routings' own
+    @given(routing_tables(), st.data())
+    def test_scaled_table_matches_the_per_row_loop(self, table, data):
+        """One apportioning pass over every row equals rescaling each row
+        by itself; the token count is any count, zero, or the table's own
         (the identity case)."""
         num_tokens = data.draw(st.one_of(
-            st.integers(0, 20000),
-            st.sampled_from([r.num_tokens for r in routings]),
+            st.integers(0, 20000), st.just(table.num_tokens),
         ))
-        scaled = scale_routings(routings, num_tokens)
-        assert len(scaled) == len(routings)
-        for routing, got in zip(routings, scaled):
-            assert got.num_tokens == num_tokens
-            assert np.array_equal(
-                got.counts, scaled_to_oracle(routing, num_tokens)
-            )
-            if routing.num_tokens == num_tokens:
-                assert got is routing
+        scaled = table.scaled(num_tokens)
+        assert scaled.num_tokens == num_tokens
+        assert scaled.layers == table.layers
+        for got, routing in zip(scaled.counts, layer_routings(table)):
+            assert np.array_equal(got, scaled_to(routing, num_tokens).counts)
+        if table.num_tokens == num_tokens:
+            assert scaled is table
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(1, 64),
-        st.lists(st.tuples(st.floats(0.01, 4.0), st.integers(0, 200)),
-                 min_size=1, max_size=8),
+        st.floats(0.01, 4.0),
+        st.lists(st.integers(0, 200), min_size=1, max_size=8),
         st.data(),
     )
-    def test_apportion_rows_match_the_loop(self, experts, rows, data):
-        """Row-wise apportioning with a deficit of zero, below the expert
-        count and several times it in each row."""
+    def test_apportion_rows_match_the_loop(self, experts, scale, extras, data):
+        """Row-wise apportioning at one scale, with a deficit of zero, below
+        the expert count and several times it in each row."""
         counts = np.array([
             data.draw(st.lists(st.integers(0, data.draw(
                 st.sampled_from([2, 5000]))), min_size=experts,
                 max_size=experts))
-            for _ in rows
+            for _ in extras
         ])
-        scale = np.array([s for s, _ in rows])
         total = np.array([
-            int(np.floor(c * s).astype(int).sum()) + extra
-            for c, (s, extra) in zip(counts, rows)
+            int(np.floor(c * scale).astype(int).sum()) + extra
+            for c, extra in zip(counts, extras)
         ])
         got = _apportion(counts, scale, total)
-        for row, c, s, t in zip(got, counts, scale, total):
-            assert np.array_equal(row, deficit_loop(c, s, int(t)))
+        for row, c, t in zip(got, counts, total):
+            assert np.array_equal(row, deficit_loop(c, scale, int(t)))
 
     @settings(max_examples=100, deadline=None)
     @given(expert_counts, st.integers(1, 512))
