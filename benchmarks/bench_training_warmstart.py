@@ -49,7 +49,6 @@ SPARSITIES = (0.5, 0.8, 0.9, 0.98)
 BLOCK = (32, 1)
 SEED = 11
 NM_PATTERN = (2, 4)
-NM_PERMUTATION = ("learned", 2, SEED)
 
 
 def price_epoch(cache: PlanCache) -> list:
@@ -62,7 +61,7 @@ def price_epoch(cache: PlanCache) -> list:
     reports.append(
         sparse_training_step(
             "pit", V100, block=BLOCK, sparsity=0.9, seed=SEED,
-            plan_cache=cache, pattern=NM_PATTERN, permutation=NM_PERMUTATION,
+            plan_cache=cache, pattern=NM_PATTERN,
         )
     )
     return reports

@@ -157,7 +157,6 @@ class PITBackend(ModelBackend):
         n: int,
         *,
         pattern: tuple = (),
-        permutation: tuple = (),
     ) -> ResolvedPlan:
         """Resolve the plan for a weight-masked matmul ``X[m,k] @ W[k,n]``.
 
@@ -171,7 +170,7 @@ class PITBackend(ModelBackend):
         kind = "nm-sparse" if pattern else "weight-sparse"
         spec = self.planner.make_spec(
             kind, mask_samples, m, k, n,
-            sparse_operand="B", pattern=pattern, permutation=permutation,
+            sparse_operand="B", pattern=pattern,
         )
         return self.planner.resolve(
             spec, lambda: [np.asarray(s, dtype=bool) for s in mask_samples]

@@ -192,15 +192,10 @@ class PlanSpec:
     tiledb_key: tuple = ()
     #: ``nm-sparse`` only: the (n, m) structured pattern — keep ``n`` of
     #: every aligned ``m``-group along the weight's k-axis.  Empty for
-    #: every other kind.
-    pattern: tuple = ()
-    #: ``nm-sparse`` only: the channel-permutation search *policy* — ``()``
-    #: for the deterministic candidates (identity / density-sort / striped)
-    #: or ``("learned", count, seed)`` to add seeded learned-shuffle
-    #: candidates.  The winning *concrete* permutation lives in the cached
+    #: every other kind.  The winning channel order lives in the cached
     #: :class:`~repro.core.selection.PermutedChoice`, not here: the spec
     #: names the search, the plan records its outcome.
-    permutation: tuple = ()
+    pattern: tuple = ()
 
     def __post_init__(self) -> None:
         if self.kind not in PLAN_KINDS:
@@ -218,7 +213,7 @@ class PlanSpec:
         # Normalize sequences so equality/hashing don't depend on whether a
         # caller passed a list or a tuple.  A tuple holding no list or tuple
         # (every spec the serving path builds) is already normal.
-        for name in ("signature", "tiledb_key", "pattern", "permutation"):
+        for name in ("signature", "tiledb_key", "pattern"):
             value = getattr(self, name)
             if type(value) is not tuple or any(
                 map(isinstance, value, repeat((list, tuple)))
@@ -242,19 +237,11 @@ class PlanSpec:
                 raise ValueError(
                     f"k={self.k} not divisible by N:M group size {mm}"
                 )
-            if self.permutation and (
-                len(self.permutation) != 3
-                or self.permutation[0] != "learned"
-            ):
-                raise ValueError(
-                    f"nm-sparse permutation policy must be () or "
-                    f"('learned', count, seed), got {self.permutation!r}"
-                )
         else:
-            if self.pattern or self.permutation:
+            if self.pattern:
                 raise ValueError(
-                    f"pattern/permutation are nm-sparse-only fields, "
-                    f"got them on kind {self.kind!r}"
+                    f"pattern is an nm-sparse-only field, "
+                    f"got it on kind {self.kind!r}"
                 )
 
     def cache_key(self) -> tuple:
@@ -263,8 +250,8 @@ class PlanSpec:
         Stable across processes: every component is a primitive, a tuple, or
         a frozen value-compared dataclass (:class:`GPUSpec`).
 
-        nm-sparse specs add their pattern and permutation policy ahead of
-        the tiledb key, which stays last in either layout.
+        nm-sparse specs add their pattern ahead of the tiledb key, which
+        stays last in either layout.
         """
         head = (
             "plan",
@@ -275,8 +262,8 @@ class PlanSpec:
             self.sparse_operand,
             self.signature,
         )
-        if self.pattern or self.permutation:
-            head = head + (self.pattern, self.permutation)
+        if self.pattern:
+            head = head + (self.pattern,)
         return head + (self.tiledb_key,)
 
     def describe(self) -> str:
@@ -342,12 +329,11 @@ class Planner:
         *,
         sparse_operand: str = "A",
         pattern: tuple = (),
-        permutation: tuple = (),
     ) -> PlanSpec:
         """Build the spec for ``sparsity_samples`` of an ``[m,k,n]`` matmul.
 
         The signature is the quantized sparsity signature of the samples.
-        ``pattern``/``permutation`` only apply to nm-sparse specs.
+        ``pattern`` only applies to nm-sparse specs.
         """
         sig = sparsity_signature(sparsity_samples)
         return PlanSpec(
@@ -359,7 +345,6 @@ class Planner:
             signature=sig,
             tiledb_key=self._tiledb_key,
             pattern=pattern,
-            permutation=permutation,
         )
 
     def resolve(
@@ -401,7 +386,6 @@ class Planner:
                     spec.n,
                     self.tiledb,
                     pattern=spec.pattern,
-                    permutation=spec.permutation,
                 )
             return kernel_selection(
                 make_samples(),

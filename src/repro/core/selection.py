@@ -72,10 +72,10 @@ class PermutedChoice:
     PermLLM's observation is that the channel order is itself a plan-shaped
     decision: permuting the k-axis before N:M pruning changes which weights
     survive, and therefore the cover cost of every PIT rule.  The winning
-    *concrete* permutation is part of the cached plan value (the spec only
-    carries the search *policy*), so a warm resolve replays both the kernel
-    and the channel order without re-searching.  ``permutation == ()``
-    means identity — the search found reordering unprofitable.
+    *concrete* permutation is part of the cached plan value (the spec names
+    only the pattern), so a warm resolve replays both the kernel and the
+    channel order without re-searching.  ``permutation == ()`` means
+    identity — the search found reordering unprofitable.
     """
 
     choice: KernelChoice
@@ -264,37 +264,25 @@ def kernel_selection(
     return choice
 
 
-def nm_permutation_candidates(samples, policy, k: int) -> list:
-    """Deterministic k-axis channel-order candidates for the nm search.
+def nm_permutation_candidates(samples, k: int) -> list:
+    """The k-axis channel-order candidates of the nm search.
 
-    Always proposes identity (``None`` sentinel), a density sort (channels
-    ordered by total non-zeros descending — clusters live channels so N:M
-    groups keep them together), and a striped deal (density-sorted channels
-    dealt round-robin across groups — balances each m-group's live count so
-    fewer survivors are dropped).  A ``("learned", count, seed)`` policy
-    adds ``count`` explicitly seeded random shuffles, the cheap stand-in
-    for PermLLM's learned permutation.  Everything is a pure function of
-    the samples and the policy, so the winning order is cacheable.
+    Identity (``None`` sentinel), a density sort (channels ordered by total
+    non-zeros descending — clusters live channels so N:M groups keep them
+    together), and a striped deal (density-sorted channels dealt
+    round-robin across groups — balances each m-group's live count so
+    fewer survivors are dropped).  A pure function of the samples, so the
+    winning order is cacheable.
     """
     counts = np.zeros(k, dtype=np.int64)
     for s in samples:
         counts += np.asarray(s, dtype=bool).sum(axis=1, dtype=np.int64)
     dense_first = np.argsort(-counts, kind="stable")
-    candidates = [None, tuple(int(c) for c in dense_first)]
-    candidates.append(
-        tuple(int(c) for c in dense_first[_striped_order(k)])
-    )
-    if policy:
-        if policy[0] != "learned":
-            raise ValueError(
-                f"unknown nm permutation policy {policy[0]!r} "
-                f"(expected 'learned')"
-            )
-        _, count, seed = policy
-        rng = np.random.default_rng(int(seed))
-        for _ in range(int(count)):
-            candidates.append(tuple(int(c) for c in rng.permutation(k)))
-    return candidates
+    return [
+        None,
+        tuple(int(c) for c in dense_first),
+        tuple(int(c) for c in dense_first[_striped_order(k)]),
+    ]
 
 
 def _striped_order(k: int) -> np.ndarray:
@@ -313,15 +301,14 @@ def nm_kernel_selection(
     tiledb: TileDB,
     *,
     pattern: tuple,
-    permutation: tuple = (),
 ) -> PermutedChoice:
     """Algorithm 1 composed with a channel-permutation search (nm-sparse).
 
-    For every candidate permutation of the weight's k-axis, project the
-    permuted mask onto the ``(n, m)`` structured pattern (N:M pruning keeps
-    the densest ``n`` of every aligned ``m``-group), then evaluate every
-    (tile, PIT-axis) rule over *all* candidates stacked into one
-    :class:`SampleStack` and scored in one ``[rules, candidates x
+    For each k-axis channel order of :func:`nm_permutation_candidates`,
+    project the permuted mask onto the ``(n, m)`` structured pattern (N:M
+    pruning keeps the densest ``n`` of every aligned ``m``-group), then
+    evaluate every (tile, PIT-axis) rule over *all* candidates stacked into
+    one :class:`SampleStack` and scored in one ``[rules, candidates x
     samples]`` array pass.  The cheapest (rule, permutation)
     pair wins; the dense fallback competes exactly as in
     :func:`kernel_selection`.  The full tile database is searched — no
@@ -344,7 +331,7 @@ def nm_kernel_selection(
         raise ValueError(f"k={k} not divisible by N:M group size {mm}")
 
     start = time.perf_counter()
-    candidates = nm_permutation_candidates(samples, permutation, k)
+    candidates = nm_permutation_candidates(samples, k)
     stacked = []
     for perm in candidates:
         for s in samples:
@@ -542,9 +529,10 @@ class PlanCache:
 
     #: On-disk dump format version; bumped whenever key/value encoding or
     #: the header changes.  Format 4 dropped format 3's ``capacity``,
-    #: ``quantum`` and ``tiledb_keys`` header fields; it is the only format
-    #: :meth:`load` reads.
-    DUMP_FORMAT = 4
+    #: ``quantum`` and ``tiledb_keys`` header fields; format 5 dropped the
+    #: permutation-policy slot of nm-sparse keys (a format-4 nm entry
+    #: could never be hit again).  It is the only format :meth:`load` reads.
+    DUMP_FORMAT = 5
 
     def save(self, path, *, tiledb_key) -> dict:
         """Persist the cache to ``path`` as JSON.

@@ -145,7 +145,6 @@ def sparse_training_step(
     seed: int = 0,
     plan_cache: Optional[PlanCache] = None,
     pattern: tuple = (),
-    permutation: tuple = (),
 ) -> SparseTrainingReport:
     """Price one forward+backward batch of iterative-pruning fp32
     BERT-base training.
@@ -162,8 +161,7 @@ def sparse_training_step(
     land in the same quantized signature replay cached plans; the report's
     ``plan_hits``/``plan_misses``/``search_us`` make the difference
     visible.  A non-empty ``pattern`` switches PIT to the ``nm-sparse``
-    kind (N:M projection composed with a channel-permutation search,
-    ``permutation`` being the search policy).
+    kind (N:M projection composed with a channel-permutation search).
     """
     config, dtype = bert_base(), "float32"
     if backend not in ("pytorch", "pytorch-s", "pit"):
@@ -205,7 +203,7 @@ def sparse_training_step(
             convert_us += count * convert
         else:  # pit: one plan per family, resolved through the Planner
             resolved = pricer.weight_sparse_plan(
-                [mask], m, k, n, pattern=pattern, permutation=permutation
+                [mask], m, k, n, pattern=pattern
             )
             plan_hits += int(resolved.cache_hit)
             plan_misses += int(resolved.cold)

@@ -19,5 +19,5 @@ def retune(planner, shapes):
     choice = PermutedChoice(None, (), ())  # noqa: F821
     choice.permutation = (1, 0)  # expect[frozen-spec-purity]
     spec = planner.make_spec("nm-sparse", shapes)
-    spec.permutation = ("learned", 4, 0)  # expect[frozen-spec-purity]
+    spec.pattern = (1, 4)  # expect[frozen-spec-purity]
     return choice, spec

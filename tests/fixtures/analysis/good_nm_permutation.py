@@ -20,4 +20,4 @@ def reorder(plan: PermutedChoice, order):
 
 def retune(planner, shapes):
     spec = planner.make_spec("nm-sparse", shapes)
-    return dataclasses.replace(spec, permutation=("learned", 4, 0))
+    return dataclasses.replace(spec, pattern=(1, 4))

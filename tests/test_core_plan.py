@@ -51,8 +51,7 @@ class TestPlanSpec:
         {},
         dict(kind="attention", sparse_operand="B",
              signature=(2048, 3, ("nested", 1))),
-        dict(kind="nm-sparse", sparse_operand="B", pattern=(2, 4),
-             permutation=("learned", 2, 11)),
+        dict(kind="nm-sparse", sparse_operand="B", pattern=(2, 4)),
     ], ids=["proj", "nested-signature", "nm-sparse"])
     def test_cache_key_round_trips_the_plan_codec(self, tiledb, overrides):
         """Plan dumps key on ``cache_key()``: through JSON it decodes to an
@@ -75,8 +74,8 @@ class TestPlanSpec:
         assert a.signature == (7, (20, 20))
         assert a.cache_key() == b.cache_key()
         nm = dict(kind="nm-sparse", sparse_operand="B")
-        c = make_spec(tiledb, pattern=[2, 4], permutation=["learned", 3, 1], **nm)
-        d = make_spec(tiledb, pattern=(2, 4), permutation=("learned", 3, 1), **nm)
+        c = make_spec(tiledb, pattern=[2, 4], **nm)
+        d = make_spec(tiledb, pattern=(2, 4), **nm)
         assert c == d and hash(c) == hash(d)
 
     def test_invalid_kind_rejected(self, tiledb):
@@ -261,7 +260,7 @@ class TestPlanCachePersistence:
         assert stats == {"entries": 2, "skipped": 0}
         payload = json.loads(path.read_text())
         assert list(payload) == ["format", "tiledb_key", "entries"]
-        assert payload["format"] == PlanCache.DUMP_FORMAT == 4
+        assert payload["format"] == PlanCache.DUMP_FORMAT == 5
 
         loaded = PlanCache.load(path, expected_tiledb_key=tiledb.cache_key)
         assert len(loaded) == 2
@@ -283,9 +282,12 @@ class TestPlanCachePersistence:
         # Without an expectation the dump loads (caller's responsibility).
         assert len(PlanCache.load(path)) == 2
 
-    def test_load_rejects_unknown_format(self, tiledb, tmp_path):
+    @pytest.mark.parametrize("fmt", [99, 4])
+    def test_load_rejects_unknown_format(self, tiledb, tmp_path, fmt):
+        """Format 4 keyed nm-sparse plans on a permutation-policy slot that
+        no spec builds any more; its nm entries could never hit."""
         path = tmp_path / "plans.json"
-        path.write_text(json.dumps({"format": 99, "entries": []}))
+        path.write_text(json.dumps({"format": fmt, "entries": []}))
         with pytest.raises(ValueError, match="format"):
             PlanCache.load(path)
 

@@ -35,10 +35,10 @@ from repro.core import (
     TileDB,
     kernel_selection,
     nm_kernel_selection,
-    nm_permutation_candidates,
 )
 from repro.core.kernels import SparseMatmulKernel
 from repro.core.plan import decode_value, encode_value
+from repro.core.selection import nm_permutation_candidates
 from repro.hw import V100
 from repro.hw.costmodel import dense_matmul_time_us
 from repro.runtime import sparse_training_step
@@ -77,23 +77,14 @@ class TestTrainingPlanSpecs:
         with pytest.raises(ValueError, match="not divisible"):
             PlanSpec(kind="nm-sparse", pattern=(2, 7), **kwargs)
 
-    def test_nm_permutation_policy_shape(self, tiledb):
-        kwargs = dict(m=128, k=64, n=64, sparse_operand="B",
-                      pattern=(2, 4), tiledb_key=tiledb.cache_key)
-        with pytest.raises(ValueError, match="permutation policy"):
-            PlanSpec(kind="nm-sparse", permutation=(1, 0), **kwargs)
-        spec = PlanSpec(kind="nm-sparse",
-                        permutation=("learned", 2, 0), **kwargs)
-        assert spec.permutation == ("learned", 2, 0)
-
     def test_legacy_kinds_reject_nm_fields(self, tiledb):
         with pytest.raises(ValueError, match="nm-sparse-only"):
             PlanSpec(kind="proj", m=128, k=64, n=64, pattern=(2, 4),
                      tiledb_key=tiledb.cache_key)
 
     def test_cache_key_layout(self, tiledb):
-        """Kinds without pattern/permutation key an 8-tuple; nm-sparse
-        grows to 10 with the tiledb key still last."""
+        """Kinds without a pattern key an 8-tuple; nm-sparse grows to 9
+        with the pattern at index 7 and the tiledb key still last."""
         legacy = PlanSpec(kind="proj", m=128, k=64, n=64,
                           signature=(7, 20, 20), tiledb_key=tiledb.cache_key)
         assert len(legacy.cache_key()) == 8
@@ -101,7 +92,7 @@ class TestTrainingPlanSpecs:
                       sparse_operand="B", pattern=(2, 4),
                       signature=(7, 20, 20), tiledb_key=tiledb.cache_key)
         key = nm.cache_key()
-        assert len(key) == 10
+        assert len(key) == 9
         assert key[-1] == tiledb.cache_key
         assert key[7] == (2, 4)
 
@@ -113,7 +104,6 @@ class TestTrainingSerialization:
     def nm_spec(self, tiledb):
         return PlanSpec(kind="nm-sparse", m=512, k=768, n=768,
                         sparse_operand="B", pattern=(2, 4),
-                        permutation=("learned", 2, 11),
                         signature=(7, 18, 18), tiledb_key=tiledb.cache_key)
 
     def test_permuted_choice_json_round_trip(self, tiledb):
@@ -163,7 +153,6 @@ class TestTrainingSerialization:
             "db = TileDB.shared(V100, 'float32')\n"
             "spec = PlanSpec(kind='nm-sparse', m=512, k=768, n=768,\n"
             "                sparse_operand='B', pattern=(2, 4),\n"
-            "                permutation=('learned', 2, 11),\n"
             "                signature=(7, 18, 18), tiledb_key=db.cache_key)\n"
             "print(json.dumps(encode_value(spec.cache_key())))\n"
         )
@@ -226,26 +215,24 @@ class TestFullTileDBSearch:
 
     def test_permutation_candidates(self):
         samples = weight_masks(shape=(64, 64), block=(1, 1), sparsity=0.5)
-        cands = nm_permutation_candidates(samples, (), 64)
+        cands = nm_permutation_candidates(samples, 64)
         assert cands[0] is None  # identity always competes
         assert len(cands) == 3
         assert all(sorted(c) == list(range(64)) for c in cands[1:])
-        learned = nm_permutation_candidates(samples, ("learned", 2, 0), 64)
-        assert len(learned) == 5
-        with pytest.raises(ValueError):
-            nm_permutation_candidates(samples, ("genetic", 1), 64)
+        # The density sort puts the densest channels first.
+        live = samples[0].sum(axis=1)[list(cands[1])]
+        assert (np.diff(live) <= 0).all()
 
     def test_nm_selection_caches_concrete_permutation(self, tiledb):
+        samples = weight_masks()
         choice = nm_kernel_selection(
-            weight_masks(), 512, 768, 768, tiledb,
-            pattern=(2, 4), permutation=("learned", 2, 11),
+            samples, 512, 768, 768, tiledb, pattern=(2, 4)
         )
         assert choice.pattern == (2, 4)
-        # The winning order is concrete: identity or a full k-permutation,
-        # never the search policy.
-        assert choice.permutation == () or sorted(choice.permutation) == list(
-            range(768)
-        )
+        # The winning order is concrete: identity or one of the searched
+        # full k-permutations.
+        cands = nm_permutation_candidates(samples, 768)
+        assert choice.permutation == () or choice.permutation in cands[1:]
 
 
 # ----------------------------------------------------------------------
@@ -303,12 +290,12 @@ class TestTrainingWarmStart:
         cache = PlanCache()
         cold = sparse_training_step(
             "pit", V100, block=(32, 1), sparsity=0.9, plan_cache=cache,
-            pattern=(2, 4), permutation=("learned", 2, 11),
+            pattern=(2, 4),
         )
         assert cold.plan_misses == 3
         warm = sparse_training_step(
             "pit", V100, block=(32, 1), sparsity=0.9, plan_cache=cache,
-            pattern=(2, 4), permutation=("learned", 2, 11),
+            pattern=(2, 4),
         )
         assert warm.plan_misses == 0 and warm.plan_hits == 3
         assert warm.latency_ms == cold.latency_ms
