@@ -1,9 +1,9 @@
 """Training warm-start: a pruning run's plans must survive restarts.
 
-PR 10 unifies the training path onto the Planner: every PIT training-step
-matmul resolves a ``weight-sparse`` (or ``nm-sparse``) plan through
-``Planner.resolve`` over a shared :class:`PlanCache`.  This benchmark gates
-the property that unification exists for:
+Training runs on the Planner: every PIT training-step matmul resolves a
+``weight-sparse`` (or ``nm-sparse``) plan through ``Planner.resolve`` over
+a shared :class:`PlanCache`.  This benchmark gates what a shared,
+persistent plan cache is for:
 
 1. price a first pruning epoch (several sparsity steps plus one nm-sparse
    step) with a cold cache, paying the real full-TileDB Algorithm 1

@@ -34,10 +34,11 @@ from repro.models import (
 from repro.runtime import ServingEngine
 
 #: Calls per batch of the pass below before the warm path was trimmed
-#: (commit 2e8686f), and the budget: 353.82 calls, with one routing table
-#: per MoE request priced in one ``moe_ffn`` call per run, plus about 5%.
+#: (commit 2e8686f), and the budget: 347.68 calls, with one ``moe_ffn``
+#: call per run that prices each distinct row-tile count once, plus about
+#: 5%.
 PARENT_CALLS_PER_BATCH = 641.62
-BUDGET_CALLS_PER_BATCH = 371.0
+BUDGET_CALLS_PER_BATCH = 365.0
 
 #: Two replicas, no batch-open speculation and no measured selection time
 #: in the simulated schedule: the serving set-up of ``perfbench``.

@@ -1,11 +1,11 @@
 """repro.analysis — "pitlint", the invariant checker for this repo.
 
-PR 6 made serving truly concurrent; the invariants that keep it correct
-(lock discipline over the :class:`~repro.core.selection.PlanCache` and
-the shared registries, async hygiene in the live front end,
-decision-path determinism behind the replay-equivalence guarantee, seeded
-RNG everywhere, frozen plan objects) were until now enforced by convention.
-This package enforces them mechanically:
+Serving is concurrent, and this package checks mechanically the
+invariants that keep it correct (lock discipline over the
+:class:`~repro.core.selection.PlanCache` and the shared registries, async
+hygiene in the live front end, decision-path determinism behind the
+replay-equivalence guarantee, seeded RNG everywhere, frozen plan objects)
+with two tools:
 
 * a **static analyzer** (`python -m repro.analysis src`) with a rule
   registry, per-rule findings, inline suppression pragmas

@@ -382,17 +382,23 @@ class PITBackend(ModelBackend):
         self._alloc(allocs, tokens * d_ff, "moe.hidden")
         self._alloc(allocs, tokens * d_model, "moe.out")
         allocs = tuple(allocs)
-        # Every expert's row tiles times the same column tiles and k-steps.
+        # Every expert's row tiles times the same column tiles and k-steps;
+        # layers with the same row-tile count share one priced row.
         m_tiles = ((routing.counts + (tile.tm - 1)) // tile.tm).sum(axis=1)
-        layers = []
+        layers, rows = [], {}
         for m in m_tiles.tolist():
-            tiles_up, tiles_down = m * cols_up, m * cols_down
-            up = self._tiled_matmul_us(tiles_up * k_up, tiles_up, tile)
-            down = self._tiled_matmul_us(tiles_down * k_down, tiles_down, tile)
-            layers.append(((ExecReport(
-                op="moe.pit_grouped",
-                latency_us=up + act + down + detector,
-                convert_us=detector,
-                detail={"tile": name},
-            ),), allocs))
+            row = rows.get(m)
+            if row is None:
+                tiles_up, tiles_down = m * cols_up, m * cols_down
+                up = self._tiled_matmul_us(tiles_up * k_up, tiles_up, tile)
+                down = self._tiled_matmul_us(
+                    tiles_down * k_down, tiles_down, tile
+                )
+                row = rows[m] = ((ExecReport(
+                    op="moe.pit_grouped",
+                    latency_us=up + act + down + detector,
+                    convert_us=detector,
+                    detail={"tile": name},
+                ),), allocs)
+            layers.append(row)
         return layers

@@ -15,7 +15,6 @@ __all__ = [
     "GroupedMatmulKernel",
     "KernelChoice",
     "KernelResult",
-    "MatmulWorkload",
     "MicroTile",
     "OPERATOR_EXPRESSIONS",
     "PITCompiler",
@@ -39,13 +38,11 @@ __all__ = [
     "TensorRef",
     "TileDB",
     "TileEntry",
-    "batched_matmul_workload",
     "build_index",
     "classify_axes",
     "cover_grid",
     "coverage_waste",
     "covered_sparsity",
-    "dense_matmul_workload",
     "derive_microtile",
     "gcd_microtile_shape",
     "get_operator_expr",
@@ -68,9 +65,7 @@ __all__ = [
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "compiler": ("CompiledMatmul", "PITCompiler"),
     "cover": (
-        "MatmulWorkload", "SampleStack", "batched_matmul_workload",
-        "cover_grid", "coverage_waste", "covered_sparsity",
-        "dense_matmul_workload",
+        "SampleStack", "cover_grid", "coverage_waste", "covered_sparsity",
     ),
     "detector": ("SparseIndex", "build_index", "index_construction_time_us"),
     "expr": (

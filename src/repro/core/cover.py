@@ -1,18 +1,14 @@
 """CoverAlgo: micro-tile coverage of a sparse tensor (Algorithm 1, line 8).
 
 Given a sparsity mask and a micro-tile shape, CoverAlgo computes how many
-micro-tiles are needed to cover all non-zero values, and — after merging
-micro-tiles along the PIT-axis into dense computation tiles — how much work
-the generated sparse kernel performs.  Algorithm 1 estimates a candidate
-kernel's cost as ``num_tiles * tile_cost``; this module produces exactly
-those tile counts, and also the *coverage waste* statistics plotted in
-Figure 3a.
-
-Merging semantics: micro-tiles can merge into one dense computation tile when
-they share their block position on every non-PIT axis (they are interchanged
-along the PIT-axis only — that is what the permutation-invariance property
-licenses).  Hence the workload is computed per non-PIT block position:
-``sum_over_positions(ceil(count_position / merge_factor))``.
+micro-tiles are needed to cover all non-zero values.  This module holds the
+cover grids and their per-row and per-column counts; Algorithm 1's one
+workload evaluator, :class:`~repro.core.kernels._RuleTable`, merges those
+counts along the PIT-axis into dense computation tiles and prices them as
+``num_tiles * tile_cost``.  The naive single-mask helpers
+(:func:`cover_grid`, :func:`coverage_waste`, :func:`covered_sparsity`) are
+the test reference, Figure 3a's *coverage waste* and Table 3's covered
+sparsity.
 
 Cover grids are served from a *pyramid*: one base grid per mask at the
 finest granularity (the GCD of the requested micro-tile extents, typically
@@ -24,19 +20,17 @@ cover_grid(mask, (b, a)).T`` (served as a numpy view, never materialized)
 this makes a cold Algorithm 1 search touch the raw mask O(1) times instead
 of once per candidate micro-tile shape — the Section 5.5 budget depends on
 it.  :class:`SampleStack` holds the pyramid of one or more same-shape
-sparsity samples, and :func:`batched_matmul_workload` evaluates a rule on
-every stacked sample in one pass; a single mask is a one-sample stack.
+sparsity samples, so a rule's counts cover every stacked sample in one
+pass; a single mask is a one-sample stack.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..hw.costmodel import TileConfig
 from .microtile import gcd_microtile_shape
 
 
@@ -162,9 +156,11 @@ class SampleStack:
 
     @functools.cached_property
     def nnz(self) -> np.ndarray:
-        """``[S]`` per-sample non-zero counts, counted on first use: only a
-        workload's waste fraction reads them, and a cover-only caller
-        (the activation-cover memo) never does."""
+        """``[S]`` per-sample non-zero counts, counted on first use: only
+        the waste fraction of a
+        :meth:`~repro.core.kernels.SparseMatmulKernel.run` report reads
+        them, and a cover-only caller (the activation-cover memo) never
+        does."""
         return np.array(
             [np.count_nonzero(sample) for sample in self.stack], dtype=np.int64
         )
@@ -267,117 +263,3 @@ class SampleStack:
         """Cells of one sample's 2-D grid (``Gr * Gc``)."""
         g = self.grids(shape, transposed=transposed)
         return int(g.shape[1] * g.shape[2])
-
-
-@dataclass(frozen=True)
-class MatmulWorkload:
-    """Work performed by a sparse matmul kernel after micro-tile merging."""
-
-    #: Total K-steps across all dense computation tiles (the unit Algorithm 1
-    #: multiplies by the profiled per-step tile cost).
-    total_k_steps: int
-    #: Number of distinct output tiles written (each pays the fixed cost).
-    num_output_tiles: int
-    #: Micro-tiles covering the sparse operand (sparse-index length).
-    num_microtiles: int
-    #: Fraction of computed elements that are zero padding/waste.
-    wasted_fraction: float
-
-
-def batched_matmul_workload(
-    stack: SampleStack,
-    tile: TileConfig,
-    pit_axis: str,
-    n_extent: int,
-    *,
-    sparse_operand: str = "A",
-) -> list:
-    """Workload of ``C[m,n] += A[m,k] * B[k,n]`` on every stacked sample.
-
-    The stack holds the sparse operand's non-zero masks (A: [M, K]; B:
-    [K, N]); ``n_extent`` is the dense extent of the axis the masks do not
-    cover (N when A is sparse, M when B is sparse).  One pooled-counts pass
-    evaluates every sample and returns one :class:`MatmulWorkload` each.
-
-    * PIT-axis ``m`` (A sparse): micro-tile ``(1, tk)``.  Micro-tiles merge
-      across rows within the same K-block; every K-block column contributes
-      ``ceil(count / tm)`` steps, replicated over ``ceil(N / tn)`` output
-      column tiles.
-    * PIT-axis ``k`` (A sparse): micro-tile ``(tm, 1)``.  Columns of each
-      row-block gather into K-steps of ``tk``; every row-block contributes
-      ``ceil(count / tk)`` steps.
-    * PIT-axis ``n`` / ``k`` with B sparse: symmetric, on the transposed
-      grids.
-    """
-    axes = {"A": ("m", "k"), "B": ("n", "k")}.get(sparse_operand)
-    if axes is None:
-        raise ValueError(
-            f"sparse_operand must be 'A' or 'B', got {sparse_operand!r}"
-        )
-    if pit_axis not in axes:
-        raise ValueError(
-            f"sparse {sparse_operand} supports PIT-axis {axes[0]} or k, "
-            f"got {pit_axis!r}"
-        )
-    transposed = sparse_operand == "B"
-    outer, shape, divisor = _workload_shape(tile, pit_axis, transposed)
-    steps, tiles = _pooled_workload(stack, shape, transposed, outer, [divisor])
-    n_tiles_cols = math.ceil(n_extent / (tile.tm if transposed else tile.tn))
-    micro = stack.num_microtiles(shape, transposed=transposed)
-    # Every step of one output column tile computes rows x tk operand cells.
-    rows = tile.tn if transposed else tile.tm
-    nnz = stack.nnz
-    out = []
-    for s in range(stack.num_samples):
-        elems = int(steps[0, s]) * rows * tile.tk
-        waste = 0.0 if elems == 0 else max(0.0, 1.0 - int(nnz[s]) / elems)
-        out.append(
-            MatmulWorkload(
-                total_k_steps=int(steps[0, s]) * n_tiles_cols,
-                num_output_tiles=int(tiles[0, s]) * n_tiles_cols,
-                num_microtiles=int(micro[s]),
-                wasted_fraction=waste,
-            )
-        )
-    return out
-
-
-def _workload_shape(tile: TileConfig, pit_axis: str, transposed: bool) -> tuple:
-    """``(outer, shape, divisor)``: whether the PIT-axis is spatial, the
-    rule's micro-tile on the grid whose rows are the PIT-axis side (a
-    sparse B is transposed), and its merge factor (spatial) or K-step."""
-    rows = tile.tn if transposed else tile.tm
-    if pit_axis == "k":
-        return False, (rows, 1), tile.tk
-    return True, (1, tile.tk), rows
-
-
-def _pooled_workload(stack: SampleStack, shape: tuple, transposed: bool,
-                    outer: bool, divisors) -> tuple:
-    """``(steps, tiles)``: ``[len(divisors), S]`` K-steps and output tiles
-    (``[1, S]`` on axis k) per output column tile of the rules sharing one
-    workload ``shape`` (:func:`_workload_shape`), reduced from its pooled
-    counts once for all of them.  ``-(-x // d)`` is the exact ``ceil``.
-    """
-    div = np.asarray(divisors, dtype=np.int64)[:, np.newaxis]
-    if outer:
-        counts = stack.col_counts(shape, transposed=transposed)  # [S, Gc]
-        tiles = -(-stack.live_rows(shape, transposed=transposed) // div)
-    else:
-        counts = stack.row_counts(shape, transposed=transposed)  # [S, Gr]
-        tiles = (counts > 0).sum(axis=1)[np.newaxis]
-    steps = (-(-counts[np.newaxis] // div[:, :, np.newaxis])).sum(axis=2)
-    return steps, tiles
-
-
-def dense_matmul_workload(m: int, k: int, n: int, tile: TileConfig) -> MatmulWorkload:
-    """Workload of the dense fallback (all tiles, all K-steps)."""
-    tiles_m = math.ceil(m / tile.tm)
-    tiles_n = math.ceil(n / tile.tn)
-    steps = tiles_m * tiles_n * math.ceil(k / tile.tk)
-    return MatmulWorkload(
-        total_k_steps=steps,
-        num_output_tiles=tiles_m * tiles_n,
-        num_microtiles=0,
-        wasted_fraction=0.0,
-    )

@@ -30,8 +30,7 @@ from ..hw.costmodel import (
 from ..hw.memory import gather_efficiency, stream_time_us, tensor_bytes
 from ..hw.spec import GPUSpec, dtype_bytes
 from ..hw.timeline import ExecReport
-from .cover import SampleStack, batched_matmul_workload
-from .cover import _pooled_workload, _workload_shape
+from .cover import SampleStack
 from .detector import index_construction_time_us
 from .microtile import derive_microtile
 from .sread_swrite import sread_cols, sread_rows, swrite_cols, swrite_rows
@@ -49,6 +48,46 @@ def _operand_mask(tensor: np.ndarray, mask) -> np.ndarray:
     if mask is not None:
         return np.asarray(mask, dtype=bool)
     return tensor != 0
+
+
+def _workload_shape(tile: TileConfig, pit_axis: str, transposed: bool) -> tuple:
+    """``(outer, shape, divisor)``: whether the PIT-axis is spatial, the
+    rule's micro-tile on the grid whose rows are the PIT-axis side (a
+    sparse B is transposed), and its merge factor (spatial) or K-step.
+
+    Micro-tiles merge into one dense computation tile when they share their
+    block position on every non-PIT axis (the permutation-invariance
+    property lets them trade places along the PIT-axis only), so the work
+    is ``sum_over_positions(ceil(count_position / divisor))``:
+
+    * a spatial PIT-axis (m for a sparse A, n for a sparse B) merges the
+      ``(1, tk)`` micro-tiles of each K-block column into tiles of
+      ``rows`` (``tm``, or ``tn`` for B);
+    * the reduction axis k gathers each row-block's ``(rows, 1)``
+      micro-tiles into K-steps of ``tk``.
+    """
+    rows = tile.tn if transposed else tile.tm
+    if pit_axis == "k":
+        return False, (rows, 1), tile.tk
+    return True, (1, tile.tk), rows
+
+
+def _pooled_workload(stack: SampleStack, shape: tuple, transposed: bool,
+                    outer: bool, divisors) -> tuple:
+    """``(steps, tiles)``: ``[len(divisors), S]`` K-steps and output tiles
+    (``[1, S]`` on axis k) per output column tile of the rules sharing one
+    workload ``shape`` (:func:`_workload_shape`), reduced from its pooled
+    counts once for all of them.  ``-(-x // d)`` is the exact ``ceil``.
+    """
+    div = np.asarray(divisors, dtype=np.int64)[:, np.newaxis]
+    if outer:
+        counts = stack.col_counts(shape, transposed=transposed)  # [S, Gc]
+        tiles = -(-stack.live_rows(shape, transposed=transposed) // div)
+    else:
+        counts = stack.row_counts(shape, transposed=transposed)  # [S, Gr]
+        tiles = (counts > 0).sum(axis=1)[np.newaxis]
+    steps = (-(-counts[np.newaxis] // div[:, :, np.newaxis])).sum(axis=2)
+    return steps, tiles
 
 
 class _RuleTable:
@@ -277,25 +316,32 @@ class SparseMatmulKernel:
             b_packed = sread_rows(np.where(op_mask, b, 0.0), rows)
             out = a_packed @ b_packed
 
+        # The report reads the same counts the price is made of.
         stack = SampleStack([op_mask])
-        latency = self.estimate_us(stack, dense_extent)
-        (wl,) = batched_matmul_workload(
-            stack, self.tile, self.pit_axis, dense_extent,
-            sparse_operand=self.sparse_operand,
+        counts = self._table.count(stack)
+        latency = float(
+            self._table.price(counts, stack.sample_shape, dense_extent)[0, 0]
         )
+        steps, tiles, micro = (int(c[0, 0]) for c in counts[:3])
+        tile, t = self.tile, self._table.transposed
+        col_tiles = -(-dense_extent // (tile.tm if t else tile.tn))
+        # Every step of one output column tile computes rows x tk operand cells.
+        elems = steps * (tile.tn if t else tile.tm) * tile.tk
+        nnz = int(stack.nnz[0])
+        waste = 0.0 if elems == 0 else max(0.0, 1.0 - nnz / elems)
         detector_us = index_construction_time_us(
-            op_mask.shape, self.dtype, self.spec, wl.num_microtiles
+            op_mask.shape, self.dtype, self.spec, micro
         )
         report = ExecReport(
             op=f"pit_matmul[{self.pit_axis}]",
             latency_us=latency,
             convert_us=detector_us,
-            wasted_fraction=wl.wasted_fraction,
+            wasted_fraction=waste,
             detail={
                 "tile": self.tile.describe(),
                 "microtile": str(self.microtile),
-                "k_steps": wl.total_k_steps,
-                "output_tiles": wl.num_output_tiles,
+                "k_steps": steps * col_tiles,
+                "output_tiles": tiles * col_tiles,
             },
         )
         return KernelResult(output=out, report=report)

@@ -27,7 +27,7 @@ import numpy as np
 from ..analysis.runtime_checks import make_lock
 from ..hw.costmodel import TileConfig, sparse_matmul_time_us
 from ..sparsity.attention import SIGNATURE_QUANTUM
-from .cover import SampleStack, dense_matmul_workload
+from .cover import SampleStack
 from .kernels import _RuleTable
 from .microtile import MicroTile
 from .rules import matmul_rules
@@ -160,10 +160,11 @@ def dense_candidate(m: int, k: int, n: int, tiledb: TileDB) -> tuple:
     must fall back (Section 3.2).
     """
     tile = tiledb.best_dense_tile(m, k, n).tile
-    wl = dense_matmul_workload(m, k, n, tile)
+    # Every output tile executes, each with every K-step.
+    tiles = math.ceil(m / tile.tm) * math.ceil(n / tile.tn)
     cost = sparse_matmul_time_us(
-        wl.total_k_steps,
-        wl.num_output_tiles,
+        tiles * math.ceil(k / tile.tk),
+        tiles,
         tile,
         tiledb.dtype,
         tiledb.spec,

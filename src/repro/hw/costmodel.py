@@ -12,7 +12,7 @@ kernels the way the paper reasons about them (Sections 2.2 and 3.2):
 * kernel latency is wave-quantized: ``ceil(num_tiles / num_sms)`` rounds of
   the per-tile latency, plus one kernel-launch overhead;
 * Algorithm 1 estimates a sparse kernel's cost as
-  ``num_covered_tiles * tile_cost`` — :func:`sparse_kernel_time_us` implements
+  ``num_covered_tiles * tile_cost`` — :func:`sparse_matmul_time_us` implements
   exactly that, with the detector and SRead/SWrite surcharges added on top.
 
 All times are microseconds.

@@ -1,9 +1,9 @@
 """Continuous batching + multi-replica placement over a simulated clock.
 
-The drain path (PR 1) batches the whole queue in one FCFS pass: an open
-batch can never admit a request that arrives after ``run()`` starts, and
-every batch serializes onto one device.  This module replaces that with the
-two mechanisms a serving system actually runs:
+The drain policy batches the whole queue in one FCFS pass: an open batch
+can never admit a request that arrives after ``run()`` starts, and every
+batch serializes onto one device.  This module adds the two mechanisms a
+serving system actually runs:
 
 * **Continuous batching** (the vLLM admission discipline): requests are
   processed as *events* on a simulated clock.  An arrival joins the open

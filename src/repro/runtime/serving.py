@@ -10,9 +10,10 @@ requests via the :class:`~repro.core.selection.PlanCache`.
 The :class:`ServingEngine` accepts :class:`InferenceRequest`\\ s (a workload
 plus an arrival time), groups compatible requests into dynamic batches with
 token-budget bucketing over the variable sequence lengths (the Figure 11/12
-workloads), executes each batch through :func:`~repro.runtime.engine.
-run_transformer`, and reports per-request queueing delay and latency plus
-aggregate throughput.  Two clocks coexist deliberately:
+workloads), executes each batch through
+:func:`~repro.runtime.engine.run_transformer`, and reports per-request
+queueing delay and latency plus aggregate throughput.  Two clocks coexist
+deliberately:
 
 * **execution time** is the analytical device model's simulated latency;
 * **selection overhead** is *real* wall time spent in (cached) Algorithm 1 —
@@ -575,8 +576,8 @@ class ServingEngine:
     plan cache — plans for different devices coexist because the TileDB key
     is part of every plan key.  The continuous policy places closed batches
     cost-aware by default (minimize predicted finish time on each class's
-    analytical model); ``placement="least-loaded"`` keeps the PR-2
-    earliest-free policy.
+    analytical model); ``placement="least-loaded"`` places each batch on
+    the replica that frees earliest, whatever its device.
     """
 
     #: Fixed row/column extents of the representative masks fed to kernel
@@ -1130,7 +1131,8 @@ class ServingEngine:
                 plan_kinds[kind] = plan_kinds.get(kind, False) or was_cold
             if not speculation.cold:
                 # Warm speculation is just a pair of lookups; charging it
-                # serially keeps warm-path accounting identical to PR 2.
+                # serially makes a warm batch cost what it costs without
+                # speculation.
                 serial_us += speculation.search_us
         run = run_transformer(
             workload,
@@ -1178,8 +1180,8 @@ class ServingEngine:
     def run(self, *, policy: str = "drain") -> ServingReport:
         """Serve everything queued and return the aggregate report.
 
-        ``policy="drain"`` is the PR-1 compatibility path: batch the whole
-        queue FCFS up front and execute serially on one replica.
+        ``policy="drain"`` batches the whole queue FCFS up front and
+        executes the batches serially on one replica.
         ``policy="continuous"`` serves through
         :class:`~repro.runtime.scheduler.ContinuousScheduler`, the
         virtual-time continuous-batching loop (open batches admit arrivals

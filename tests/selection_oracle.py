@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from repro.core import KernelChoice, TileDB, matmul_rules
-from repro.core.cover import cover_grid, dense_matmul_workload
+from repro.core.cover import cover_grid
 from repro.core.detector import index_construction_time_us
 from repro.hw.costmodel import sparse_matmul_time_us
 from repro.hw.spec import dtype_bytes
@@ -76,6 +76,13 @@ def naive_workload(covers: NaiveCovers, tile, pit_axis: str, dense_extent: int,
     nnz = int(np.count_nonzero(covers.mask))
     waste = 0.0 if computed == 0 else max(0.0, 1.0 - nnz / computed)
     return steps * col_tiles, out_tiles, int(grid.sum()), waste
+
+
+def naive_dense_workload(m: int, k: int, n: int, tile) -> tuple:
+    """``(total_k_steps, num_output_tiles)`` of the dense fallback: every
+    output tile runs every K-step."""
+    out_tiles = math.ceil(m / tile.tm) * math.ceil(n / tile.tn)
+    return out_tiles * math.ceil(k / tile.tk), out_tiles
 
 
 def oracle_kernel_selection(
@@ -130,10 +137,8 @@ def oracle_kernel_selection(
     micro = None if best is None else best.microtile
     if include_dense_fallback:
         dense_tile = tiledb.best_dense_tile(m, k, n).tile
-        dwl = dense_matmul_workload(m, k, n, dense_tile)
         dense_cost = sparse_matmul_time_us(
-            dwl.total_k_steps,
-            dwl.num_output_tiles,
+            *naive_dense_workload(m, k, n, dense_tile),
             dense_tile,
             dtype,
             spec,

@@ -6,16 +6,19 @@ import pytest
 from repro.core import (
     MicroTile,
     SampleStack,
-    batched_matmul_workload,
+    SparseMatmulKernel,
+    TileDB,
     cover_grid,
     coverage_waste,
     covered_sparsity,
-    dense_matmul_workload,
     derive_microtile,
     gcd_microtile_shape,
+    index_construction_time_us,
+    matmul_rules,
 )
-from repro.hw import TileConfig
-from selection_oracle import NaiveCovers, naive_workload
+from repro.core.selection import dense_candidate
+from repro.hw import V100, TileConfig, sparse_matmul_time_us
+from selection_oracle import NaiveCovers, naive_dense_workload, naive_workload
 
 
 def granular_mask(shape, granularity, sparsity, seed=0):
@@ -26,11 +29,33 @@ def granular_mask(shape, granularity, sparsity, seed=0):
     return np.kron(grid, np.ones(granularity, dtype=bool))
 
 
-def one_sample_workload(mask, tile, axis, extent, **kwargs):
-    """The workload of a single mask: a one-sample stack's only entry."""
-    return batched_matmul_workload(
-        SampleStack([mask]), tile, axis, extent, **kwargs
-    )[0]
+def one_sample_workload(mask, tile, axis, extent, sparse_operand="A",
+                        dtype="float32", tensor_core=False):
+    """``(k_steps, output_tiles, convert_us, wasted_fraction)`` that one run
+    of a one-rule kernel reports on ``mask``, the sparse operand's mask,
+    against a dense operand of extent ``extent``."""
+    kernel = SparseMatmulKernel(tile, axis, V100, dtype,
+                                sparse_operand=sparse_operand,
+                                tensor_core=tensor_core)
+    rows, cols = mask.shape
+    if sparse_operand == "A":
+        a, b = np.ones(mask.shape), np.ones((cols, extent))
+    else:
+        a, b = np.ones((extent, rows)), np.ones(mask.shape)
+    report = kernel.run(a, b, mask=mask).report
+    return (report.detail["k_steps"], report.detail["output_tiles"],
+            report.convert_us, report.wasted_fraction)
+
+
+def naive_sample_workload(mask, tile, axis, extent, sparse_operand="A",
+                          dtype="float32"):
+    """The same four numbers, counted by the selection oracle's naive
+    scans; Convert is the detector's cost for its micro-tile count."""
+    steps, tiles, micro, waste = naive_workload(
+        NaiveCovers(mask), tile, axis, extent, sparse_operand
+    )
+    convert = index_construction_time_us(mask.shape, dtype, V100, micro)
+    return steps, tiles, convert, waste
 
 
 class TestMicroTile:
@@ -229,40 +254,38 @@ class TestSampleStack:
                 )
 
     def test_batched_workload_equals_naive_per_sample(self):
-        """The [S, G] vectorized pass must reproduce the selection oracle's
-        naive per-sample workload exactly (every field, the waste fraction
-        included, and an all-zero sample that computes nothing), in both
-        orientations, and each sample's workload must not depend on the
-        samples stacked with it."""
-        from repro.hw import TileConfig as TC
-
+        """A kernel's stacked [S, G] counts must reproduce the selection
+        oracle's naive per-sample micro-tiles, and its run report every
+        other field (the waste fraction included, and an all-zero sample
+        that computes nothing), in both orientations; each sample's counts
+        must not depend on the samples stacked with it."""
         rng = np.random.default_rng(13)
         samples = [rng.random((96, 130)) < p for p in (0.05, 0.2, 0.6)]
         samples.append(np.zeros((96, 130), dtype=bool))
         stack = SampleStack(samples)
         cases = [
-            (TC(32, 16, 32), "m", "A"),
-            (TC(16, 32, 8), "k", "A"),
-            (TC(32, 16, 32), "n", "B"),
-            (TC(8, 16, 32), "k", "B"),
+            (TileConfig(32, 16, 32), "m", "A"),
+            (TileConfig(16, 32, 8), "k", "A"),
+            (TileConfig(32, 16, 32), "n", "B"),
+            (TileConfig(8, 16, 32), "k", "B"),
         ]
         for tile, axis, operand in cases:
-            batched = batched_matmul_workload(
-                stack, tile, axis, 64, sparse_operand=operand
-            )
+            kernel = SparseMatmulKernel(tile, axis, V100,
+                                        sparse_operand=operand)
+            stacked = kernel._table.count(stack)
             for s, sample in enumerate(samples):
                 naive = naive_workload(
                     NaiveCovers(sample), tile, axis, 64, operand
                 )
-                wl = batched[s]
-                assert (
-                    wl.total_k_steps, wl.num_output_tiles, wl.num_microtiles,
-                    wl.wasted_fraction,
-                ) == naive, (tile, axis, operand, s)
-                alone = one_sample_workload(
+                assert stacked[2][0, s] == naive[2], (tile, axis, operand, s)
+                assert one_sample_workload(
                     sample, tile, axis, 64, sparse_operand=operand
-                )
-                assert wl == alone, (tile, axis, operand, s)
+                ) == naive_sample_workload(
+                    sample, tile, axis, 64, sparse_operand=operand
+                ), (tile, axis, operand, s)
+                alone = kernel._table.count(SampleStack([sample]))
+                for got, want in zip(stacked[:3], alone[:3]):
+                    assert got[0, s] == want[0, 0], (tile, axis, operand, s)
 
     def test_nnz_per_sample(self):
         samples = [np.eye(8, dtype=bool), np.ones((8, 8), dtype=bool)]
@@ -277,63 +300,97 @@ class TestSampleStack:
         mask = np.eye(64, dtype=bool)
         stack = SampleStack([mask])
         assert stack.num_microtiles((1, 8))[0] == 64
+        SparseMatmulKernel(TileConfig(8, 8, 8), "m", V100).estimate_us(stack, 8)
         assert "nnz" not in vars(stack)
-        wl = batched_matmul_workload(stack, TileConfig(8, 8, 8), "m", 8)[0]
-        assert "nnz" in vars(stack)
-        assert wl.wasted_fraction == 1.0 - 64 / (8 * 8 * 8)
+        *_, waste = one_sample_workload(mask, TileConfig(8, 8, 8), "m", 8)
+        assert waste == 1.0 - 64 / (8 * 8 * 8)
 
 
-class TestMatmulWorkload:
+class TestKernelWorkload:
     def test_dense_workload(self):
-        wl = dense_matmul_workload(128, 256, 64, TileConfig(32, 32, 32))
-        assert wl.num_output_tiles == 4 * 2
-        assert wl.total_k_steps == 8 * 8
+        """The dense candidate prices every output tile and K-step,
+        partial tiles included (on enough tiles that a lost K-step shows
+        through the wave quantization)."""
+        tile = TileConfig(32, 32, 32)
+        assert naive_dense_workload(128, 256, 64, tile) == (8 * 8, 4 * 2)
+        assert naive_dense_workload(100, 250, 70, tile) == (4 * 3 * 8, 4 * 3)
+        tiledb = TileDB.shared(V100, "float32")
+        tile, cost = dense_candidate(4000, 250, 1000, tiledb)
+        assert cost == sparse_matmul_time_us(
+            *naive_dense_workload(4000, 250, 1000, tile), tile, "float32",
+            V100,
+        )
 
     def test_row_sparse_m_axis(self):
         """Half the rows zero -> half the K-steps of dense."""
         tile = TileConfig(32, 32, 32)
         mask = np.zeros((256, 256), dtype=bool)
         mask[:128, :] = True
-        wl = one_sample_workload(mask, tile, "m", 256)
-        dense = dense_matmul_workload(256, 256, 256, tile)
-        assert wl.total_k_steps == dense.total_k_steps // 2
-        assert wl.num_output_tiles == dense.num_output_tiles // 2
-        assert wl.wasted_fraction == pytest.approx(0.0)
+        steps, tiles, _, waste = one_sample_workload(mask, tile, "m", 256)
+        dense_steps, dense_tiles = naive_dense_workload(256, 256, 256, tile)
+        assert steps == dense_steps // 2
+        assert tiles == dense_tiles // 2
+        assert waste == pytest.approx(0.0)
 
     def test_unaligned_rows_merge_across_tiles(self):
         """PIT's point: 32 scattered non-zero rows still fill one 32-row tile."""
         tile = TileConfig(32, 32, 32)
         mask = np.zeros((1024, 32), dtype=bool)
         mask[::32, :] = True  # 32 rows, one per 32-row band
-        wl = one_sample_workload(mask, tile, "m", 32)
-        assert wl.total_k_steps == 1  # merged into a single tile
-        assert wl.num_output_tiles == 1
+        steps, tiles, _, _ = one_sample_workload(mask, tile, "m", 32)
+        assert steps == 1  # merged into a single tile
+        assert tiles == 1
 
     def test_k_axis_skips_zero_columns(self):
         tile = TileConfig(32, 32, 32)
         mask = np.zeros((256, 256), dtype=bool)
         mask[:, :64] = True  # only 64 of 256 k-columns alive
-        wl = one_sample_workload(mask, tile, "k", 128)
-        dense = dense_matmul_workload(256, 256, 128, tile)
-        assert wl.total_k_steps == dense.total_k_steps // 4
+        steps, _, _, _ = one_sample_workload(mask, tile, "k", 128)
+        dense_steps, _ = naive_dense_workload(256, 256, 128, tile)
+        assert steps == dense_steps // 4
 
     def test_sparse_b_n_axis(self):
         tile = TileConfig(32, 32, 32)
         mask = np.zeros((256, 256), dtype=bool)  # B[k, n]
         mask[:, :128] = True  # half the output columns alive
-        wl = one_sample_workload(mask, tile, "n", 256, sparse_operand="B")
-        dense = dense_matmul_workload(256, 256, 256, tile)
-        assert wl.total_k_steps == dense.total_k_steps // 2
+        steps, _, _, _ = one_sample_workload(
+            mask, tile, "n", 256, sparse_operand="B"
+        )
+        dense_steps, _ = naive_dense_workload(256, 256, 256, tile)
+        assert steps == dense_steps // 2
 
     def test_empty_mask(self):
-        wl = one_sample_workload(
+        steps, tiles, _, _ = one_sample_workload(
             np.zeros((64, 64), dtype=bool), TileConfig(32, 32, 32), "m", 64
         )
-        assert wl.total_k_steps == 0
-        assert wl.num_output_tiles == 0
+        assert steps == 0
+        assert tiles == 0
 
     def test_bad_axis_operand_combo(self):
         with pytest.raises(ValueError):
             one_sample_workload(
                 np.zeros((8, 8), dtype=bool), TileConfig(8, 8, 8), "n", 8
             )
+
+    @pytest.mark.parametrize("sparse_operand", ["A", "B"])
+    @pytest.mark.parametrize("dtype,tensor_core",
+                             [("float32", False), ("float16", True)])
+    def test_every_rule_reports_the_naive_workload(self, dtype, tensor_core,
+                                                   sparse_operand):
+        """Every rule of a V100 TileDB reports, from one run, the K-steps,
+        output tiles, Convert and waste the naive oracle counts, on masks
+        whose extents leave partial tiles, and on an all-zero mask."""
+        rng = np.random.default_rng(17)
+        shape = (150, 200) if sparse_operand == "A" else (200, 130)
+        masks = [rng.random(shape) < 0.03, rng.random(shape) < 0.3,
+                 np.zeros(shape, dtype=bool)]
+        tiledb = TileDB.shared(V100, dtype, tensor_core=tensor_core)
+        rules = matmul_rules(tiledb.tiles(), sparse_operand=sparse_operand)
+        assert rules
+        for rule in rules:
+            for i, mask in enumerate(masks):
+                args = (mask, rule.tile, rule.pit_axis, 72, sparse_operand,
+                        dtype)
+                assert one_sample_workload(
+                    *args, tensor_core=tensor_core
+                ) == naive_sample_workload(*args), (rule, i)

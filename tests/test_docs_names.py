@@ -1,14 +1,19 @@
-"""Every name the docs put in backticks exists in the repo.
+"""Every name the docs put in backticks, and every cross-reference in
+``src/``, exists in the repo.
 
-A doc that names removed code as current misleads the next reader, and no
-other test reads ``docs/*.md``.  This file collects, from every backticked
-span outside fenced code blocks:
+A doc or docstring that names removed code as current misleads the next
+reader, and no other test reads ``docs/*.md``.  This file collects, from
+every backticked span of the docs outside fenced code blocks:
 
 * every dotted name (``repro.core.cover``, ``Planner.resolve``,
   ``price.ops_per_run``) and every identifier with an underscore or an
   inner capital (``sparse_training_step``, ``PlanCache``);
 * every file path (``benchmarks/bench_warm_calls.py``, with a pytest
-  ``::`` node id checked as names).
+  ``::`` node id checked as names);
+
+and, from ``src/**/*.py``, the target of every Sphinx role (``:func:``,
+``:class:``, ``:meth:``, ``:attr:``, ``:data:``, ``:mod:``, ``:exc:``),
+with ``~`` and leading dots stripped and an explicit title dropped.
 
 Each one must resolve to one of:
 
@@ -22,8 +27,8 @@ Each one must resolve to one of:
 * a file or directory of the repo, or a file name the program writes;
 * an entry of :data:`ALLOWLIST`, each with the reason it cannot resolve.
 
-An allowlist entry that no doc uses, or that resolves without it, fails
-as stale.
+An allowlist entry that no doc or cross-reference uses, or that resolves
+without it, fails as stale.
 """
 
 import ast
@@ -44,6 +49,8 @@ ALLOWLIST = {
     # Standard library.
     "NamedTuple": "typing.NamedTuple",
     "OrderedDict": "collections.OrderedDict",
+    "threading.Event": "standard library",
+    "tokenize": "standard library module",
     "TypeError": "builtin exception",
     "ValueError": "builtin exception",
     "asyncio.to_thread": "standard library",
@@ -80,6 +87,9 @@ _QUOTED = re.compile(r"\"[^\"]*\"|'[^']*'")
 _PATH = re.compile(r"(?<![\w.-])[\w.-]+(?:/[\w.-]*)*(?:::[\w:\[\]-]+)?")
 _EXTENSION = re.compile(r"\.(?:py|json|md|yml|toml|txt)(?:::|$)")
 _NAME = re.compile(r"(?<![\w/-])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\*?")
+#: A Sphinx cross-reference; its target may follow an explicit title.
+_ROLE = re.compile(r":(?:func|class|meth|attr|data|mod|exc):`(?:[^`<]*<)?"
+                   r"([^`>]+)>?`")
 
 
 def _checked(name: str) -> bool:
@@ -112,6 +122,20 @@ def doc_names() -> dict:
                 if _checked(name):
                     found[(doc.name, name)] = "name"
     return found
+
+
+def role_targets(text: str) -> list:
+    """Every Sphinx role target in ``text``, as a name to resolve."""
+    return [t.lstrip("~").lstrip(".") for t in _ROLE.findall(text)]
+
+
+def src_names() -> dict:
+    """``(file, target) -> "name"`` for every role target in ``src/``."""
+    return {
+        (str(path.relative_to(ROOT)), target): "name"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for target in role_targets(path.read_text())
+    }
 
 
 class _Index:
@@ -284,23 +308,53 @@ def names():
     return doc_names()
 
 
-def test_every_backticked_name_resolves(index, names):
-    unresolved = sorted(
-        f"{doc}: {name}"
-        for (doc, name), kind in names.items()
+def _unresolved(index, names: dict) -> list:
+    return sorted(
+        f"{where}: {name!r}"
+        for (where, name), kind in names.items()
         if name not in ALLOWLIST
         and not (index.path_resolves(name) if kind == "path"
                  else index.resolves(name))
     )
+
+
+def test_every_backticked_name_resolves(index, names):
+    unresolved = _unresolved(index, names)
     assert not unresolved, "names the repo does not define:\n" + "\n".join(
         unresolved
     )
 
 
+def test_every_src_cross_reference_resolves(index):
+    unresolved = _unresolved(index, src_names())
+    assert not unresolved, "cross-references to nothing:\n" + "\n".join(
+        unresolved
+    )
+
+
+def test_role_targets_are_read_as_sphinx_reads_them(index):
+    """``~``, leading dots and an explicit title do not hide a target; a
+    target broken across lines, or naming removed code, does not resolve."""
+    text = (":func:`~repro.core.cover.cover_grid` :meth:`.Planner.resolve` "
+            ":meth:`key <repro.core.plan.PlanSpec.cache_key>` :mod:`tokenize`"
+            " :func:`sparse_kernel_time_us` :func:`~repro.runtime.engine.\n"
+            "run_transformer`")
+    targets = role_targets(text)
+    assert targets == [
+        "repro.core.cover.cover_grid", "Planner.resolve",
+        "repro.core.plan.PlanSpec.cache_key", "tokenize",
+        "sparse_kernel_time_us", "repro.runtime.engine.\nrun_transformer",
+    ]
+    assert [index.resolves(t) for t in targets] == [
+        True, True, True, False, False, False,
+    ]
+
+
 def test_allowlist_is_not_stale(index, names):
+    names = {**names, **src_names()}
     used = {name for (_, name) in names}
     unused = sorted(set(ALLOWLIST) - used)
-    assert not unused, f"allowlist entries no doc uses: {unused}"
+    assert not unused, f"allowlist entries nothing uses: {unused}"
     kinds = {name: kind for (_, name), kind in names.items()}
     redundant = sorted(
         name for name in ALLOWLIST

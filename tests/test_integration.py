@@ -15,11 +15,11 @@ from repro.baselines import PITBackend, PyTorchBackend
 from repro.core import (
     PITCompiler,
     SampleStack,
+    SparseMatmulKernel,
     TileDB,
-    batched_matmul_workload,
-    dense_matmul_workload,
     kernel_selection,
 )
+from repro.core.selection import dense_candidate
 from repro.hw import A100, V100, TileConfig
 from repro.models import (
     bert_workload,
@@ -28,6 +28,7 @@ from repro.models import (
 )
 from repro.runtime import run_transformer
 from repro.sparsity import granular_mask
+from selection_oracle import naive_dense_workload
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +137,13 @@ class TestCoverProperties:
         rng = np.random.default_rng(seed)
         mask = rng.random((128, 128)) < density
         tile = TileConfig(tm, tk, 32)
-        dense = dense_matmul_workload(128, 128, 64, tile)
-        stack = SampleStack([mask])
+        dense_steps, dense_tiles = naive_dense_workload(128, 128, 64, tile)
+        a, b = np.ones((128, 128)), np.ones((128, 64))
         for axis in ("m", "k"):
-            (wl,) = batched_matmul_workload(stack, tile, axis, 64)
-            assert wl.total_k_steps <= dense.total_k_steps
-            assert wl.num_output_tiles <= dense.num_output_tiles
+            kernel = SparseMatmulKernel(tile, axis, V100)
+            detail = kernel.run(a, b, mask=mask).report.detail
+            assert detail["k_steps"] <= dense_steps
+            assert detail["output_tiles"] <= dense_tiles
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000), density=st.floats(0.005, 0.3))
@@ -150,15 +152,7 @@ class TestCoverProperties:
         rng = np.random.default_rng(seed)
         mask = rng.random((256, 256)) < density
         choice = kernel_selection([mask], 256, 256, 256, tiledb)
-        from repro.core import dense_matmul_workload as dmw
-        from repro.hw import sparse_matmul_time_us
-
-        entry = tiledb.best_dense_tile(256, 256, 256)
-        dwl = dmw(256, 256, 256, entry.tile)
-        dense_cost = sparse_matmul_time_us(
-            dwl.total_k_steps, dwl.num_output_tiles, entry.tile,
-            "float32", V100,
-        )
+        _, dense_cost = dense_candidate(256, 256, 256, tiledb)
         assert choice.est_cost_us <= dense_cost * 1.0001
 
     @settings(max_examples=20, deadline=None)
@@ -171,12 +165,12 @@ class TestCoverProperties:
         tile = TileConfig(16, 16, 16)
         stack = SampleStack(masks)
         for axis in ("m", "k"):
-            stacked = batched_matmul_workload(stack, tile, axis, 64)
+            table = SparseMatmulKernel(tile, axis, V100)._table
+            stacked = table.count(stack)
             for s, mask in enumerate(masks):
-                alone = batched_matmul_workload(
-                    SampleStack([mask]), tile, axis, 64
-                )
-                assert stacked[s] == alone[0]
+                alone = table.count(SampleStack([mask]))
+                for got, want in zip(stacked[:3], alone[:3]):
+                    assert got[0, s] == want[0, 0]
 
     @settings(max_examples=15, deadline=None)
     @given(

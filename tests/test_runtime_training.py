@@ -1,4 +1,4 @@
-"""Tests for the unified training path (PR 10).
+"""Tests for the training path on the Planner.
 
 Training prices its weight-sparse matmuls through ``Planner.resolve`` —
 the same spec/cache/persistence machinery the serving stack uses.  The
